@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -12,12 +11,15 @@ from .fixtures import BUNDLED_SEED, write_bundled
 from .metrics import composite_score, compute_report, normalize_metrics, read_matrix
 from .pipeline import (
     build_curriculum,
+    curriculum_json,
     ingest_fixtures,
     override_config,
     parse_config,
+    proofs_json,
     prove_standalone,
     run_pipeline,
 )
+from .storage import dump_json, write_atomic
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -46,10 +48,6 @@ def _load_config(args: argparse.Namespace):
     )
 
 
-def _dump(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2)
-
-
 def _cmd_fixture(args: argparse.Namespace) -> int:
     dirs = write_bundled(args.out, seed=args.seed)
     for d in dirs:
@@ -61,9 +59,7 @@ def _cmd_fixture(args: argparse.Namespace) -> int:
 def _cmd_ingest(args: argparse.Namespace) -> int:
     config = _load_config(args)
     db, _ = ingest_fixtures(config)
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    target = out / "database.json"
+    target = Path(config.out_dir) / "database.json"
     db.persist(target)
     for rec in db.repositories:
         print(f"{rec.repo_id}: {len(rec.theorems)} theorems, "
@@ -75,17 +71,9 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 def _cmd_curriculum(args: argparse.Namespace) -> int:
     config = _load_config(args)
     db, _ = ingest_fixtures(config)
-    thresholds, ordered = build_curriculum(db)
-    doc = {
-        "thresholds": {"p33": thresholds.p33, "p67": thresholds.p67},
-        "repositories": [
-            {"repo_id": rid, "counts": counts.to_json()} for rid, counts in ordered
-        ],
-    }
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "curriculum.json").write_text(_dump(doc) + "\n", encoding="utf-8")
-    print(_dump(doc))
+    text = dump_json(curriculum_json(*build_curriculum(db)))
+    write_atomic(Path(config.out_dir) / "curriculum.json", text)
+    print(text, end="")
     return 0
 
 
@@ -102,9 +90,7 @@ def _cmd_prove(args: argparse.Namespace) -> int:
     config = _load_config(args)
     db, attempts = prove_standalone(config, checkpoint_path=args.checkpoint)
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    doc = {"attempts": [a.to_json() for a in attempts]}
-    (out / "proofs.json").write_text(_dump(doc) + "\n", encoding="utf-8")
+    write_atomic(out / "proofs.json", dump_json(proofs_json(attempts)))
     db.persist(out / "database.json")
     proved = sum(1 for a in attempts if a.result.status == "proved")
     print(f"proved {proved} of {len(attempts)} open goals")
@@ -137,12 +123,10 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         }
         for name in reports
     }
-    text = _dump(doc)
+    text = dump_json(doc)
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "metrics.json").write_text(text + "\n", encoding="utf-8")
-    print(text)
+        write_atomic(Path(args.out) / "metrics.json", text)
+    print(text, end="")
     return 0
 
 
@@ -186,8 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prove", help="attempt open goals with a saved checkpoint")
     _add_config_flags(p)
-    p.add_argument("--checkpoint", help="checkpoint file; default is the "
-                                        "final checkpoint under the output dir")
+    p.add_argument("--checkpoint", help="binary .ckpt checkpoint file; default is "
+                                        "checkpoints/final.ckpt under the output dir")
     p.set_defaults(fn=_cmd_prove)
 
     p = sub.add_parser("metrics", help="score performance matrices")

@@ -183,7 +183,7 @@ def _parse_pos(raw: object, line_no: int, label: str) -> Pos:
     return (line, col)
 
 
-def _parse_file(obj: object, line_no: int) -> PremiseFile:
+def premise_file_from_json(obj: object, line_no: int = 0) -> PremiseFile:
     _require(isinstance(obj, dict), line_no, "expected a JSON object")
     assert isinstance(obj, dict)
     for field_name in ("path", "imports", "premises"):
@@ -234,7 +234,7 @@ def parse_corpus(text: str) -> Corpus:
             obj = json.loads(line)
         except json.JSONDecodeError as e:
             raise MalformedLine(line_no, f"invalid JSON: {e.msg}") from e
-        pf = _parse_file(obj, line_no)
+        pf = premise_file_from_json(obj, line_no)
         if pf.path in seen_paths:
             raise DuplicatePath(pf.path)
         seen_paths.add(pf.path)
@@ -254,24 +254,26 @@ def corpus_from_files(files: list[PremiseFile]) -> Corpus:
     return Corpus(files=tuple(by_path[p] for p in order))
 
 
+def premise_file_to_json(f: PremiseFile) -> dict:
+    return {
+        "path": f.path,
+        "imports": list(f.imports),
+        "premises": [
+            {
+                "full_name": p.full_name,
+                "code": p.statement,
+                "start": list(p.start),
+                "end": list(p.end),
+                "kind": p.kind,
+            }
+            for p in f.premises
+        ],
+    }
+
+
 def serialize_corpus(corpus: Corpus) -> str:
     """Inverse of parse_corpus. Files keep their (topological) order."""
-    lines = []
-    for f in corpus.files:
-        lines.append(json.dumps({
-            "path": f.path,
-            "imports": list(f.imports),
-            "premises": [
-                {
-                    "full_name": p.full_name,
-                    "code": p.statement,
-                    "start": list(p.start),
-                    "end": list(p.end),
-                    "kind": p.kind,
-                }
-                for p in f.premises
-            ],
-        }, ensure_ascii=False))
+    lines = [json.dumps(premise_file_to_json(f), ensure_ascii=False) for f in corpus.files]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -26,6 +26,8 @@ from .corpus import (
     Theorem,
     corpus_from_files,
     dump_theorems,
+    premise_file_from_json,
+    premise_file_to_json,
     random_split,
     serialize_corpus,
     theorem_from_json,
@@ -36,11 +38,11 @@ from .errors import (
     AlreadyProven,
     CorruptDocument,
     InvalidRecord,
-    IoFailure,
     NotFound,
     ProverloopError,
     UnknownRepo,
 )
+from .storage import dump_json, read_json, write_atomic
 
 SINGLE_REPO = "single_repo"
 MERGE_ALL = "merge_all"
@@ -265,23 +267,7 @@ class DynamicDatabase:
                         ]
                         for group in _STATUS_GROUPS
                     },
-                    "premise_files": [
-                        {
-                            "path": pf.path,
-                            "imports": list(pf.imports),
-                            "premises": [
-                                {
-                                    "full_name": p.full_name,
-                                    "code": p.statement,
-                                    "start": list(p.start),
-                                    "end": list(p.end),
-                                    "kind": p.kind,
-                                }
-                                for p in pf.premises
-                            ],
-                        }
-                        for pf in rec.premise_files
-                    ],
+                    "premise_files": [premise_file_to_json(pf) for pf in rec.premise_files],
                     "traced_files": list(rec.traced_file_paths),
                     "difficulty_cache": [
                         {
@@ -299,8 +285,6 @@ class DynamicDatabase:
 
     @classmethod
     def from_json(cls, doc: object) -> DynamicDatabase:
-        from .corpus import _parse_file  # shared premise-file validation
-
         if not isinstance(doc, dict) or "repositories" not in doc:
             raise CorruptDocument("database document must have a repositories list")
         raw_repos = doc["repositories"]
@@ -313,9 +297,7 @@ class DynamicDatabase:
                 for group in _STATUS_GROUPS:
                     for t in raw["theorems"].get(group, []):
                         theorems.append(theorem_from_json(t, status=group))
-                premise_files = [
-                    _parse_file(pf, line_no=0) for pf in raw["premise_files"]
-                ]
+                premise_files = [premise_file_from_json(pf) for pf in raw["premise_files"]]
                 cache: dict[tuple[str, str, str], Difficulty] = {}
                 for entry in raw.get("difficulty_cache", []):
                     k = (entry["file_path"], entry["full_name"], entry["statement"])
@@ -340,36 +322,18 @@ class DynamicDatabase:
         return json.dumps(self.to_json(), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
     def persist(self, path: str | Path) -> None:
-        try:
-            Path(path).write_text(self.dumps(), encoding="utf-8")
-        except OSError as e:
-            raise IoFailure(f"cannot write database to {path}: {e}") from e
+        write_atomic(path, self.dumps())
 
     @classmethod
     def load(cls, path: str | Path) -> DynamicDatabase:
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except OSError as e:
-            raise IoFailure(f"cannot read database from {path}: {e}") from e
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise CorruptDocument(f"database is not valid JSON: {e.msg}") from e
-        return cls.from_json(doc)
+        return cls.from_json(read_json(path, "database"))
 
 
 def write_dataset(dataset: GeneratedDataset, out_dir: str | Path) -> None:
     """Materialize a generated dataset as files."""
     out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "corpus.jsonl").write_text(serialize_corpus(dataset.corpus), encoding="utf-8")
-        (out / "train.json").write_text(dump_theorems(dataset.split.train), encoding="utf-8")
-        (out / "val.json").write_text(dump_theorems(dataset.split.val), encoding="utf-8")
-        (out / "test.json").write_text(dump_theorems(dataset.split.test), encoding="utf-8")
-        (out / "metadata.json").write_text(
-            json.dumps(dataset.metadata.to_json(), sort_keys=True, indent=2) + "\n",
-            encoding="utf-8",
-        )
-    except OSError as e:
-        raise IoFailure(f"cannot write dataset to {out}: {e}") from e
+    write_atomic(out / "corpus.jsonl", serialize_corpus(dataset.corpus))
+    write_atomic(out / "train.json", dump_theorems(dataset.split.train))
+    write_atomic(out / "val.json", dump_theorems(dataset.split.val))
+    write_atomic(out / "test.json", dump_theorems(dataset.split.test))
+    write_atomic(out / "metadata.json", dump_json(dataset.metadata.to_json()))

@@ -13,7 +13,6 @@ Everything here is deterministic. The bundled curriculum is built so that
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,9 +34,9 @@ from .corpus import (
     serialize_corpus,
 )
 from .database import EPOCH, RepositoryRecord
-from .errors import IoFailure
 from .retriever import EmbeddingModel, RetrievalTask, TrainingExample
 from .search import GOAL, TableFixture, _Edge
+from .storage import dump_json, write_atomic
 
 GATE_PREMISE = "core.chain_lift"
 GATE_STATE = "⊢ lift the chain to the stable frame"
@@ -383,20 +382,16 @@ BUNDLED_SEED = 16
 
 def write_fixture_dir(fixture: RepoFixture, out_dir: str | Path) -> None:
     out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "repo.json").write_text(json.dumps({
-            "url": fixture.url,
-            "commit": fixture.commit,
-            "name": fixture.name,
-            "date_added": fixture.date_added,
-            "toolchain_version": fixture.toolchain_version,
-        }, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        (out / "corpus.jsonl").write_text(serialize_corpus(fixture.corpus()), encoding="utf-8")
-        (out / "theorems.json").write_text(dump_theorems(fixture.theorems), encoding="utf-8")
-        fixture.environment.save(out / "environment.json")
-    except OSError as e:
-        raise IoFailure(f"cannot write fixture to {out}: {e}") from e
+    write_atomic(out / "repo.json", dump_json({
+        "url": fixture.url,
+        "commit": fixture.commit,
+        "name": fixture.name,
+        "date_added": fixture.date_added,
+        "toolchain_version": fixture.toolchain_version,
+    }))
+    write_atomic(out / "corpus.jsonl", serialize_corpus(fixture.corpus()))
+    write_atomic(out / "theorems.json", dump_theorems(fixture.theorems))
+    fixture.environment.save(out / "environment.json")
 
 
 def write_bundled(out_dir: str | Path, seed: int = BUNDLED_SEED) -> list[Path]:
@@ -406,10 +401,7 @@ def write_bundled(out_dir: str | Path, seed: int = BUNDLED_SEED) -> list[Path]:
     for fixture, sub in zip(bundled_fixtures(), ("repo_algebra", "repo_number", "repo_topology")):
         write_fixture_dir(fixture, out / sub)
         dirs.append(out / sub)
-    try:
-        (out / "run.cfg").write_text(BUNDLED_CONFIG.format(seed=seed), encoding="utf-8")
-    except OSError as e:
-        raise IoFailure(f"cannot write config to {out}: {e}") from e
+    write_atomic(out / "run.cfg", BUNDLED_CONFIG.format(seed=seed))
     return dirs
 
 

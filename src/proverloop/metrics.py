@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
-from .errors import CorruptDocument, DegenerateCurve, IoFailure, TooFewTasks
+from .errors import CorruptDocument, DegenerateCurve, TooFewTasks
+from .storage import read_text
 
 METRIC_NAMES = ("wf5", "fm", "cfr", "ebwt", "wp5", "ip")
 
@@ -310,12 +311,7 @@ def validation_from_csv(text: str) -> list[float]:
 
 
 def read_matrix(matrix_path: str | Path, validation_path: str | Path) -> PerformanceMatrix:
-    try:
-        matrix_text = Path(matrix_path).read_text(encoding="utf-8")
-        validation_text = Path(validation_path).read_text(encoding="utf-8")
-    except OSError as e:
-        raise IoFailure(f"cannot read matrix inputs: {e}") from e
     return PerformanceMatrix(
-        rows=matrix_from_csv(matrix_text),
-        validation=validation_from_csv(validation_text),
+        rows=matrix_from_csv(read_text(matrix_path, "matrix CSV")),
+        validation=validation_from_csv(read_text(validation_path, "validation CSV")),
     )

@@ -10,7 +10,6 @@ across reruns; flip wall_clock for real timing.
 from __future__ import annotations
 
 import dataclasses
-import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -32,7 +31,7 @@ from .database import (
     RepositoryRecord,
     write_dataset,
 )
-from .errors import CorruptDocument, IoFailure, PipelineError, ProverloopError
+from .errors import CorruptDocument, PipelineError, ProverloopError
 from .metrics import (
     MetricReport,
     PerformanceMatrix,
@@ -67,6 +66,7 @@ from .search import (
     build_dependency_graph,
     retrieve_premises,
 )
+from .storage import dump_json, read_json, read_text, write_atomic
 
 STRATEGY_SPELLINGS = {
     "single": SINGLE_REPO,
@@ -131,10 +131,7 @@ def parse_config(path: str | Path) -> RunConfig:
     comma-separated list of repository fixture directories.
     """
     cfg_path = Path(path)
-    try:
-        text = cfg_path.read_text(encoding="utf-8")
-    except OSError as e:
-        raise IoFailure(f"cannot read config {path}: {e}") from e
+    text = read_text(cfg_path, "config")
     base = cfg_path.parent
     raw: dict[str, str] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -210,14 +207,9 @@ def _stage(name: str):
 
 def load_repo_fixture(fixture_dir: str | Path) -> tuple[RepositoryRecord, TableFixture]:
     root = Path(fixture_dir)
-    try:
-        meta = json.loads((root / "repo.json").read_text(encoding="utf-8"))
-        corpus_text = (root / "corpus.jsonl").read_text(encoding="utf-8")
-        theorem_text = (root / "theorems.json").read_text(encoding="utf-8")
-    except OSError as e:
-        raise IoFailure(f"cannot read fixture {root}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise CorruptDocument(f"bad repo.json in {root}: {e.msg}") from e
+    meta = read_json(root / "repo.json", "repository metadata")
+    corpus_text = read_text(root / "corpus.jsonl", "corpus")
+    theorem_text = read_text(root / "theorems.json", "theorems")
     if not isinstance(meta, dict) or "url" not in meta or "commit" not in meta:
         raise CorruptDocument(f"repo.json in {root} needs url and commit")
     corpus = parse_corpus(corpus_text)
@@ -271,15 +263,6 @@ class RunReport:
     composite: float
     attempts: list[ProofAttempt] = field(default_factory=list)
 
-    def curriculum_json(self) -> dict:
-        return {
-            "thresholds": {"p33": self.thresholds.p33, "p67": self.thresholds.p67},
-            "repositories": [
-                {"repo_id": rid, "counts": counts.to_json()}
-                for rid, counts in self.curriculum
-            ],
-        }
-
     def metrics_json(self) -> dict:
         return {
             "window": self.config.window,
@@ -292,30 +275,33 @@ class RunReport:
             "validation": list(self.validation),
         }
 
-    def proofs_json(self) -> dict:
-        return {"attempts": [a.to_json() for a in self.attempts]}
+
+def curriculum_json(thresholds: Thresholds, ordered: list[tuple[str, CategoryCounts]]) -> dict:
+    return {
+        "thresholds": {"p33": thresholds.p33, "p67": thresholds.p67},
+        "repositories": [{"repo_id": rid, "counts": counts.to_json()} for rid, counts in ordered],
+    }
+
+
+def proofs_json(attempts: list[ProofAttempt]) -> dict:
+    return {"attempts": [a.to_json() for a in attempts]}
 
 
 def emit_reports(report: RunReport, out_dir: str | Path) -> list[Path]:
     """Write the matrix CSV, metrics JSON, proofs JSON, and curriculum JSON
     (plus the validation series CSV the metrics subcommand consumes)."""
     out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        written = []
-        for name, text in (
-            ("matrix.csv", matrix_to_csv(report.matrix_rows)),
-            ("validation.csv", validation_to_csv(report.validation)),
-            ("metrics.json", json.dumps(report.metrics_json(), sort_keys=True, indent=2) + "\n"),
-            ("proofs.json", json.dumps(report.proofs_json(), sort_keys=True, indent=2) + "\n"),
-            ("curriculum.json", json.dumps(report.curriculum_json(), sort_keys=True, indent=2) + "\n"),
-        ):
-            target = out / name
-            target.write_text(text, encoding="utf-8")
-            written.append(target)
-        return written
-    except OSError as e:
-        raise IoFailure(f"cannot write reports to {out}: {e}") from e
+    written = []
+    for name, text in (
+        ("matrix.csv", matrix_to_csv(report.matrix_rows)),
+        ("validation.csv", validation_to_csv(report.validation)),
+        ("metrics.json", dump_json(report.metrics_json())),
+        ("proofs.json", dump_json(proofs_json(report.attempts))),
+        ("curriculum.json", dump_json(curriculum_json(report.thresholds, report.curriculum))),
+    ):
+        write_atomic(out / name, text)
+        written.append(out / name)
+    return written
 
 
 # -- the run ---------------------------------------------------------------------
@@ -448,9 +434,7 @@ def run_pipeline(config: RunConfig, *, prove: bool = True) -> RunReport:
             checkpoint.fisher = compute_fisher(
                 checkpoint.model, task.train_examples, batch_size=config.batch_size
             )
-            ckpt_dir = out / "checkpoints"
-            ckpt_dir.mkdir(parents=True, exist_ok=True)
-            checkpoint.save(ckpt_dir / f"task_{k:02d}.json")
+            checkpoint.save(out / "checkpoints" / f"task_{k:02d}.ckpt")
 
         with _stage(f"evaluate:{record.name}"):
             assert checkpoint.best_val_r10 is not None
@@ -493,7 +477,7 @@ def run_pipeline(config: RunConfig, *, prove: bool = True) -> RunReport:
             composite=composite,
             attempts=attempts,
         )
-        checkpoint.save(out / "checkpoints" / "final.json")
+        checkpoint.save(out / "checkpoints" / "final.ckpt")
         db.persist(out / "database.json")
         emit_reports(report, out)
     return report
@@ -508,7 +492,7 @@ def prove_standalone(
     directory. Proofs land in the returned database; the caller persists.
     """
     out = Path(config.out_dir)
-    path = Path(checkpoint_path) if checkpoint_path else out / "checkpoints" / "final.json"
+    path = Path(checkpoint_path) if checkpoint_path else out / "checkpoints" / "final.ckpt"
     with _stage("checkpoint"):
         checkpoint = Checkpoint.load(path)
     db, environments = ingest_fixtures(config)

@@ -14,6 +14,7 @@ them against central finite differences.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 import zlib
@@ -28,11 +29,11 @@ from .errors import (
     CorruptDocument,
     EmptyDataset,
     EmptyGroundTruth,
-    IoFailure,
     NoDatasets,
     ShapeMismatch,
     StaleIndex,
 )
+from .storage import read_bytes, read_json, write_atomic
 
 NEGATIVES_PER_EXAMPLE = 3
 NGRAM_SIZES = (1, 2, 3)
@@ -65,9 +66,19 @@ def ngram_features(text: str, n_features: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EmbeddingModel:
-    """Linear text encoder with unit-norm outputs."""
+    """Linear text encoder with unit-norm outputs.
+
+    The model keeps a read-only copy of the weights it was built from, so
+    its version hash, computed once on first use, cannot go stale.
+    """
 
     weight: np.ndarray  # (dim, n_features) float64
+    _version_hash: str | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        weight = np.array(self.weight)
+        weight.flags.writeable = False
+        object.__setattr__(self, "weight", weight)
 
     @property
     def dim(self) -> int:
@@ -79,10 +90,12 @@ class EmbeddingModel:
 
     @property
     def version_hash(self) -> str:
-        h = hashlib.sha256()
-        h.update(f"{self.dim}x{self.n_features}:".encode())
-        h.update(np.ascontiguousarray(self.weight).tobytes())
-        return h.hexdigest()[:16]
+        if self._version_hash is None:
+            h = hashlib.sha256()
+            h.update(f"{self.dim}x{self.n_features}:".encode())
+            h.update(np.ascontiguousarray(self.weight).tobytes())
+            object.__setattr__(self, "_version_hash", h.hexdigest()[:16])
+        return self._version_hash
 
     @classmethod
     def random_init(
@@ -99,7 +112,7 @@ class EmbeddingModel:
             raise ShapeMismatch(
                 f"expected {self.weight.size} parameters, got {theta.size}"
             )
-        return replace(self, weight=theta.reshape(self.weight.shape).copy())
+        return replace(self, weight=theta.reshape(self.weight.shape))
 
     def embed(self, text: str) -> np.ndarray:
         phi = ngram_features(text, self.n_features)
@@ -345,23 +358,11 @@ class EmbeddingIndex:
         return cls(version_hash=str(doc["version_hash"]), keys=keys, matrix=matrix)
 
     def save(self, path: str | Path) -> None:
-        try:
-            Path(path).write_text(
-                json.dumps(self.to_json(), sort_keys=True) + "\n", encoding="utf-8"
-            )
-        except OSError as e:
-            raise IoFailure(f"cannot write index to {path}: {e}") from e
+        write_atomic(path, json.dumps(self.to_json(), sort_keys=True) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> EmbeddingIndex:
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except OSError as e:
-            raise IoFailure(f"cannot read index from {path}: {e}") from e
-        try:
-            return cls.from_json(json.loads(text))
-        except json.JSONDecodeError as e:
-            raise CorruptDocument(f"index is not valid JSON: {e.msg}") from e
+        return cls.from_json(read_json(path, "index"))
 
 
 def precompute_embeddings(model: EmbeddingModel, corpus: Corpus) -> EmbeddingIndex:
@@ -452,75 +453,103 @@ class TrainConfig:
     ewc: EwcTerm | None = None
 
 
+CHECKPOINT_FORMAT = 2
+
+
+def _read_vector(buf: io.BytesIO, size: int) -> np.ndarray:
+    arr = np.lib.format.read_array(buf, allow_pickle=False)
+    if arr.dtype != np.dtype("<f8") or arr.shape != (size,):
+        raise ValueError(
+            f"expected {size} little-endian float64 entries, got {arr.dtype} {arr.shape}"
+        )
+    return arr
+
+
 @dataclass
 class Checkpoint:
+    """Retriever state after a task, with the parameter importance that
+    anchors the next one.
+
+    On disk a checkpoint is a single file: one sorted-key JSON header line
+    (``format_version``, ``dim``, ``n_features``, ``history``,
+    ``best_val_r10``, ``has_fisher`` and the sha256 of every byte after the
+    line), then the ``.npy`` record of the flat weights and, when present,
+    the one of the importance vector, both little-endian float64.
+    """
+
     model: EmbeddingModel
     history: tuple[str, ...] = ()
     best_val_r10: float | None = None
     fisher: np.ndarray | None = None
-    anchor: np.ndarray | None = None
 
     def ewc_term(self, lam: float) -> EwcTerm | None:
         """Penalty anchoring the next task to this checkpoint, if armed."""
         if lam <= 0.0 or self.fisher is None:
             return None
-        anchor = self.anchor if self.anchor is not None else self.model.flat()
-        return EwcTerm(lam=lam, fisher=self.fisher, anchor=anchor)
+        return EwcTerm(lam=lam, fisher=self.fisher, anchor=self.model.flat())
 
-    def to_json(self) -> dict:
-        return {
-            "format_version": 1,
+    def _encode(self) -> tuple[dict, bytes]:
+        buf = io.BytesIO()
+        arrays = [self.model.weight.reshape(-1)]
+        if self.fisher is not None:
+            arrays.append(self.fisher)
+        for arr in arrays:
+            np.save(buf, np.asarray(arr, dtype="<f8"), allow_pickle=False)
+        payload = buf.getvalue()
+        header = {
+            "format_version": CHECKPOINT_FORMAT,
             "dim": self.model.dim,
             "n_features": self.model.n_features,
-            "theta": self.model.flat().tolist(),
             "history": list(self.history),
             "best_val_r10": self.best_val_r10,
-            "fisher": self.fisher.tolist() if self.fisher is not None else None,
-            "anchor": self.anchor.tolist() if self.anchor is not None else None,
+            "has_fisher": self.fisher is not None,
+            "sha256": hashlib.sha256(payload).hexdigest(),
         }
+        return header, payload
 
-    @classmethod
-    def from_json(cls, doc: object) -> Checkpoint:
-        if not isinstance(doc, dict):
-            raise CorruptDocument("checkpoint must be a JSON object")
-        try:
-            dim = int(doc["dim"])
-            n_features = int(doc["n_features"])
-            theta = np.asarray(doc["theta"], dtype=np.float64)
-            if theta.size != dim * n_features:
-                raise CorruptDocument(
-                    f"theta has {theta.size} entries, expected {dim * n_features}"
-                )
-            fisher = doc.get("fisher")
-            anchor = doc.get("anchor")
-            return cls(
-                model=EmbeddingModel(weight=theta.reshape(dim, n_features)),
-                history=tuple(doc.get("history", ())),
-                best_val_r10=doc.get("best_val_r10"),
-                fisher=np.asarray(fisher, dtype=np.float64) if fisher is not None else None,
-                anchor=np.asarray(anchor, dtype=np.float64) if anchor is not None else None,
-            )
-        except (KeyError, TypeError, ValueError) as e:
-            raise CorruptDocument(f"bad checkpoint: {e}") from e
+    def to_json(self) -> dict:
+        """The header document; its sha256 pins the weights and importance."""
+        return self._encode()[0]
 
     def save(self, path: str | Path) -> None:
-        try:
-            Path(path).write_text(
-                json.dumps(self.to_json(), sort_keys=True) + "\n", encoding="utf-8"
-            )
-        except OSError as e:
-            raise IoFailure(f"cannot write checkpoint to {path}: {e}") from e
+        header, payload = self._encode()
+        write_atomic(path, json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + payload)
 
     @classmethod
     def load(cls, path: str | Path) -> Checkpoint:
+        head, _, payload = read_bytes(path, "checkpoint").partition(b"\n")
         try:
-            text = Path(path).read_text(encoding="utf-8")
-        except OSError as e:
-            raise IoFailure(f"cannot read checkpoint from {path}: {e}") from e
+            header = json.loads(head)
+        except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
+            raise CorruptDocument(f"checkpoint {path} has no JSON header line: {e}") from e
+        version = header.get("format_version") if isinstance(header, dict) else None
+        if version != CHECKPOINT_FORMAT:
+            raise CorruptDocument(
+                f"checkpoint {path} is format {version!r}, not the binary format "
+                f"{CHECKPOINT_FORMAT} this version reads; rerun `proverloop run` "
+                "to write .ckpt checkpoints"
+            )
+        if hashlib.sha256(payload).hexdigest() != header.get("sha256"):
+            raise CorruptDocument(f"checkpoint {path} fails its sha256 check")
         try:
-            return cls.from_json(json.loads(text))
-        except json.JSONDecodeError as e:
-            raise CorruptDocument(f"checkpoint is not valid JSON: {e.msg}") from e
+            dim, n_features = int(header["dim"]), int(header["n_features"])
+            history = header["history"]
+            if not isinstance(history, list) or not all(isinstance(h, str) for h in history):
+                raise ValueError("history must be a list of task names")
+            buf = io.BytesIO(payload)
+            theta = _read_vector(buf, dim * n_features)
+            fisher = _read_vector(buf, theta.size) if header["has_fisher"] else None
+            checkpoint = cls(
+                model=EmbeddingModel(weight=theta.reshape(dim, n_features)),
+                history=tuple(history),
+                best_val_r10=header["best_val_r10"],
+                fisher=fisher,
+            )
+        except (KeyError, TypeError, ValueError, EOFError) as e:
+            raise CorruptDocument(f"bad checkpoint {path}: {e}") from e
+        if buf.tell() != len(payload):
+            raise CorruptDocument(f"checkpoint {path} has bytes after its arrays")
+        return checkpoint
 
 
 def lr_at(step: int, total_steps: int, warmup_steps: int, lr_max: float) -> float:
@@ -559,7 +588,7 @@ def train_one_epoch(
     total = len(batches)
     eval_every = config.eval_every or max(1, total // 4)
 
-    weight = checkpoint.model.weight.copy()
+    weight = checkpoint.model.weight
     best_weight = None
     best_recall = -1.0
     for step, batch in enumerate(batches):
@@ -570,7 +599,7 @@ def train_one_epoch(
             grad = grad * (config.clip_norm / norm)
         weight = weight - lr_at(step, total, config.warmup_steps, config.lr) * grad
         if (step + 1) % eval_every == 0 or step == total - 1:
-            candidate = EmbeddingModel(weight=weight.copy())
+            candidate = EmbeddingModel(weight=weight)
             index = precompute_embeddings(candidate, task.corpus)
             recall = recall_at_k(candidate, index, task.val_pairs, k=10)
             if recall > best_recall:

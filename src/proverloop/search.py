@@ -24,11 +24,11 @@ from .corpus import Corpus, Premise, Theorem
 from .errors import (
     CorruptDocument,
     EnvironmentFailure,
-    IoFailure,
     StaleIndex,
     UnknownFile,
 )
 from .retriever import EmbeddingIndex, EmbeddingModel
+from .storage import read_json, write_atomic
 
 GOAL = "PROVED"
 
@@ -218,24 +218,13 @@ class TableFixture:
         return cls(initial=initial, edges=edges)
 
     def save(self, path: str | Path) -> None:
-        try:
-            Path(path).write_text(
-                json.dumps(self.to_json(), sort_keys=True, indent=2, ensure_ascii=False) + "\n",
-                encoding="utf-8",
-            )
-        except OSError as e:
-            raise IoFailure(f"cannot write fixture to {path}: {e}") from e
+        write_atomic(
+            path, json.dumps(self.to_json(), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+        )
 
     @classmethod
     def load(cls, path: str | Path) -> TableFixture:
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except OSError as e:
-            raise IoFailure(f"cannot read fixture from {path}: {e}") from e
-        try:
-            return cls.from_json(json.loads(text))
-        except json.JSONDecodeError as e:
-            raise CorruptDocument(f"fixture is not valid JSON: {e.msg}") from e
+        return cls.from_json(read_json(path, "search table"))
 
 
 class TableEnvironment:

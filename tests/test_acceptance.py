@@ -378,7 +378,7 @@ def test_criterion_8_end_to_end_run_proves_a_gated_sorry_reproducibly(tmp_path):
                  "curriculum.json", "database.json"):
         assert (config.out_dir / name).read_bytes() == \
             (again.out_dir / name).read_bytes(), name
-    assert (config.out_dir / "checkpoints" / "final.json").read_bytes() == \
-        (again.out_dir / "checkpoints" / "final.json").read_bytes()
+    assert (config.out_dir / "checkpoints" / "final.ckpt").read_bytes() == \
+        (again.out_dir / "checkpoints" / "final.ckpt").read_bytes()
 
     assert time.perf_counter() - start < 300.0

@@ -104,7 +104,7 @@ class TestTrainProveSplit:
     def test_train_then_prove(self, demo, tmp_path, capsys):
         out = tmp_path / "split"
         assert main(["train", *cfg_args(demo, out)]) == 0
-        assert (out / "checkpoints" / "final.json").is_file()
+        assert (out / "checkpoints" / "final.ckpt").is_file()
         assert main(["prove", *cfg_args(demo, out)]) == 0
         stdout = capsys.readouterr().out
         assert "proved" in stdout
@@ -115,9 +115,23 @@ class TestTrainProveSplit:
     def test_prove_with_an_explicit_checkpoint(self, demo, tmp_path):
         out = tmp_path / "explicit"
         assert main(["train", *cfg_args(demo, out)]) == 0
-        ckpt = out / "checkpoints" / "task_01.json"
+        ckpt = out / "checkpoints" / "task_01.ckpt"
         assert main(["prove", *cfg_args(demo, out),
                      "--checkpoint", str(ckpt)]) == 0
+
+    @pytest.mark.parametrize("content", [
+        b"\x00\x01 not a checkpoint",
+        b'{"format_version": 1, "theta": [0.5], "anchor": null}\n',
+    ])
+    def test_prove_with_a_corrupt_checkpoint_exits_two(self, demo, tmp_path, capsys,
+                                                       content):
+        ckpt = tmp_path / "broken.ckpt"
+        ckpt.write_bytes(content)
+        assert main(["prove", *cfg_args(demo, tmp_path / "out"),
+                     "--checkpoint", str(ckpt)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "checkpoint" in err
+        assert "Traceback" not in err
 
 
 class TestOverridesAndFailures:

@@ -179,13 +179,18 @@ class TestRunPipeline:
         for name in REPORT_FILES:
             assert (out / name).is_file(), name
         assert (out / "database.json").is_file()
-        assert (out / "checkpoints" / "final.json").is_file()
+        assert (out / "checkpoints" / "final.ckpt").is_file()
         for k in (1, 2, 3):
-            assert (out / "checkpoints" / f"task_{k:02d}.json").is_file()
+            assert (out / "checkpoints" / f"task_{k:02d}.ckpt").is_file()
             dataset_dir = out / "datasets" / f"task_{k:02d}"
             assert sorted(p.name for p in dataset_dir.iterdir()) == [
                 "corpus.jsonl", "metadata.json", "test.json", "train.json", "val.json",
             ]
+
+    def test_no_temporary_files_remain(self, finished_run):
+        config, _ = finished_run
+        names = [p.name for p in config.out_dir.rglob("*")]
+        assert names and not [n for n in names if n.endswith(".tmp")]
 
     def test_metrics_json_contents(self, finished_run):
         config, report = finished_run
@@ -233,8 +238,8 @@ class TestRunPipeline:
             first = (config.out_dir / name).read_bytes()
             second = (again.out_dir / name).read_bytes()
             assert first == second, name
-        assert (config.out_dir / "checkpoints" / "final.json").read_bytes() == \
-            (again.out_dir / "checkpoints" / "final.json").read_bytes()
+        assert (config.out_dir / "checkpoints" / "final.ckpt").read_bytes() == \
+            (again.out_dir / "checkpoints" / "final.ckpt").read_bytes()
 
     def test_stage_failures_carry_the_stage_name(self, bundle, tmp_path):
         import shutil

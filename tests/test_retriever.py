@@ -1,5 +1,7 @@
 """Embeddings, contrastive training, parameter anchoring, and recall."""
 
+import hashlib
+import io
 import json
 import math
 import zlib
@@ -10,8 +12,10 @@ import pytest
 from helpers import corpus_of, pfile, tactic, theorem
 from proverloop.corpus import parse_corpus
 from proverloop.errors import (
+    CorruptDocument,
     EmptyDataset,
     EmptyGroundTruth,
+    IoFailure,
     NoDatasets,
     ShapeMismatch,
     StaleIndex,
@@ -83,6 +87,23 @@ class TestFeaturesAndEmbedding:
         b = EmbeddingModel.random_init(dim=4, n_features=16, seed=1)
         assert a.version_hash != b.version_hash
         assert a.version_hash == EmbeddingModel(weight=a.weight.copy()).version_hash
+
+    def test_cached_version_hash_matches_the_uncached_formula(self, monkeypatch):
+        w = np.random.default_rng(3).normal(size=(5, 24))
+        m = EmbeddingModel(weight=w)
+        oracle = hashlib.sha256(b"5x24:" + np.ascontiguousarray(w).tobytes()).hexdigest()[:16]
+        assert m.version_hash == oracle
+        monkeypatch.setattr(hashlib, "sha256", None)  # a second hash would fail
+        assert m.version_hash == oracle
+
+    def test_weights_are_a_read_only_copy(self):
+        w = np.zeros((2, 8))
+        m = EmbeddingModel(weight=w)
+        before = m.version_hash
+        w[0, 0] = 1.0  # the caller's array is not the model's
+        with pytest.raises(ValueError):
+            m.weight[0, 0] = 1.0
+        assert m.weight[0, 0] == 0.0 and m.version_hash == before
 
     def test_with_flat_round_trip_and_shape_guard(self):
         m = EmbeddingModel.random_init(dim=3, n_features=8, seed=0)
@@ -512,6 +533,87 @@ class TestCheckpoint:
         assert again.history == ("a", "b")
         assert again.best_val_r10 == 0.75
         assert np.array_equal(again.fisher, ck.fisher)
+
+    def test_save_load_save_is_byte_identical(self, tmp_path):
+        for fisher in (None, np.linspace(0.0, 1.0, 128)):
+            m = EmbeddingModel.random_init(dim=4, n_features=32, seed=5)
+            Checkpoint(model=m, history=("a",), best_val_r10=0.5, fisher=fisher).save(
+                tmp_path / "one.ckpt")
+            again = Checkpoint.load(tmp_path / "one.ckpt")
+            again.save(tmp_path / "two.ckpt")
+            assert (tmp_path / "one.ckpt").read_bytes() == (tmp_path / "two.ckpt").read_bytes()
+            assert (again.fisher is None) == (fisher is None)
+
+    def test_header_line_then_npy_records(self, tmp_path):
+        m = EmbeddingModel.random_init(dim=4, n_features=32, seed=0)
+        fisher = np.arange(m.weight.size, dtype=float)
+        Checkpoint(model=m, history=("a",), fisher=fisher).save(tmp_path / "ck.ckpt")
+        head, _, payload = (tmp_path / "ck.ckpt").read_bytes().partition(b"\n")
+        header = json.loads(head)
+        assert head.decode() == json.dumps(header, sort_keys=True)
+        assert header["format_version"] == 2 and header["has_fisher"] is True
+        assert header["sha256"] == hashlib.sha256(payload).hexdigest()
+        buf = io.BytesIO(payload)
+        assert np.array_equal(np.load(buf, allow_pickle=False), m.flat())
+        assert np.array_equal(np.load(buf, allow_pickle=False), fisher)
+        assert buf.tell() == len(payload)
+
+    def _forge(self, path, payload, **fields):
+        """A checkpoint file whose digest matches the given payload."""
+        header = {"format_version": 2, "dim": 4, "n_features": 32, "history": [],
+                  "best_val_r10": None, "has_fisher": True,
+                  "sha256": hashlib.sha256(payload).hexdigest(), **fields}
+        path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
+
+    def _npy(self, *arrays):
+        buf = io.BytesIO()
+        for arr in arrays:
+            np.save(buf, arr, allow_pickle=arr.dtype == object)
+        return buf.getvalue()
+
+    def test_damaged_files_are_corrupt_documents(self, tmp_path):
+        m = EmbeddingModel.random_init(dim=4, n_features=32, seed=0)
+        good = tmp_path / "good.ckpt"
+        Checkpoint(model=m, history=("a",), fisher=np.ones(m.weight.size)).save(good)
+        data = good.read_bytes()
+        theta = m.flat()
+        flipped = bytearray(data)
+        flipped[-3] ^= 0x01
+        sized = "expected 128 little-endian float64"
+        cases = [
+            ("truncated", lambda p: p.write_bytes(data[:len(data) // 2]), "sha256"),
+            ("truncated header", lambda p: p.write_bytes(data[:20]), "no JSON header"),
+            ("flipped payload byte", lambda p: p.write_bytes(bytes(flipped)), "sha256"),
+            ("non-JSON header",
+             lambda p: p.write_bytes(b"\x93NUMPY not a header\n" + data), "no JSON header"),
+            ("format 1 JSON", lambda p: p.write_text(json.dumps({
+                "format_version": 1, "dim": 4, "n_features": 32,
+                "theta": theta.tolist(), "history": [], "best_val_r10": None,
+                "fisher": None, "anchor": None}, sort_keys=True) + "\n", encoding="utf-8"),
+             "format 1.*rerun `proverloop run`"),
+            ("short fisher", lambda p: self._forge(p, self._npy(theta, np.ones(7))), sized),
+            ("short theta",
+             lambda p: self._forge(p, self._npy(theta[:-1]), has_fisher=False), sized),
+            ("float32 theta", lambda p: self._forge(
+                p, self._npy(theta.astype(np.float32)), has_fisher=False), sized),
+            ("trailing bytes", lambda p: self._forge(
+                p, self._npy(theta, np.ones(theta.size)) + b"extra"), "bytes after"),
+            ("missing fisher record", lambda p: self._forge(p, self._npy(theta)), "EOF"),
+            ("pickled record", lambda p: self._forge(
+                p, self._npy(np.array([None], dtype=object)), has_fisher=False),
+             "allow_pickle"),
+            ("bad history", lambda p: self._forge(
+                p, self._npy(theta, np.ones(theta.size)), history="ab"), "history"),
+        ]
+        for name, write, reason in cases:
+            path = tmp_path / f"{name}.ckpt"
+            write(path)
+            with pytest.raises(CorruptDocument, match=reason):
+                Checkpoint.load(path)
+
+    def test_missing_file_is_an_io_failure(self, tmp_path):
+        with pytest.raises(IoFailure):
+            Checkpoint.load(tmp_path / "absent.ckpt")
 
     def test_ewc_term_requires_fisher_and_positive_strength(self):
         m = EmbeddingModel.random_init(dim=4, n_features=32, seed=0)
