@@ -58,7 +58,6 @@ from .retriever import (
     EwcTerm,
     TrainConfig,
     TrainingExample,
-    contrastive_loss,
     compute_fisher,
     ewc_penalty,
     mine_training_examples,
@@ -95,7 +94,7 @@ __all__ = [
     "normalize_metrics", "tpps",
     "RunConfig", "RunReport", "emit_reports", "parse_config", "run_pipeline",
     "Checkpoint", "EmbeddingIndex", "EmbeddingModel", "EwcTerm", "TrainConfig",
-    "TrainingExample", "contrastive_loss", "compute_fisher", "ewc_penalty",
+    "TrainingExample", "compute_fisher", "ewc_penalty",
     "mine_training_examples", "precompute_embeddings", "recall_at_k",
     "train_one_epoch",
     "SearchBudget", "SearchResult", "TableEnvironment", "TableFixture",

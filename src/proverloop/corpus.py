@@ -426,6 +426,8 @@ def theorem_from_json(obj: object, status: str | None = None) -> Theorem:
         )
     except KeyError as e:
         raise InvalidRecord(f"theorem missing field {e.args[0]!r}") from e
+    except (IndexError, TypeError, ValueError) as e:
+        raise InvalidRecord(f"malformed theorem: {e}") from e
 
 
 def dump_theorems(theorems: list[Theorem]) -> str:

@@ -314,7 +314,7 @@ class DynamicDatabase:
                     difficulty_cache=cache,
                 )
                 db.add_repository(rec)
-            except (KeyError, TypeError, ValueError, ProverloopError) as e:
+            except (AttributeError, KeyError, TypeError, ValueError, ProverloopError) as e:
                 raise CorruptDocument(f"bad repository record: {e}") from e
         return db
 

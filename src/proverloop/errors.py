@@ -96,10 +96,6 @@ class EmptyGroundTruth(ProverloopError):
     pass
 
 
-class NoDatasets(ProverloopError):
-    pass
-
-
 # -- search ----------------------------------------------------------------
 
 class UnknownFile(ProverloopError):

@@ -25,15 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Corpus, Premise, Theorem
-from .errors import (
-    CorruptDocument,
-    EmptyDataset,
-    EmptyGroundTruth,
-    NoDatasets,
-    ShapeMismatch,
-    StaleIndex,
-)
-from .storage import read_bytes, read_json, write_atomic
+from .errors import CorruptDocument, EmptyDataset, EmptyGroundTruth, ShapeMismatch, StaleIndex
+from .storage import read_bytes, write_atomic
 
 NEGATIVES_PER_EXAMPLE = 3
 NGRAM_SIZES = (1, 2, 3)
@@ -62,6 +55,19 @@ def ngram_features(text: str, n_features: int) -> np.ndarray:
             phi[slot] += 1.0
     phi.flags.writeable = False
     return phi
+
+
+def _unit_rows(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of u scaled to unit L2 norm, and the norms they had.
+
+    A row whose norm vanishes (degenerate weights) becomes the fixed unit
+    vector e_0.
+    """
+    norms = np.linalg.norm(u, axis=1)
+    live = norms > 0.0
+    e = np.divide(u, norms[:, None], out=np.zeros_like(u), where=live[:, None])
+    e[~live, 0] = 1.0
+    return e, norms
 
 
 @dataclass(frozen=True)
@@ -115,42 +121,15 @@ class EmbeddingModel:
         return replace(self, weight=theta.reshape(self.weight.shape))
 
     def embed(self, text: str) -> np.ndarray:
-        phi = ngram_features(text, self.n_features)
-        u = self.weight @ phi
-        norm = float(np.linalg.norm(u))
-        if norm <= 0.0:
-            # degenerate weights; fall back to a fixed unit vector
-            e = np.zeros(self.dim)
-            e[0] = 1.0
-            return e
-        return u / norm
+        return self.embed_many([text])[0]
 
     def embed_many(self, texts: list[str]) -> np.ndarray:
-        if not texts:
-            return np.zeros((0, self.dim))
-        return np.stack([self.embed(t) for t in texts])
+        """Unit-norm embeddings, one row per text."""
+        u = np.array([self.weight @ ngram_features(t, self.n_features) for t in texts])
+        return _unit_rows(u.reshape(len(texts), self.dim))[0]
 
 
 # -- losses -------------------------------------------------------------------
-
-def contrastive_loss(
-    state_emb: np.ndarray, pos_emb: np.ndarray, neg_embs: np.ndarray
-) -> float:
-    """Negative log-likelihood of the positive under softmax of similarities.
-
-    Temperature is 1; inputs are expected unit-norm so dot products are
-    cosine similarities.
-    """
-    state_emb = np.asarray(state_emb, dtype=np.float64)
-    pos_emb = np.asarray(pos_emb, dtype=np.float64)
-    neg_embs = np.asarray(neg_embs, dtype=np.float64).reshape(-1, state_emb.shape[-1]) \
-        if np.asarray(neg_embs).size else np.zeros((0, state_emb.shape[-1]))
-    if pos_emb.shape != state_emb.shape:
-        raise ShapeMismatch("state and positive embeddings differ in dimension")
-    sims = np.concatenate(([float(state_emb @ pos_emb)], neg_embs @ state_emb))
-    m = float(np.max(sims))
-    return m + math.log(float(np.sum(np.exp(sims - m)))) - sims[0]
-
 
 @dataclass(frozen=True)
 class EwcTerm:
@@ -189,69 +168,59 @@ class TrainingExample:
         return [self.state, self.positive.text, *(n.text for n in self.negatives)]
 
 
-def example_loss_and_grad(
-    model: EmbeddingModel, example: TrainingExample
-) -> tuple[float, np.ndarray]:
-    """Contrastive loss and its exact gradient with respect to the weights.
-
-    Differentiates through the L2 normalization; rows whose pre-normalization
-    vector vanishes use the fixed fallback embedding and contribute zero
-    gradient there.
-    """
-    texts = example.texts()
-    n_texts = len(texts)
-    phi = np.stack([ngram_features(t, model.n_features) for t in texts])
-    u = phi @ model.weight.T
-    norms = np.linalg.norm(u, axis=1)
-    e = np.zeros_like(u)
-    live = norms > 0.0
-    e[live] = u[live] / norms[live, None]
-    if not live.all():
-        e[~live, 0] = 1.0
-
-    sims = e[1:] @ e[0]
-    m = float(np.max(sims))
-    exp = np.exp(sims - m)
-    probs = exp / float(np.sum(exp))
-    loss = m + math.log(float(np.sum(exp))) - sims[0]
-
-    dsims = probs.copy()
-    dsims[0] -= 1.0
-    grad_e = np.zeros_like(e)
-    grad_e[0] = dsims @ e[1:]
-    grad_e[1:] = dsims[:, None] * e[0][None, :]
-
-    grad_u = np.zeros_like(u)
-    for i in range(n_texts):
-        if not live[i]:
-            continue
-        gi = grad_e[i]
-        grad_u[i] = (gi - float(gi @ e[i]) * e[i]) / norms[i]
-    grad_w = grad_u.T @ phi
-    return loss, grad_w
-
-
 def batch_loss_and_grad(
     model: EmbeddingModel,
     batch: list[TrainingExample],
     ewc: EwcTerm | None = None,
 ) -> tuple[float, np.ndarray]:
-    """Mean example loss (plus optional anchor penalty) and its gradient."""
+    """Mean contrastive loss (plus optional anchor penalty) and its exact
+    gradient with respect to the weights.
+
+    An example's loss is the negative log-likelihood of its positive under
+    the softmax (temperature 1) of the cosine similarities between its state
+    and its candidates, the positive and then the negatives. All examples'
+    rows are stacked, state first, and each example's softmax is one segment
+    of the candidate similarities. The gradient goes through the L2
+    normalization; rows whose pre-normalization vector vanishes use the
+    fixed fallback embedding and contribute zero gradient.
+    """
     if not batch:
         raise EmptyDataset("empty batch")
-    total = 0.0
-    grad = np.zeros_like(model.weight)
-    for ex in batch:
-        loss, g = example_loss_and_grad(model, ex)
-        total += loss
-        grad += g
-    total /= len(batch)
-    grad /= len(batch)
+    phi = np.stack([ngram_features(t, model.n_features) for ex in batch for t in ex.texts()])
+    e, norms = _unit_rows(phi @ model.weight.T)
+
+    n_cand = np.array([1 + len(ex.negatives) for ex in batch])
+    first = np.cumsum(n_cand) - n_cand  # each positive's position among the candidates
+    state_rows = first + np.arange(len(batch))
+    state_of = np.repeat(state_rows, n_cand + 1)
+    cand = np.arange(len(phi)) != state_of
+    states = e[state_of[cand]]
+    sims = np.einsum("ij,ij->i", e[cand], states)
+    m = np.maximum.reduceat(sims, first)
+    exp = np.exp(sims - np.repeat(m, n_cand))
+    z = np.add.reduceat(exp, first)
+    total = float(np.mean(m + np.log(z) - sims[first]))
+
+    dsims = exp / np.repeat(z, n_cand)
+    dsims[first] -= 1.0
+    grad_e = np.empty_like(e)
+    grad_e[cand] = dsims[:, None] * states
+    grad_e[state_rows] = np.add.reduceat(dsims[:, None] * e[cand], first)
+    grad_e -= np.einsum("ij,ij->i", grad_e, e)[:, None] * e
+    grad_u = np.divide(grad_e, norms[:, None], out=np.zeros_like(e), where=norms[:, None] > 0.0)
+    grad = grad_u.T @ phi / len(batch)
     if ewc is not None:
         theta = model.weight.reshape(-1)
         total += ewc_penalty(theta, ewc)
         grad += ewc_penalty_grad(theta, ewc).reshape(model.weight.shape)
     return total, grad
+
+
+def example_loss_and_grad(
+    model: EmbeddingModel, example: TrainingExample
+) -> tuple[float, np.ndarray]:
+    """Contrastive loss of one example and its exact gradient."""
+    return batch_loss_and_grad(model, [example])
 
 
 def compute_fisher(
@@ -286,6 +255,7 @@ def mine_training_examples(
     distinct negatives cannot be found.
     """
     pool = corpus.all_premises()
+    index_of = {p.key: i for i, p in enumerate(pool)}
     by_file: dict[str, list[int]] = {}
     for i, p in enumerate(pool):
         by_file.setdefault(p.file_path, []).append(i)
@@ -297,21 +267,16 @@ def mine_training_examples(
                 pos = corpus.premise_by_name(name)
                 if pos is None:
                     continue
-                in_file = [
-                    i for i in by_file.get(pos.file_path, ())
-                    if pool[i].key != pos.key
-                ]
+                pos_i = index_of[pos.key]
+                in_file = [i for i in by_file.get(pos.file_path, ()) if i != pos_i]
                 chosen: list[int] = []
                 if in_file:
                     chosen.append(int(rng.choice(np.asarray(in_file))))
-                rest = [
-                    i for i in range(len(pool))
-                    if pool[i].key != pos.key and i not in chosen
-                ]
+                rest = np.delete(np.arange(len(pool)), [pos_i, *chosen])
                 need = NEGATIVES_PER_EXAMPLE - len(chosen)
                 if len(rest) < need:
                     continue
-                picked = rng.choice(np.asarray(rest), size=need, replace=False)
+                picked = rng.choice(rest, size=need, replace=False)
                 chosen.extend(int(i) for i in picked)
                 examples.append(TrainingExample(
                     state=tac.state_before,
@@ -325,7 +290,11 @@ def mine_training_examples(
 
 @dataclass
 class EmbeddingIndex:
-    """Premise embeddings frozen at one model version."""
+    """Premise embeddings frozen at one model version.
+
+    Rows are in ascending premise-key order, so ranking ties broken by
+    ascending row are broken by ascending key.
+    """
 
     version_hash: str
     keys: tuple[str, ...]
@@ -334,35 +303,6 @@ class EmbeddingIndex:
 
     def __post_init__(self) -> None:
         self.row_of = {k: i for i, k in enumerate(self.keys)}
-
-    def to_json(self) -> dict:
-        return {
-            "format_version": 1,
-            "version_hash": self.version_hash,
-            "dim": int(self.matrix.shape[1]),
-            "entries": {k: self.matrix[i].tolist() for i, k in enumerate(self.keys)},
-        }
-
-    @classmethod
-    def from_json(cls, doc: object) -> EmbeddingIndex:
-        if not isinstance(doc, dict) or "entries" not in doc or "version_hash" not in doc:
-            raise CorruptDocument("index document needs version_hash and entries")
-        entries = doc["entries"]
-        if not isinstance(entries, dict):
-            raise CorruptDocument("index entries must be an object")
-        keys = tuple(sorted(entries))
-        dim = int(doc.get("dim", 0))
-        matrix = np.array([entries[k] for k in keys], dtype=np.float64)
-        if keys and dim and matrix.shape[1] != dim:
-            raise CorruptDocument("index entry width disagrees with declared dim")
-        return cls(version_hash=str(doc["version_hash"]), keys=keys, matrix=matrix)
-
-    def save(self, path: str | Path) -> None:
-        write_atomic(path, json.dumps(self.to_json(), sort_keys=True) + "\n")
-
-    @classmethod
-    def load(cls, path: str | Path) -> EmbeddingIndex:
-        return cls.from_json(read_json(path, "index"))
 
 
 def precompute_embeddings(model: EmbeddingModel, corpus: Corpus) -> EmbeddingIndex:
@@ -396,10 +336,9 @@ def extract_eval_pairs(theorems: list[Theorem], corpus: Corpus) -> list[EvalPair
     return pairs
 
 
-def _ranked_keys(model: EmbeddingModel, index: EmbeddingIndex, state: str) -> list[str]:
-    sims = index.matrix @ model.embed(state)
-    order = sorted(range(len(index.keys)), key=lambda i: (-sims[i], index.keys[i]))
-    return [index.keys[i] for i in order]
+def rank_by_similarity(sims: np.ndarray, rows: np.ndarray | list[int]) -> np.ndarray:
+    """Positions of sims by descending similarity, ties by ascending row."""
+    return np.lexsort((rows, -sims))
 
 
 def recall_at_k(
@@ -420,12 +359,13 @@ def recall_at_k(
         )
     if not eval_pairs:
         raise EmptyGroundTruth("no evaluation pairs")
+    rows = np.arange(len(index.keys))
     total = 0.0
     for state, gt in eval_pairs:
         if not gt:
             raise EmptyGroundTruth(f"empty ground truth for state {state!r}")
-        top = _ranked_keys(model, index, state)[:k]
-        total += len(gt.intersection(top)) / len(gt)
+        top = rank_by_similarity(index.matrix @ model.embed(state), rows)[:k]
+        total += len(gt.intersection(index.keys[i] for i in top)) / len(gt)
     return total / len(eval_pairs)
 
 
@@ -611,16 +551,3 @@ def train_one_epoch(
         history=checkpoint.history + (task.name,),
         best_val_r10=best_recall,
     )
-
-
-def average_test_recall(
-    model: EmbeddingModel, tasks: list[RetrievalTask], k: int = 10
-) -> float:
-    """Unweighted mean recall@k over every task's test pairs."""
-    if not tasks:
-        raise NoDatasets("no tasks to evaluate")
-    recalls = []
-    for task in tasks:
-        index = precompute_embeddings(model, task.corpus)
-        recalls.append(recall_at_k(model, index, task.test_pairs, k=k))
-    return float(np.mean(recalls))

@@ -27,7 +27,7 @@ from .errors import (
     StaleIndex,
     UnknownFile,
 )
-from .retriever import EmbeddingIndex, EmbeddingModel
+from .retriever import EmbeddingIndex, EmbeddingModel, rank_by_similarity
 from .storage import read_json, write_atomic
 
 GOAL = "PROVED"
@@ -132,16 +132,15 @@ def retrieve_premises(
         raise StaleIndex(
             f"index built at {index.version_hash}, model is {model.version_hash}"
         )
-    state_emb = model.embed(state)
-    scored = []
+    rows = []
     for p in accessible:
         row = index.row_of.get(p.key)
         if row is None:
             raise StaleIndex(f"premise {p.key!r} missing from index")
-        scored.append((-float(index.matrix[row] @ state_emb), p.key, p))
-    scored.sort(key=lambda t: (t[0], t[1]))
+        rows.append(row)
+    order = rank_by_similarity(index.matrix[rows] @ model.embed(state), rows)
     keep = min(max_n, math.ceil(fraction * len(accessible)))
-    return [p for _, _, p in scored[:keep]]
+    return [accessible[i] for i in order[:keep]]
 
 
 # -- table-backed fixtures -----------------------------------------------------
@@ -213,8 +212,8 @@ class TableFixture:
                 for e in doc["edges"]
             ]
             initial = {str(k): str(v) for k, v in doc["initial"].items()}
-        except (KeyError, TypeError, ValueError) as e:
-            raise CorruptDocument(f"bad fixture edge: {e}") from e
+        except (AttributeError, KeyError, TypeError, ValueError) as e:
+            raise CorruptDocument(f"bad fixture: {e}") from e
         return cls(initial=initial, edges=edges)
 
     def save(self, path: str | Path) -> None:

@@ -1,4 +1,8 @@
-"""Small builders shared across the test modules."""
+"""Small builders and reference implementations shared across the test modules."""
+
+import math
+
+import numpy as np
 
 from proverloop.corpus import (
     PROVED_MARKER,
@@ -8,6 +12,8 @@ from proverloop.corpus import (
     TracedTactic,
     corpus_from_files,
 )
+from proverloop.errors import ShapeMismatch
+from proverloop.retriever import ngram_features
 
 URL = "fixture://repos/unit"
 COMMIT = "deadbee"
@@ -59,3 +65,55 @@ def theorem(name, path="lib/a.lean", statement=None, tactics=(), status="proven"
 
 def corpus_of(*files):
     return corpus_from_files(list(files))
+
+
+# -- loss oracles ----------------------------------------------------------------
+
+def contrastive_loss(state_emb, pos_emb, neg_embs):
+    """Negative log-likelihood of the positive under softmax of similarities.
+
+    Temperature is 1; inputs are expected unit-norm so dot products are
+    cosine similarities.
+    """
+    state_emb = np.asarray(state_emb, dtype=np.float64)
+    pos_emb = np.asarray(pos_emb, dtype=np.float64)
+    neg_embs = np.asarray(neg_embs, dtype=np.float64).reshape(-1, state_emb.shape[-1]) \
+        if np.asarray(neg_embs).size else np.zeros((0, state_emb.shape[-1]))
+    if pos_emb.shape != state_emb.shape:
+        raise ShapeMismatch("state and positive embeddings differ in dimension")
+    sims = np.concatenate(([float(state_emb @ pos_emb)], neg_embs @ state_emb))
+    m = float(np.max(sims))
+    return m + math.log(float(np.sum(np.exp(sims - m)))) - sims[0]
+
+
+def example_loss_and_grad_oracle(model, example):
+    """One example's contrastive loss and its gradient, row by row.
+
+    Rows whose pre-normalization vector vanishes embed as e_0 and contribute
+    zero gradient.
+    """
+    texts = example.texts()
+    phi = np.stack([ngram_features(t, model.n_features) for t in texts])
+    u = phi @ model.weight.T
+    norms = np.linalg.norm(u, axis=1)
+    e = np.zeros_like(u)
+    live = norms > 0.0
+    e[live] = u[live] / norms[live, None]
+    e[~live, 0] = 1.0
+
+    loss = contrastive_loss(e[0], e[1], e[2:])
+    sims = e[1:] @ e[0]
+    dsims = np.exp(sims - np.max(sims))
+    dsims /= np.sum(dsims)
+    dsims[0] -= 1.0
+    grad_e = np.zeros_like(e)
+    grad_e[0] = dsims @ e[1:]
+    grad_e[1:] = dsims[:, None] * e[0][None, :]
+
+    grad_u = np.zeros_like(u)
+    for i in range(len(texts)):
+        if not live[i]:
+            continue
+        gi = grad_e[i]
+        grad_u[i] = (gi - float(gi @ e[i]) * e[i]) / norms[i]
+    return loss, grad_u.T @ phi

@@ -1,11 +1,17 @@
 """The proverloop command line, driven through main()."""
 
 import json
+import shutil
 
 import pytest
 
+from helpers import theorem
 from proverloop.cli import main
+from proverloop.corpus import theorem_from_json, theorem_to_json
+from proverloop.database import DynamicDatabase
+from proverloop.errors import CorruptDocument, InvalidRecord, ProverloopError
 from proverloop.metrics import matrix_to_csv, validation_to_csv
+from proverloop.search import TableFixture
 
 
 @pytest.fixture(scope="module")
@@ -154,3 +160,35 @@ class TestOverridesAndFailures:
     def test_missing_config_exits_two(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+def theorem_with(**fields):
+    return theorem_from_json({**theorem_to_json(theorem("t")), **fields})
+
+
+class TestErrorContract:
+    @pytest.mark.parametrize("parse, expected", [
+        (lambda: theorem_with(start=[1]), InvalidRecord),
+        (lambda: theorem_with(start=["a", 1]), InvalidRecord),
+        (lambda: theorem_with(traced_tactics=5), InvalidRecord),
+        (lambda: theorem_with(proof=5), InvalidRecord),
+        (lambda: DynamicDatabase.from_json({"repositories": [{"theorems": []}]}),
+         CorruptDocument),
+        (lambda: TableFixture.from_json({"initial": [], "edges": []}), CorruptDocument),
+    ], ids=["start-short", "start-text", "tactics-int", "proof-int", "db-theorems-list",
+            "table-initial-list"])
+    def test_malformed_documents_raise_package_errors(self, parse, expected):
+        with pytest.raises(ProverloopError) as info:
+            parse()
+        assert isinstance(info.value, expected)
+
+    def test_ingest_of_a_malformed_theorem_exits_two(self, demo, tmp_path, capsys):
+        root = tmp_path / "demo"
+        shutil.copytree(demo, root)
+        path = root / "repo_algebra" / "theorems.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc[0]["start"] = [1]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["ingest", *cfg_args(root, tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err

@@ -9,29 +9,32 @@ import zlib
 import numpy as np
 import pytest
 
-from helpers import corpus_of, pfile, tactic, theorem
+from helpers import (
+    contrastive_loss,
+    corpus_of,
+    example_loss_and_grad_oracle,
+    pfile,
+    tactic,
+    theorem,
+)
 from proverloop.corpus import parse_corpus
 from proverloop.errors import (
     CorruptDocument,
     EmptyDataset,
     EmptyGroundTruth,
     IoFailure,
-    NoDatasets,
     ShapeMismatch,
     StaleIndex,
 )
 from proverloop.retriever import (
     Checkpoint,
-    EmbeddingIndex,
     EmbeddingModel,
     EwcTerm,
     RetrievalTask,
     TrainConfig,
     TrainingExample,
-    average_test_recall,
     batch_loss_and_grad,
     compute_fisher,
-    contrastive_loss,
     ewc_penalty,
     ewc_penalty_grad,
     example_loss_and_grad,
@@ -210,6 +213,77 @@ class TestFisher:
             compute_fisher(m, [], batch_size=4)
 
 
+def ragged_batch(rng, corpus, size):
+    """size examples over the corpus, each with 1-3 distinct negatives."""
+    pool = corpus.all_premises()
+    batch = []
+    for _ in range(size):
+        picks = rng.choice(len(pool), size=1 + int(rng.integers(1, 4)), replace=False)
+        batch.append(TrainingExample(
+            state=f"⊢ goal {int(rng.integers(1000))} ∧ x",
+            positive=pool[picks[0]],
+            negatives=tuple(pool[i] for i in picks[1:]),
+        ))
+    return batch
+
+
+def relative_error(got, want):
+    return float(np.linalg.norm(np.subtract(got, want)) / np.linalg.norm(want))
+
+
+class TestBatchKernel:
+    def oracle(self, model, batch, ewc=None):
+        """Mean of the per-example oracle losses and gradients."""
+        parts = [example_loss_and_grad_oracle(model, ex) for ex in batch]
+        loss = sum(p[0] for p in parts) / len(batch)
+        grad = sum(p[1] for p in parts) / len(batch)
+        if ewc is not None:
+            theta = model.flat()
+            loss += ewc_penalty(theta, ewc)
+            grad = grad + ewc_penalty_grad(theta, ewc).reshape(model.weight.shape)
+        return loss, grad
+
+    @pytest.mark.parametrize("with_ewc", [False, True])
+    def test_ragged_batches_match_the_per_example_oracle(self, with_ewc):
+        corpus = tiny_corpus(n=12)
+        rng = np.random.default_rng(21)
+        for size in (1, 2, 3, 5, 8, 13, 16):
+            model = EmbeddingModel.random_init(dim=6, n_features=128, seed=size)
+            ewc = None
+            if with_ewc:
+                ewc = EwcTerm(lam=0.3, fisher=rng.uniform(size=model.weight.size),
+                              anchor=model.flat() + rng.normal(0.0, 0.05, model.weight.size))
+            batch = ragged_batch(rng, corpus, size)
+            loss, grad = batch_loss_and_grad(model, batch, ewc)
+            want_loss, want_grad = self.oracle(model, batch, ewc)
+            assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+            assert relative_error(grad, want_grad) <= 1e-12
+
+    def test_degenerate_rows_add_no_gradient(self):
+        corpus = tiny_corpus(n=8)
+        pool = corpus.all_premises()
+        n_features = 4096
+        # zero the bias column and every bucket of pool[0]'s text: the empty
+        # state and pool[0] embed to zero, every other row stays live
+        w = np.random.default_rng(4).normal(0.0, 0.1, size=(6, n_features))
+        w[:, ngram_features(pool[0].text, n_features) > 0] = 0.0
+        model = EmbeddingModel(weight=w)
+        batch = [
+            TrainingExample(state="", positive=pool[1], negatives=(pool[2], pool[3])),
+            TrainingExample(state="⊢ live", positive=pool[0], negatives=(pool[4],)),
+            TrainingExample(state="⊢ other", positive=pool[5],
+                            negatives=(pool[0], pool[6], pool[7])),
+        ]
+        phi = np.stack([ngram_features(t, n_features) for ex in batch for t in ex.texts()])
+        norms = np.linalg.norm(phi @ w.T, axis=1)
+        assert (norms == 0.0).sum() == 3 and (norms > 0.0).sum() == 9
+        loss, grad = batch_loss_and_grad(model, batch)
+        assert np.isfinite(loss) and np.all(np.isfinite(grad))
+        want_loss, want_grad = self.oracle(model, batch)
+        assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+        assert relative_error(grad, want_grad) <= 1e-12
+
+
 class TestMining:
     def corpus(self):
         return corpus_of(
@@ -373,53 +447,10 @@ class TestIndexAndRecall:
         with pytest.raises(EmptyGroundTruth):
             recall_at_k(m, index, [("s", frozenset())], k=10)
 
-    def test_index_round_trip(self, tmp_path):
-        corpus = tiny_corpus(n=4)
-        m = EmbeddingModel.random_init(dim=4, n_features=64, seed=0)
-        index = precompute_embeddings(m, corpus)
-        index.save(tmp_path / "index.json")
-        again = EmbeddingIndex.load(tmp_path / "index.json")
-        assert again.keys == index.keys
-        assert again.version_hash == index.version_hash
-        assert np.array_equal(again.matrix, index.matrix)
-
 
 def make_task(corpus, examples, pairs, name="unit"):
     return RetrievalTask(name=name, corpus=corpus, train_examples=examples,
                          val_pairs=pairs, test_pairs=pairs)
-
-
-class TestAverageTestRecall:
-    def model(self):
-        w = np.zeros((4, 64))
-        w[0, 0] = 1.0
-        return EmbeddingModel(weight=w)
-
-    def hit_task(self):
-        corpus = corpus_of(pfile("lib/easy.lean", names=("easy.a", "easy.b", "easy.c")))
-        pairs = [("⊢ q", frozenset({"lib/easy.lean::easy.a"}))]
-        return make_task(corpus, [], pairs, name="hit")
-
-    def miss_task(self):
-        corpus = corpus_of(pfile(
-            "lib/deck.lean",
-            names=tuple(f"deck.t{i:02d}" for i in range(11)) + ("deck.zz",),
-        ))
-        # under exact ties deck.zz sorts past the top 10
-        pairs = [("⊢ q", frozenset({"lib/deck.lean::deck.zz"}))]
-        return make_task(corpus, [], pairs, name="miss")
-
-    def test_mean_over_tasks(self):
-        got = average_test_recall(self.model(), [self.hit_task(), self.miss_task()])
-        assert got == 0.5
-
-    def test_single_task_is_its_own_recall(self):
-        assert average_test_recall(self.model(), [self.miss_task()]) == 0.0
-
-    def test_no_tasks_rejected(self):
-        m = EmbeddingModel.random_init(dim=4, n_features=64, seed=0)
-        with pytest.raises(NoDatasets):
-            average_test_recall(m, [])
 
 
 class TestTraining:

@@ -1,0 +1,69 @@
+"""The benchmark tracer (perfbench/tracing.py) patches the package by name.
+
+A rename or a changed signature in src/ would silently break
+`perfbench/run.py --trace 1`; this runs the tracer over the bundled demo
+and checks that it still finds, measures and restores what it wraps.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from proverloop import pipeline, retriever
+from proverloop.fixtures import write_bundled
+from proverloop.pipeline import override_config, parse_config
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def attributes():
+    """Every module attribute of the retriever and the class members the tracer wraps."""
+    return {
+        **{("module", k): v for k, v in vars(retriever).items()},
+        **{("Checkpoint", k): v for k, v in vars(retriever.Checkpoint).items()},
+        **{("EmbeddingModel", k): v for k, v in vars(retriever.EmbeddingModel).items()},
+    }
+
+
+@pytest.fixture(scope="module")
+def traced_demo(tmp_path_factory):
+    tracing = load_tracing()
+    root = tmp_path_factory.mktemp("trace_demo")
+    write_bundled(root)
+    config = override_config(parse_config(root / "run.cfg"), out_dir=str(root / "out"))
+    before = attributes()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        pipeline.run_pipeline(config)
+    finally:
+        tracer.uninstall()
+    metrics = tracing.layer_metrics(tracer.spans, tracer.featurize_cache.cache_info())
+    return tracing, before, metrics
+
+
+def test_uninstall_restores_the_retriever(traced_demo):
+    _, before, _ = traced_demo
+    after = attributes()
+    assert after.keys() == before.keys()
+    assert [k for k in before if after[k] is not before[k]] == []
+
+
+def test_every_per_layer_metric_is_reported(traced_demo):
+    tracing, _, metrics = traced_demo
+    assert set(metrics) == set(tracing.PER_LAYER) - {"trace.overhead_frac"}
+
+
+def test_wrapped_layers_were_called(traced_demo):
+    _, _, metrics = traced_demo
+    for name in ("retriever.examples", "retriever.train_steps", "retriever.index_builds",
+                 "retriever.recall_queries", "search.retrieval_calls"):
+        assert metrics[name] > 0, name
