@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -53,7 +54,7 @@ class Premise:
     end: Pos
     kind: str
 
-    @property
+    @cached_property
     def key(self) -> str:
         return premise_key(self.file_path, self.full_name)
 

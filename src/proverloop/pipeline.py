@@ -102,6 +102,16 @@ class RunConfig:
     prove_after: bool = False
     wall_clock: bool = False
 
+    def __post_init__(self) -> None:
+        for key, least in (("feature_buckets", 2), ("embedding_dim", 1),
+                           ("batch_size", 1), ("window", 2)):
+            check_at_least(key, getattr(self, key), least)
+
+
+def check_at_least(key: str, value: int, least: int) -> None:
+    if value < least:
+        raise CorruptDocument(f"{key} must be at least {least}, got {value}")
+
 
 def _parse_bool(raw: str) -> bool:
     lowered = raw.strip().lower()

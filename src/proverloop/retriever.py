@@ -17,7 +17,6 @@ import hashlib
 import io
 import json
 import math
-import zlib
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from pathlib import Path
@@ -29,30 +28,46 @@ from .errors import CorruptDocument, EmptyDataset, EmptyGroundTruth, ShapeMismat
 from .storage import read_bytes, write_atomic
 
 NEGATIVES_PER_EXAMPLE = 3
-NGRAM_SIZES = (1, 2, 3)
 
 # Index 0 of every feature vector is a constant bias so empty text still
 # embeds deterministically.
 _BIAS_SLOT = 1
 
 
+def _crc_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The CRC-32 (zlib polynomial) byte table, and the CRC register after
+    every 1-byte and every 2-byte input, before the final inversion."""
+    table = np.arange(256, dtype=np.uint32)
+    for _ in range(8):
+        table = np.where(table & 1, (table >> 1) ^ np.uint32(0xEDB88320), table >> 1)
+    after_one = table[np.arange(256) ^ 0xFF] ^ np.uint32(0x00FFFFFF)
+    after_two = (table[(after_one[:, None] ^ np.arange(256)) & 0xFF]
+                 ^ (after_one[:, None] >> 8)).reshape(-1)
+    return table, after_one, after_two
+
+
+_CRC_TABLE, _CRC_AFTER_ONE, _CRC_AFTER_TWO = _crc_tables()
+
+
 @lru_cache(maxsize=65536)
 def ngram_features(text: str, n_features: int) -> np.ndarray:
-    """Hashed byte n-gram counts with a leading bias entry.
+    """Hashed byte 1-, 2- and 3-gram counts with a leading bias entry.
 
-    Deterministic across runs and platforms (crc32, not Python's randomized
-    hash). Cached: callers must not mutate the returned array.
+    An n-gram lands in bucket 1 + crc32(n-gram) % (n_features - 1), so the
+    features are the same across runs and platforms (crc32, not Python's
+    randomized hash). The counts are exact in float32. Cached: the returned
+    array is read-only.
     """
     if n_features < 2:
         raise ValueError("need at least one hash bucket beyond the bias slot")
-    phi = np.zeros(n_features, dtype=np.float64)
+    raw = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+    # CRC registers after each 2-gram, then one more byte step for the 3-grams
+    two = _CRC_AFTER_TWO[(raw[:-1].astype(np.intp) << 8) | raw[1:]]
+    three = _CRC_TABLE[(two[:-1] ^ raw[2:]) & 0xFF] ^ (two[:-1] >> 8)
+    crcs = ~np.concatenate([_CRC_AFTER_ONE[raw], two, three])
+    counts = np.bincount(_BIAS_SLOT + crcs % (n_features - _BIAS_SLOT), minlength=n_features)
+    phi = counts.astype(np.float32)
     phi[0] = 1.0
-    raw = text.encode("utf-8")
-    buckets = n_features - _BIAS_SLOT
-    for n in NGRAM_SIZES:
-        for i in range(len(raw) - n + 1):
-            slot = _BIAS_SLOT + zlib.crc32(raw[i:i + n]) % buckets
-            phi[slot] += 1.0
     phi.flags.writeable = False
     return phi
 
@@ -75,11 +90,15 @@ class EmbeddingModel:
     """Linear text encoder with unit-norm outputs.
 
     The model keeps a read-only copy of the weights it was built from, so
-    its version hash, computed once on first use, cannot go stale.
+    its version hash, computed once on first use, and the embedding it
+    remembers for each text it has embedded cannot go stale.
     """
 
     weight: np.ndarray  # (dim, n_features) float64
     _version_hash: str | None = field(default=None, init=False, repr=False, compare=False)
+    _rows: dict[str, np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         weight = np.array(self.weight)
@@ -124,9 +143,16 @@ class EmbeddingModel:
         return self.embed_many([text])[0]
 
     def embed_many(self, texts: list[str]) -> np.ndarray:
-        """Unit-norm embeddings, one row per text."""
-        u = np.array([self.weight @ ngram_features(t, self.n_features) for t in texts])
-        return _unit_rows(u.reshape(len(texts), self.dim))[0]
+        """Unit-norm embeddings, one row per text.
+
+        Each text is featurized and embedded once per model; a row's bits
+        do not depend on the texts it was embedded with.
+        """
+        new = [t for t in dict.fromkeys(texts) if t not in self._rows]
+        if new:
+            u = np.array([self.weight @ ngram_features(t, self.n_features) for t in new])
+            self._rows.update(zip(new, _unit_rows(u)[0]))
+        return np.array([self._rows[t] for t in texts]).reshape(len(texts), self.dim)
 
 
 # -- losses -------------------------------------------------------------------
@@ -508,8 +534,9 @@ def train_one_epoch(
 ) -> Checkpoint:
     """One seeded pass over the task's examples.
 
-    Returns the evaluated iterate with the highest validation recall@10;
-    evaluations happen every eval_every steps and at epoch end.
+    Returns the evaluated model with the highest validation recall@10, with
+    the embeddings its evaluation made; evaluations happen every eval_every
+    steps and at epoch end.
     """
     if not task.train_examples:
         raise EmptyDataset(f"task {task.name!r} has no training examples")
@@ -529,7 +556,7 @@ def train_one_epoch(
     eval_every = config.eval_every or max(1, total // 4)
 
     weight = checkpoint.model.weight
-    best_weight = None
+    best_model = None
     best_recall = -1.0
     for step, batch in enumerate(batches):
         model = EmbeddingModel(weight=weight)
@@ -544,10 +571,10 @@ def train_one_epoch(
             recall = recall_at_k(candidate, index, task.val_pairs, k=10)
             if recall > best_recall:
                 best_recall = recall
-                best_weight = candidate.weight
-    assert best_weight is not None
+                best_model = candidate
+    assert best_model is not None
     return Checkpoint(
-        model=EmbeddingModel(weight=best_weight),
+        model=best_model,
         history=checkpoint.history + (task.name,),
         best_val_r10=best_recall,
     )

@@ -157,6 +157,38 @@ class TestOverridesAndFailures:
         assert main(["run", "--config", str(cfg)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, key, line, flags", [
+        ("run", "feature_buckets", "feature_buckets = 1", []),
+        ("run", "embedding_dim", "embedding_dim = 0", []),
+        ("run", "batch_size", "batch_size = 0", []),
+        ("run", "batch_size", "batch_size = -3", []),
+        ("run", "window", "window = 0", []),
+        ("run", "window", "", ["--window", "1"]),
+        ("metrics", "window", None, ["--window", "1"]),
+    ], ids=["buckets-1", "dim-0", "batch-0", "batch-negative", "window-0", "run-window-flag",
+            "metrics-window-flag"])
+    def test_bad_run_settings_exit_two_before_any_work(self, demo, tmp_path, capsys,
+                                                       command, key, line, flags):
+        out = tmp_path / "out"
+        if command == "metrics":
+            (tmp_path / "m.csv").write_text(matrix_to_csv([[80.0], [70.0, 90.0]]),
+                                            encoding="utf-8")
+            (tmp_path / "v.csv").write_text(validation_to_csv([60.0, 70.0]),
+                                            encoding="utf-8")
+            args = ["--matrix", str(tmp_path / "m.csv"),
+                    "--validation", str(tmp_path / "v.csv"), "--out", str(out)]
+        else:
+            root = tmp_path / "demo"
+            shutil.copytree(demo, root)
+            with open(root / "run.cfg", "a", encoding="utf-8") as cfg:
+                cfg.write(line + "\n")
+            args = cfg_args(root, out)
+        assert main([command, *args, *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_missing_config_exits_two(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2
         assert "error:" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Corpus parsing, import ordering, splitting, and theorem serialization."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -237,6 +238,15 @@ class TestIdentitiesAndLookup:
         p = premise("a.x", path="lib/a.lean", statement="1 + 1 = 2")
         assert p.key == "lib/a.lean::a.x"
         assert p.text == "a.x : 1 + 1 = 2"
+
+    def test_reading_the_premise_key_keeps_identity(self):
+        p = premise("a.x", path="lib/a.lean")
+        q = premise("a.x", path="lib/a.lean")
+        assert p.key == "lib/a.lean::a.x"
+        assert p == q and hash(p) == hash(q)
+        assert {p: 1}[q] == 1
+        moved = replace(p, full_name="a.y")
+        assert moved.key == "lib/a.lean::a.y" and moved != p
 
     def test_theorem_key_includes_statement(self):
         a = theorem("same.name", statement="P")

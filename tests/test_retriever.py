@@ -17,6 +17,7 @@ from helpers import (
     tactic,
     theorem,
 )
+from proverloop import retriever
 from proverloop.corpus import parse_corpus
 from proverloop.errors import (
     CorruptDocument,
@@ -59,11 +60,43 @@ def ngram_oracle(text, n_features):
     return phi
 
 
+def random_texts(count, seed=0):
+    """Seeded texts of 0-120 characters, with multi-byte symbols."""
+    rng = np.random.default_rng(seed)
+    alphabet = list("abcxyz_.:,()[]=+01 ") + ["∀", "⊢", "→", "≤"]
+    return ["".join(rng.choice(alphabet, size=rng.integers(0, 121))) for _ in range(count)]
+
+
+BUCKET_COUNTS = (2, 3, 1024, 2048, 65536)
+
+
 class TestFeaturesAndEmbedding:
     def test_features_match_independent_oracle(self):
         for text in ("", "ab", "lift the chain", "∀ x, x = x"):
             got = ngram_features(text, 256)
             assert np.array_equal(got, ngram_oracle(text, 256))
+
+    def test_kernel_matches_oracle_on_random_texts(self):
+        # the uncached body, so the sweep leaves no 256 KiB vectors in the cache
+        kernel = ngram_features.__wrapped__
+        for text in random_texts(500):
+            for n_features in BUCKET_COUNTS:
+                assert np.array_equal(kernel(text, n_features), ngram_oracle(text, n_features))
+
+    @pytest.mark.parametrize("text", ["", "a", "ab", "abc", "é", "∀", "a∀"])
+    @pytest.mark.parametrize("n_features", BUCKET_COUNTS)
+    def test_short_texts_match_oracle(self, text, n_features):
+        assert np.array_equal(ngram_features(text, n_features), ngram_oracle(text, n_features))
+
+    def test_features_are_read_only_float32(self):
+        phi = ngram_features("⊢ a ≤ b", 1024)
+        assert phi.dtype == np.float32
+        with pytest.raises(ValueError):
+            phi[1] = 2.0
+
+    def test_too_few_buckets_rejected(self):
+        with pytest.raises(ValueError):
+            ngram_features("x", 1)
 
     def test_disjoint_grams_are_orthogonal_past_the_bias(self):
         a = ngram_features("ab", 65536)
@@ -107,6 +140,42 @@ class TestFeaturesAndEmbedding:
         with pytest.raises(ValueError):
             m.weight[0, 0] = 1.0
         assert m.weight[0, 0] == 0.0 and m.version_hash == before
+
+    def test_batch_rows_equal_texts_embedded_alone(self):
+        texts = random_texts(50, seed=1)
+        m = EmbeddingModel.random_init(dim=8, n_features=1024, seed=5)
+        rows = m.embed_many(texts + texts[:5])
+        assert rows.shape == (55, 8)
+        for text, row in zip(texts + texts[:5], rows):
+            assert np.array_equal(row, EmbeddingModel(weight=m.weight).embed(text))
+
+    def test_a_model_featurizes_each_text_once(self, monkeypatch):
+        texts = random_texts(20, seed=2)
+        m = EmbeddingModel.random_init(dim=8, n_features=1024, seed=6)
+        first = m.embed_many(texts)
+
+        def refuse(text, n_features):
+            raise AssertionError(f"featurized {text!r} again")
+
+        monkeypatch.setattr(retriever, "ngram_features", refuse)
+        assert np.array_equal(m.embed_many(texts[::-1]), first[::-1])
+        assert np.array_equal(m.embed(texts[3]), first[3])
+
+    def test_returned_rows_are_copies(self):
+        m = EmbeddingModel.random_init(dim=4, n_features=64, seed=7)
+        rows = m.embed_many(["a", "b"])
+        before = rows.copy()
+        rows += 1.0
+        m.embed("a")[:] = 0.0
+        assert np.array_equal(m.embed_many(["a", "b"]), before)
+
+    def test_with_flat_starts_without_embeddings(self, monkeypatch):
+        m = EmbeddingModel.random_init(dim=4, n_features=64, seed=8)
+        m.embed("state")
+        moved = m.with_flat(np.roll(m.flat(), 1))
+        assert np.array_equal(moved.embed("state"),
+                              EmbeddingModel(weight=moved.weight).embed("state"))
+        assert not np.array_equal(moved.embed("state"), m.embed("state"))
 
     def test_with_flat_round_trip_and_shape_guard(self):
         m = EmbeddingModel.random_init(dim=3, n_features=8, seed=0)
@@ -510,6 +579,19 @@ class TestTraining:
         index = precompute_embeddings(out.model, task.corpus)
         assert recall_at_k(out.model, index, task.val_pairs, k=10) == out.best_val_r10
         assert out.history == ("unit",)
+
+    def test_returned_model_keeps_its_validation_embeddings(self, monkeypatch):
+        task = self.training_task()
+        start = Checkpoint(model=EmbeddingModel.random_init(dim=6, n_features=64, seed=3))
+        out = train_one_epoch(start, task, TrainConfig(lr=0.1, warmup_steps=0,
+                                                       batch_size=2, seed=5))
+
+        def refuse(text, n_features):
+            raise AssertionError(f"featurized {text!r} again")
+
+        monkeypatch.setattr(retriever, "ngram_features", refuse)
+        index = precompute_embeddings(out.model, task.corpus)
+        assert recall_at_k(out.model, index, task.val_pairs, k=10) == out.best_val_r10
 
     def test_empty_examples_or_pairs_rejected(self):
         task = self.training_task()

@@ -47,23 +47,36 @@ def traced_demo(tmp_path_factory):
     finally:
         tracer.uninstall()
     metrics = tracing.layer_metrics(tracer.spans, tracer.featurize_cache.cache_info())
-    return tracing, before, metrics
+    return tracing, before, metrics, tracer
 
 
 def test_uninstall_restores_the_retriever(traced_demo):
-    _, before, _ = traced_demo
+    _, before, _, _ = traced_demo
     after = attributes()
     assert after.keys() == before.keys()
     assert [k for k in before if after[k] is not before[k]] == []
 
 
 def test_every_per_layer_metric_is_reported(traced_demo):
-    tracing, _, metrics = traced_demo
+    tracing, _, metrics, _ = traced_demo
     assert set(metrics) == set(tracing.PER_LAYER) - {"trace.overhead_frac"}
 
 
 def test_wrapped_layers_were_called(traced_demo):
-    _, _, metrics = traced_demo
+    _, _, metrics, _ = traced_demo
     for name in ("retriever.examples", "retriever.train_steps", "retriever.index_builds",
                  "retriever.recall_queries", "search.retrieval_calls"):
         assert metrics[name] > 0, name
+
+
+def test_featurizing_goes_through_the_cached_name(traced_demo):
+    # a featurizer that bypasses retriever.ngram_features would read 0 here
+    _, _, metrics, _ = traced_demo
+    for name in ("retriever.featurize_misses", "retriever.featurize_cache_entries"):
+        assert metrics[name] > 0, name
+
+
+def test_tracer_cache_has_the_featurizer_cache_size(traced_demo):
+    _, _, _, tracer = traced_demo
+    assert tracer.featurize_cache.cache_info().maxsize == \
+        retriever.ngram_features.cache_info().maxsize
