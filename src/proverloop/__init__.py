@@ -42,7 +42,6 @@ from .metrics import (
     composite_score,
     compute_report,
     normalize_metrics,
-    tpps,
 )
 from .pipeline import (
     RunConfig,
@@ -91,7 +90,7 @@ __all__ = [
     "DynamicDatabase", "GeneratedDataset", "RepositoryRecord", "write_dataset",
     "PipelineError", "ProverloopError",
     "MetricReport", "PerformanceMatrix", "composite_score", "compute_report",
-    "normalize_metrics", "tpps",
+    "normalize_metrics",
     "RunConfig", "RunReport", "emit_reports", "parse_config", "run_pipeline",
     "Checkpoint", "EmbeddingIndex", "EmbeddingModel", "EwcTerm", "TrainConfig",
     "TrainingExample", "compute_fisher", "ewc_penalty",

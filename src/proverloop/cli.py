@@ -140,7 +140,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print("final test row (%):", ", ".join(f"{v:.1f}" for v in report.matrix_rows[-1]))
     proved = sum(1 for a in report.attempts if a.result.status == "proved")
     print(f"proved {proved} of {len(report.attempts)} attempts")
-    print(f"composite: {report.composite:.4f}")
     print(f"reports in {config.out_dir}")
     return 0
 

@@ -27,6 +27,7 @@ from .errors import (
     TooFewTheorems,
     UnknownImport,
 )
+from .storage import dump_json
 
 Pos = tuple[int, int]
 
@@ -380,7 +381,7 @@ def tactic_from_json(obj: object) -> TracedTactic:
         raise InvalidRecord(f"traced tactic missing field {e.args[0]!r}") from e
 
 
-def theorem_to_json(thm: Theorem, include_status: bool = True) -> dict:
+def theorem_to_json(thm: Theorem) -> dict:
     obj = {
         "url": thm.url,
         "commit": thm.commit,
@@ -390,19 +391,18 @@ def theorem_to_json(thm: Theorem, include_status: bool = True) -> dict:
         "start": list(thm.start),
         "end": list(thm.end),
         "traced_tactics": [tactic_to_json(t) for t in thm.traced_tactics],
+        "status": thm.status,
     }
-    if include_status:
-        obj["status"] = thm.status
     if thm.proof is not None:
         obj["proof"] = list(thm.proof)
     return obj
 
 
-def theorem_from_json(obj: object, status: str | None = None) -> Theorem:
+def theorem_from_json(obj: object) -> Theorem:
     if not isinstance(obj, dict):
         raise InvalidRecord("theorem must be an object")
     try:
-        resolved = status or obj.get("status", STATUS_PROVEN)
+        resolved = obj.get("status", STATUS_PROVEN)
         if resolved not in THEOREM_STATUSES:
             raise InvalidRecord(f"unknown status {resolved!r}")
         tactics = tuple(tactic_from_json(t) for t in obj["traced_tactics"])
@@ -432,7 +432,7 @@ def theorem_from_json(obj: object, status: str | None = None) -> Theorem:
 
 
 def dump_theorems(theorems: list[Theorem]) -> str:
-    return json.dumps([theorem_to_json(t) for t in theorems], ensure_ascii=False, indent=2) + "\n"
+    return dump_json([theorem_to_json(t) for t in theorems])
 
 
 def load_theorems(text: str) -> list[Theorem]:

@@ -45,24 +45,6 @@ class Difficulty:
     def unstepped(cls) -> Difficulty:
         return cls(kind="unstepped")
 
-    def to_json(self) -> dict:
-        obj: dict = {"kind": self.kind}
-        if self.kind == "finite":
-            obj["steps"] = self.steps
-            obj["value"] = self.value
-        return obj
-
-    @classmethod
-    def from_json(cls, obj: dict) -> Difficulty:
-        kind = obj.get("kind")
-        if kind == "finite":
-            return cls.finite(int(obj["steps"]))
-        if kind == "infinite":
-            return cls.infinite()
-        if kind == "unstepped":
-            return cls.unstepped()
-        raise ValueError(f"unknown difficulty kind {kind!r}")
-
 
 def compute_difficulty(theorem: Theorem) -> Difficulty:
     if theorem.status == STATUS_SORRY:

@@ -8,13 +8,16 @@ with well-defined dedup rules:
 * duplicate theorem identities resolve to the most recently added copy,
 * duplicate premise files and traced files resolve to the first encountered.
 
-Documents serialize to canonical JSON (sorted keys, two-space indent) so a
-persist/load round trip is byte-stable.
+A persisted database (format 2) stores each fact once: every repository
+record keeps its theorems in one list, in record order, each with its own
+status and proof. Difficulties are derived from the theorems on demand and
+never stored. The document is canonical JSON (sorted keys, two-space
+indent), so a persist/load round trip restores the same records in the same
+order and re-serializes to the same bytes.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -51,7 +54,7 @@ STRATEGIES = (SINGLE_REPO, MERGE_ALL)
 # Placeholder when fixture metadata carries no date; keeps ingest reproducible.
 EPOCH = "1970-01-01T00:00:00Z"
 
-_STATUS_GROUPS = ("proven", "sorry_unproven", "sorry_proven")
+DATABASE_FORMAT = 2
 
 
 def repo_id_of(url: str, commit: str) -> str:
@@ -68,21 +71,20 @@ class RepositoryRecord:
     theorems: list[Theorem] = field(default_factory=list)
     premise_files: list[PremiseFile] = field(default_factory=list)
     traced_file_paths: list[str] = field(default_factory=list)
-    difficulty_cache: dict[tuple[str, str, str], Difficulty] = field(default_factory=dict)
 
     @property
     def repo_id(self) -> str:
         return repo_id_of(self.url, self.commit)
 
-    def theorems_with_status(self, status: str) -> list[Theorem]:
-        return [t for t in self.theorems if t.status == status]
+    @property
+    def difficulty_cache(self) -> dict[tuple[str, str, str], Difficulty]:
+        """Difficulty of every theorem by key, in record order, computed afresh."""
+        return {t.key: compute_difficulty(t) for t in self.theorems}
 
     def sorries(self) -> list[Theorem]:
         """Unproven theorems in deterministic (file, name) order."""
-        return sorted(self.theorems_with_status(STATUS_SORRY), key=lambda t: t.key)
-
-    def refresh_difficulties(self) -> None:
-        self.difficulty_cache = {t.key: compute_difficulty(t) for t in self.theorems}
+        return sorted((t for t in self.theorems if t.status == STATUS_SORRY),
+                      key=lambda t: t.key)
 
     def validate(self) -> None:
         seen_keys: set[tuple[str, str, str]] = set()
@@ -148,8 +150,6 @@ class DynamicDatabase:
         """Append a validated record; re-adding a repo id replaces and
         moves it to the most-recent slot."""
         record.validate()
-        if not record.difficulty_cache:
-            record.refresh_difficulties()
         self.repositories = [r for r in self.repositories if r.repo_id != record.repo_id]
         self.repositories.append(record)
 
@@ -181,7 +181,6 @@ class DynamicDatabase:
                 if thm.status == STATUS_SORRY:
                     updated = thm.with_status("sorry_proven", tuple(proof))
                     rec.theorems[i] = updated
-                    rec.difficulty_cache[key] = compute_difficulty(updated)
                     return updated
                 found_proven = True
         if found_proven:
@@ -252,7 +251,7 @@ class DynamicDatabase:
 
     def to_json(self) -> dict:
         return {
-            "format_version": 1,
+            "format_version": DATABASE_FORMAT,
             "repositories": [
                 {
                     "url": rec.url,
@@ -260,24 +259,9 @@ class DynamicDatabase:
                     "name": rec.name,
                     "date_added": rec.date_added,
                     "toolchain_version": rec.toolchain_version,
-                    "theorems": {
-                        group: [
-                            theorem_to_json(t, include_status=False)
-                            for t in rec.theorems_with_status(group)
-                        ]
-                        for group in _STATUS_GROUPS
-                    },
+                    "theorems": [theorem_to_json(t) for t in rec.theorems],
                     "premise_files": [premise_file_to_json(pf) for pf in rec.premise_files],
                     "traced_files": list(rec.traced_file_paths),
-                    "difficulty_cache": [
-                        {
-                            "file_path": k[0],
-                            "full_name": k[1],
-                            "statement": k[2],
-                            "difficulty": d.to_json(),
-                        }
-                        for k, d in sorted(rec.difficulty_cache.items())
-                    ],
                 }
                 for rec in self.repositories
             ],
@@ -287,31 +271,27 @@ class DynamicDatabase:
     def from_json(cls, doc: object) -> DynamicDatabase:
         if not isinstance(doc, dict) or "repositories" not in doc:
             raise CorruptDocument("database document must have a repositories list")
+        version = doc.get("format_version")
+        if version != DATABASE_FORMAT:
+            raise CorruptDocument(
+                f"database is format {version!r}, not the format {DATABASE_FORMAT} this "
+                "version reads; rerun `proverloop ingest` or `proverloop run` to rewrite it")
         raw_repos = doc["repositories"]
         if not isinstance(raw_repos, list):
             raise CorruptDocument("repositories must be a list")
         db = cls()
         for raw in raw_repos:
             try:
-                theorems: list[Theorem] = []
-                for group in _STATUS_GROUPS:
-                    for t in raw["theorems"].get(group, []):
-                        theorems.append(theorem_from_json(t, status=group))
-                premise_files = [premise_file_from_json(pf) for pf in raw["premise_files"]]
-                cache: dict[tuple[str, str, str], Difficulty] = {}
-                for entry in raw.get("difficulty_cache", []):
-                    k = (entry["file_path"], entry["full_name"], entry["statement"])
-                    cache[k] = Difficulty.from_json(entry["difficulty"])
                 rec = RepositoryRecord(
                     url=str(raw["url"]),
                     commit=str(raw["commit"]),
                     name=str(raw["name"]),
                     date_added=str(raw.get("date_added", EPOCH)),
                     toolchain_version=str(raw.get("toolchain_version", "")),
-                    theorems=theorems,
-                    premise_files=premise_files,
-                    traced_file_paths=[str(p) for p in raw.get("traced_files", [])],
-                    difficulty_cache=cache,
+                    theorems=[theorem_from_json(t) for t in _list_field(raw, "theorems")],
+                    premise_files=[premise_file_from_json(pf)
+                                   for pf in _list_field(raw, "premise_files")],
+                    traced_file_paths=[str(p) for p in _list_field(raw, "traced_files")],
                 )
                 db.add_repository(rec)
             except (AttributeError, KeyError, TypeError, ValueError, ProverloopError) as e:
@@ -319,7 +299,7 @@ class DynamicDatabase:
         return db
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+        return dump_json(self.to_json())
 
     def persist(self, path: str | Path) -> None:
         write_atomic(path, self.dumps())
@@ -327,6 +307,13 @@ class DynamicDatabase:
     @classmethod
     def load(cls, path: str | Path) -> DynamicDatabase:
         return cls.from_json(read_json(path, "database"))
+
+
+def _list_field(raw: dict, key: str) -> list:
+    value = raw[key]
+    if not isinstance(value, list):
+        raise CorruptDocument(f"{key} must be a list, got {type(value).__name__}")
+    return value
 
 
 def write_dataset(dataset: GeneratedDataset, out_dir: str | Path) -> None:

@@ -209,24 +209,6 @@ def composite_score(
     return scores
 
 
-@dataclass(frozen=True)
-class TppsScores:
-    agent: float
-    baseline: float
-    factor: float
-
-
-def tpps(baseline_proved: int, newly_proved: int, x: float) -> TppsScores:
-    """Progress score crediting new proofs x-fold, with +1 smoothing."""
-    if baseline_proved < 0 or newly_proved < 0:
-        raise ValueError("proof counts cannot be negative")
-    if x < 1.0:
-        raise ValueError("new-proof weight must be at least 1")
-    agent = baseline_proved + newly_proved * x + 1.0
-    baseline = baseline_proved + 1.0
-    return TppsScores(agent=agent, baseline=baseline, factor=agent / baseline)
-
-
 # -- CSV interchange -------------------------------------------------------------
 
 def matrix_to_csv(rows: list[list[float]]) -> str:

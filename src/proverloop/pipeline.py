@@ -35,11 +35,9 @@ from .errors import CorruptDocument, PipelineError, ProverloopError
 from .metrics import (
     MetricReport,
     PerformanceMatrix,
-    composite_score,
     average_test_curve,
     compute_report,
     matrix_to_csv,
-    normalize_metrics,
     validation_to_csv,
 )
 from .retriever import (
@@ -103,14 +101,39 @@ class RunConfig:
     wall_clock: bool = False
 
     def __post_init__(self) -> None:
-        for key, least in (("feature_buckets", 2), ("embedding_dim", 1),
-                           ("batch_size", 1), ("window", 2)):
+        for key, least in (("seed", 0), ("feature_buckets", 2), ("embedding_dim", 1),
+                           ("batch_size", 1), ("window", 2), ("candidates", 1),
+                           ("retrieval_max", 1), ("warmup_steps", 0)):
             check_at_least(key, getattr(self, key), least)
+        for key, interval in _FLOAT_BOUNDS:
+            check_within(key, getattr(self, key), interval)
+
+
+# Every interval is open at infinity, so NaN and the infinities never pass.
+_FLOAT_BOUNDS = (
+    ("lr", "(0, inf)"),
+    ("init_scale", "(0, inf)"),
+    ("time_budget_ms", "(0, inf)"),
+    ("val_frac", "(0, 1)"),
+    ("test_frac", "(0, 1)"),
+    ("retrieval_fraction", "(0, 1]"),
+    ("clip_norm", "[0, inf)"),
+    ("ewc_lambda", "[0, inf)"),
+)
 
 
 def check_at_least(key: str, value: int, least: int) -> None:
     if value < least:
         raise CorruptDocument(f"{key} must be at least {least}, got {value}")
+
+
+def check_within(key: str, value: float, interval: str) -> None:
+    """Reject a value outside an interval written like "(0, 1]"."""
+    low, high = (float(end) for end in interval[1:-1].split(","))
+    above = value >= low if interval[0] == "[" else value > low
+    below = value <= high if interval[-1] == "]" else value < high
+    if not (above and below):
+        raise CorruptDocument(f"{key} must be in {interval}, got {value}")
 
 
 def _parse_bool(raw: str) -> bool:
@@ -269,8 +292,6 @@ class RunReport:
     matrix_rows: list[list[float]]
     validation: list[float]
     metric_report: MetricReport
-    normalized: dict[str, dict[str, float]]
-    composite: float
     attempts: list[ProofAttempt] = field(default_factory=list)
 
     def metrics_json(self) -> dict:
@@ -279,8 +300,6 @@ class RunReport:
             "strategy": self.config.strategy,
             "seed": self.config.seed,
             "raw": self.metric_report.to_json(),
-            "normalized": self.normalized["run"],
-            "composite": self.composite,
             "average_test_curve": average_test_curve(self.matrix_rows),
             "validation": list(self.validation),
         }
@@ -385,16 +404,17 @@ def build_curriculum(
 ) -> tuple[Thresholds, list[tuple[str, CategoryCounts]]]:
     """Pool finite difficulties into thresholds, then order the repositories."""
     with _stage("curriculum"):
+        difficulties = [rec.difficulty_cache for rec in db.repositories]
         finite = [
             d.value
-            for rec in db.repositories
-            for d in rec.difficulty_cache.values()
+            for by_key in difficulties
+            for d in by_key.values()
             if d.kind == "finite" and d.value is not None
         ]
         thresholds = compute_thresholds(finite)
         per_repo = []
-        for rec in db.repositories:
-            items = [(thm, rec.difficulty_cache[thm.key]) for thm in rec.theorems]
+        for rec, by_key in zip(db.repositories, difficulties):
+            items = [(thm, by_key[thm.key]) for thm in rec.theorems]
             per_repo.append((rec.repo_id, count_categories(
                 categorize_theorems(items, thresholds)
             )))
@@ -472,8 +492,6 @@ def run_pipeline(config: RunConfig, *, prove: bool = True) -> RunReport:
     with _stage("metrics"):
         matrix = PerformanceMatrix(rows=matrix_rows, validation=validation)
         metric_report = compute_report(matrix, window=config.window)
-        normalized = normalize_metrics({"run": metric_report})
-        composite = composite_score({"run": metric_report})["run"]
 
     with _stage("report"):
         report = RunReport(
@@ -483,8 +501,6 @@ def run_pipeline(config: RunConfig, *, prove: bool = True) -> RunReport:
             matrix_rows=matrix_rows,
             validation=validation,
             metric_report=metric_report,
-            normalized=normalized,
-            composite=composite,
             attempts=attempts,
         )
         checkpoint.save(out / "checkpoints" / "final.ckpt")

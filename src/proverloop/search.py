@@ -13,7 +13,6 @@ proof maximal in total log-probability.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass, field
@@ -28,7 +27,7 @@ from .errors import (
     UnknownFile,
 )
 from .retriever import EmbeddingIndex, EmbeddingModel, rank_by_similarity
-from .storage import read_json, write_atomic
+from .storage import dump_json, read_json, write_atomic
 
 GOAL = "PROVED"
 
@@ -217,9 +216,7 @@ class TableFixture:
         return cls(initial=initial, edges=edges)
 
     def save(self, path: str | Path) -> None:
-        write_atomic(
-            path, json.dumps(self.to_json(), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
-        )
+        write_atomic(path, dump_json(self.to_json()))
 
     @classmethod
     def load(cls, path: str | Path) -> TableFixture:

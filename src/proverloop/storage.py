@@ -32,8 +32,9 @@ def write_atomic(path: str | Path, data: str | bytes) -> None:
 
 
 def dump_json(doc: object) -> str:
-    """Canonical report JSON: sorted keys, two-space indent, final newline."""
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """Canonical document JSON: sorted keys, two-space indent, UTF-8 text
+    (non-ASCII unescaped), final newline."""
+    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
 def read_bytes(path: str | Path, what: str) -> bytes:

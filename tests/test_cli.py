@@ -61,7 +61,8 @@ class TestRunAndMetrics:
                      "proofs.json", "curriculum.json", "database.json"):
             assert (out / name).is_file(), name
         stdout = capsys.readouterr().out
-        assert "composite:" in stdout
+        assert "proved" in stdout and "composite" not in stdout
+        assert "composite" not in json.loads((out / "metrics.json").read_text(encoding="utf-8"))
 
     def test_metrics_on_a_single_setup(self, tmp_path, capsys):
         rows = [[80.0], [70.0, 90.0], [60.0, 85.0, 95.0]]
@@ -165,8 +166,30 @@ class TestOverridesAndFailures:
         ("run", "window", "window = 0", []),
         ("run", "window", "", ["--window", "1"]),
         ("metrics", "window", None, ["--window", "1"]),
+        ("run", "init_scale", "init_scale = -1", []),
+        ("run", "retrieval_max", "retrieval_max = -1", []),
+        ("run", "candidates", "candidates = -3", []),
+        ("run", "candidates", "candidates = 0", []),
+        ("run", "val_frac", "val_frac = -1", []),
+        ("run", "val_frac", "val_frac = 1", []),
+        ("run", "test_frac", "test_frac = -1", []),
+        ("run", "lr", "lr = -1", []),
+        ("run", "lr", "lr = nan", []),
+        ("run", "retrieval_fraction", "retrieval_fraction = -1", []),
+        ("run", "retrieval_fraction", "retrieval_fraction = 1.5", []),
+        ("run", "warmup_steps", "warmup_steps = -5", []),
+        ("run", "time_budget_ms", "time_budget_ms = -1", []),
+        ("run", "time_budget_ms", "", ["--time-budget-ms", "inf"]),
+        ("run", "clip_norm", "clip_norm = -1", []),
+        ("run", "ewc_lambda", "", ["--ewc-lambda", "nan"]),
+        ("run", "seed", "", ["--seed", "-1"]),
     ], ids=["buckets-1", "dim-0", "batch-0", "batch-negative", "window-0", "run-window-flag",
-            "metrics-window-flag"])
+            "metrics-window-flag", "init-scale-negative", "retrieval-max-negative",
+            "candidates-negative", "candidates-0", "val-frac-negative", "val-frac-1",
+            "test-frac-negative", "lr-negative", "lr-nan", "retrieval-fraction-negative",
+            "retrieval-fraction-above-1", "warmup-negative", "time-budget-negative",
+            "time-budget-flag-inf", "clip-norm-negative", "ewc-lambda-flag-nan",
+            "seed-flag-negative"])
     def test_bad_run_settings_exit_two_before_any_work(self, demo, tmp_path, capsys,
                                                        command, key, line, flags):
         out = tmp_path / "out"
@@ -198,6 +221,13 @@ def theorem_with(**fields):
     return theorem_from_json({**theorem_to_json(theorem("t")), **fields})
 
 
+def database_with(**fields):
+    record = {"url": "fixture://r", "commit": "c", "name": "r", "theorems": [],
+              "premise_files": [], "traced_files": []}
+    return DynamicDatabase.from_json(
+        {"format_version": 2, "repositories": [{**record, **fields}]})
+
+
 class TestErrorContract:
     @pytest.mark.parametrize("parse, expected", [
         (lambda: theorem_with(start=[1]), InvalidRecord),
@@ -207,8 +237,14 @@ class TestErrorContract:
         (lambda: DynamicDatabase.from_json({"repositories": [{"theorems": []}]}),
          CorruptDocument),
         (lambda: TableFixture.from_json({"initial": [], "edges": []}), CorruptDocument),
+        (lambda: DynamicDatabase.from_json({"format_version": 1, "repositories": []}),
+         CorruptDocument),
+        (lambda: database_with(theorems={}), CorruptDocument),
+        (lambda: database_with(theorems=5), CorruptDocument),
+        (lambda: database_with(theorems=[5]), CorruptDocument),
     ], ids=["start-short", "start-text", "tactics-int", "proof-int", "db-theorems-list",
-            "table-initial-list"])
+            "table-initial-list", "db-format-1", "db-theorems-dict", "db-theorems-int",
+            "db-theorems-non-object"])
     def test_malformed_documents_raise_package_errors(self, parse, expected):
         with pytest.raises(ProverloopError) as info:
             parse()

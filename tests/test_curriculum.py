@@ -59,10 +59,6 @@ class TestDifficulty:
         values = [compute_difficulty(stepped("t", s)).value for s in range(1, 12)]
         assert all(a < b for a, b in zip(values, values[1:]))
 
-    def test_json_round_trip(self):
-        for d in (Difficulty.finite(4), Difficulty.infinite(), Difficulty.unstepped()):
-            assert Difficulty.from_json(d.to_json()) == d
-
 
 class TestThresholds:
     def test_exponential_ladder_matches_hand_oracle(self):

@@ -3,15 +3,19 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import pfile, premise, tactic, theorem
-from proverloop.corpus import dump_theorems, serialize_corpus
+from proverloop.corpus import THEOREM_STATUSES, dump_theorems, serialize_corpus
 from proverloop.database import (
     DynamicDatabase,
     RepositoryRecord,
     repo_id_of,
     write_dataset,
 )
+from proverloop.fixtures import GATED_THEOREM, write_bundled
+from proverloop.pipeline import build_curriculum, ingest_fixtures, parse_config
 from proverloop.errors import (
     AlreadyProven,
     CorruptDocument,
@@ -249,3 +253,92 @@ class TestPersistence:
         db = self.build()
         assert db.dumps() == db.dumps()
         assert db.dumps().endswith("\n")
+
+
+class TestRoundTrip:
+    """A persisted database reloads to the same records in the same order."""
+
+    @pytest.fixture(scope="class")
+    def proved_demo(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("round_trip")
+        write_bundled(root / "bundle")
+        db, _ = ingest_fixtures(parse_config(root / "bundle" / "run.cfg"))
+        gated = next(t for rec in db.repositories for t in rec.theorems
+                     if t.full_name == GATED_THEOREM)
+        db.record_sorry_proof(gated.key, ["exact h", "qed"])
+        path = root / "database.json"
+        db.persist(path)
+        return db, DynamicDatabase.load(path)
+
+    def test_records_keep_their_theorem_order(self, proved_demo):
+        db, again = proved_demo
+        for rec, back in zip(db.repositories, again.repositories, strict=True):
+            assert [t.key for t in back.theorems] == [t.key for t in rec.theorems]
+        assert again.repositories == db.repositories
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_reloaded_database_draws_the_same_split(self, proved_demo, seed):
+        db, again = proved_demo
+        for repo_id in db.repo_ids:
+            splits = [
+                d.generate_dataset([repo_id], seed=seed, val_frac=0.2, test_frac=0.2).split
+                for d in (db, again)
+            ]
+            for part, part_again in zip(*splits, strict=True):
+                assert dump_theorems(part_again) == dump_theorems(part)
+
+    def test_reloaded_database_builds_the_same_curriculum(self, proved_demo):
+        db, again = proved_demo
+        assert build_curriculum(again) == build_curriculum(db)
+
+    def test_difficulties_are_derived_not_stored(self, proved_demo):
+        db, _ = proved_demo
+        doc = db.to_json()
+        assert doc["format_version"] == 2
+        for raw, rec in zip(doc["repositories"], db.repositories, strict=True):
+            assert "difficulty_cache" not in raw
+            assert [t["status"] for t in raw["theorems"]] == [t.status for t in rec.theorems]
+        gated = next(t for rec in db.repositories for t in rec.theorems
+                     if t.full_name == GATED_THEOREM)
+        owner = next(rec for rec in db.repositories if gated in rec.theorems)
+        assert owner.difficulty_cache[gated.key].steps == 2
+
+    @pytest.mark.parametrize("version", [1, None, 3, "2"])
+    def test_other_format_versions_are_rejected(self, proved_demo, version):
+        doc = proved_demo[0].to_json()
+        doc.pop("format_version")
+        if version is not None:
+            doc["format_version"] = version
+        with pytest.raises(CorruptDocument, match=f"format {version!r}, not"):
+            DynamicDatabase.from_json(doc)
+
+
+_TEXT = st.text(alphabet="ab∀⊢→ℕ_. ", max_size=8)
+
+
+@st.composite
+def theorem_lists(draw):
+    names = draw(st.lists(_TEXT, max_size=6, unique=True))
+    theorems = []
+    for name in names:
+        status = draw(st.sampled_from(THEOREM_STATUSES))
+        stepped = status != "sorry_unproven" and draw(st.booleans())
+        proof = draw(st.none() | st.lists(_TEXT, max_size=3).map(tuple))
+        theorems.append(theorem(
+            name, path="lib/base.lean", statement=draw(_TEXT), status=status,
+            tactics=(tactic("base.x"),) if stepped else (), proof=proof,
+        ))
+    return theorems
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.lists(theorem_lists(), min_size=1, max_size=3))
+def test_round_trip_keeps_theorem_order_and_is_a_fixed_point(theorem_lists):
+    db = DynamicDatabase([make_repo(url=f"fixture://r{i}", theorems=thms)
+                          for i, thms in enumerate(theorem_lists)])
+    text = db.dumps()
+    again = DynamicDatabase.from_json(json.loads(text))
+    assert [[t.key for t in rec.theorems] for rec in again.repositories] == \
+        [[t.key for t in thms] for thms in theorem_lists]
+    assert again.repositories == db.repositories
+    assert again.dumps() == text

@@ -18,7 +18,6 @@ from proverloop.metrics import (
     matrix_to_csv,
     normalize_metrics,
     read_matrix,
-    tpps,
     validation_from_csv,
     validation_to_csv,
     windowed_forgetting,
@@ -252,29 +251,6 @@ class TestNormalizationAndComposite:
     def test_no_setups_rejected(self):
         with pytest.raises(TooFewTasks):
             composite_score({})
-
-
-class TestTpps:
-    def test_smoothing_and_weighting(self):
-        got = tpps(baseline_proved=85, newly_proved=14, x=10.0)
-        assert got.agent == 226.0
-        assert got.baseline == 86.0
-        assert got.factor == pytest.approx(226.0 / 86.0, abs=1e-12)
-
-    def test_nothing_proved_anywhere_is_parity(self):
-        assert tpps(0, 0, 10.0).factor == 1.0
-
-    def test_first_proof_against_an_empty_baseline(self):
-        got = tpps(0, 1, 10.0)
-        assert (got.agent, got.baseline, got.factor) == (11.0, 1.0, 11.0)
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            tpps(-1, 0, 10.0)
-        with pytest.raises(ValueError):
-            tpps(0, -1, 10.0)
-        with pytest.raises(ValueError):
-            tpps(0, 0, 0.5)
 
 
 class TestCsv:

@@ -9,6 +9,7 @@ from proverloop.corpus import STATUS_SORRY_PROVEN
 from proverloop.database import MERGE_ALL, SINGLE_REPO, DynamicDatabase
 from proverloop.errors import CorruptDocument, IoFailure, PipelineError
 from proverloop.fixtures import write_bundled
+from proverloop.metrics import composite_score
 from proverloop.pipeline import (
     ProofAttempt,
     RunConfig,
@@ -112,6 +113,21 @@ class TestOverrideConfig:
         assert cfg.ewc_lambda == 0.5
         assert cfg.out_dir == Path("elsewhere").resolve()
 
+    def test_closed_ends_of_the_ranges_are_accepted(self):
+        cfg = override_config(self.base(), clip_norm=0.0, ewc_lambda=0.0,
+                              retrieval_fraction=1.0, warmup_steps=0,
+                              candidates=1, retrieval_max=1)
+        assert (cfg.clip_norm, cfg.ewc_lambda, cfg.retrieval_fraction) == (0.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("key, value", [
+        ("lr", 0.0), ("lr", float("inf")), ("init_scale", 0.0), ("time_budget_ms", 0.0),
+        ("val_frac", 0.0), ("test_frac", 1.0), ("retrieval_fraction", 0.0),
+        ("clip_norm", float("nan")), ("ewc_lambda", float("inf")), ("warmup_steps", -1),
+    ])
+    def test_open_ends_and_non_finite_values_are_rejected(self, key, value):
+        with pytest.raises(CorruptDocument, match=key):
+            override_config(self.base(), **{key: value})
+
 
 @pytest.fixture(scope="module")
 def bundle(tmp_path_factory):
@@ -169,9 +185,10 @@ class TestRunPipeline:
         raw = report.metric_report.to_json()
         assert set(raw) == {"wf5", "fm", "cfr", "ebwt", "wp5", "ip"}
         assert all(isinstance(v, float) for v in raw.values())
-        # a single setup min-max normalizes to the midpoint everywhere
-        assert report.composite == pytest.approx(0.5)
-        assert set(report.normalized) == {"run"}
+        # a single setup min-max normalizes to the midpoint everywhere, so
+        # the run reports no composite of its own
+        assert composite_score({"run": report.metric_report}) == {"run": pytest.approx(0.5)}
+        assert not hasattr(report, "composite") and not hasattr(report, "normalized")
 
     def test_report_files_and_artifacts_exist(self, finished_run):
         config, report = finished_run
@@ -198,10 +215,11 @@ class TestRunPipeline:
         assert doc["window"] == 5
         assert doc["strategy"] == SINGLE_REPO
         assert doc["seed"] == config.seed
-        assert doc["composite"] == pytest.approx(0.5)
         assert len(doc["average_test_curve"]) == 3
         assert doc["validation"] == report.validation
-        assert set(doc["normalized"]) == {"wf5", "fm", "cfr", "ebwt", "wp5", "ip"}
+        assert set(doc["raw"]) == {"wf5", "fm", "cfr", "ebwt", "wp5", "ip"}
+        assert set(doc) == {"window", "strategy", "seed", "raw", "average_test_curve",
+                            "validation"}
 
     def test_training_proves_open_goals_and_records_them(self, finished_run):
         config, report = finished_run
@@ -268,7 +286,6 @@ class TestRunPipeline:
             config=report.config, thresholds=report.thresholds,
             curriculum=report.curriculum, matrix_rows=report.matrix_rows,
             validation=report.validation, metric_report=report.metric_report,
-            normalized=report.normalized, composite=report.composite,
         )
         emit_reports(bare, tmp_path / "bare")
         doc = json.loads((tmp_path / "bare" / "proofs.json").read_text(encoding="utf-8"))

@@ -7,7 +7,7 @@ import pytest
 
 from proverloop.errors import CorruptDocument, IoFailure
 from proverloop.retriever import Checkpoint, EmbeddingModel
-from proverloop.storage import read_json, read_text, write_atomic
+from proverloop.storage import dump_json, read_json, read_text, write_atomic
 
 
 def checkpoint(seed):
@@ -45,6 +45,13 @@ class TestWriteAtomic:
         with pytest.raises(IoFailure):
             write_atomic(tmp_path / "taken", "x")
         assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+
+def test_dump_json_sorts_keys_and_keeps_utf8_text(tmp_path):
+    text = dump_json({"b": ["∀ x, x ≤ x"], "a": 1})
+    assert text == '{\n  "a": 1,\n  "b": [\n    "∀ x, x ≤ x"\n  ]\n}\n'
+    write_atomic(tmp_path / "doc.json", text)
+    assert read_json(tmp_path / "doc.json", "doc") == {"a": 1, "b": ["∀ x, x ≤ x"]}
 
 
 class TestReads:
