@@ -413,6 +413,11 @@ def theorem_from_json(obj: object) -> Theorem:
         if start > end:
             raise InvalidRecord("theorem start must not follow its end")
         proof = obj.get("proof")
+        if proof is None:
+            if resolved == STATUS_SORRY_PROVEN:
+                raise InvalidRecord("a proved sorry must carry its proof")
+        elif not isinstance(proof, list) or not all(isinstance(t, str) for t in proof):
+            raise InvalidRecord("proof must be a list of tactic strings")
         return Theorem(
             url=str(obj["url"]),
             commit=str(obj["commit"]),

@@ -212,7 +212,8 @@ def batch_loss_and_grad(
     """
     if not batch:
         raise EmptyDataset("empty batch")
-    phi = np.stack([ngram_features(t, model.n_features) for ex in batch for t in ex.texts()])
+    phi = np.stack([ngram_features(t, model.n_features) for ex in batch for t in ex.texts()],
+                   dtype=np.float64)  # both products below then run in float64
     e, norms = _unit_rows(phi @ model.weight.T)
 
     n_cand = np.array([1 + len(ex.negatives) for ex in batch])
@@ -330,6 +331,13 @@ class EmbeddingIndex:
     def __post_init__(self) -> None:
         self.row_of = {k: i for i, k in enumerate(self.keys)}
 
+    def rows_of(self, premises: list[Premise]) -> np.ndarray:
+        """The row of each premise, in the order given."""
+        try:
+            return np.array([self.row_of[p.key] for p in premises], dtype=np.intp)
+        except KeyError as e:
+            raise StaleIndex(f"premise {e.args[0]!r} missing from index") from e
+
 
 def precompute_embeddings(model: EmbeddingModel, corpus: Corpus) -> EmbeddingIndex:
     premises = corpus.all_premises()
@@ -362,9 +370,20 @@ def extract_eval_pairs(theorems: list[Theorem], corpus: Corpus) -> list[EvalPair
     return pairs
 
 
-def rank_by_similarity(sims: np.ndarray, rows: np.ndarray | list[int]) -> np.ndarray:
-    """Positions of sims by descending similarity, ties by ascending row."""
-    return np.lexsort((rows, -sims))
+def rank_by_similarity(sims: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
+    """The first k positions of sims by descending similarity, ties by
+    ascending row: np.lexsort((rows, -sims))[:k], sorting only what is kept.
+
+    Every position at or above the k-th largest similarity is kept, so a tie
+    at the cut is still broken by row.
+    """
+    neg = -sims
+    if 0 < k < len(neg):
+        cut = np.partition(neg, k - 1)[k - 1]
+        if not np.isnan(cut):  # NaNs sort last; a NaN cut leaves fewer than k numbers
+            kept = np.flatnonzero(neg <= cut)
+            return kept[np.lexsort((rows[kept], neg[kept]))][:k]
+    return np.lexsort((rows, neg))[:k]
 
 
 def recall_at_k(
@@ -385,12 +404,14 @@ def recall_at_k(
         )
     if not eval_pairs:
         raise EmptyGroundTruth("no evaluation pairs")
-    rows = np.arange(len(index.keys))
-    total = 0.0
     for state, gt in eval_pairs:
         if not gt:
             raise EmptyGroundTruth(f"empty ground truth for state {state!r}")
-        top = rank_by_similarity(index.matrix @ model.embed(state), rows)[:k]
+    rows = np.arange(len(index.keys))
+    queries = model.embed_many([state for state, _ in eval_pairs])
+    total = 0.0
+    for (_, gt), q in zip(eval_pairs, queries):
+        top = rank_by_similarity(index.matrix @ q, rows, k)
         total += len(gt.intersection(index.keys[i] for i in top)) / len(gt)
     return total / len(eval_pairs)
 

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Protocol
 
+import numpy as np
+
 from .corpus import Corpus, Premise, Theorem
 from .errors import (
     CorruptDocument,
@@ -119,11 +121,15 @@ def retrieve_premises(
     accessible: list[Premise],
     fraction: float = 0.25,
     max_n: int = 100,
+    rows: np.ndarray | None = None,
+    embeddings: np.ndarray | None = None,
 ) -> list[Premise]:
     """Top premises by cosine similarity among the accessible ones.
 
     Keeps ceil(fraction * N) of the N accessible premises, then at most
-    max_n. Ties break by ascending premise key.
+    max_n. Ties break by ascending premise key. A search passes rows =
+    index.rows_of(accessible) and embeddings = index.matrix[rows], computed
+    once for all of a goal's states.
     """
     if not accessible:
         return []
@@ -131,15 +137,13 @@ def retrieve_premises(
         raise StaleIndex(
             f"index built at {index.version_hash}, model is {model.version_hash}"
         )
-    rows = []
-    for p in accessible:
-        row = index.row_of.get(p.key)
-        if row is None:
-            raise StaleIndex(f"premise {p.key!r} missing from index")
-        rows.append(row)
-    order = rank_by_similarity(index.matrix[rows] @ model.embed(state), rows)
+    if rows is None:
+        rows = index.rows_of(accessible)
+    if embeddings is None:
+        embeddings = index.matrix[rows]
     keep = min(max_n, math.ceil(fraction * len(accessible)))
-    return [accessible[i] for i in order[:keep]]
+    order = rank_by_similarity(embeddings @ model.embed(state), rows, keep)
+    return [accessible[i] for i in order]
 
 
 # -- table-backed fixtures -----------------------------------------------------

@@ -234,6 +234,9 @@ class TestErrorContract:
         (lambda: theorem_with(start=["a", 1]), InvalidRecord),
         (lambda: theorem_with(traced_tactics=5), InvalidRecord),
         (lambda: theorem_with(proof=5), InvalidRecord),
+        (lambda: theorem_with(status="sorry_proven", proof="rfl"), InvalidRecord),
+        (lambda: theorem_with(status="sorry_proven", proof=["rfl", 5]), InvalidRecord),
+        (lambda: theorem_with(status="sorry_proven"), InvalidRecord),
         (lambda: DynamicDatabase.from_json({"repositories": [{"theorems": []}]}),
          CorruptDocument),
         (lambda: TableFixture.from_json({"initial": [], "edges": []}), CorruptDocument),
@@ -242,7 +245,8 @@ class TestErrorContract:
         (lambda: database_with(theorems={}), CorruptDocument),
         (lambda: database_with(theorems=5), CorruptDocument),
         (lambda: database_with(theorems=[5]), CorruptDocument),
-    ], ids=["start-short", "start-text", "tactics-int", "proof-int", "db-theorems-list",
+    ], ids=["start-short", "start-text", "tactics-int", "proof-int", "proof-string",
+            "proof-entry-int", "sorry-proven-without-proof", "db-theorems-list",
             "table-initial-list", "db-format-1", "db-theorems-dict", "db-theorems-int",
             "db-theorems-non-object"])
     def test_malformed_documents_raise_package_errors(self, parse, expected):

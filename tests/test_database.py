@@ -323,7 +323,8 @@ def theorem_lists(draw):
     for name in names:
         status = draw(st.sampled_from(THEOREM_STATUSES))
         stepped = status != "sorry_unproven" and draw(st.booleans())
-        proof = draw(st.none() | st.lists(_TEXT, max_size=3).map(tuple))
+        proofs = st.lists(_TEXT, max_size=3).map(tuple)
+        proof = draw(proofs if status == "sorry_proven" else st.none() | proofs)
         theorems.append(theorem(
             name, path="lib/base.lean", statement=draw(_TEXT), status=status,
             tactics=(tactic("base.x"),) if stepped else (), proof=proof,

@@ -23,6 +23,7 @@ from proverloop.pipeline import (
     prove_standalone,
     run_pipeline,
 )
+from proverloop.retriever import Checkpoint, EmbeddingIndex, EmbeddingModel
 from proverloop.search import TableEnvironment, replay_proof
 
 REPORT_FILES = ("matrix.csv", "validation.csv", "metrics.json",
@@ -309,6 +310,21 @@ class TestTrainThenProve:
             record = db.get_repository(attempt.repo_id)
             thm = next(t for t in record.theorems if t.key_str == attempt.theorem)
             assert thm.status == STATUS_SORRY_PROVEN
+
+    def test_premise_rows_are_resolved_once_per_goal(self, bundle, tmp_path, monkeypatch):
+        config = override_config(parse_config(bundle / "run.cfg"),
+                                 out_dir=tmp_path / "rows_once")
+        Checkpoint(model=EmbeddingModel.random_init(
+            dim=config.embedding_dim, n_features=config.feature_buckets,
+            seed=config.seed, scale=config.init_scale,
+        )).save(tmp_path / "untrained.ckpt")
+        resolved = []
+        rows_of = EmbeddingIndex.rows_of
+        monkeypatch.setattr(EmbeddingIndex, "rows_of", lambda index, premises: (
+            resolved.append(len(premises)) or rows_of(index, premises)))
+        _, attempts = prove_standalone(config, tmp_path / "untrained.ckpt")
+        expansions = sum(a.result.expansions for a in attempts)
+        assert len(resolved) == len(attempts) < expansions
 
     def test_missing_checkpoint_is_a_stage_failure(self, bundle, tmp_path):
         config = override_config(parse_config(bundle / "run.cfg"),

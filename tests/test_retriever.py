@@ -8,6 +8,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     contrastive_loss,
@@ -44,6 +46,7 @@ from proverloop.retriever import (
     mine_training_examples,
     ngram_features,
     precompute_embeddings,
+    rank_by_similarity,
     recall_at_k,
     train_one_epoch,
 )
@@ -436,6 +439,23 @@ class TestIndexAndRecall:
         for key, row in index.row_of.items():
             assert np.array_equal(index.matrix[row], m.embed(corpus.premise(key).text))
 
+    def test_rows_of_follows_the_given_order(self):
+        corpus = tiny_corpus(n=5)
+        m = EmbeddingModel.random_init(dim=4, n_features=64, seed=0)
+        index = precompute_embeddings(m, corpus)
+        premises = corpus.all_premises()[::-1]
+        rows = index.rows_of(premises)
+        assert [index.keys[r] for r in rows] == [p.key for p in premises]
+        assert index.rows_of([]).shape == (0,)
+
+    def test_rows_of_an_unindexed_premise_raises_stale_index(self):
+        corpus = tiny_corpus(n=3)
+        m = EmbeddingModel.random_init(dim=4, n_features=64, seed=0)
+        index = precompute_embeddings(m, corpus)
+        stranger = corpus_of(pfile("lib/ghost.lean", names=("ghost.p",))).all_premises()
+        with pytest.raises(StaleIndex, match="ghost"):
+            index.rows_of(corpus.all_premises() + stranger)
+
     def test_recall_after_retraining_raises_stale_index(self):
         corpus = tiny_corpus(n=4)
         old = EmbeddingModel.random_init(dim=4, n_features=64, seed=0)
@@ -515,6 +535,26 @@ class TestIndexAndRecall:
             recall_at_k(m, index, [], k=10)
         with pytest.raises(EmptyGroundTruth):
             recall_at_k(m, index, [("s", frozenset())], k=10)
+
+
+# few distinct values, so most rankings have ties, some of them at the cut
+TIED_SIMS = (-1.0, -0.25, -0.0, 0.0, 0.5, 1.0, math.nan)
+
+
+@st.composite
+def tied_rankings(draw):
+    sims = draw(st.lists(st.sampled_from(TIED_SIMS), min_size=1, max_size=40))
+    rows = draw(st.permutations(range(len(sims))))
+    return np.array(sims), np.array(rows)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(tied_rankings())
+def test_top_k_ranking_is_the_prefix_of_the_full_sort(ranking):
+    sims, rows = ranking
+    full = np.lexsort((rows, -sims))
+    for k in range(1, len(sims) + 2):
+        assert rank_by_similarity(sims, rows, k).tolist() == full[:k].tolist()
 
 
 def make_task(corpus, examples, pairs, name="unit"):

@@ -152,6 +152,26 @@ class TestRetrievePremises:
                                 fraction=0.25, max_n=100)
         assert [p.full_name for p in got] == ["pool.p0", "pool.p1"]
 
+    def test_ties_keep_ascending_key_order_whatever_the_accessible_order(self):
+        corpus, _, _ = self.setup_index(n=8)
+        w = np.zeros((4, 64))
+        w[0, 0] = 1.0
+        flat_model = EmbeddingModel(weight=w)  # every similarity ties exactly
+        index = precompute_embeddings(flat_model, corpus)
+        accessible = sorted(corpus.all_premises(), key=lambda p: p.key, reverse=True)
+        got = retrieve_premises(flat_model, index, "⊢ q", accessible,
+                                fraction=0.5, max_n=100)
+        assert [p.key for p in got] == sorted(p.key for p in accessible)[:4]
+
+    def test_rows_and_embeddings_resolved_once_give_the_same_premises(self):
+        corpus, model, index = self.setup_index(n=8)
+        accessible = corpus.all_premises()[::-1]
+        rows = index.rows_of(accessible)
+        for state in ("⊢ q", "⊢ p ∧ q", ""):
+            assert retrieve_premises(model, index, state, accessible, fraction=0.5,
+                                     rows=rows, embeddings=index.matrix[rows]) == \
+                retrieve_premises(model, index, state, accessible, fraction=0.5)
+
     def test_model_index_version_mismatch(self):
         corpus, model, index = self.setup_index()
         other = EmbeddingModel.random_init(dim=8, n_features=256, seed=2)

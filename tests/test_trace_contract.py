@@ -69,6 +69,13 @@ def test_wrapped_layers_were_called(traced_demo):
         assert metrics[name] > 0, name
 
 
+def test_every_expansion_retrieves_through_the_wrapped_name(traced_demo):
+    # retrieval that bypasses search.retrieve_premises would read 0 calls here
+    # and quietly zero search.retrieve_ms_p50
+    _, _, metrics, _ = traced_demo
+    assert metrics["search.retrieval_calls"] == metrics["search.expansions"]
+
+
 def test_featurizing_goes_through_the_cached_name(traced_demo):
     # a featurizer that bypasses retriever.ngram_features would read 0 here
     _, _, metrics, _ = traced_demo
