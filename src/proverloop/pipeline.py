@@ -371,13 +371,10 @@ def _prove_repo(
     )
     for theorem in sorries:
         accessible = accessible_premises(graph, corpus, theorem)
-        rows = index.rows_of(accessible)
-        embeddings = index.matrix[rows]  # held for this goal's search only
-        retrieval_fn = lambda state, _acc=accessible, _rows=rows, _emb=embeddings: (
-            retrieve_premises(
-                checkpoint.model, index, state, _acc, fraction=config.retrieval_fraction,
-                max_n=config.retrieval_max, rows=_rows, embeddings=_emb,
-            )
+        rows = index.rows_of(accessible)  # held for this goal's search only
+        retrieval_fn = lambda state, _acc=accessible, _rows=rows: retrieve_premises(
+            checkpoint.model, index, state, _acc, fraction=config.retrieval_fraction,
+            max_n=config.retrieval_max, rows=_rows,
         )
         clock = None if config.wall_clock else TickClock()
         result = best_first_search(

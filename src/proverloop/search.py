@@ -122,14 +122,12 @@ def retrieve_premises(
     fraction: float = 0.25,
     max_n: int = 100,
     rows: np.ndarray | None = None,
-    embeddings: np.ndarray | None = None,
 ) -> list[Premise]:
     """Top premises by cosine similarity among the accessible ones.
 
     Keeps ceil(fraction * N) of the N accessible premises, then at most
     max_n. Ties break by ascending premise key. A search passes rows =
-    index.rows_of(accessible) and embeddings = index.matrix[rows], computed
-    once for all of a goal's states.
+    index.rows_of(accessible), resolved once for all of a goal's states.
     """
     if not accessible:
         return []
@@ -139,10 +137,8 @@ def retrieve_premises(
         )
     if rows is None:
         rows = index.rows_of(accessible)
-    if embeddings is None:
-        embeddings = index.matrix[rows]
     keep = min(max_n, math.ceil(fraction * len(accessible)))
-    order = rank_by_similarity(embeddings @ model.embed(state), rows, keep)
+    order = rank_by_similarity(index.matrix[rows] @ model.embed(state), rows, keep)
     return [accessible[i] for i in order]
 
 

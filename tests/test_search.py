@@ -163,13 +163,13 @@ class TestRetrievePremises:
                                 fraction=0.5, max_n=100)
         assert [p.key for p in got] == sorted(p.key for p in accessible)[:4]
 
-    def test_rows_and_embeddings_resolved_once_give_the_same_premises(self):
+    def test_rows_resolved_once_give_the_same_premises(self):
         corpus, model, index = self.setup_index(n=8)
         accessible = corpus.all_premises()[::-1]
         rows = index.rows_of(accessible)
         for state in ("⊢ q", "⊢ p ∧ q", ""):
             assert retrieve_premises(model, index, state, accessible, fraction=0.5,
-                                     rows=rows, embeddings=index.matrix[rows]) == \
+                                     rows=rows) == \
                 retrieve_premises(model, index, state, accessible, fraction=0.5)
 
     def test_model_index_version_mismatch(self):
