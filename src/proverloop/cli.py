@@ -11,7 +11,7 @@ from .fixtures import BUNDLED_SEED, write_bundled
 from .metrics import composite_score, compute_report, normalize_metrics, read_matrix
 from .pipeline import (
     build_curriculum,
-    check_at_least,
+    check_within,
     curriculum_json,
     ingest_fixtures,
     override_config,
@@ -100,7 +100,7 @@ def _cmd_prove(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    check_at_least("window", args.window, 2)
+    check_within("window", args.window, "[2, inf)")
     setups = list(args.setup or [])
     if args.matrix or args.validation:
         if not (args.matrix and args.validation):

@@ -121,6 +121,10 @@ class DegenerateCurve(ProverloopError):
     pass
 
 
+class InvalidMatrix(ProverloopError, ValueError):
+    pass
+
+
 # -- orchestrator ----------------------------------------------------------
 
 class PipelineError(ProverloopError):

@@ -13,13 +13,11 @@ Everything here is deterministic. The bundled curriculum is built so that
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .corpus import (
-    Corpus,
     KIND_DEFINITION,
     KIND_THEOREM_LIKE,
     Premise,
@@ -30,13 +28,12 @@ from .corpus import (
     Theorem,
     TracedTactic,
     corpus_from_files,
-    dump_theorems,
-    serialize_corpus,
 )
-from .database import EPOCH, RepositoryRecord
+from .database import RepositoryRecord
+from .pipeline import write_fixture_dir
 from .retriever import EmbeddingModel, RetrievalTask, TrainingExample
 from .search import GOAL, TableFixture, _Edge
-from .storage import dump_json, write_atomic
+from .storage import write_atomic
 
 GATE_PREMISE = "core.chain_lift"
 GATE_STATE = "⊢ lift the chain to the stable frame"
@@ -135,38 +132,7 @@ def _theorem(
     )
 
 
-@dataclass
-class RepoFixture:
-    name: str
-    url: str
-    commit: str
-    date_added: str
-    toolchain_version: str
-    files: list[PremiseFile]
-    theorems: list[Theorem]
-    environment: TableFixture
-
-    @property
-    def repo_id(self) -> str:
-        return f"{self.url}@{self.commit}"
-
-    def corpus(self) -> Corpus:
-        return corpus_from_files(self.files)
-
-    def record(self) -> RepositoryRecord:
-        return RepositoryRecord(
-            url=self.url,
-            commit=self.commit,
-            name=self.name,
-            date_added=self.date_added,
-            toolchain_version=self.toolchain_version,
-            theorems=list(self.theorems),
-            premise_files=list(self.files),
-            traced_file_paths=[f.path for f in self.files],
-        )
-
-
-def repo_algebra() -> RepoFixture:
+def repo_algebra() -> tuple[RepositoryRecord, TableFixture]:
     url, commit = "fixture://repos/algebra", "aaa1111"
     path = _ALG_PATH
     mk = lambda name, statement, line, steps, status=STATUS_PROVEN: _theorem(
@@ -213,14 +179,15 @@ def repo_algebra() -> RepoFixture:
             _Edge("a_goal1", "finish", -0.2, GOAL),
         ],
     )
-    return RepoFixture(
-        name="algebra-warmup", url=url, commit=commit,
+    files = [_core_file(), _alg_file()]
+    return RepositoryRecord(
+        url=url, commit=commit, name="algebra-warmup",
         date_added="2025-01-10T00:00:00Z", toolchain_version="v4.8.0",
-        files=[_core_file(), _alg_file()], theorems=theorems, environment=env,
-    )
+        theorems=theorems, premise_files=files, traced_file_paths=[f.path for f in files],
+    ), env
 
 
-def repo_number() -> RepoFixture:
+def repo_number() -> tuple[RepositoryRecord, TableFixture]:
     url, commit = "fixture://repos/number", "bbb2222"
     path = _NUM_PATH
     mk = lambda name, statement, line, steps, status=STATUS_PROVEN: _theorem(
@@ -293,14 +260,15 @@ def repo_number() -> RepoFixture:
             _Edge("b_dead1", "spin again", -0.5, "b_dead0"),
         ],
     )
-    return RepoFixture(
-        name="number-midway", url=url, commit=commit,
+    files = [_core_file(), _num_file()]
+    return RepositoryRecord(
+        url=url, commit=commit, name="number-midway",
         date_added="2025-02-15T00:00:00Z", toolchain_version="v4.8.0",
-        files=[_core_file(), _num_file()], theorems=theorems, environment=env,
-    )
+        theorems=theorems, premise_files=files, traced_file_paths=[f.path for f in files],
+    ), env
 
 
-def repo_topology() -> RepoFixture:
+def repo_topology() -> tuple[RepositoryRecord, TableFixture]:
     url, commit = "fixture://repos/topology", "ccc3333"
     path = _TOPO_PATH
     mk = lambda name, statement, line, steps, status=STATUS_PROVEN: _theorem(
@@ -336,15 +304,12 @@ def repo_topology() -> RepoFixture:
             _Edge("c_goal1", "stall", -2.0, "c_goal1b"),
         ],
     )
-    return RepoFixture(
-        name="topology-tail", url=url, commit=commit,
+    files = [_core_file(), _topo_file()]
+    return RepositoryRecord(
+        url=url, commit=commit, name="topology-tail",
         date_added="2025-03-20T00:00:00Z", toolchain_version="v4.9.0",
-        files=[_core_file(), _topo_file()], theorems=theorems, environment=env,
-    )
-
-
-def bundled_fixtures() -> list[RepoFixture]:
-    return [repo_algebra(), repo_number(), repo_topology()]
+        theorems=theorems, premise_files=files, traced_file_paths=[f.path for f in files],
+    ), env
 
 
 BUNDLED_CONFIG = """\
@@ -380,27 +345,12 @@ wall_clock = false
 BUNDLED_SEED = 16
 
 
-def write_fixture_dir(fixture: RepoFixture, out_dir: str | Path) -> None:
-    out = Path(out_dir)
-    write_atomic(out / "repo.json", dump_json({
-        "url": fixture.url,
-        "commit": fixture.commit,
-        "name": fixture.name,
-        "date_added": fixture.date_added,
-        "toolchain_version": fixture.toolchain_version,
-    }))
-    write_atomic(out / "corpus.jsonl", serialize_corpus(fixture.corpus()))
-    write_atomic(out / "theorems.json", dump_theorems(fixture.theorems))
-    fixture.environment.save(out / "environment.json")
-
-
 def write_bundled(out_dir: str | Path, seed: int = BUNDLED_SEED) -> list[Path]:
     """Materialize the three-repo curriculum plus a ready run config."""
     out = Path(out_dir)
-    dirs = []
-    for fixture, sub in zip(bundled_fixtures(), ("repo_algebra", "repo_number", "repo_topology")):
-        write_fixture_dir(fixture, out / sub)
-        dirs.append(out / sub)
+    dirs = [out / sub for sub in ("repo_algebra", "repo_number", "repo_topology")]
+    for (record, environment), sub in zip((repo_algebra(), repo_number(), repo_topology()), dirs):
+        write_fixture_dir(record, environment, sub)
     write_atomic(out / "run.cfg", BUNDLED_CONFIG.format(seed=seed))
     return dirs
 

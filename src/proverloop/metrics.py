@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
-from .errors import CorruptDocument, DegenerateCurve, TooFewTasks
+from .errors import CorruptDocument, DegenerateCurve, InvalidMatrix, TooFewTasks
 from .storage import read_text
 
 METRIC_NAMES = ("wf5", "fm", "cfr", "ebwt", "wp5", "ip")
@@ -50,12 +50,12 @@ class PerformanceMatrix:
     def __post_init__(self) -> None:
         for k, row in enumerate(self.rows):
             if len(row) != k + 1:
-                raise ValueError(f"row {k + 1} must have {k + 1} entries, has {len(row)}")
+                raise InvalidMatrix(f"row {k + 1} must have {k + 1} entries, has {len(row)}")
             for x in row:
                 if not 0.0 <= x <= 100.0:
-                    raise ValueError(f"recall {x} outside [0, 100]")
+                    raise InvalidMatrix(f"recall {x} outside [0, 100]")
         if len(self.validation) != len(self.rows):
-            raise ValueError(
+            raise InvalidMatrix(
                 f"validation series has {len(self.validation)} entries "
                 f"for {len(self.rows)} tasks"
             )
@@ -221,27 +221,35 @@ def matrix_to_csv(rows: list[list[float]]) -> str:
     return buf.getvalue()
 
 
-def matrix_from_csv(text: str) -> list[list[float]]:
+def _read_cells(text: str, what: str, header: list[str]) -> dict[tuple[int, ...], float]:
+    """The data rows of a CSV under the given header, each a key of integer
+    columns and a final float value; every key appears once."""
     reader = csv.reader(io.StringIO(text))
     try:
-        header = next(reader)
+        found = next(reader)
     except StopIteration:
-        raise CorruptDocument("empty matrix CSV") from None
-    if [h.strip() for h in header] != ["after_task", "eval_task", "r10"]:
-        raise CorruptDocument(f"unexpected matrix header {header!r}")
-    cells: dict[tuple[int, int], float] = {}
+        raise CorruptDocument(f"empty {what} CSV") from None
+    if [h.strip() for h in found] != header:
+        raise CorruptDocument(f"unexpected {what} header {found!r}")
+    width = len(header) - 1
+    cells: dict[tuple[int, ...], float] = {}
     for line in reader:
         if not line:
             continue
         try:
-            k, i, value = int(line[0]), int(line[1]), float(line[2])
+            key, value = tuple(int(x) for x in line[:width]), float(line[width])
         except (IndexError, ValueError) as e:
-            raise CorruptDocument(f"bad matrix row {line!r}") from e
-        if (k, i) in cells:
-            raise CorruptDocument(f"duplicate matrix cell ({k}, {i})")
-        cells[(k, i)] = value
+            raise CorruptDocument(f"bad {what} row {line!r}") from e
+        if key in cells:
+            raise CorruptDocument(f"duplicate {what} row {','.join(map(str, key))}")
+        cells[key] = value
     if not cells:
-        raise CorruptDocument("matrix CSV has no data rows")
+        raise CorruptDocument(f"{what} CSV has no data rows")
+    return cells
+
+
+def matrix_from_csv(text: str) -> list[list[float]]:
+    cells = _read_cells(text, "matrix", ["after_task", "eval_task", "r10"])
     t = max(k for k, _ in cells)
     rows = []
     for k in range(1, t + 1):
@@ -266,26 +274,8 @@ def validation_to_csv(validation: list[float]) -> str:
 
 
 def validation_from_csv(text: str) -> list[float]:
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise CorruptDocument("empty validation CSV") from None
-    if [h.strip() for h in header] != ["task", "val_r10"]:
-        raise CorruptDocument(f"unexpected validation header {header!r}")
-    by_task: dict[int, float] = {}
-    for line in reader:
-        if not line:
-            continue
-        try:
-            k, value = int(line[0]), float(line[1])
-        except (IndexError, ValueError) as e:
-            raise CorruptDocument(f"bad validation row {line!r}") from e
-        if k in by_task:
-            raise CorruptDocument(f"duplicate validation task {k}")
-        by_task[k] = value
-    if not by_task:
-        raise CorruptDocument("validation CSV has no data rows")
+    cells = _read_cells(text, "validation", ["task", "val_r10"])
+    by_task = {k: value for (k,), value in cells.items()}
     t = max(by_task)
     if sorted(by_task) != list(range(1, t + 1)):
         raise CorruptDocument("validation tasks must be 1..T without gaps")

@@ -14,7 +14,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .corpus import corpus_from_files, load_theorems, parse_corpus
+from .corpus import corpus_from_files, dump_theorems, load_theorems, parse_corpus, serialize_corpus
 from .curriculum import (
     CategoryCounts,
     Thresholds,
@@ -24,6 +24,7 @@ from .curriculum import (
     order_repositories,
 )
 from .database import (
+    EPOCH,
     MERGE_ALL,
     SINGLE_REPO,
     DynamicDatabase,
@@ -101,16 +102,24 @@ class RunConfig:
     wall_clock: bool = False
 
     def __post_init__(self) -> None:
-        for key, least in (("seed", 0), ("feature_buckets", 2), ("embedding_dim", 1),
-                           ("batch_size", 1), ("window", 2), ("candidates", 1),
-                           ("retrieval_max", 1), ("warmup_steps", 0)):
-            check_at_least(key, getattr(self, key), least)
-        for key, interval in _FLOAT_BOUNDS:
+        try:
+            object.__setattr__(self, "strategy", parse_strategy(self.strategy))
+        except ValueError as e:
+            raise CorruptDocument(str(e)) from e
+        for key, interval in _RANGES:
             check_within(key, getattr(self, key), interval)
 
 
 # Every interval is open at infinity, so NaN and the infinities never pass.
-_FLOAT_BOUNDS = (
+_RANGES = (
+    ("seed", "[0, inf)"),
+    ("feature_buckets", "[2, inf)"),
+    ("embedding_dim", "[1, inf)"),
+    ("batch_size", "[1, inf)"),
+    ("window", "[2, inf)"),
+    ("candidates", "[1, inf)"),
+    ("retrieval_max", "[1, inf)"),
+    ("warmup_steps", "[0, inf)"),
     ("lr", "(0, inf)"),
     ("init_scale", "(0, inf)"),
     ("time_budget_ms", "(0, inf)"),
@@ -120,11 +129,6 @@ _FLOAT_BOUNDS = (
     ("clip_norm", "[0, inf)"),
     ("ewc_lambda", "[0, inf)"),
 )
-
-
-def check_at_least(key: str, value: int, least: int) -> None:
-    if value < least:
-        raise CorruptDocument(f"{key} must be at least {least}, got {value}")
 
 
 def check_within(key: str, value: float, interval: str) -> None:
@@ -157,11 +161,17 @@ def _opt_int(raw: str) -> int | None:
     return value if value > 0 else None
 
 
+# The parser for each RunConfig annotation a config value can take; the
+# annotations are strings under `from __future__ import annotations`.
+_PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool, "int | None": _opt_int}
+
+
 def parse_config(path: str | Path) -> RunConfig:
     """Read a `key = value` config file; paths resolve against its directory.
 
     Lines starting with # and blank lines are ignored. fixtures takes a
-    comma-separated list of repository fixture directories.
+    comma-separated list of repository fixture directories. Every other key
+    is a RunConfig field, parsed by its annotation.
     """
     cfg_path = Path(path)
     text = read_text(cfg_path, "config")
@@ -183,35 +193,14 @@ def parse_config(path: str | Path) -> RunConfig:
     )
     out_dir = (base / raw.pop("out", "out")).resolve()
 
-    parsers = {
-        "seed": int,
-        "strategy": parse_strategy,
-        "ewc_lambda": float,
-        "window": int,
-        "embedding_dim": int,
-        "feature_buckets": int,
-        "init_scale": float,
-        "lr": float,
-        "warmup_steps": int,
-        "batch_size": int,
-        "clip_norm": float,
-        "eval_every": _opt_int,
-        "val_frac": float,
-        "test_frac": float,
-        "retrieval_fraction": float,
-        "retrieval_max": int,
-        "candidates": int,
-        "time_budget_ms": float,
-        "max_expansions": _opt_int,
-        "prove_after": _parse_bool,
-        "wall_clock": _parse_bool,
-    }
+    annotations = {f.name: f.type for f in dataclasses.fields(RunConfig)}
     kwargs: dict = {}
     for key, value in raw.items():
-        if key not in parsers:
+        parser = _PARSERS.get(annotations.get(key))
+        if parser is None:
             raise CorruptDocument(f"unknown config key {key!r}")
         try:
-            kwargs[key] = parsers[key](value)
+            kwargs[key] = parser(value)
         except ValueError as e:
             raise CorruptDocument(f"bad config value for {key!r}: {e}") from e
     return RunConfig(fixture_dirs=fixture_dirs, out_dir=out_dir, **kwargs)
@@ -219,8 +208,6 @@ def parse_config(path: str | Path) -> RunConfig:
 
 def override_config(config: RunConfig, **overrides) -> RunConfig:
     provided = {k: v for k, v in overrides.items() if v is not None}
-    if "strategy" in provided:
-        provided["strategy"] = parse_strategy(provided["strategy"])
     if "out_dir" in provided:
         provided["out_dir"] = Path(provided["out_dir"]).resolve()
     return dataclasses.replace(config, **provided)
@@ -236,7 +223,24 @@ def _stage(name: str):
         raise PipelineError(name, e) from e
 
 
-# -- fixture loading ---------------------------------------------------------
+# -- fixture directories -----------------------------------------------------
+
+def write_fixture_dir(
+    record: RepositoryRecord, environment: TableFixture, out_dir: str | Path
+) -> None:
+    """Inverse of load_repo_fixture; traced files are the corpus's paths."""
+    out = Path(out_dir)
+    write_atomic(out / "repo.json", dump_json({
+        "url": record.url,
+        "commit": record.commit,
+        "name": record.name,
+        "date_added": record.date_added,
+        "toolchain_version": record.toolchain_version,
+    }))
+    write_atomic(out / "corpus.jsonl", serialize_corpus(corpus_from_files(record.premise_files)))
+    write_atomic(out / "theorems.json", dump_theorems(record.theorems))
+    environment.save(out / "environment.json")
+
 
 def load_repo_fixture(fixture_dir: str | Path) -> tuple[RepositoryRecord, TableFixture]:
     root = Path(fixture_dir)
@@ -251,7 +255,7 @@ def load_repo_fixture(fixture_dir: str | Path) -> tuple[RepositoryRecord, TableF
         url=str(meta["url"]),
         commit=str(meta["commit"]),
         name=str(meta.get("name", root.name)),
-        date_added=str(meta.get("date_added", "1970-01-01T00:00:00Z")),
+        date_added=str(meta.get("date_added", EPOCH)),
         toolchain_version=str(meta.get("toolchain_version", "")),
         theorems=theorems,
         premise_files=list(corpus.files),

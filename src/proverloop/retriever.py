@@ -520,6 +520,10 @@ class Checkpoint:
             raise CorruptDocument(f"checkpoint {path} fails its sha256 check")
         try:
             dim, n_features = int(header["dim"]), int(header["n_features"])
+            # the least embedding_dim and feature_buckets a RunConfig takes
+            for key, value, least in (("dim", dim, 1), ("n_features", n_features, 2)):
+                if value < least:
+                    raise ValueError(f"{key} must be in [{least}, inf), got {value}")
             history = header["history"]
             if not isinstance(history, list) or not all(isinstance(h, str) for h in history):
                 raise ValueError("history must be a list of task names")

@@ -3,6 +3,7 @@
 import json
 import shutil
 
+import numpy as np
 import pytest
 
 from helpers import theorem
@@ -11,6 +12,7 @@ from proverloop.corpus import theorem_from_json, theorem_to_json
 from proverloop.database import DynamicDatabase
 from proverloop.errors import CorruptDocument, InvalidRecord, ProverloopError
 from proverloop.metrics import matrix_to_csv, validation_to_csv
+from proverloop.retriever import Checkpoint, EmbeddingModel
 from proverloop.search import TableFixture
 
 
@@ -101,6 +103,21 @@ class TestRunAndMetrics:
         assert main(["metrics"]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("matrix, validation, reason", [
+        ("after_task,eval_task,r10\n1,1,80\n2,1,70\n2,2,150\n", [60.0, 70.0], "150"),
+        ("after_task,eval_task,r10\n1,1,80\n2,1,70\n2,2,nan\n", [60.0, 70.0], "nan"),
+        (matrix_to_csv([[80.0], [70.0, 90.0]]), [60.0], "1 entries for 2 tasks"),
+    ], ids=["recall-above-100", "recall-nan", "validation-short"])
+    def test_metrics_on_an_invalid_matrix_exits_two(self, tmp_path, capsys, matrix,
+                                                    validation, reason):
+        (tmp_path / "m.csv").write_text(matrix, encoding="utf-8")
+        (tmp_path / "v.csv").write_text(validation_to_csv(validation), encoding="utf-8")
+        assert main(["metrics", "--matrix", str(tmp_path / "m.csv"),
+                     "--validation", str(tmp_path / "v.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and reason in err
+        assert "Traceback" not in err
+
     def test_metrics_rejects_half_a_pair(self, tmp_path, capsys):
         (tmp_path / "m.csv").write_text(matrix_to_csv([[80.0]]), encoding="utf-8")
         assert main(["metrics", "--matrix", str(tmp_path / "m.csv")]) == 2
@@ -138,6 +155,15 @@ class TestTrainProveSplit:
                      "--checkpoint", str(ckpt)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "checkpoint" in err
+        assert "Traceback" not in err
+
+    def test_prove_with_a_one_bucket_checkpoint_exits_two(self, demo, tmp_path, capsys):
+        ckpt = tmp_path / "narrow.ckpt"
+        Checkpoint(model=EmbeddingModel(weight=np.zeros((4, 1)))).save(ckpt)
+        assert main(["prove", *cfg_args(demo, tmp_path / "out"),
+                     "--checkpoint", str(ckpt)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "n_features must be in [2, inf)" in err
         assert "Traceback" not in err
 
 

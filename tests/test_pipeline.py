@@ -1,5 +1,6 @@
 """Config parsing, fixture loading, and the end-to-end run."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 from proverloop.corpus import STATUS_SORRY_PROVEN
 from proverloop.database import MERGE_ALL, SINGLE_REPO, DynamicDatabase
 from proverloop.errors import CorruptDocument, IoFailure, PipelineError
-from proverloop.fixtures import write_bundled
+from proverloop.fixtures import repo_algebra, repo_number, repo_topology, write_bundled
 from proverloop.metrics import composite_score
 from proverloop.pipeline import (
     ProofAttempt,
@@ -22,6 +23,7 @@ from proverloop.pipeline import (
     parse_strategy,
     prove_standalone,
     run_pipeline,
+    write_fixture_dir,
 )
 from proverloop.retriever import Checkpoint, EmbeddingIndex, EmbeddingModel
 from proverloop.search import TableEnvironment, replay_proof
@@ -89,6 +91,28 @@ class TestParseConfig:
         with pytest.raises(IoFailure):
             parse_config(tmp_path / "absent.cfg")
 
+    def test_every_setting_parses_by_its_annotation(self, tmp_path):
+        values = {
+            "seed": 3, "strategy": MERGE_ALL, "ewc_lambda": 0.5, "window": 4,
+            "embedding_dim": 8, "feature_buckets": 64, "init_scale": 0.25, "lr": 0.5,
+            "warmup_steps": 7, "batch_size": 2, "clip_norm": 2.5, "eval_every": 9,
+            "val_frac": 0.125, "test_frac": 0.375, "retrieval_fraction": 0.75,
+            "retrieval_max": 11, "candidates": 5, "time_budget_ms": 250.0,
+            "max_expansions": 40, "prove_after": True, "wall_clock": True,
+        }
+        settings = {f.name for f in dataclasses.fields(RunConfig)} - {"fixture_dirs", "out_dir"}
+        assert set(values) == settings
+        defaults = RunConfig(fixture_dirs=(), out_dir=Path("out"))
+        assert all(getattr(defaults, key) != value for key, value in values.items())
+        lines = ["fixtures = a"] + [f"{key} = {value}" for key, value in values.items()]
+        cfg = parse_config(self.write(tmp_path, "\n".join(lines)))
+        assert {key: getattr(cfg, key) for key in values} == values
+
+    def test_field_names_that_are_not_settings_are_unknown_keys(self, tmp_path):
+        for line in ("fixture_dirs = a", "out_dir = b"):
+            with pytest.raises(CorruptDocument, match="unknown config key"):
+                parse_config(self.write(tmp_path, f"fixtures = a\n{line}\n"))
+
     def test_strategy_spellings(self):
         assert parse_strategy("single") == SINGLE_REPO
         assert parse_strategy("single_repo") == SINGLE_REPO
@@ -124,6 +148,7 @@ class TestOverrideConfig:
         ("lr", 0.0), ("lr", float("inf")), ("init_scale", 0.0), ("time_budget_ms", 0.0),
         ("val_frac", 0.0), ("test_frac", 1.0), ("retrieval_fraction", 0.0),
         ("clip_norm", float("nan")), ("ewc_lambda", float("inf")), ("warmup_steps", -1),
+        ("strategy", "everything"),
     ])
     def test_open_ends_and_non_finite_values_are_rejected(self, key, value):
         with pytest.raises(CorruptDocument, match=key):
@@ -155,6 +180,14 @@ class TestLoadRepoFixture:
     def test_missing_directory(self, tmp_path):
         with pytest.raises(IoFailure):
             load_repo_fixture(tmp_path / "nowhere")
+
+    @pytest.mark.parametrize("build", [repo_algebra, repo_number, repo_topology])
+    def test_write_then_load_gives_back_the_record(self, tmp_path, build):
+        record, environment = build()
+        write_fixture_dir(record, environment, tmp_path / "repo")
+        loaded, loaded_environment = load_repo_fixture(tmp_path / "repo")
+        assert loaded == record
+        assert loaded_environment.to_json() == environment.to_json()
 
     def test_repo_json_must_name_url_and_commit(self, tmp_path, bundle):
         import shutil

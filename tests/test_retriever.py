@@ -757,6 +757,10 @@ class TestCheckpoint:
              "allow_pickle"),
             ("bad history", lambda p: self._forge(
                 p, self._npy(theta, np.ones(theta.size)), history="ab"), "history"),
+            ("one feature bucket", lambda p: self._forge(
+                p, self._npy(np.ones(4), np.ones(4)), n_features=1), r"n_features.*\[2, inf\)"),
+            ("no embedding rows", lambda p: self._forge(
+                p, self._npy(np.ones(0), np.ones(0)), dim=0), r"dim.*\[1, inf\)"),
         ]
         for name, write, reason in cases:
             path = tmp_path / f"{name}.ckpt"
