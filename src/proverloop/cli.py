@@ -171,8 +171,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prove", help="attempt open goals with a saved checkpoint")
     _add_config_flags(p)
-    p.add_argument("--checkpoint", help="binary .ckpt checkpoint file; default is "
-                                        "checkpoints/final.ckpt under the output dir")
+    p.add_argument("--checkpoint", help="binary .ckpt checkpoint file; default is the "
+                                        "last task's checkpoints/task_XX.ckpt under "
+                                        "the output dir")
     p.set_defaults(fn=_cmd_prove)
 
     p = sub.add_parser("metrics", help="score performance matrices")

@@ -20,7 +20,6 @@ EASY = "easy"
 MEDIUM = "medium"
 HARD = "hard"
 UNPROVEN = "unproven"
-CATEGORIES = (EASY, MEDIUM, HARD, UNPROVEN)
 
 _GRADED = (EASY, MEDIUM, HARD)
 

@@ -1,7 +1,6 @@
-"""Synthetic content: a bundled three-repository curriculum, a separable toy
-retrieval task, and randomized search tables.
+"""The bundled three-repository demo curriculum.
 
-Everything here is deterministic. The bundled curriculum is built so that
+Everything here is deterministic. The curriculum is built so that
 
 * repository easy-theorem counts order it algebra > number > topology,
 * one admitted-but-unproven theorem in the number repository can only be
@@ -15,8 +14,6 @@ from __future__ import annotations
 
 from pathlib import Path
 
-import numpy as np
-
 from .corpus import (
     KIND_DEFINITION,
     KIND_THEOREM_LIKE,
@@ -27,11 +24,9 @@ from .corpus import (
     STATUS_SORRY,
     Theorem,
     TracedTactic,
-    corpus_from_files,
 )
 from .database import RepositoryRecord
 from .pipeline import write_fixture_dir
-from .retriever import EmbeddingModel, RetrievalTask, TrainingExample
 from .search import GOAL, TableFixture, _Edge
 from .storage import write_atomic
 
@@ -353,104 +348,3 @@ def write_bundled(out_dir: str | Path, seed: int = BUNDLED_SEED) -> list[Path]:
         write_fixture_dir(record, environment, sub)
     write_atomic(out / "run.cfg", BUNDLED_CONFIG.format(seed=seed))
     return dirs
-
-
-# -- separable toy retrieval task ------------------------------------------------
-
-_TOY_STATEMENT = (
-    "whenever the guard {tok} is armed the invariant {tok} holds on the carrier"
-)
-
-_TOY_STATE = (
-    "⊢ show the marked block {tok} stays stable while the term {tok} persists"
-)
-
-
-def toy_retrieval_task(
-    n_premises: int = 50,
-    per_premise: int = 16,
-    seed: int = 0,
-) -> RetrievalTask:
-    """Fully separable associative retrieval task.
-
-    Each proof state carries a marker token spelled with letters n..z and its
-    premise carries a paired guard token spelled with letters a..m, so the two
-    sides share no token n-grams at all. A randomly initialized encoder ranks
-    premises at chance; one epoch of contrastive training aligns the paired
-    tokens and makes the task trivially separable.
-    """
-    if n_premises > 169:
-        raise ValueError("token scheme supports at most 169 premises")
-    path = "toy/bank.lean"
-    premises = []
-    states = []
-    for i in range(n_premises):
-        guard = chr(97 + i // 13) + chr(97 + i % 13)
-        marker = chr(110 + i // 13) + chr(110 + i % 13)
-        premises.append(_premise(
-            path, f"fact_{guard}", i + 1, _TOY_STATEMENT.format(tok=guard),
-        ))
-        states.append(_TOY_STATE.format(tok=marker))
-    corpus = corpus_from_files([PremiseFile(path=path, imports=(), premises=tuple(premises))])
-    rng = np.random.default_rng(seed)
-    examples = []
-    for i, pos in enumerate(premises):
-        others = [j for j in range(n_premises) if j != i]
-        for _ in range(per_premise):
-            negs = rng.choice(np.asarray(others), size=3, replace=False)
-            examples.append(TrainingExample(
-                state=states[i],
-                positive=pos,
-                negatives=tuple(premises[int(j)] for j in negs),
-            ))
-    pairs = [(states[i], frozenset({p.key})) for i, p in enumerate(premises)]
-    return RetrievalTask(
-        name="toy-separable", corpus=corpus,
-        train_examples=examples, val_pairs=pairs, test_pairs=pairs,
-    )
-
-
-def toy_model(seed: int = 7) -> EmbeddingModel:
-    return EmbeddingModel.random_init(dim=48, n_features=4096, seed=seed, scale=0.1)
-
-
-# -- randomized search tables ------------------------------------------------------
-
-def fixture_theorem(tag: str) -> Theorem:
-    return Theorem(
-        url="fixture://search", commit="0" * 7, file_path="fix/goals.lean",
-        full_name=f"goal_{tag}", statement="True", start=(1, 1), end=(1, 2),
-        status=STATUS_SORRY,
-    )
-
-
-def random_search_fixture(seed: int) -> tuple[TableFixture, Theorem]:
-    """Layered random proof graph: at most 8 tactic symbols, proofs of
-    length at most 4, roughly a third unprovable."""
-    rng = np.random.default_rng(seed)
-    layers: list[list[str]] = [["s0_0"]]
-    for level in range(1, 4):
-        layers.append([f"s{level}_{j}" for j in range(int(rng.integers(1, 4)))])
-    edges: list[_Edge] = []
-    for level in range(4):
-        for state in layers[level]:
-            deeper = [s for other in layers[level + 1:] for s in other]
-            n_out = int(rng.integers(1, 4))
-            tactics = rng.choice(8, size=n_out, replace=False)
-            for t in sorted(int(x) for x in tactics):
-                if not deeper or rng.random() < 0.25:
-                    target = GOAL
-                else:
-                    target = deeper[int(rng.integers(len(deeper)))]
-                edges.append(_Edge(
-                    state, f"t{t}", round(-float(rng.uniform(0.05, 3.0)), 4), target,
-                ))
-    if rng.random() < 0.3:
-        # make it unprovable: goal transitions dead-end instead
-        edges = [
-            _Edge(e.source, e.tactic, e.log_prob, "s_sink") if e.target == GOAL else e
-            for e in edges
-        ]
-    theorem = fixture_theorem(str(seed))
-    fixture = TableFixture(initial={theorem.key_str: "s0_0"}, edges=edges)
-    return fixture, theorem

@@ -262,6 +262,10 @@ def load_repo_fixture(fixture_dir: str | Path) -> tuple[RepositoryRecord, TableF
         traced_file_paths=corpus.paths,
     )
     environment = TableFixture.load(root / "environment.json")
+    for theorem in record.sorries():
+        if theorem.key_str not in environment.initial:
+            raise CorruptDocument(
+                f"environment.json in {root} has no initial state for {theorem.key_str!r}")
     return record, environment
 
 
@@ -426,6 +430,10 @@ def build_curriculum(
         return thresholds, order_repositories(per_repo)
 
 
+def task_checkpoint(out_dir: str | Path, k: int) -> Path:
+    return Path(out_dir) / "checkpoints" / f"task_{k:02d}.ckpt"
+
+
 def run_pipeline(config: RunConfig, *, prove: bool = True) -> RunReport:
     out = Path(config.out_dir)
     db, environments = ingest_fixtures(config)
@@ -469,7 +477,7 @@ def run_pipeline(config: RunConfig, *, prove: bool = True) -> RunReport:
             checkpoint.fisher = compute_fisher(
                 checkpoint.model, task.train_examples, batch_size=config.batch_size
             )
-            checkpoint.save(out / "checkpoints" / f"task_{k:02d}.ckpt")
+            checkpoint.save(task_checkpoint(out, k))
 
         with _stage(f"evaluate:{record.name}"):
             assert checkpoint.best_val_r10 is not None
@@ -508,7 +516,6 @@ def run_pipeline(config: RunConfig, *, prove: bool = True) -> RunReport:
             metric_report=metric_report,
             attempts=attempts,
         )
-        checkpoint.save(out / "checkpoints" / "final.ckpt")
         db.persist(out / "database.json")
         emit_reports(report, out)
     return report
@@ -519,15 +526,14 @@ def prove_standalone(
 ) -> tuple[DynamicDatabase, list[ProofAttempt]]:
     """Attempt every open goal with a saved checkpoint, outside training.
 
-    Defaults to the final checkpoint of a previous run in the output
+    Defaults to the last task's checkpoint of a previous run in the output
     directory. Proofs land in the returned database; the caller persists.
     """
-    out = Path(config.out_dir)
-    path = Path(checkpoint_path) if checkpoint_path else out / "checkpoints" / "final.ckpt"
-    with _stage("checkpoint"):
-        checkpoint = Checkpoint.load(path)
     db, environments = ingest_fixtures(config)
     _, ordered = build_curriculum(db)
+    with _stage("checkpoint"):
+        checkpoint = Checkpoint.load(
+            checkpoint_path or task_checkpoint(config.out_dir, len(ordered)))
     attempts: list[ProofAttempt] = []
     for repo_id, _counts in ordered:
         record = db.get_repository(repo_id)

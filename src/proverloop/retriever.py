@@ -243,13 +243,6 @@ def batch_loss_and_grad(
     return total, grad
 
 
-def example_loss_and_grad(
-    model: EmbeddingModel, example: TrainingExample
-) -> tuple[float, np.ndarray]:
-    """Contrastive loss of one example and its exact gradient."""
-    return batch_loss_and_grad(model, [example])
-
-
 def compute_fisher(
     model: EmbeddingModel,
     examples: list[TrainingExample],

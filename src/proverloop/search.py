@@ -1,4 +1,4 @@
-"""Premise-aware best-first proof search with replay and an exhaustive oracle.
+"""Premise-aware best-first proof search with proof replay.
 
 Environments and tactic generators are small protocols so tests can drive
 search with table-backed fixtures: a JSON file listing states, labeled
@@ -172,6 +172,9 @@ class TableFixture:
                 raise CorruptDocument(f"duplicate transition {key!r}")
             if e.log_prob > 0.0:
                 raise CorruptDocument(f"positive log-probability on {key!r}")
+            if not isinstance(e.fails, bool) or not isinstance(e.requires_premise, str | None):
+                raise CorruptDocument(
+                    f"fails must be a boolean and requires_premise a string on {key!r}")
             self.lookup[key] = e
             self.by_source.setdefault(e.source, []).append(e)
 
@@ -206,7 +209,7 @@ class TableFixture:
                     log_prob=float(e["log_prob"]),
                     target=str(e["to"]),
                     requires_premise=e.get("requires_premise"),
-                    fails=bool(e.get("fails", False)),
+                    fails=e.get("fails", False),
                 )
                 for e in doc["edges"]
             ]
@@ -378,37 +381,3 @@ def replay_proof(env: ProofEnvironment, theorem: Theorem, proof: list[str]) -> b
     except EnvironmentFailure:
         return False
     return False
-
-
-def brute_force_prove(
-    env: ProofEnvironment,
-    generator: TacticGenerator,
-    theorem: Theorem,
-    depth_limit: int,
-    retrieval_fn: RetrievalFn | None = None,
-    candidates: int = 64,
-) -> list[tuple[tuple[str, ...], float]]:
-    """All proofs of length <= depth_limit, by exhaustive depth-first walk."""
-    results: list[tuple[tuple[str, ...], float]] = []
-
-    def dfs(state: str, path: tuple[str, ...], score: float) -> None:
-        if len(path) >= depth_limit:
-            return
-        premises = retrieval_fn(state) if retrieval_fn is not None else None
-        for tactic, log_prob in generator.propose(state, premises, candidates):
-            if log_prob > 0.0:
-                raise ValueError(f"generator proposed log-probability {log_prob} > 0")
-            try:
-                outcome = env.apply(state, tactic)
-            except EnvironmentFailure:
-                continue
-            if outcome.kind == INVALID:
-                continue
-            if outcome.kind == PROVED:
-                results.append((path + (tactic,), score + log_prob))
-            else:
-                assert outcome.state is not None
-                dfs(outcome.state, path + (tactic,), score + log_prob)
-
-    dfs(env.initial_state(theorem), (), 0.0)
-    return results

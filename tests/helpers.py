@@ -6,14 +6,32 @@ import numpy as np
 
 from proverloop.corpus import (
     PROVED_MARKER,
+    STATUS_SORRY,
     Premise,
     PremiseFile,
     Theorem,
     TracedTactic,
     corpus_from_files,
 )
-from proverloop.errors import ShapeMismatch
-from proverloop.retriever import ngram_features
+from proverloop.errors import EnvironmentFailure, ShapeMismatch
+from proverloop.fixtures import _premise
+from proverloop.retriever import (
+    EmbeddingModel,
+    RetrievalTask,
+    TrainingExample,
+    batch_loss_and_grad,
+    ngram_features,
+)
+from proverloop.search import (
+    GOAL,
+    INVALID,
+    PROVED,
+    ProofEnvironment,
+    RetrievalFn,
+    TableFixture,
+    TacticGenerator,
+    _Edge,
+)
 
 URL = "fixture://repos/unit"
 COMMIT = "deadbee"
@@ -117,3 +135,147 @@ def example_loss_and_grad_oracle(model, example):
         gi = grad_e[i]
         grad_u[i] = (gi - float(gi @ e[i]) * e[i]) / norms[i]
     return loss, grad_u.T @ phi
+
+
+def example_loss_and_grad(
+    model: EmbeddingModel, example: TrainingExample
+) -> tuple[float, np.ndarray]:
+    """Contrastive loss of one example and its exact gradient."""
+    return batch_loss_and_grad(model, [example])
+
+
+# -- separable toy retrieval task ------------------------------------------------
+
+_TOY_STATEMENT = (
+    "whenever the guard {tok} is armed the invariant {tok} holds on the carrier"
+)
+
+_TOY_STATE = (
+    "⊢ show the marked block {tok} stays stable while the term {tok} persists"
+)
+
+
+def toy_retrieval_task(
+    n_premises: int = 50,
+    per_premise: int = 16,
+    seed: int = 0,
+) -> RetrievalTask:
+    """Fully separable associative retrieval task.
+
+    Each proof state carries a marker token spelled with letters n..z and its
+    premise carries a paired guard token spelled with letters a..m, so the two
+    sides share no token n-grams at all. A randomly initialized encoder ranks
+    premises at chance; one epoch of contrastive training aligns the paired
+    tokens and makes the task trivially separable.
+    """
+    if n_premises > 169:
+        raise ValueError("token scheme supports at most 169 premises")
+    path = "toy/bank.lean"
+    premises = []
+    states = []
+    for i in range(n_premises):
+        guard = chr(97 + i // 13) + chr(97 + i % 13)
+        marker = chr(110 + i // 13) + chr(110 + i % 13)
+        premises.append(_premise(
+            path, f"fact_{guard}", i + 1, _TOY_STATEMENT.format(tok=guard),
+        ))
+        states.append(_TOY_STATE.format(tok=marker))
+    corpus = corpus_from_files([PremiseFile(path=path, imports=(), premises=tuple(premises))])
+    rng = np.random.default_rng(seed)
+    examples = []
+    for i, pos in enumerate(premises):
+        others = [j for j in range(n_premises) if j != i]
+        for _ in range(per_premise):
+            negs = rng.choice(np.asarray(others), size=3, replace=False)
+            examples.append(TrainingExample(
+                state=states[i],
+                positive=pos,
+                negatives=tuple(premises[int(j)] for j in negs),
+            ))
+    pairs = [(states[i], frozenset({p.key})) for i, p in enumerate(premises)]
+    return RetrievalTask(
+        name="toy-separable", corpus=corpus,
+        train_examples=examples, val_pairs=pairs, test_pairs=pairs,
+    )
+
+
+def toy_model(seed: int = 7) -> EmbeddingModel:
+    return EmbeddingModel.random_init(dim=48, n_features=4096, seed=seed, scale=0.1)
+
+
+# -- randomized search tables ------------------------------------------------------
+
+def fixture_theorem(tag: str) -> Theorem:
+    return Theorem(
+        url="fixture://search", commit="0" * 7, file_path="fix/goals.lean",
+        full_name=f"goal_{tag}", statement="True", start=(1, 1), end=(1, 2),
+        status=STATUS_SORRY,
+    )
+
+
+def random_search_fixture(seed: int) -> tuple[TableFixture, Theorem]:
+    """Layered random proof graph: at most 8 tactic symbols, proofs of
+    length at most 4, roughly a third unprovable."""
+    rng = np.random.default_rng(seed)
+    layers: list[list[str]] = [["s0_0"]]
+    for level in range(1, 4):
+        layers.append([f"s{level}_{j}" for j in range(int(rng.integers(1, 4)))])
+    edges: list[_Edge] = []
+    for level in range(4):
+        for state in layers[level]:
+            deeper = [s for other in layers[level + 1:] for s in other]
+            n_out = int(rng.integers(1, 4))
+            tactics = rng.choice(8, size=n_out, replace=False)
+            for t in sorted(int(x) for x in tactics):
+                if not deeper or rng.random() < 0.25:
+                    target = GOAL
+                else:
+                    target = deeper[int(rng.integers(len(deeper)))]
+                edges.append(_Edge(
+                    state, f"t{t}", round(-float(rng.uniform(0.05, 3.0)), 4), target,
+                ))
+    if rng.random() < 0.3:
+        # make it unprovable: goal transitions dead-end instead
+        edges = [
+            _Edge(e.source, e.tactic, e.log_prob, "s_sink") if e.target == GOAL else e
+            for e in edges
+        ]
+    theorem = fixture_theorem(str(seed))
+    fixture = TableFixture(initial={theorem.key_str: "s0_0"}, edges=edges)
+    return fixture, theorem
+
+
+# -- exhaustive search oracle -----------------------------------------------------
+
+def brute_force_prove(
+    env: ProofEnvironment,
+    generator: TacticGenerator,
+    theorem: Theorem,
+    depth_limit: int,
+    retrieval_fn: RetrievalFn | None = None,
+    candidates: int = 64,
+) -> list[tuple[tuple[str, ...], float]]:
+    """All proofs of length <= depth_limit, by exhaustive depth-first walk."""
+    results: list[tuple[tuple[str, ...], float]] = []
+
+    def dfs(state: str, path: tuple[str, ...], score: float) -> None:
+        if len(path) >= depth_limit:
+            return
+        premises = retrieval_fn(state) if retrieval_fn is not None else None
+        for tactic, log_prob in generator.propose(state, premises, candidates):
+            if log_prob > 0.0:
+                raise ValueError(f"generator proposed log-probability {log_prob} > 0")
+            try:
+                outcome = env.apply(state, tactic)
+            except EnvironmentFailure:
+                continue
+            if outcome.kind == INVALID:
+                continue
+            if outcome.kind == PROVED:
+                results.append((path + (tactic,), score + log_prob))
+            else:
+                assert outcome.state is not None
+                dfs(outcome.state, path + (tactic,), score + log_prob)
+
+    dfs(env.initial_state(theorem), (), 0.0)
+    return results

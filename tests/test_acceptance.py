@@ -11,16 +11,21 @@ import time
 import numpy as np
 import pytest
 
-from helpers import pfile, premise, tactic, theorem
+from helpers import (
+    brute_force_prove,
+    example_loss_and_grad,
+    pfile,
+    premise,
+    random_search_fixture,
+    tactic,
+    theorem,
+    toy_model,
+    toy_retrieval_task,
+)
 from proverloop.corpus import STATUS_SORRY_PROVEN, corpus_from_files
 from proverloop.database import MERGE_ALL, DynamicDatabase, RepositoryRecord
 from proverloop.errors import AlreadyProven
-from proverloop.fixtures import (
-    random_search_fixture,
-    toy_model,
-    toy_retrieval_task,
-    write_bundled,
-)
+from proverloop.fixtures import write_bundled
 from proverloop.metrics import (
     average_test_curve,
     cfr,
@@ -45,7 +50,6 @@ from proverloop.retriever import (
     batch_loss_and_grad,
     ewc_penalty,
     ewc_penalty_grad,
-    example_loss_and_grad,
     precompute_embeddings,
     recall_at_k,
     train_one_epoch,
@@ -57,7 +61,6 @@ from proverloop.search import (
     TickClock,
     accessible_premises,
     best_first_search,
-    brute_force_prove,
     build_dependency_graph,
     replay_proof,
     retrieve_premises,
@@ -378,7 +381,9 @@ def test_criterion_8_end_to_end_run_proves_a_gated_sorry_reproducibly(tmp_path):
                  "curriculum.json", "database.json"):
         assert (config.out_dir / name).read_bytes() == \
             (again.out_dir / name).read_bytes(), name
-    assert (config.out_dir / "checkpoints" / "final.ckpt").read_bytes() == \
-        (again.out_dir / "checkpoints" / "final.ckpt").read_bytes()
+    checkpoints = {p.name: p.read_bytes() for p in (config.out_dir / "checkpoints").iterdir()}
+    assert checkpoints
+    assert checkpoints == {p.name: p.read_bytes()
+                           for p in (again.out_dir / "checkpoints").iterdir()}
 
     assert time.perf_counter() - start < 300.0

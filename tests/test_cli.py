@@ -128,7 +128,7 @@ class TestTrainProveSplit:
     def test_train_then_prove(self, demo, tmp_path, capsys):
         out = tmp_path / "split"
         assert main(["train", *cfg_args(demo, out)]) == 0
-        assert (out / "checkpoints" / "final.ckpt").is_file()
+        assert (out / "checkpoints" / "task_03.ckpt").is_file()
         assert main(["prove", *cfg_args(demo, out)]) == 0
         stdout = capsys.readouterr().out
         assert "proved" in stdout
@@ -254,6 +254,11 @@ def database_with(**fields):
         {"format_version": 2, "repositories": [{**record, **fields}]})
 
 
+def table_with_edge(**fields):
+    edge = {"from": "s", "tactic": "t", "log_prob": -0.5, "to": "PROVED"}
+    return TableFixture.from_json({"initial": {}, "edges": [{**edge, **fields}]})
+
+
 class TestErrorContract:
     @pytest.mark.parametrize("parse, expected", [
         (lambda: theorem_with(start=[1]), InvalidRecord),
@@ -266,6 +271,8 @@ class TestErrorContract:
         (lambda: DynamicDatabase.from_json({"repositories": [{"theorems": []}]}),
          CorruptDocument),
         (lambda: TableFixture.from_json({"initial": [], "edges": []}), CorruptDocument),
+        (lambda: table_with_edge(fails="false"), CorruptDocument),
+        (lambda: table_with_edge(requires_premise=5), CorruptDocument),
         (lambda: DynamicDatabase.from_json({"format_version": 1, "repositories": []}),
          CorruptDocument),
         (lambda: database_with(theorems={}), CorruptDocument),
@@ -273,12 +280,28 @@ class TestErrorContract:
         (lambda: database_with(theorems=[5]), CorruptDocument),
     ], ids=["start-short", "start-text", "tactics-int", "proof-int", "proof-string",
             "proof-entry-int", "sorry-proven-without-proof", "db-theorems-list",
-            "table-initial-list", "db-format-1", "db-theorems-dict", "db-theorems-int",
-            "db-theorems-non-object"])
+            "table-initial-list", "edge-fails-string", "edge-premise-int", "db-format-1",
+            "db-theorems-dict", "db-theorems-int", "db-theorems-non-object"])
     def test_malformed_documents_raise_package_errors(self, parse, expected):
         with pytest.raises(ProverloopError) as info:
             parse()
         assert isinstance(info.value, expected)
+
+    def test_run_with_a_sorry_missing_its_initial_state_exits_two(self, demo, tmp_path,
+                                                                   capsys):
+        root = tmp_path / "demo"
+        shutil.copytree(demo, root)
+        path = root / "repo_topology" / "environment.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        [key] = [k for k in doc["initial"] if k.endswith("topo.open_task2")]
+        del doc["initial"][key]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["run", *cfg_args(root, out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "topo.open_task2" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_ingest_of_a_malformed_theorem_exits_two(self, demo, tmp_path, capsys):
         root = tmp_path / "demo"

@@ -1,0 +1,57 @@
+"""The package surface: importing it loads nothing, and `src/` keeps no
+module-level name that nothing on the run path uses."""
+
+import ast
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "proverloop"
+
+
+def test_importing_the_package_loads_no_submodule():
+    code = (
+        f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import proverloop; "
+        "print(sorted(m for m in sys.modules if m.startswith('proverloop.')))"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.strip() == "[]"
+
+
+def definitions(tree):
+    """(name, statement) for each module-level function, class and constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, node
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            yield node.target.id, node
+
+
+def references(node):
+    return {sub.id if isinstance(sub, ast.Name) else sub.attr
+            for sub in ast.walk(node) if isinstance(sub, (ast.Name, ast.Attribute))}
+
+
+def parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def test_every_module_level_name_is_used_by_the_package_or_the_benchmark():
+    trees = {path.name: parse(path) for path in sorted(PACKAGE.glob("*.py"))}
+    statements = [(stmt, references(stmt)) for tree in trees.values() for stmt in tree.body]
+    benchmark = set().union(*(references(parse(path))
+                              for path in sorted((ROOT / "perfbench").glob("*.py"))))
+    unused = [
+        f"{module}:{name}"
+        for module, tree in trees.items()
+        for name, definition in definitions(tree)
+        if name not in benchmark
+        and not any(name in refs for stmt, refs in statements if stmt is not definition)
+    ]
+    assert unused == []

@@ -23,6 +23,7 @@ from proverloop.pipeline import (
     parse_strategy,
     prove_standalone,
     run_pipeline,
+    task_checkpoint,
     write_fixture_dir,
 )
 from proverloop.retriever import Checkpoint, EmbeddingIndex, EmbeddingModel
@@ -227,16 +228,14 @@ class TestRunPipeline:
     def test_report_files_and_artifacts_exist(self, finished_run):
         config, report = finished_run
         out = config.out_dir
-        for name in REPORT_FILES:
-            assert (out / name).is_file(), name
-        assert (out / "database.json").is_file()
-        assert (out / "checkpoints" / "final.ckpt").is_file()
-        for k in (1, 2, 3):
-            assert (out / "checkpoints" / f"task_{k:02d}.ckpt").is_file()
-            dataset_dir = out / "datasets" / f"task_{k:02d}"
-            assert sorted(p.name for p in dataset_dir.iterdir()) == [
-                "corpus.jsonl", "metadata.json", "test.json", "train.json", "val.json",
-            ]
+        written = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
+        assert written == sorted([
+            *REPORT_FILES,
+            "database.json",
+            *(f"checkpoints/task_{k:02d}.ckpt" for k in (1, 2, 3)),
+            *(f"datasets/task_{k:02d}/{name}" for k in (1, 2, 3) for name in (
+                "corpus.jsonl", "metadata.json", "test.json", "train.json", "val.json")),
+        ])
 
     def test_no_temporary_files_remain(self, finished_run):
         config, _ = finished_run
@@ -290,8 +289,10 @@ class TestRunPipeline:
             first = (config.out_dir / name).read_bytes()
             second = (again.out_dir / name).read_bytes()
             assert first == second, name
-        assert (config.out_dir / "checkpoints" / "final.ckpt").read_bytes() == \
-            (again.out_dir / "checkpoints" / "final.ckpt").read_bytes()
+        for k in (1, 2, 3):
+            name = f"checkpoints/task_{k:02d}.ckpt"
+            assert (config.out_dir / name).read_bytes() == \
+                (again.out_dir / name).read_bytes(), name
 
     def test_stage_failures_carry_the_stage_name(self, bundle, tmp_path):
         import shutil
@@ -358,6 +359,18 @@ class TestTrainThenProve:
         _, attempts = prove_standalone(config, tmp_path / "untrained.ckpt")
         expansions = sum(a.result.expansions for a in attempts)
         assert len(resolved) == len(attempts) < expansions
+
+    def test_default_checkpoint_is_the_last_tasks(self, bundle, tmp_path):
+        config = override_config(parse_config(bundle / "run.cfg"),
+                                 out_dir=tmp_path / "last_task")
+        path = task_checkpoint(config.out_dir, 3)
+        assert path == config.out_dir / "checkpoints" / "task_03.ckpt"
+        Checkpoint(model=EmbeddingModel.random_init(
+            dim=config.embedding_dim, n_features=config.feature_buckets,
+            seed=config.seed, scale=config.init_scale,
+        )).save(path)
+        _, attempts = prove_standalone(config)
+        assert attempts
 
     def test_missing_checkpoint_is_a_stage_failure(self, bundle, tmp_path):
         config = override_config(parse_config(bundle / "run.cfg"),

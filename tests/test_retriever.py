@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from helpers import (
     contrastive_loss,
     corpus_of,
+    example_loss_and_grad,
     example_loss_and_grad_oracle,
     pfile,
     tactic,
@@ -40,7 +41,6 @@ from proverloop.retriever import (
     compute_fisher,
     ewc_penalty,
     ewc_penalty_grad,
-    example_loss_and_grad,
     extract_eval_pairs,
     lr_at,
     mine_training_examples,

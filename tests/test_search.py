@@ -5,7 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from helpers import corpus_of, pfile, premise, theorem
+from helpers import (
+    brute_force_prove,
+    corpus_of,
+    pfile,
+    premise,
+    random_search_fixture,
+    theorem,
+)
 from proverloop.errors import CorruptDocument, EnvironmentFailure, IoFailure, StaleIndex, UnknownFile
 from proverloop.retriever import EmbeddingModel, precompute_embeddings
 from proverloop.search import (
@@ -18,7 +25,6 @@ from proverloop.search import (
     TickClock,
     accessible_premises,
     best_first_search,
-    brute_force_prove,
     build_dependency_graph,
     replay_proof,
     retrieve_premises,
@@ -452,8 +458,6 @@ class TestBruteForce:
 
 class TestAgainstRandomInstances:
     def test_search_agrees_with_the_oracle_on_provability_and_score(self):
-        from proverloop.fixtures import random_search_fixture
-
         for seed in range(12):
             fx, thm = random_search_fixture(seed)
             env, gen = TableEnvironment(fx), TableGenerator(fx)
