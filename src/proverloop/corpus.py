@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .errors import (
     TooFewTheorems,
     UnknownImport,
 )
-from .storage import dump_json
+from .storage import POSITION, STRINGS, dump_json, json_field
 
 Pos = tuple[int, int]
 
@@ -123,16 +123,13 @@ class Corpus:
 
     files: tuple[PremiseFile, ...]
     _by_path: dict[str, PremiseFile] = field(init=False, repr=False)
-    _by_key: dict[str, Premise] = field(init=False, repr=False)
     _by_name: dict[str, Premise] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self._by_path = {f.path: f for f in self.files}
-        self._by_key = {}
         self._by_name = {}
         for f in self.files:
             for p in f.premises:
-                self._by_key[p.key] = p
                 # first definition in topological order wins name lookup
                 self._by_name.setdefault(p.full_name, p)
 
@@ -140,15 +137,8 @@ class Corpus:
     def paths(self) -> list[str]:
         return [f.path for f in self.files]
 
-    @property
-    def premise_count(self) -> int:
-        return sum(len(f.premises) for f in self.files)
-
     def file(self, path: str) -> PremiseFile | None:
         return self._by_path.get(path)
-
-    def premise(self, key: str) -> Premise | None:
-        return self._by_key.get(key)
 
     def premise_by_name(self, full_name: str) -> Premise | None:
         return self._by_name.get(full_name)
@@ -174,49 +164,24 @@ def _require(cond: bool, line_no: int, reason: str) -> None:
         raise MalformedLine(line_no, reason)
 
 
-def _parse_pos(raw: object, line_no: int, label: str) -> Pos:
-    _require(
-        isinstance(raw, list) and len(raw) == 2
-        and all(isinstance(v, int) for v in raw),
-        line_no, f"{label} must be a [line, col] pair of ints",
-    )
-    line, col = raw  # type: ignore[misc]
-    _require(line >= 1 and col >= 1, line_no, f"{label} must be 1-based")
-    return (line, col)
-
-
 def premise_file_from_json(obj: object, line_no: int = 0) -> PremiseFile:
-    _require(isinstance(obj, dict), line_no, "expected a JSON object")
-    assert isinstance(obj, dict)
-    for field_name in ("path", "imports", "premises"):
-        _require(field_name in obj, line_no, f"missing field {field_name!r}")
-    path = obj["path"]
-    _require(isinstance(path, str) and bool(path), line_no, "path must be a non-empty string")
-    imports = obj["imports"]
-    _require(
-        isinstance(imports, list) and all(isinstance(i, str) for i in imports),
-        line_no, "imports must be a list of strings",
-    )
+    error = partial(MalformedLine, line_no)
+    path = json_field(obj, "path", str, "premise file", error)
+    _require(bool(path), line_no, "path must be a non-empty string")
+    imports = json_field(obj, "imports", STRINGS, "premise file", error)
     _require(path not in imports, line_no, "file imports itself")
-    raw_premises = obj["premises"]
-    _require(isinstance(raw_premises, list), line_no, "premises must be a list")
-
     premises: list[Premise] = []
     seen_names: set[str] = set()
-    for raw in raw_premises:
-        _require(isinstance(raw, dict), line_no, "premise must be an object")
-        for field_name in ("full_name", "code", "start", "end", "kind"):
-            _require(field_name in raw, line_no, f"premise missing field {field_name!r}")
-        name = raw["full_name"]
-        _require(isinstance(name, str) and bool(name), line_no, "full_name must be a non-empty string")
+    for raw in json_field(obj, "premises", list, "premise file", error):
+        name = json_field(raw, "full_name", str, "premise", error)
+        _require(bool(name), line_no, "full_name must be a non-empty string")
         _require(name not in seen_names, line_no, f"duplicate premise name {name!r}")
         seen_names.add(name)
-        code = raw["code"]
-        _require(isinstance(code, str), line_no, "code must be a string")
-        start = _parse_pos(raw["start"], line_no, "start")
-        end = _parse_pos(raw["end"], line_no, "end")
+        code = json_field(raw, "code", str, "premise", error)
+        start = json_field(raw, "start", POSITION, "premise", error)
+        end = json_field(raw, "end", POSITION, "premise", error)
         _require(start <= end, line_no, "premise start must not follow its end")
-        kind = raw["kind"]
+        kind = json_field(raw, "kind", str, "premise", error)
         _require(kind in PREMISE_KINDS, line_no, f"kind must be one of {PREMISE_KINDS}")
         premises.append(Premise(
             full_name=name, file_path=path, statement=code,
@@ -352,33 +317,22 @@ def tactic_to_json(t: TracedTactic) -> dict:
 
 
 def tactic_from_json(obj: object) -> TracedTactic:
-    if not isinstance(obj, dict):
-        raise InvalidRecord("traced tactic must be an object")
-    try:
-        annotated = obj["annotated_tactic"]
-        if (
-            not isinstance(annotated, list) or len(annotated) != 2
-            or not isinstance(annotated[0], str)
-            or not isinstance(annotated[1], list)
-        ):
-            raise InvalidRecord("annotated_tactic must be [text, [names...]]")
-        names = tuple(annotated[1])
-        if not all(isinstance(n, str) for n in names):
-            raise InvalidRecord("referenced premise names must be strings")
-        for name in names:
-            if name not in annotated[0]:
-                raise InvalidRecord(
-                    f"referenced premise {name!r} does not appear in the annotated tactic"
-                )
-        return TracedTactic(
-            tactic=str(obj["tactic"]),
-            annotated_tactic=annotated[0],
-            referenced_premises=names,
-            state_before=str(obj["state_before"]),
-            state_after=str(obj["state_after"]),
-        )
-    except KeyError as e:
-        raise InvalidRecord(f"traced tactic missing field {e.args[0]!r}") from e
+    annotated = json_field(obj, "annotated_tactic", list, "traced tactic", InvalidRecord)
+    if (len(annotated) != 2 or type(annotated[0]) is not str or type(annotated[1]) is not list
+            or not all(type(name) is str for name in annotated[1])):
+        raise InvalidRecord("annotated_tactic must be [text, [names...]]")
+    text, names = annotated
+    for name in names:
+        if name not in text:
+            raise InvalidRecord(
+                f"referenced premise {name!r} does not appear in the annotated tactic")
+    return TracedTactic(
+        tactic=json_field(obj, "tactic", str, "traced tactic", InvalidRecord),
+        annotated_tactic=text,
+        referenced_premises=tuple(names),
+        state_before=json_field(obj, "state_before", str, "traced tactic", InvalidRecord),
+        state_after=json_field(obj, "state_after", str, "traced tactic", InvalidRecord),
+    )
 
 
 def theorem_to_json(thm: Theorem) -> dict:
@@ -399,41 +353,32 @@ def theorem_to_json(thm: Theorem) -> dict:
 
 
 def theorem_from_json(obj: object) -> Theorem:
-    if not isinstance(obj, dict):
-        raise InvalidRecord("theorem must be an object")
-    try:
-        resolved = obj.get("status", STATUS_PROVEN)
-        if resolved not in THEOREM_STATUSES:
-            raise InvalidRecord(f"unknown status {resolved!r}")
-        tactics = tuple(tactic_from_json(t) for t in obj["traced_tactics"])
-        if resolved == STATUS_SORRY and tactics:
-            raise InvalidRecord("an unproven theorem cannot carry traced tactics")
-        start = (int(obj["start"][0]), int(obj["start"][1]))
-        end = (int(obj["end"][0]), int(obj["end"][1]))
-        if start > end:
-            raise InvalidRecord("theorem start must not follow its end")
-        proof = obj.get("proof")
-        if proof is None:
-            if resolved == STATUS_SORRY_PROVEN:
-                raise InvalidRecord("a proved sorry must carry its proof")
-        elif not isinstance(proof, list) or not all(isinstance(t, str) for t in proof):
-            raise InvalidRecord("proof must be a list of tactic strings")
-        return Theorem(
-            url=str(obj["url"]),
-            commit=str(obj["commit"]),
-            file_path=str(obj["file_path"]),
-            full_name=str(obj["full_name"]),
-            statement=str(obj["statement"]),
-            start=start,
-            end=end,
-            traced_tactics=tactics,
-            status=resolved,
-            proof=tuple(proof) if proof is not None else None,
-        )
-    except KeyError as e:
-        raise InvalidRecord(f"theorem missing field {e.args[0]!r}") from e
-    except (IndexError, TypeError, ValueError) as e:
-        raise InvalidRecord(f"malformed theorem: {e}") from e
+    status = json_field(obj, "status", str, "theorem", InvalidRecord, STATUS_PROVEN)
+    if status not in THEOREM_STATUSES:
+        raise InvalidRecord(f"unknown status {status!r}")
+    tactics = tuple(tactic_from_json(t) for t in
+                    json_field(obj, "traced_tactics", list, "theorem", InvalidRecord))
+    if status == STATUS_SORRY and tactics:
+        raise InvalidRecord("an unproven theorem cannot carry traced tactics")
+    start = json_field(obj, "start", POSITION, "theorem", InvalidRecord)
+    end = json_field(obj, "end", POSITION, "theorem", InvalidRecord)
+    if start > end:
+        raise InvalidRecord("theorem start must not follow its end")
+    proof = json_field(obj, "proof", STRINGS, "theorem", InvalidRecord, None)
+    if proof is None and status == STATUS_SORRY_PROVEN:
+        raise InvalidRecord("a proved sorry must carry its proof")
+    return Theorem(
+        url=json_field(obj, "url", str, "theorem", InvalidRecord),
+        commit=json_field(obj, "commit", str, "theorem", InvalidRecord),
+        file_path=json_field(obj, "file_path", str, "theorem", InvalidRecord),
+        full_name=json_field(obj, "full_name", str, "theorem", InvalidRecord),
+        statement=json_field(obj, "statement", str, "theorem", InvalidRecord),
+        start=start,
+        end=end,
+        traced_tactics=tactics,
+        status=status,
+        proof=tuple(proof) if proof is not None else None,
+    )
 
 
 def dump_theorems(theorems: list[Theorem]) -> str:

@@ -45,7 +45,7 @@ from .errors import (
     ProverloopError,
     UnknownRepo,
 )
-from .storage import dump_json, read_json, write_atomic
+from .storage import REQUIRED, STRINGS, dump_json, json_field, read_json, write_atomic
 
 SINGLE_REPO = "single_repo"
 MERGE_ALL = "merge_all"
@@ -75,6 +75,25 @@ class RepositoryRecord:
     @property
     def repo_id(self) -> str:
         return repo_id_of(self.url, self.commit)
+
+    def metadata_json(self) -> dict:
+        """The metadata fields, as database.json records and repo.json store them."""
+        return {"url": self.url, "commit": self.commit, "name": self.name,
+                "date_added": self.date_added, "toolchain_version": self.toolchain_version}
+
+    @classmethod
+    def from_metadata(cls, doc: object, what: str, name: object = REQUIRED,
+                      **contents) -> RepositoryRecord:
+        """Inverse of metadata_json, with name defaulting to the given one and
+        the theorems, premise files and traced paths given as contents."""
+        return cls(
+            url=json_field(doc, "url", str, what),
+            commit=json_field(doc, "commit", str, what),
+            name=json_field(doc, "name", str, what, default=name),
+            date_added=json_field(doc, "date_added", str, what, default=EPOCH),
+            toolchain_version=json_field(doc, "toolchain_version", str, what, default=""),
+            **contents,
+        )
 
     @property
     def difficulty_cache(self) -> dict[tuple[str, str, str], Difficulty]:
@@ -254,11 +273,7 @@ class DynamicDatabase:
             "format_version": DATABASE_FORMAT,
             "repositories": [
                 {
-                    "url": rec.url,
-                    "commit": rec.commit,
-                    "name": rec.name,
-                    "date_added": rec.date_added,
-                    "toolchain_version": rec.toolchain_version,
+                    **rec.metadata_json(),
                     "theorems": [theorem_to_json(t) for t in rec.theorems],
                     "premise_files": [premise_file_to_json(pf) for pf in rec.premise_files],
                     "traced_files": list(rec.traced_file_paths),
@@ -269,32 +284,23 @@ class DynamicDatabase:
 
     @classmethod
     def from_json(cls, doc: object) -> DynamicDatabase:
-        if not isinstance(doc, dict) or "repositories" not in doc:
-            raise CorruptDocument("database document must have a repositories list")
-        version = doc.get("format_version")
-        if version != DATABASE_FORMAT:
+        version = doc.get("format_version") if isinstance(doc, dict) else None
+        if version != DATABASE_FORMAT or type(version) is not int:
             raise CorruptDocument(
                 f"database is format {version!r}, not the format {DATABASE_FORMAT} this "
                 "version reads; rerun `proverloop ingest` or `proverloop run` to rewrite it")
-        raw_repos = doc["repositories"]
-        if not isinstance(raw_repos, list):
-            raise CorruptDocument("repositories must be a list")
         db = cls()
-        for raw in raw_repos:
+        for raw in json_field(doc, "repositories", list, "database"):
             try:
-                rec = RepositoryRecord(
-                    url=str(raw["url"]),
-                    commit=str(raw["commit"]),
-                    name=str(raw["name"]),
-                    date_added=str(raw.get("date_added", EPOCH)),
-                    toolchain_version=str(raw.get("toolchain_version", "")),
-                    theorems=[theorem_from_json(t) for t in _list_field(raw, "theorems")],
-                    premise_files=[premise_file_from_json(pf)
-                                   for pf in _list_field(raw, "premise_files")],
-                    traced_file_paths=[str(p) for p in _list_field(raw, "traced_files")],
-                )
-                db.add_repository(rec)
-            except (AttributeError, KeyError, TypeError, ValueError, ProverloopError) as e:
+                db.add_repository(RepositoryRecord.from_metadata(
+                    raw, "database record",
+                    theorems=[theorem_from_json(t) for t in
+                              json_field(raw, "theorems", list, "database record")],
+                    premise_files=[premise_file_from_json(pf) for pf in
+                                   json_field(raw, "premise_files", list, "database record")],
+                    traced_file_paths=json_field(raw, "traced_files", STRINGS, "database record"),
+                ))
+            except ProverloopError as e:
                 raise CorruptDocument(f"bad repository record: {e}") from e
         return db
 
@@ -307,13 +313,6 @@ class DynamicDatabase:
     @classmethod
     def load(cls, path: str | Path) -> DynamicDatabase:
         return cls.from_json(read_json(path, "database"))
-
-
-def _list_field(raw: dict, key: str) -> list:
-    value = raw[key]
-    if not isinstance(value, list):
-        raise CorruptDocument(f"{key} must be a list, got {type(value).__name__}")
-    return value
 
 
 def write_dataset(dataset: GeneratedDataset, out_dir: str | Path) -> None:

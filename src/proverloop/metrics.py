@@ -60,10 +60,6 @@ class PerformanceMatrix:
                 f"for {len(self.rows)} tasks"
             )
 
-    @property
-    def task_count(self) -> int:
-        return len(self.rows)
-
 
 def average_test_curve(rows: list[list[float]]) -> list[float]:
     """a_k: mean recall over tasks 1..k after training task k."""

@@ -24,7 +24,6 @@ from .curriculum import (
     order_repositories,
 )
 from .database import (
-    EPOCH,
     MERGE_ALL,
     SINGLE_REPO,
     DynamicDatabase,
@@ -230,13 +229,7 @@ def write_fixture_dir(
 ) -> None:
     """Inverse of load_repo_fixture; traced files are the corpus's paths."""
     out = Path(out_dir)
-    write_atomic(out / "repo.json", dump_json({
-        "url": record.url,
-        "commit": record.commit,
-        "name": record.name,
-        "date_added": record.date_added,
-        "toolchain_version": record.toolchain_version,
-    }))
+    write_atomic(out / "repo.json", dump_json(record.metadata_json()))
     write_atomic(out / "corpus.jsonl", serialize_corpus(corpus_from_files(record.premise_files)))
     write_atomic(out / "theorems.json", dump_theorems(record.theorems))
     environment.save(out / "environment.json")
@@ -245,19 +238,10 @@ def write_fixture_dir(
 def load_repo_fixture(fixture_dir: str | Path) -> tuple[RepositoryRecord, TableFixture]:
     root = Path(fixture_dir)
     meta = read_json(root / "repo.json", "repository metadata")
-    corpus_text = read_text(root / "corpus.jsonl", "corpus")
-    theorem_text = read_text(root / "theorems.json", "theorems")
-    if not isinstance(meta, dict) or "url" not in meta or "commit" not in meta:
-        raise CorruptDocument(f"repo.json in {root} needs url and commit")
-    corpus = parse_corpus(corpus_text)
-    theorems = load_theorems(theorem_text)
-    record = RepositoryRecord(
-        url=str(meta["url"]),
-        commit=str(meta["commit"]),
-        name=str(meta.get("name", root.name)),
-        date_added=str(meta.get("date_added", EPOCH)),
-        toolchain_version=str(meta.get("toolchain_version", "")),
-        theorems=theorems,
+    corpus = parse_corpus(read_text(root / "corpus.jsonl", "corpus"))
+    record = RepositoryRecord.from_metadata(
+        meta, f"repo.json in {root}", name=root.name,
+        theorems=load_theorems(read_text(root / "theorems.json", "theorems")),
         premise_files=list(corpus.files),
         traced_file_paths=corpus.paths,
     )

@@ -25,7 +25,7 @@ import numpy as np
 
 from .corpus import Corpus, Premise, Theorem
 from .errors import CorruptDocument, EmptyDataset, EmptyGroundTruth, ShapeMismatch, StaleIndex
-from .storage import read_bytes, write_atomic
+from .storage import FLOAT_OR_NULL, STRINGS, json_field, read_bytes, write_atomic
 
 NEGATIVES_PER_EXAMPLE = 3
 
@@ -324,6 +324,11 @@ class EmbeddingIndex:
     def __post_init__(self) -> None:
         self.row_of = {k: i for i, k in enumerate(self.keys)}
 
+    def check_model(self, model: EmbeddingModel) -> None:
+        """Raise StaleIndex unless the index was built at the model's version."""
+        if model.version_hash != self.version_hash:
+            raise StaleIndex(f"index built at {self.version_hash}, model is {model.version_hash}")
+
     def rows_of(self, premises: list[Premise]) -> np.ndarray:
         """The row of each premise, in the order given."""
         try:
@@ -391,10 +396,7 @@ def recall_at_k(
     """
     if k < 1:
         raise ValueError("k must be positive")
-    if model.version_hash != index.version_hash:
-        raise StaleIndex(
-            f"index built at {index.version_hash}, model is {model.version_hash}"
-        )
+    index.check_model(model)
     if not eval_pairs:
         raise EmptyGroundTruth("no evaluation pairs")
     for state, gt in eval_pairs:
@@ -503,7 +505,7 @@ class Checkpoint:
         except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
             raise CorruptDocument(f"checkpoint {path} has no JSON header line: {e}") from e
         version = header.get("format_version") if isinstance(header, dict) else None
-        if version != CHECKPOINT_FORMAT:
+        if version != CHECKPOINT_FORMAT or type(version) is not int:
             raise CorruptDocument(
                 f"checkpoint {path} is format {version!r}, not the binary format "
                 f"{CHECKPOINT_FORMAT} this version reads; rerun `proverloop run` "
@@ -511,26 +513,28 @@ class Checkpoint:
             )
         if hashlib.sha256(payload).hexdigest() != header.get("sha256"):
             raise CorruptDocument(f"checkpoint {path} fails its sha256 check")
+        what = f"checkpoint {path} header"
+        dim = json_field(header, "dim", int, what)
+        n_features = json_field(header, "n_features", int, what)
+        # the least embedding_dim and feature_buckets a RunConfig takes
+        for key, value, least in (("dim", dim, 1), ("n_features", n_features, 2)):
+            if value < least:
+                raise CorruptDocument(f"{what}: {key} must be in [{least}, inf), got {value}")
+        history = json_field(header, "history", STRINGS, what)
+        best_val_r10 = json_field(header, "best_val_r10", FLOAT_OR_NULL, what)
+        has_fisher = json_field(header, "has_fisher", bool, what)
+        buf = io.BytesIO(payload)
         try:
-            dim, n_features = int(header["dim"]), int(header["n_features"])
-            # the least embedding_dim and feature_buckets a RunConfig takes
-            for key, value, least in (("dim", dim, 1), ("n_features", n_features, 2)):
-                if value < least:
-                    raise ValueError(f"{key} must be in [{least}, inf), got {value}")
-            history = header["history"]
-            if not isinstance(history, list) or not all(isinstance(h, str) for h in history):
-                raise ValueError("history must be a list of task names")
-            buf = io.BytesIO(payload)
             theta = _read_vector(buf, dim * n_features)
-            fisher = _read_vector(buf, theta.size) if header["has_fisher"] else None
-            checkpoint = cls(
-                model=EmbeddingModel(weight=theta.reshape(dim, n_features)),
-                history=tuple(history),
-                best_val_r10=header["best_val_r10"],
-                fisher=fisher,
-            )
-        except (KeyError, TypeError, ValueError, EOFError) as e:
+            fisher = _read_vector(buf, theta.size) if has_fisher else None
+        except (ValueError, EOFError) as e:  # a damaged .npy record
             raise CorruptDocument(f"bad checkpoint {path}: {e}") from e
+        checkpoint = cls(
+            model=EmbeddingModel(weight=theta.reshape(dim, n_features)),
+            history=tuple(history),
+            best_val_r10=best_val_r10,
+            fisher=fisher,
+        )
         if buf.tell() != len(payload):
             raise CorruptDocument(f"checkpoint {path} has bytes after its arrays")
         return checkpoint

@@ -22,14 +22,9 @@ from typing import Callable, Protocol
 import numpy as np
 
 from .corpus import Corpus, Premise, Theorem
-from .errors import (
-    CorruptDocument,
-    EnvironmentFailure,
-    StaleIndex,
-    UnknownFile,
-)
+from .errors import CorruptDocument, EnvironmentFailure, UnknownFile
 from .retriever import EmbeddingIndex, EmbeddingModel, rank_by_similarity
-from .storage import dump_json, read_json, write_atomic
+from .storage import dump_json, json_field, read_json, write_atomic
 
 GOAL = "PROVED"
 
@@ -131,10 +126,7 @@ def retrieve_premises(
     """
     if not accessible:
         return []
-    if model.version_hash != index.version_hash:
-        raise StaleIndex(
-            f"index built at {index.version_hash}, model is {model.version_hash}"
-        )
+    index.check_model(model)
     if rows is None:
         rows = index.rows_of(accessible)
     keep = min(max_n, math.ceil(fraction * len(accessible)))
@@ -172,9 +164,6 @@ class TableFixture:
                 raise CorruptDocument(f"duplicate transition {key!r}")
             if e.log_prob > 0.0:
                 raise CorruptDocument(f"positive log-probability on {key!r}")
-            if not isinstance(e.fails, bool) or not isinstance(e.requires_premise, str | None):
-                raise CorruptDocument(
-                    f"fails must be a boolean and requires_premise a string on {key!r}")
             self.lookup[key] = e
             self.by_source.setdefault(e.source, []).append(e)
 
@@ -199,23 +188,21 @@ class TableFixture:
 
     @classmethod
     def from_json(cls, doc: object) -> TableFixture:
-        if not isinstance(doc, dict) or "initial" not in doc or "edges" not in doc:
-            raise CorruptDocument("fixture needs initial and edges")
-        try:
-            edges = [
-                _Edge(
-                    source=str(e["from"]),
-                    tactic=str(e["tactic"]),
-                    log_prob=float(e["log_prob"]),
-                    target=str(e["to"]),
-                    requires_premise=e.get("requires_premise"),
-                    fails=e.get("fails", False),
-                )
-                for e in doc["edges"]
-            ]
-            initial = {str(k): str(v) for k, v in doc["initial"].items()}
-        except (AttributeError, KeyError, TypeError, ValueError) as e:
-            raise CorruptDocument(f"bad fixture: {e}") from e
+        initial = json_field(doc, "initial", dict, "search table")
+        for key in initial:
+            json_field(initial, key, str, "search table initial")
+        edges = [
+            _Edge(
+                source=json_field(e, "from", str, "search table edge"),
+                tactic=json_field(e, "tactic", str, "search table edge"),
+                log_prob=json_field(e, "log_prob", float, "search table edge"),
+                target=json_field(e, "to", str, "search table edge"),
+                requires_premise=json_field(e, "requires_premise", str, "search table edge",
+                                            default=None),
+                fails=json_field(e, "fails", bool, "search table edge", default=False),
+            )
+            for e in json_field(doc, "edges", list, "search table")
+        ]
         return cls(initial=initial, edges=edges)
 
     def save(self, path: str | Path) -> None:

@@ -4,14 +4,17 @@ Writes are atomic: the bytes go to a sibling temporary file that then
 replaces the target with ``os.replace``, so a failed or interrupted write
 leaves the previous file intact and no temporary file behind. Reads map
 ``OSError`` to ``IoFailure`` and undecodable JSON to ``CorruptDocument``.
+Every field of a loaded document is read through ``json_field``.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 from contextlib import suppress
 from pathlib import Path
+from typing import Any, Callable
 
 from .errors import CorruptDocument, IoFailure
 
@@ -57,3 +60,50 @@ def read_json(path: str | Path, what: str) -> object:
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise CorruptDocument(f"{what} at {path} is not valid JSON: {e.msg}") from e
+
+
+# Field kinds beyond the JSON types str, int, float, bool, list and dict;
+# each names itself in error messages.
+STRINGS = "a list of strings"
+POSITION = "a [line, col] pair of ints >= 1"
+FLOAT_OR_NULL = "a finite number or null"
+REQUIRED = object()
+
+_KIND_NAMES = {str: "a string", int: "an int", float: "a finite number", bool: "a boolean",
+               list: "a list", dict: "an object"}
+_FLOAT_MAX = sys.float_info.max
+
+
+def json_field(doc: object, key: str, kind: object, what: str,
+               error: Callable[[str], Exception] = CorruptDocument,
+               default: object = REQUIRED) -> Any:
+    """doc[key] if it has its one kind, else raise error(message naming what and key).
+
+    Nothing is coerced: a bool is never an int or a float, a float field is
+    finite (a JSON int there reads as a float), and null is only a value of
+    FLOAT_OR_NULL. A missing key reads as default, so a field without one
+    is required. A POSITION reads as a tuple.
+    """
+    if type(doc) is not dict:
+        raise error(f"{what} must be an object, got {doc!r:.60}")
+    value = doc.get(key, REQUIRED)
+    if value is REQUIRED:
+        if default is REQUIRED:
+            raise error(f"{what} is missing field {key!r}")
+        return default
+    t = type(value)
+    if t is kind and t is not float:
+        return value
+    if kind is float or (kind is FLOAT_OR_NULL and value is not None):
+        if (t is float or t is int) and -_FLOAT_MAX <= value <= _FLOAT_MAX:
+            return float(value)
+    elif kind is FLOAT_OR_NULL:
+        return None
+    elif kind is STRINGS:
+        if t is list and all(type(v) is str for v in value):
+            return value
+    elif kind is POSITION:
+        if (t is list and len(value) == 2 and type(value[0]) is int is type(value[1])
+                and value[0] >= 1 and value[1] >= 1):
+            return (value[0], value[1])
+    raise error(f"{what} field {key!r} must be {_KIND_NAMES.get(kind, kind)}, got {value!r:.60}")

@@ -81,6 +81,12 @@ def theorem(name, path="lib/a.lean", statement=None, tactics=(), status="proven"
     )
 
 
+def premise_by_key(corpus, key):
+    """The corpus premise whose key is key."""
+    [found] = [p for p in corpus.all_premises() if p.key == key]
+    return found
+
+
 def corpus_of(*files):
     return corpus_from_files(list(files))
 

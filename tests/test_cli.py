@@ -6,9 +6,9 @@ import shutil
 import numpy as np
 import pytest
 
-from helpers import theorem
+from helpers import tactic, theorem
 from proverloop.cli import main
-from proverloop.corpus import theorem_from_json, theorem_to_json
+from proverloop.corpus import tactic_from_json, tactic_to_json, theorem_from_json, theorem_to_json
 from proverloop.database import DynamicDatabase
 from proverloop.errors import CorruptDocument, InvalidRecord, ProverloopError
 from proverloop.metrics import matrix_to_csv, validation_to_csv
@@ -247,6 +247,10 @@ def theorem_with(**fields):
     return theorem_from_json({**theorem_to_json(theorem("t")), **fields})
 
 
+def tactic_with(**fields):
+    return tactic_from_json({**tactic_to_json(tactic()), **fields})
+
+
 def database_with(**fields):
     record = {"url": "fixture://r", "commit": "c", "name": "r", "theorems": [],
               "premise_files": [], "traced_files": []}
@@ -278,10 +282,29 @@ class TestErrorContract:
         (lambda: database_with(theorems={}), CorruptDocument),
         (lambda: database_with(theorems=5), CorruptDocument),
         (lambda: database_with(theorems=[5]), CorruptDocument),
+        (lambda: theorem_with(start=["1", "1"]), InvalidRecord),
+        (lambda: theorem_with(start=[1.9, 1]), InvalidRecord),
+        (lambda: theorem_with(start=[0, 0]), InvalidRecord),
+        (lambda: theorem_with(start=[True, 1]), InvalidRecord),
+        (lambda: theorem_with(start=[1, 1, 5]), InvalidRecord),
+        (lambda: theorem_with(full_name=["x"]), InvalidRecord),
+        (lambda: tactic_with(state_before=2), InvalidRecord),
+        (lambda: tactic_with(state_after=None), InvalidRecord),
+        (lambda: table_with_edge(log_prob="-0.5"), CorruptDocument),
+        (lambda: table_with_edge(log_prob=False), CorruptDocument),
+        (lambda: table_with_edge(log_prob=float("nan")), CorruptDocument),
+        (lambda: TableFixture.from_json({"initial": {"a::b": 5}, "edges": []}),
+         CorruptDocument),
+        (lambda: database_with(url=1), CorruptDocument),
+        (lambda: database_with(traced_files=[1]), CorruptDocument),
     ], ids=["start-short", "start-text", "tactics-int", "proof-int", "proof-string",
             "proof-entry-int", "sorry-proven-without-proof", "db-theorems-list",
             "table-initial-list", "edge-fails-string", "edge-premise-int", "db-format-1",
-            "db-theorems-dict", "db-theorems-int", "db-theorems-non-object"])
+            "db-theorems-dict", "db-theorems-int", "db-theorems-non-object",
+            "start-digit-strings", "start-float", "start-zero", "start-bool", "start-triple",
+            "full-name-list", "tactic-state-before-int", "tactic-state-after-null",
+            "edge-log-prob-string", "edge-log-prob-bool", "edge-log-prob-nan",
+            "table-initial-int", "db-url-int", "db-traced-file-int"])
     def test_malformed_documents_raise_package_errors(self, parse, expected):
         with pytest.raises(ProverloopError) as info:
             parse()

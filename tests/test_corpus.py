@@ -6,9 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import COMMIT, URL, corpus_of, pfile, premise, tactic, theorem
+from helpers import COMMIT, URL, corpus_of, pfile, premise, premise_by_key, tactic, theorem
 from proverloop.corpus import (
-    DatasetSplit,
     dump_theorems,
     load_theorems,
     parse_corpus,
@@ -44,13 +43,13 @@ class TestParseCorpus:
     def test_empty_input(self):
         corpus = parse_corpus("")
         assert len(corpus.files) == 0
-        assert corpus.premise_count == 0
+        assert corpus.all_premises() == []
 
     def test_single_file_two_premises(self):
         corpus = parse_corpus(file_line("lib/a.lean", names=("a.x", "a.y")) + "\n")
         assert len(corpus.files) == 1
-        assert corpus.premise_count == 2
-        assert corpus.premise("lib/a.lean::a.x").statement == "Holds a.x"
+        assert len(corpus.all_premises()) == 2
+        assert premise_by_key(corpus, "lib/a.lean::a.x").statement == "Holds a.x"
 
     def test_import_cycle(self):
         text = "\n".join([

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import pfile, premise, tactic, theorem
+from helpers import pfile, premise, premise_by_key, tactic, theorem
 from proverloop.corpus import THEOREM_STATUSES, dump_theorems, serialize_corpus
 from proverloop.database import (
     DynamicDatabase,
@@ -171,7 +171,7 @@ class TestGenerateDataset:
         db.add_repository(mk("fixture://b", second, ("b.t0", "b.t1")))
         ds = db.generate_dataset(db.repo_ids, strategy="merge_all", seed=0)
         assert ds.metadata.premise_file_count == 1
-        assert ds.corpus.premise("lib/shared.lean::s.x").statement == "first version"
+        assert premise_by_key(ds.corpus, "lib/shared.lean::s.x").statement == "first version"
 
     def test_single_repo_equals_merge_all_of_one(self):
         db = DynamicDatabase()
@@ -303,7 +303,7 @@ class TestRoundTrip:
         owner = next(rec for rec in db.repositories if gated in rec.theorems)
         assert owner.difficulty_cache[gated.key].steps == 2
 
-    @pytest.mark.parametrize("version", [1, None, 3, "2"])
+    @pytest.mark.parametrize("version", [1, None, 3, "2", 2.0])
     def test_other_format_versions_are_rejected(self, proved_demo, version):
         doc = proved_demo[0].to_json()
         doc.pop("format_version")

@@ -31,7 +31,7 @@ VALIDATION = [60.0, 70.0, 65.0]
 class TestMatrixShape:
     def test_accepts_lower_triangular(self):
         m = PerformanceMatrix(rows=ROWS, validation=VALIDATION)
-        assert m.task_count == 3
+        assert len(m.rows) == 3
 
     def test_rejects_ragged_rows(self):
         with pytest.raises(ValueError):

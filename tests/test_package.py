@@ -55,3 +55,18 @@ def test_every_module_level_name_is_used_by_the_package_or_the_benchmark():
         and not any(name in refs for stmt, refs in statements if stmt is not definition)
     ]
     assert unused == []
+
+
+def test_every_imported_name_is_read_by_its_module():
+    unread = []
+    for path in sorted([*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py")]):
+        tree = parse(path)
+        reads = {node.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+                unread.extend(f"{path.relative_to(ROOT)}:{name}"
+                              for alias in node.names
+                              if (name := alias.asname or alias.name.split(".")[0]) not in reads)
+    assert unread == []

@@ -12,7 +12,6 @@ from proverloop.errors import CorruptDocument, IoFailure, PipelineError
 from proverloop.fixtures import repo_algebra, repo_number, repo_topology, write_bundled
 from proverloop.metrics import composite_score
 from proverloop.pipeline import (
-    ProofAttempt,
     RunConfig,
     RunReport,
     emit_reports,

@@ -17,6 +17,7 @@ from helpers import (
     example_loss_and_grad,
     example_loss_and_grad_oracle,
     pfile,
+    premise_by_key,
     tactic,
     theorem,
 )
@@ -437,7 +438,7 @@ class TestIndexAndRecall:
         m = EmbeddingModel.random_init(dim=6, n_features=64, seed=4)
         index = precompute_embeddings(m, corpus)
         for key, row in index.row_of.items():
-            assert np.array_equal(index.matrix[row], m.embed(corpus.premise(key).text))
+            assert np.array_equal(index.matrix[row], m.embed(premise_by_key(corpus, key).text))
 
     def test_rows_of_follows_the_given_order(self):
         corpus = tiny_corpus(n=5)
@@ -761,12 +762,21 @@ class TestCheckpoint:
                 p, self._npy(np.ones(4), np.ones(4)), n_features=1), r"n_features.*\[2, inf\)"),
             ("no embedding rows", lambda p: self._forge(
                 p, self._npy(np.ones(0), np.ones(0)), dim=0), r"dim.*\[1, inf\)"),
+            ("text best recall", lambda p: self._forge(
+                p, self._npy(theta, np.ones(theta.size)), best_val_r10="abc"), "best_val_r10"),
+            ("text dim", lambda p: self._forge(
+                p, self._npy(np.ones(64), np.ones(64)), dim="2"), "'dim'"),
+            ("boolean dim", lambda p: self._forge(
+                p, self._npy(np.ones(32), np.ones(32)), dim=True), "'dim'"),
+            ("float format", lambda p: self._forge(
+                p, self._npy(theta, np.ones(theta.size)), format_version=2.0), "format 2.0"),
         ]
         for name, write, reason in cases:
             path = tmp_path / f"{name}.ckpt"
             write(path)
             with pytest.raises(CorruptDocument, match=reason):
                 Checkpoint.load(path)
+        assert Checkpoint.load(good).best_val_r10 is None  # null is its one other value
 
     def test_missing_file_is_an_io_failure(self, tmp_path):
         with pytest.raises(IoFailure):

@@ -1,7 +1,5 @@
 """Dependency closure, premise filtering, and best-first proof search."""
 
-import math
-
 import numpy as np
 import pytest
 

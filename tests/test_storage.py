@@ -1,12 +1,19 @@
-"""Atomic artifact writes and guarded reads."""
+"""Atomic artifact writes, guarded reads and the field reader behind every loader."""
 
+import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from proverloop.errors import CorruptDocument, IoFailure
+from helpers import pfile, tactic, theorem
+from proverloop.corpus import premise_file_to_json, theorem_from_json, theorem_to_json
+from proverloop.database import DynamicDatabase
+from proverloop.errors import CorruptDocument, IoFailure, ProverloopError
 from proverloop.retriever import Checkpoint, EmbeddingModel
+from proverloop.search import TableFixture
 from proverloop.storage import dump_json, read_json, read_text, write_atomic
 
 
@@ -70,3 +77,52 @@ class TestReads:
             read_text(tmp_path / "latin.txt", "config")
         with pytest.raises(CorruptDocument):
             read_json(tmp_path / "latin.txt", "config")
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+
+@pytest.fixture(scope="module")
+def documents(tmp_path_factory):
+    """A valid document of each kind, with the loader that reads it."""
+    path = tmp_path_factory.mktemp("fuzz") / "ck.ckpt"
+    checkpoint(0).save(path)
+    head, _, payload = path.read_bytes().partition(b"\n")
+
+    def load_header(header):
+        path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
+        Checkpoint.load(path)
+
+    proved = theorem_to_json(theorem("t", tactics=(tactic("a.x"),)))
+    edge = {"from": "s", "tactic": "t", "log_prob": -0.5, "to": "PROVED",
+            "requires_premise": "a.x", "fails": False}
+    record = {"url": "fixture://r", "commit": "c", "name": "r", "date_added": "2024-01-01",
+              "toolchain_version": "v4", "theorems": [proved], "traced_files": ["lib/a.lean"],
+              "premise_files": [premise_file_to_json(pfile("lib/a.lean", names=("a.x",)))]}
+    return {
+        "theorem": (proved, theorem_from_json),
+        "edge": (edge, lambda e: TableFixture.from_json({"initial": {"k": "s"}, "edges": [e]})),
+        "record": (record, lambda r: DynamicDatabase.from_json(
+            {"format_version": 2, "repositories": [r]})),
+        "header": (json.loads(head), load_header),
+    }
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_one_replaced_field_loads_or_raises_a_package_error(documents, data):
+    """Any JSON value (NaN included) in place of one field of a valid theorem,
+    search table edge, database record or checkpoint header either loads or
+    raises a ProverloopError, never another exception."""
+    valid, load = documents[data.draw(st.sampled_from(sorted(documents)))]
+    load(valid)
+    field = data.draw(st.sampled_from(sorted(valid)))
+    try:
+        load({**valid, field: data.draw(_JSON_VALUES)})
+    except ProverloopError:
+        pass
