@@ -16,6 +16,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
 
@@ -153,36 +154,34 @@ class DatasetSplit:
     val: list[Theorem]
     test: list[Theorem]
 
-    def __iter__(self):
-        return iter((self.train, self.val, self.test))
-
 
 # -- parsing ----------------------------------------------------------------
 
-def _require(cond: bool, line_no: int, reason: str) -> None:
+def _require(cond: bool, error: Callable[[str], Exception], reason: str) -> None:
     if not cond:
-        raise MalformedLine(line_no, reason)
+        raise error(reason)
 
 
-def premise_file_from_json(obj: object, line_no: int = 0) -> PremiseFile:
-    error = partial(MalformedLine, line_no)
+def premise_file_from_json(obj: object, error: Callable[[str], Exception]) -> PremiseFile:
+    """One premise file; error(reason) is raised for a bad field and says
+    where the file came from (a corpus line, a database record)."""
     path = json_field(obj, "path", str, "premise file", error)
-    _require(bool(path), line_no, "path must be a non-empty string")
+    _require(bool(path), error, "path must be a non-empty string")
     imports = json_field(obj, "imports", STRINGS, "premise file", error)
-    _require(path not in imports, line_no, "file imports itself")
+    _require(path not in imports, error, "file imports itself")
     premises: list[Premise] = []
     seen_names: set[str] = set()
     for raw in json_field(obj, "premises", list, "premise file", error):
         name = json_field(raw, "full_name", str, "premise", error)
-        _require(bool(name), line_no, "full_name must be a non-empty string")
-        _require(name not in seen_names, line_no, f"duplicate premise name {name!r}")
+        _require(bool(name), error, "full_name must be a non-empty string")
+        _require(name not in seen_names, error, f"duplicate premise name {name!r}")
         seen_names.add(name)
         code = json_field(raw, "code", str, "premise", error)
         start = json_field(raw, "start", POSITION, "premise", error)
         end = json_field(raw, "end", POSITION, "premise", error)
-        _require(start <= end, line_no, "premise start must not follow its end")
+        _require(start <= end, error, "premise start must not follow its end")
         kind = json_field(raw, "kind", str, "premise", error)
-        _require(kind in PREMISE_KINDS, line_no, f"kind must be one of {PREMISE_KINDS}")
+        _require(kind in PREMISE_KINDS, error, f"kind must be one of {PREMISE_KINDS}")
         premises.append(Premise(
             full_name=name, file_path=path, statement=code,
             start=start, end=end, kind=kind,
@@ -201,7 +200,7 @@ def parse_corpus(text: str) -> Corpus:
             obj = json.loads(line)
         except json.JSONDecodeError as e:
             raise MalformedLine(line_no, f"invalid JSON: {e.msg}") from e
-        pf = premise_file_from_json(obj, line_no)
+        pf = premise_file_from_json(obj, partial(MalformedLine, line_no))
         if pf.path in seen_paths:
             raise DuplicatePath(pf.path)
         seen_paths.add(pf.path)

@@ -106,6 +106,11 @@ class RepositoryRecord:
                       key=lambda t: t.key)
 
     def validate(self) -> None:
+        seen_paths: set[str] = set()
+        for pf in self.premise_files:
+            if pf.path in seen_paths:
+                raise InvalidRecord(f"duplicate premise file {pf.path!r} in {self.repo_id}")
+            seen_paths.add(pf.path)
         seen_keys: set[tuple[str, str, str]] = set()
         for t in self.theorems:
             if t.key in seen_keys:
@@ -113,11 +118,9 @@ class RepositoryRecord:
             seen_keys.add(t.key)
             if t.status == STATUS_SORRY and t.traced_tactics:
                 raise InvalidRecord(f"unproven theorem {t.full_name!r} carries traced tactics")
-        seen_paths: set[str] = set()
-        for pf in self.premise_files:
-            if pf.path in seen_paths:
-                raise InvalidRecord(f"duplicate premise file {pf.path!r} in {self.repo_id}")
-            seen_paths.add(pf.path)
+            if t.status == STATUS_SORRY and t.file_path not in seen_paths:
+                raise InvalidRecord(f"open goal {t.full_name!r} is in {t.file_path!r}, "
+                                    f"not a premise file of {self.repo_id}")
         # raises if imports dangle or cycle
         corpus_from_files(self.premise_files)
 
@@ -290,18 +293,22 @@ class DynamicDatabase:
                 f"database is format {version!r}, not the format {DATABASE_FORMAT} this "
                 "version reads; rerun `proverloop ingest` or `proverloop run` to rewrite it")
         db = cls()
-        for raw in json_field(doc, "repositories", list, "database"):
+        for n, raw in enumerate(json_field(doc, "repositories", list, "database"), start=1):
+            name = json_field(raw, "name", str, f"database record {n}")
             try:
                 db.add_repository(RepositoryRecord.from_metadata(
                     raw, "database record",
                     theorems=[theorem_from_json(t) for t in
                               json_field(raw, "theorems", list, "database record")],
-                    premise_files=[premise_file_from_json(pf) for pf in
-                                   json_field(raw, "premise_files", list, "database record")],
+                    premise_files=[
+                        premise_file_from_json(pf, lambda reason, i=i: CorruptDocument(
+                            f"premise file {i}: {reason}"))
+                        for i, pf in enumerate(
+                            json_field(raw, "premise_files", list, "database record"), start=1)],
                     traced_file_paths=json_field(raw, "traced_files", STRINGS, "database record"),
                 ))
             except ProverloopError as e:
-                raise CorruptDocument(f"bad repository record: {e}") from e
+                raise CorruptDocument(f"bad repository record {n} ({name}): {e}") from e
         return db
 
     def dumps(self) -> str:

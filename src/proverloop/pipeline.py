@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 from .corpus import corpus_from_files, dump_theorems, load_theorems, parse_corpus, serialize_corpus
@@ -176,14 +177,19 @@ def parse_config(path: str | Path) -> RunConfig:
     text = read_text(cfg_path, "config")
     base = cfg_path.parent
     raw: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
             raise CorruptDocument(f"config line {line_no}: expected key = value")
-        key, _, value = stripped.partition("=")
-        raw[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in stripped.partition("="))
+        if key in first_line:
+            raise CorruptDocument(
+                f"config key {key!r} is set twice, on lines {first_line[key]} and {line_no}")
+        first_line[key] = line_no
+        raw[key] = value
 
     if "fixtures" not in raw:
         raise CorruptDocument("config is missing the fixtures key")
@@ -263,17 +269,8 @@ class ProofAttempt:
     result: SearchResult
 
     def to_json(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "repo": self.repo_id,
-            "phase": self.phase,
-            "status": self.result.status,
-            "proof": self.result.proof,
-            "total_log_prob": self.result.total_log_prob,
-            "expansions": self.result.expansions,
-            "elapsed_ms": self.result.elapsed_ms,
-            "env_failures": self.result.env_failures,
-        }
+        return {"theorem": self.theorem, "repo": self.repo_id, "phase": self.phase,
+                **dataclasses.asdict(self.result)}
 
 
 @dataclass
@@ -308,11 +305,9 @@ def proofs_json(attempts: list[ProofAttempt]) -> dict:
     return {"attempts": [a.to_json() for a in attempts]}
 
 
-def emit_reports(report: RunReport, out_dir: str | Path) -> list[Path]:
+def emit_reports(report: RunReport, out_dir: str | Path) -> None:
     """Write the matrix CSV, metrics JSON, proofs JSON, and curriculum JSON
     (plus the validation series CSV the metrics subcommand consumes)."""
-    out = Path(out_dir)
-    written = []
     for name, text in (
         ("matrix.csv", matrix_to_csv(report.matrix_rows)),
         ("validation.csv", validation_to_csv(report.validation)),
@@ -320,9 +315,7 @@ def emit_reports(report: RunReport, out_dir: str | Path) -> list[Path]:
         ("proofs.json", dump_json(proofs_json(report.attempts))),
         ("curriculum.json", dump_json(curriculum_json(report.thresholds, report.curriculum))),
     ):
-        write_atomic(out / name, text)
-        written.append(out / name)
-    return written
+        write_atomic(Path(out_dir) / name, text)
 
 
 # -- the run ---------------------------------------------------------------------
@@ -337,47 +330,6 @@ def _build_task(
         val_pairs=extract_eval_pairs(dataset.split.val, dataset.corpus),
         test_pairs=extract_eval_pairs(dataset.split.test, dataset.corpus),
     )
-
-
-def _prove_repo(
-    record: RepositoryRecord,
-    env_fixture: TableFixture,
-    checkpoint: Checkpoint,
-    db: DynamicDatabase,
-    config: RunConfig,
-    phase: str,
-    attempts: list[ProofAttempt],
-) -> None:
-    sorries = record.sorries()
-    if not sorries:
-        return
-    corpus = corpus_from_files(record.premise_files)
-    graph = build_dependency_graph(corpus)
-    index = precompute_embeddings(checkpoint.model, corpus)
-    env = TableEnvironment(env_fixture)
-    generator = TableGenerator(env_fixture)
-    budget = SearchBudget(
-        time_ms=config.time_budget_ms,
-        max_expansions=config.max_expansions,
-        candidates=config.candidates,
-    )
-    for theorem in sorries:
-        accessible = accessible_premises(graph, corpus, theorem)
-        rows = index.rows_of(accessible)  # held for this goal's search only
-        retrieval_fn = lambda state, _acc=accessible, _rows=rows: retrieve_premises(
-            checkpoint.model, index, state, _acc, fraction=config.retrieval_fraction,
-            max_n=config.retrieval_max, rows=_rows,
-        )
-        clock = None if config.wall_clock else TickClock()
-        result = best_first_search(
-            env, generator, theorem, retrieval_fn=retrieval_fn,
-            budget=budget, clock=clock,
-        )
-        attempts.append(ProofAttempt(
-            theorem=theorem.key_str, repo_id=record.repo_id, phase=phase, result=result,
-        ))
-        if result.status == "proved" and result.proof is not None:
-            db.record_sorry_proof(theorem.key, result.proof)
 
 
 def ingest_fixtures(config: RunConfig) -> tuple[DynamicDatabase, dict[str, TableFixture]]:
@@ -416,6 +368,51 @@ def build_curriculum(
 
 def task_checkpoint(out_dir: str | Path, k: int) -> Path:
     return Path(out_dir) / "checkpoints" / f"task_{k:02d}.ckpt"
+
+
+def prove_goals(
+    db: DynamicDatabase,
+    environments: dict[str, TableFixture],
+    model: EmbeddingModel,
+    config: RunConfig,
+    repo_ids: list[str],
+    phase: str,
+) -> list[ProofAttempt]:
+    """Search every open goal of the given repositories, in their order, and
+    record each proof found in the database.
+
+    Each repository with open goals is one `prove:<name>` stage; the others
+    are skipped before their corpus, graph and index are built.
+    """
+    budget = SearchBudget(time_ms=config.time_budget_ms, max_expansions=config.max_expansions,
+                          candidates=config.candidates)
+    attempts: list[ProofAttempt] = []
+    for repo_id in repo_ids:
+        record = db.get_repository(repo_id)
+        sorries = record.sorries()
+        if not sorries:
+            continue
+        with _stage(f"prove:{record.name}"):
+            corpus = corpus_from_files(record.premise_files)
+            graph = build_dependency_graph(corpus)
+            index = precompute_embeddings(model, corpus)
+            env = TableEnvironment(environments[repo_id])
+            generator = TableGenerator(environments[repo_id])
+            for theorem in sorries:
+                accessible = accessible_premises(graph, corpus, theorem)
+                retrieval_fn = partial(  # rows are resolved once, for this goal only
+                    retrieve_premises, model, index, accessible=accessible,
+                    fraction=config.retrieval_fraction, max_n=config.retrieval_max,
+                    rows=index.rows_of(accessible),
+                )
+                result = best_first_search(
+                    env, generator, theorem, retrieval_fn=retrieval_fn, budget=budget,
+                    clock=None if config.wall_clock else TickClock(),
+                )
+                attempts.append(ProofAttempt(theorem.key_str, repo_id, phase, result))
+                if result.status == "proved" and result.proof is not None:
+                    db.record_sorry_proof(theorem.key, result.proof)
+    return attempts
 
 
 def run_pipeline(config: RunConfig, *, prove: bool = True) -> RunReport:
@@ -475,16 +472,12 @@ def run_pipeline(config: RunConfig, *, prove: bool = True) -> RunReport:
             matrix_rows.append(row)
 
         if prove:
-            with _stage(f"prove:{record.name}"):
-                _prove_repo(record, environments[repo_id], checkpoint, db, config,
-                            phase="during", attempts=attempts)
+            attempts += prove_goals(db, environments, checkpoint.model, config,
+                                    [repo_id], "during")
 
     if prove and config.prove_after:
-        with _stage("prove-after"):
-            for repo_id in ordered_ids:
-                record = db.get_repository(repo_id)
-                _prove_repo(record, environments[repo_id], checkpoint, db, config,
-                            phase="after", attempts=attempts)
+        attempts += prove_goals(db, environments, checkpoint.model, config,
+                                ordered_ids, "after")
 
     with _stage("metrics"):
         matrix = PerformanceMatrix(rows=matrix_rows, validation=validation)
@@ -518,10 +511,5 @@ def prove_standalone(
     with _stage("checkpoint"):
         checkpoint = Checkpoint.load(
             checkpoint_path or task_checkpoint(config.out_dir, len(ordered)))
-    attempts: list[ProofAttempt] = []
-    for repo_id, _counts in ordered:
-        record = db.get_repository(repo_id)
-        with _stage(f"prove:{record.name}"):
-            _prove_repo(record, environments[repo_id], checkpoint, db, config,
-                        phase="after", attempts=attempts)
-    return db, attempts
+    return db, prove_goals(db, environments, checkpoint.model, config,
+                           [rid for rid, _ in ordered], "after")

@@ -312,19 +312,31 @@ class TestErrorContract:
 
     def test_run_with_a_sorry_missing_its_initial_state_exits_two(self, demo, tmp_path,
                                                                    capsys):
-        root = tmp_path / "demo"
-        shutil.copytree(demo, root)
-        path = root / "repo_topology" / "environment.json"
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        [key] = [k for k in doc["initial"] if k.endswith("topo.open_task2")]
-        del doc["initial"][key]
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        out = tmp_path / "out"
-        assert main(["run", *cfg_args(root, out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "topo.open_task2" in err
-        assert "Traceback" not in err
-        assert not out.exists()
+        def drop_initial_state(theorems, initial, key):
+            del initial[key]
+
+        def move_goal_out_of_the_corpus(theorems, initial, key):
+            [goal] = [t for t in theorems if t["full_name"] == "topo.open_task2"]
+            goal["file_path"] = "nowhere.lean"
+            initial["nowhere.lean::topo.open_task2"] = initial.pop(key)
+
+        for damage in (drop_initial_state, move_goal_out_of_the_corpus):
+            root = tmp_path / damage.__name__
+            shutil.copytree(demo, root)
+            theorems_path = root / "repo_topology" / "theorems.json"
+            env_path = root / "repo_topology" / "environment.json"
+            theorems = json.loads(theorems_path.read_text(encoding="utf-8"))
+            doc = json.loads(env_path.read_text(encoding="utf-8"))
+            [key] = [k for k in doc["initial"] if k.endswith("topo.open_task2")]
+            damage(theorems, doc["initial"], key)
+            theorems_path.write_text(json.dumps(theorems), encoding="utf-8")
+            env_path.write_text(json.dumps(doc), encoding="utf-8")
+            out = root / "out"
+            assert main(["run", *cfg_args(root, out)]) == 2, damage.__name__
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "topo.open_task2" in err
+            assert "Traceback" not in err
+            assert not out.exists()
 
     def test_ingest_of_a_malformed_theorem_exits_two(self, demo, tmp_path, capsys):
         root = tmp_path / "demo"

@@ -189,14 +189,14 @@ class TestRandomSplit:
         memberships = set()
         for s in splits:
             assert (len(s.train), len(s.val), len(s.test)) == (28, 1, 1)
-            assert sorted(t.key for part in s for t in part) == whole
+            assert sorted(t.key for part in (s.train, s.val, s.test) for t in part) == whole
             memberships.add(tuple(sorted(t.key for t in s.val + s.test)))
         assert len(memberships) > 1  # seeds actually move theorems around
 
     def test_splits_are_disjoint(self):
         thms = [theorem(f"t{i}") for i in range(17)]
         split = random_split(thms, seed=1, val_frac=0.2, test_frac=0.2)
-        seen = [t.key for part in split for t in part]
+        seen = [t.key for part in (split.train, split.val, split.test) for t in part]
         assert len(seen) == len(set(seen)) == 17
 
 

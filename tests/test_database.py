@@ -72,6 +72,12 @@ class TestMembership:
         with pytest.raises(InvalidRecord):
             DynamicDatabase().add_repository(rec)
 
+    def test_open_goal_outside_the_premise_files_rejected(self):
+        stray = theorem("r.stray", path="nowhere.lean", status="sorry_unproven")
+        rec = make_repo(theorems=[stray])
+        with pytest.raises(InvalidRecord, match="'r.stray' is in 'nowhere.lean'"):
+            DynamicDatabase().add_repository(rec)
+
     def test_unknown_repo(self):
         with pytest.raises(UnknownRepo):
             DynamicDatabase().get_repository("fixture://missing@c")
@@ -179,8 +185,8 @@ class TestGenerateDataset:
         a = db.generate_dataset(db.repo_ids, strategy="single_repo", seed=4)
         b = db.generate_dataset(db.repo_ids, strategy="merge_all", seed=4)
         assert serialize_corpus(a.corpus) == serialize_corpus(b.corpus)
-        for pa, pb in zip(a.split, b.split):
-            assert dump_theorems(pa) == dump_theorems(pb)
+        for part in ("train", "val", "test"):
+            assert dump_theorems(getattr(a.split, part)) == dump_theorems(getattr(b.split, part))
 
     def test_single_repo_rejects_multiple_ids(self):
         db = DynamicDatabase()
@@ -249,6 +255,23 @@ class TestPersistence:
         path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
         assert DynamicDatabase.load(path).dumps() == db.dumps()
 
+    def test_a_bad_premise_names_its_record_not_a_corpus_line(self):
+        doc = self.build().to_json()
+        doc["repositories"][1]["name"] = "r2"
+        del doc["repositories"][1]["premise_files"][0]["premises"][1]["code"]
+        with pytest.raises(CorruptDocument) as err:
+            DynamicDatabase.from_json(doc)
+        message = str(err.value)
+        assert "repository record 2 (r2): premise file 1: " in message
+        assert "missing field 'code'" in message and "line 0" not in message
+
+    def test_an_open_goal_outside_the_premise_files_fails_to_load(self):
+        doc = self.build().to_json()
+        [goal] = [t for t in doc["repositories"][0]["theorems"] if t["full_name"] == "r.two"]
+        goal["file_path"] = "nowhere.lean"
+        with pytest.raises(CorruptDocument, match="'r.two' is in 'nowhere.lean'"):
+            DynamicDatabase.from_json(doc)
+
     def test_canonical_form_is_stable(self):
         db = self.build()
         assert db.dumps() == db.dumps()
@@ -280,12 +303,13 @@ class TestRoundTrip:
     def test_reloaded_database_draws_the_same_split(self, proved_demo, seed):
         db, again = proved_demo
         for repo_id in db.repo_ids:
-            splits = [
+            split, split_again = (
                 d.generate_dataset([repo_id], seed=seed, val_frac=0.2, test_frac=0.2).split
                 for d in (db, again)
-            ]
-            for part, part_again in zip(*splits, strict=True):
-                assert dump_theorems(part_again) == dump_theorems(part)
+            )
+            for part in ("train", "val", "test"):
+                assert dump_theorems(getattr(split_again, part)) == \
+                    dump_theorems(getattr(split, part))
 
     def test_reloaded_database_builds_the_same_curriculum(self, proved_demo):
         db, again = proved_demo

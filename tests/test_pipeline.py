@@ -26,7 +26,7 @@ from proverloop.pipeline import (
     write_fixture_dir,
 )
 from proverloop.retriever import Checkpoint, EmbeddingIndex, EmbeddingModel
-from proverloop.search import TableEnvironment, replay_proof
+from proverloop.search import SearchResult, TableEnvironment, replay_proof
 
 REPORT_FILES = ("matrix.csv", "validation.csv", "metrics.json",
                 "proofs.json", "curriculum.json")
@@ -82,6 +82,15 @@ class TestParseConfig:
     def test_bad_value(self, tmp_path):
         with pytest.raises(CorruptDocument):
             parse_config(self.write(tmp_path, "fixtures = a\nseed = soon\n"))
+
+    def test_repeated_key_names_both_lines(self, tmp_path):
+        for text, key, lines in (
+            ("fixtures = a\nseed = 3\n# again\nseed = 4\n", "seed", (2, 4)),
+            ("fixtures = a, b\nfixtures = a\n", "fixtures", (1, 2)),
+        ):
+            with pytest.raises(CorruptDocument) as err:
+                parse_config(self.write(tmp_path, text))
+            assert f"{key!r} is set twice, on lines {lines[0]} and {lines[1]}" in str(err.value)
 
     def test_line_without_assignment(self, tmp_path):
         with pytest.raises(CorruptDocument):
@@ -252,6 +261,15 @@ class TestRunPipeline:
         assert set(doc["raw"]) == {"wf5", "fm", "cfr", "ebwt", "wp5", "ip"}
         assert set(doc) == {"window", "strategy", "seed", "raw", "average_test_curve",
                             "validation"}
+
+    def test_proofs_json_attempts_are_the_search_result_and_three_labels(self, finished_run):
+        config, report = finished_run
+        doc = json.loads((config.out_dir / "proofs.json").read_text(encoding="utf-8"))
+        fields = {f.name for f in dataclasses.fields(SearchResult)}
+        assert len(doc["attempts"]) == len(report.attempts)
+        assert {a["phase"] for a in doc["attempts"]} == {"during", "after"}
+        for attempt in doc["attempts"]:
+            assert set(attempt) == {"theorem", "repo", "phase"} | fields
 
     def test_training_proves_open_goals_and_records_them(self, finished_run):
         config, report = finished_run
