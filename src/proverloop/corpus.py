@@ -238,9 +238,9 @@ def premise_file_to_json(f: PremiseFile) -> dict:
 
 
 def serialize_corpus(corpus: Corpus) -> str:
-    """Inverse of parse_corpus. Files keep their (topological) order."""
-    lines = [json.dumps(premise_file_to_json(f), ensure_ascii=False) for f in corpus.files]
-    return "\n".join(lines) + ("\n" if lines else "")
+    """Inverse of parse_corpus. Files keep their (topological) order, one
+    canonical JSON document per line."""
+    return "".join(dump_json(premise_file_to_json(f)) for f in corpus.files)
 
 
 def topological_order(files: list[PremiseFile]) -> list[str]:

@@ -11,9 +11,13 @@ with well-defined dedup rules:
 A persisted database (format 2) stores each fact once: every repository
 record keeps its theorems in one list, in record order, each with its own
 status and proof. Difficulties are derived from the theorems on demand and
-never stored. The document is canonical JSON (sorted keys, two-space
-indent), so a persist/load round trip restores the same records in the same
+never stored. The document is canonical JSON (sorted keys, compact, one
+line), so a persist/load round trip restores the same records in the same
 order and re-serializes to the same bytes.
+
+A dataset written for a training task is only its metadata.json: the
+metadata, each split's theorem keys and the corpus's premise-file paths.
+The theorems and premise files themselves are in database.json.
 """
 
 from __future__ import annotations
@@ -28,11 +32,9 @@ from .corpus import (
     STATUS_SORRY,
     Theorem,
     corpus_from_files,
-    dump_theorems,
     premise_file_from_json,
     premise_file_to_json,
     random_split,
-    serialize_corpus,
     theorem_from_json,
     theorem_to_json,
 )
@@ -323,10 +325,10 @@ class DynamicDatabase:
 
 
 def write_dataset(dataset: GeneratedDataset, out_dir: str | Path) -> None:
-    """Materialize a generated dataset as files."""
-    out = Path(out_dir)
-    write_atomic(out / "corpus.jsonl", serialize_corpus(dataset.corpus))
-    write_atomic(out / "train.json", dump_theorems(dataset.split.train))
-    write_atomic(out / "val.json", dump_theorems(dataset.split.val))
-    write_atomic(out / "test.json", dump_theorems(dataset.split.test))
-    write_atomic(out / "metadata.json", dump_json(dataset.metadata.to_json()))
+    """Write out_dir/metadata.json: the metadata, the train, val and test
+    theorem keys in split order, and the premise-file paths in corpus order."""
+    doc = dataset.metadata.to_json()
+    for part in ("train", "val", "test"):
+        doc[part] = [list(t.key) for t in getattr(dataset.split, part)]
+    doc["premise_files"] = dataset.corpus.paths
+    write_atomic(Path(out_dir) / "metadata.json", dump_json(doc))

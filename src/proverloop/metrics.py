@@ -59,6 +59,9 @@ class PerformanceMatrix:
                 f"validation series has {len(self.validation)} entries "
                 f"for {len(self.rows)} tasks"
             )
+        for v in self.validation:
+            if not 0.0 <= v <= 100.0:
+                raise InvalidMatrix(f"validation recall {v} outside [0, 100]")
 
 
 def average_test_curve(rows: list[list[float]]) -> list[float]:

@@ -35,9 +35,12 @@ def write_atomic(path: str | Path, data: str | bytes) -> None:
 
 
 def dump_json(doc: object) -> str:
-    """Canonical document JSON: sorted keys, two-space indent, UTF-8 text
-    (non-ASCII unescaped), final newline."""
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """Canonical document JSON on one line: sorted keys, no spaces, UTF-8
+    text (non-ASCII unescaped), final newline. NaN and infinities raise
+    ValueError, since they are not JSON. Without an indent, json.dumps runs
+    on its C encoder; `python -m json.tool FILE` gives an indented view."""
+    return json.dumps(doc, sort_keys=True, ensure_ascii=False, separators=(",", ":"),
+                      allow_nan=False) + "\n"
 
 
 def read_bytes(path: str | Path, what: str) -> bytes:

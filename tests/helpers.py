@@ -7,12 +7,14 @@ import numpy as np
 from proverloop.corpus import (
     PROVED_MARKER,
     STATUS_SORRY,
+    DatasetSplit,
     Premise,
     PremiseFile,
     Theorem,
     TracedTactic,
     corpus_from_files,
 )
+from proverloop.database import DatasetMetadata, GeneratedDataset
 from proverloop.errors import EnvironmentFailure, ShapeMismatch
 from proverloop.fixtures import _premise
 from proverloop.retriever import (
@@ -89,6 +91,33 @@ def premise_by_key(corpus, key):
 
 def corpus_of(*files):
     return corpus_from_files(list(files))
+
+
+def dataset_from_metadata(db, doc):
+    """The GeneratedDataset that write_dataset recorded in the metadata.json
+    document doc, rebuilt from the database it was generated from.
+
+    Theorem keys resolve to the most recently added copy among the
+    dataset's repositories, premise-file paths to the first copy in
+    repo_ids order: the dedup rules of generate_dataset.
+    """
+    repo_ids = doc["repo_ids"]
+    theorems = {t.key: t for rec in db.repositories if rec.repo_id in repo_ids
+                for t in rec.theorems}
+    files = {}
+    for rid in repo_ids:
+        for pf in db.get_repository(rid).premise_files:
+            files.setdefault(pf.path, pf)
+    split = DatasetSplit(**{part: [theorems[tuple(key)] for key in doc[part]]
+                            for part in ("train", "val", "test")})
+    counts = doc["counts"]
+    metadata = DatasetMetadata(
+        repo_ids=repo_ids, theorem_count=counts["theorems"],
+        premise_file_count=counts["premise_files"], traced_file_count=counts["traced_files"],
+        split_sizes=doc["splits"], created=doc["created"],
+    )
+    corpus = corpus_from_files([files[path] for path in doc["premise_files"]])
+    return GeneratedDataset(split=split, corpus=corpus, metadata=metadata)
 
 
 # -- loss oracles ----------------------------------------------------------------

@@ -310,6 +310,23 @@ class TestErrorContract:
             parse()
         assert isinstance(info.value, expected)
 
+    @pytest.mark.parametrize("validation, reason", [
+        ("1,nan\n2,inf\n", "nan"),
+        ("1,60\n2,inf\n", "inf"),
+        ("1,60\n2,-0.5\n", "-0.5"),
+        ("1,100.5\n2,60\n", "100.5"),
+    ], ids=["nan-and-inf", "inf", "negative", "above-100"])
+    def test_metrics_with_a_validation_value_outside_0_100_exits_two(self, tmp_path, capsys,
+                                                                     validation, reason):
+        (tmp_path / "m.csv").write_text(matrix_to_csv([[80.0], [70.0, 90.0]]), encoding="utf-8")
+        (tmp_path / "v.csv").write_text("task,val_r10\n" + validation, encoding="utf-8")
+        assert main(["metrics", "--matrix", str(tmp_path / "m.csv"),
+                     "--validation", str(tmp_path / "v.csv"),
+                     "--out", str(tmp_path / "scored")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and reason in err and "Traceback" not in err
+        assert not (tmp_path / "scored").exists()
+
     def test_run_with_a_sorry_missing_its_initial_state_exits_two(self, demo, tmp_path,
                                                                    capsys):
         def drop_initial_state(theorems, initial, key):

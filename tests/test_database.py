@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import pfile, premise, premise_by_key, tactic, theorem
+from helpers import dataset_from_metadata, pfile, premise, premise_by_key, tactic, theorem
 from proverloop.corpus import THEOREM_STATUSES, dump_theorems, serialize_corpus
 from proverloop.database import (
     DynamicDatabase,
@@ -214,12 +214,22 @@ class TestGenerateDataset:
 
     def test_write_dataset_emits_files(self, tmp_path):
         db = DynamicDatabase()
-        db.add_repository(make_repo())
-        ds = db.generate_dataset(db.repo_ids, strategy="merge_all", seed=0)
+        db.add_repository(make_repo(url="fixture://b"))
+        db.add_repository(make_repo(url="fixture://a"))
+        db.record_sorry_proof(("lib/base.lean", "r.two", "GoalOf r.two"), ["rfl"])
+        ds = db.generate_dataset(["fixture://a@c1", "fixture://b@c1"], seed=0)
         write_dataset(ds, tmp_path / "d")
-        names = sorted(p.name for p in (tmp_path / "d").iterdir())
-        assert names == ["corpus.jsonl", "metadata.json", "test.json",
-                         "train.json", "val.json"]
+        assert [p.name for p in (tmp_path / "d").iterdir()] == ["metadata.json"]
+        doc = json.loads((tmp_path / "d" / "metadata.json").read_text(encoding="utf-8"))
+        assert doc["premise_files"] == ["lib/base.lean"]
+        assert [len(doc[part]) for part in ("train", "val", "test")] == [1, 1, 1]
+        assert doc["test"] == [list(ds.split.test[0].key)]
+        rebuilt = dataset_from_metadata(db, doc)
+        assert rebuilt.split == ds.split
+        # the proved copy, in the most recently added repository
+        assert "sorry_proven" in {t.status for t in rebuilt.theorems}
+        assert serialize_corpus(rebuilt.corpus) == serialize_corpus(ds.corpus)
+        assert rebuilt.metadata.to_json() == ds.metadata.to_json()
 
 
 class TestPersistence:

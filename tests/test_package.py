@@ -70,3 +70,23 @@ def test_every_imported_name_is_read_by_its_module():
                               for alias in node.names
                               if (name := alias.asname or alias.name.split(".")[0]) not in reads)
     assert unread == []
+
+
+def test_json_is_encoded_only_by_dump_json_and_the_checkpoint_header():
+    """Every JSON document goes through storage.dump_json's one compact
+    encoder. Checkpoint.save keeps its own for the header, so .ckpt bytes
+    do not change."""
+    callers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = parse(path)
+        # ast.walk visits outer functions first, so a nested one overwrites
+        owner = {id(node): fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                 for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "json":
+                callers.append(f"{path.name}: from json import")
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "dumps" and isinstance(node.func.value, ast.Name)
+                  and node.func.value.id == "json"):
+                callers.append(f"{path.name}:{owner.get(id(node), '<module>')}")
+    assert sorted(callers) == ["retriever.py:save", "storage.py:dump_json"]

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from proverloop.corpus import STATUS_SORRY_PROVEN
+from helpers import dataset_from_metadata
+from proverloop.corpus import STATUS_SORRY_PROVEN, serialize_corpus
 from proverloop.database import MERGE_ALL, SINGLE_REPO, DynamicDatabase
 from proverloop.errors import CorruptDocument, IoFailure, PipelineError
 from proverloop.fixtures import repo_algebra, repo_number, repo_topology, write_bundled
@@ -14,6 +15,7 @@ from proverloop.metrics import composite_score
 from proverloop.pipeline import (
     RunConfig,
     RunReport,
+    build_curriculum,
     emit_reports,
     ingest_fixtures,
     load_repo_fixture,
@@ -241,8 +243,7 @@ class TestRunPipeline:
             *REPORT_FILES,
             "database.json",
             *(f"checkpoints/task_{k:02d}.ckpt" for k in (1, 2, 3)),
-            *(f"datasets/task_{k:02d}/{name}" for k in (1, 2, 3) for name in (
-                "corpus.jsonl", "metadata.json", "test.json", "train.json", "val.json")),
+            *(f"datasets/task_{k:02d}/metadata.json" for k in (1, 2, 3)),
         ])
 
     def test_no_temporary_files_remain(self, finished_run):
@@ -408,3 +409,27 @@ class TestMergeAllStrategy:
             .read_text(encoding="utf-8")
         )
         assert len(meta["repo_ids"]) == 3
+
+
+class TestDatasetMetadata:
+    @pytest.mark.parametrize("strategy", ["single", "merge-all"])
+    def test_database_and_metadata_give_back_every_task_dataset(self, finished_run, tmp_path,
+                                                                strategy):
+        config = finished_run[0]
+        if strategy != "single":
+            config = override_config(config, strategy=strategy, out_dir=tmp_path / "merged")
+            run_pipeline(config)
+        ordered = [rid for rid, _ in build_curriculum(ingest_fixtures(config)[0])[1]]
+        db = DynamicDatabase.load(config.out_dir / "database.json")
+        assert any(t.status == STATUS_SORRY_PROVEN for r in db.repositories for t in r.theorems)
+        tasks = sorted((config.out_dir / "datasets").iterdir())
+        assert [d.name for d in tasks] == ["task_01", "task_02", "task_03"]
+        for k, task in enumerate(tasks, start=1):
+            doc = json.loads((task / "metadata.json").read_text(encoding="utf-8"))
+            ids = [ordered[k - 1]] if config.strategy == SINGLE_REPO else ordered[:k]
+            expected = db.generate_dataset(ids, strategy=config.strategy, seed=config.seed,
+                                           val_frac=config.val_frac, test_frac=config.test_frac)
+            rebuilt = dataset_from_metadata(db, doc)
+            assert rebuilt.split == expected.split, k
+            assert serialize_corpus(rebuilt.corpus) == serialize_corpus(expected.corpus)
+            assert rebuilt.metadata.to_json() == expected.metadata.to_json()

@@ -56,9 +56,15 @@ class TestWriteAtomic:
 
 def test_dump_json_sorts_keys_and_keeps_utf8_text(tmp_path):
     text = dump_json({"b": ["∀ x, x ≤ x"], "a": 1})
-    assert text == '{\n  "a": 1,\n  "b": [\n    "∀ x, x ≤ x"\n  ]\n}\n'
+    assert text == '{"a":1,"b":["∀ x, x ≤ x"]}\n'
     write_atomic(tmp_path / "doc.json", text)
     assert read_json(tmp_path / "doc.json", "doc") == {"a": 1, "b": ["∀ x, x ≤ x"]}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_dump_json_refuses_numbers_json_cannot_hold(value):
+    with pytest.raises(ValueError):
+        dump_json({"x": [value]})
 
 
 class TestReads:
