@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .corpus import STATUS_SORRY, Theorem
 from .errors import EmptyInput
 
@@ -62,13 +60,26 @@ class Thresholds:
     p67: float
 
 
+def _quantile(ordered: list[float], q: float) -> float:
+    """The q-quantile of ascending values by linear interpolation, with
+    numpy's arithmetic for its default method, so it equals np.quantile bit
+    for bit (numpy's version imports numpy.ma on first use)."""
+    v = (len(ordered) - 1) * q
+    if v >= len(ordered) - 1:
+        return ordered[-1]
+    lo = math.floor(v)
+    t = v - lo
+    a, b = ordered[lo], ordered[lo + 1]
+    d = b - a
+    return a + d * t if t < 0.5 else b - d * (1.0 - t)
+
+
 def compute_thresholds(values: list[float]) -> Thresholds:
     """Percentile cut points over the pooled finite difficulties."""
     if not values:
         raise EmptyInput("no finite difficulties to take percentiles of")
-    arr = np.asarray(values, dtype=float)
-    p33, p67 = np.quantile(arr, [0.33, 0.67])
-    return Thresholds(p33=float(p33), p67=float(p67))
+    ordered = sorted(map(float, values))
+    return Thresholds(p33=_quantile(ordered, 0.33), p67=_quantile(ordered, 0.67))
 
 
 def categorize_value(value: float, thresholds: Thresholds) -> str:

@@ -29,6 +29,13 @@ from .storage import FLOAT_OR_NULL, STRINGS, json_field, read_bytes, write_atomi
 
 NEGATIVES_PER_EXAMPLE = 3
 
+# Texts per embedding product (see EmbeddingModel.embed_many) and queries
+# per similarity product in recall_at_k. With 1024 or 2048 feature buckets
+# an 8-row product costs no more per row than a 16-row one, and less than
+# half as much for the lone text a search expansion embeds.
+EMBED_TILE = 8
+RECALL_BLOCK = 64
+
 # Index 0 of every feature vector is a constant bias so empty text still
 # embeds deterministically.
 _BIAS_SLOT = 1
@@ -145,12 +152,24 @@ class EmbeddingModel:
     def embed_many(self, texts: list[str]) -> np.ndarray:
         """Unit-norm embeddings, one row per text.
 
-        Each text is featurized and embedded once per model; a row's bits
-        do not depend on the texts it was embedded with.
+        Each text is featurized and embedded once per model. New texts are
+        embedded EMBED_TILE at a time: their features are copied into one
+        zero-padded (EMBED_TILE, n_features) block, and each block is one
+        product with the weights. Every product has that one shape because
+        BLAS picks its kernel, and with it the rounding, by shape: a
+        one-row product runs a matrix-vector kernel, and short and tall
+        products use different ones. So a row's bits do not depend on the
+        texts it was embedded with, nor on its place among them.
         """
         new = [t for t in dict.fromkeys(texts) if t not in self._rows]
         if new:
-            u = np.array([self.weight @ ngram_features(t, self.n_features) for t in new])
+            u = np.empty((len(new), self.dim))
+            block = np.empty((EMBED_TILE, self.n_features))
+            for lo in range(0, len(new), EMBED_TILE):
+                tile = new[lo:lo + EMBED_TILE]
+                block[:len(tile)] = [ngram_features(t, self.n_features) for t in tile]
+                block[len(tile):] = 0.0
+                u[lo:lo + len(tile)] = (block @ self.weight.T)[:len(tile)]
             self._rows.update(zip(new, _unit_rows(u)[0]))
         return np.array([self._rows[t] for t in texts]).reshape(len(texts), self.dim)
 
@@ -384,6 +403,25 @@ def rank_by_similarity(sims: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray
     return np.lexsort((rows, neg))[:k]
 
 
+def _top_k_rows(sims: np.ndarray, k: int) -> list[np.ndarray]:
+    """For each row of sims, the set of columns that
+    rank_by_similarity(row, columns, k) keeps, in no particular order.
+
+    One partition finds every row's k-th largest similarity. Where exactly
+    k columns reach it, they are the top k whatever the tie-break; a row
+    with a tie at the cut, or a NaN cut, is ranked on its own.
+    """
+    n_rows, n_cols = sims.shape
+    columns = np.arange(n_cols)
+    if k >= n_cols:
+        return [columns] * n_rows
+    neg = -sims
+    kept = neg <= np.partition(neg, k - 1, axis=1)[:, k - 1:k]
+    exact = np.count_nonzero(kept, axis=1) == k
+    return [np.flatnonzero(row_kept) if ok else rank_by_similarity(row, columns, k)
+            for row, row_kept, ok in zip(sims, kept, exact)]
+
+
 def recall_at_k(
     model: EmbeddingModel,
     index: EmbeddingIndex,
@@ -392,7 +430,9 @@ def recall_at_k(
 ) -> float:
     """Mean fraction of ground-truth premises found in the top k.
 
-    Similarity ties break by ascending premise key.
+    Similarity ties break by ascending premise key. Queries are scored
+    RECALL_BLOCK at a time, one product each, so the similarities held at
+    once stay small.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -402,12 +442,12 @@ def recall_at_k(
     for state, gt in eval_pairs:
         if not gt:
             raise EmptyGroundTruth(f"empty ground truth for state {state!r}")
-    rows = np.arange(len(index.keys))
     queries = model.embed_many([state for state, _ in eval_pairs])
     total = 0.0
-    for (_, gt), q in zip(eval_pairs, queries):
-        top = rank_by_similarity(index.matrix @ q, rows, k)
-        total += len(gt.intersection(index.keys[i] for i in top)) / len(gt)
+    for lo in range(0, len(eval_pairs), RECALL_BLOCK):
+        sims = queries[lo:lo + RECALL_BLOCK] @ index.matrix.T
+        for (_, gt), top in zip(eval_pairs[lo:lo + RECALL_BLOCK], _top_k_rows(sims, k)):
+            total += len(gt.intersection(index.keys[i] for i in top)) / len(gt)
     return total / len(eval_pairs)
 
 

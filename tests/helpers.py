@@ -23,6 +23,7 @@ from proverloop.retriever import (
     TrainingExample,
     batch_loss_and_grad,
     ngram_features,
+    rank_by_similarity,
 )
 from proverloop.search import (
     GOAL,
@@ -188,6 +189,17 @@ _TOY_STATEMENT = (
 _TOY_STATE = (
     "⊢ show the marked block {tok} stays stable while the term {tok} persists"
 )
+
+
+def recall_at_k_oracle(model, index, eval_pairs, k):
+    """recall_at_k one query at a time: one matrix-vector product and one
+    ranking per query."""
+    rows = np.arange(len(index.keys))
+    total = 0.0
+    for state, gt in eval_pairs:
+        top = rank_by_similarity(index.matrix @ model.embed(state), rows, k)
+        total += len(gt.intersection(index.keys[i] for i in top)) / len(gt)
+    return total / len(eval_pairs)
 
 
 def toy_retrieval_task(

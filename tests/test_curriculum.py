@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import tactic, theorem
 from proverloop.curriculum import (
@@ -77,6 +79,13 @@ class TestThresholds:
             assert th.p33 == pytest.approx(interpolated_percentile(values, 0.33), rel=1e-12)
             assert th.p67 == pytest.approx(interpolated_percentile(values, 0.67), rel=1e-12)
             assert th.p33 <= th.p67
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.floats(min_value=1.0, max_value=1e300), min_size=1, max_size=60))
+    def test_equals_numpy_quantile_bit_for_bit(self, values):
+        th = compute_thresholds(values)
+        want = np.quantile(np.asarray(values), [0.33, 0.67])
+        assert [th.p33.hex(), th.p67.hex()] == [float(w).hex() for w in want]
 
     def test_single_value_collapses(self):
         th = compute_thresholds([4.25])

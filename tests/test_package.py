@@ -20,6 +20,21 @@ def test_importing_the_package_loads_no_submodule():
     assert done.stdout.strip() == "[]"
 
 
+def test_a_demo_run_does_not_import_numpy_ma(tmp_path):
+    """numpy.ma costs tens of milliseconds to import; np.quantile pulls it in."""
+    code = (
+        f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); "
+        "from proverloop.fixtures import write_bundled; "
+        "from proverloop.pipeline import override_config, parse_config, run_pipeline; "
+        "write_bundled('demo'); "
+        "run_pipeline(override_config(parse_config('demo/run.cfg'), out_dir='demo/out')); "
+        "print('numpy.ma' in sys.modules)"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, cwd=tmp_path)
+    assert done.stdout.strip() == "False"
+
+
 def definitions(tree):
     """(name, statement) for each module-level function, class and constant."""
     for node in tree.body:

@@ -17,7 +17,9 @@ from helpers import (
     example_loss_and_grad,
     example_loss_and_grad_oracle,
     pfile,
+    premise,
     premise_by_key,
+    recall_at_k_oracle,
     tactic,
     theorem,
 )
@@ -145,11 +147,14 @@ class TestFeaturesAndEmbedding:
             m.weight[0, 0] = 1.0
         assert m.weight[0, 0] == 0.0 and m.version_hash == before
 
-    def test_batch_rows_equal_texts_embedded_alone(self):
-        texts = random_texts(50, seed=1)
-        m = EmbeddingModel.random_init(dim=8, n_features=1024, seed=5)
+    # the run's embedding shapes: perfbench's 1024 buckets and the default 2048
+    @pytest.mark.parametrize("n_features", [1024, 2048])
+    def test_batch_rows_equal_texts_embedded_alone(self, n_features):
+        # three full tiles and a partial one, then repeats
+        texts = random_texts(3 * retriever.EMBED_TILE + 2, seed=1)
+        m = EmbeddingModel.random_init(dim=48, n_features=n_features, seed=5)
         rows = m.embed_many(texts + texts[:5])
-        assert rows.shape == (55, 8)
+        assert rows.shape == (len(texts) + 5, 48)
         for text, row in zip(texts + texts[:5], rows):
             assert np.array_equal(row, EmbeddingModel(weight=m.weight).embed(text))
 
@@ -556,6 +561,45 @@ def test_top_k_ranking_is_the_prefix_of_the_full_sort(ranking):
     full = np.lexsort((rows, -sims))
     for k in range(1, len(sims) + 2):
         assert rank_by_similarity(sims, rows, k).tolist() == full[:k].tolist()
+
+
+# few names and statements, so premises in different files share texts and
+# rank in exact ties, some of them at the cut
+RECALL_NAMES = ("alpha", "beta", "gamma", "delta", "eps")
+RECALL_STATEMENTS = ("x = x", "x + 0 = x", "0 < 1")
+
+
+@st.composite
+def recall_cases(draw):
+    files = []
+    for j in range(draw(st.integers(1, 4))):
+        path = f"lib/f{j}.lean"
+        names = draw(st.lists(st.sampled_from(RECALL_NAMES), min_size=1, unique=True))
+        files.append(pfile(path, premises=tuple(
+            premise(name, path=path, statement=draw(st.sampled_from(RECALL_STATEMENTS)),
+                    start=(3 * i + 1, 1), end=(3 * i + 2, 1))
+            for i, name in enumerate(names))))
+    corpus = corpus_of(*files)
+    keys = sorted(p.key for p in corpus.all_premises())
+    states = [f"⊢ goal {i}" for i in range(4)] + [p.text for p in corpus.all_premises()]
+    n_queries = draw(st.sampled_from([1, 5, retriever.RECALL_BLOCK,
+                                      2 * retriever.RECALL_BLOCK + 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    pairs = [(states[rng.integers(len(states))],
+              frozenset(rng.choice(keys, size=rng.integers(1, min(3, len(keys)) + 1),
+                                   replace=False).tolist()))
+             for _ in range(n_queries)]
+    k = draw(st.integers(1, len(keys) + 2))
+    return corpus, pairs, k, draw(st.integers(0, 3))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(recall_cases())
+def test_blocked_recall_equals_the_per_query_oracle(case):
+    corpus, pairs, k, seed = case
+    m = EmbeddingModel.random_init(dim=8, n_features=64, seed=seed)
+    index = precompute_embeddings(m, corpus)
+    assert recall_at_k(m, index, pairs, k=k) == recall_at_k_oracle(m, index, pairs, k)
 
 
 def make_task(corpus, examples, pairs, name="unit"):
