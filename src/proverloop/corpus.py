@@ -60,7 +60,7 @@ class Premise:
     def key(self) -> str:
         return premise_key(self.file_path, self.full_name)
 
-    @property
+    @cached_property
     def text(self) -> str:
         """Serialization used for embedding and retrieval."""
         return f"{self.full_name} : {self.statement}"

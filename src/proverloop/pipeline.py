@@ -400,10 +400,11 @@ def prove_goals(
             generator = TableGenerator(environments[repo_id])
             for theorem in sorries:
                 accessible = accessible_premises(graph, corpus, theorem)
-                retrieval_fn = partial(  # rows are resolved once, for this goal only
+                rows = index.rows_of(accessible)
+                retrieval_fn = partial(  # rows and their block are gathered once, for this goal
                     retrieve_premises, model, index, accessible=accessible,
                     fraction=config.retrieval_fraction, max_n=config.retrieval_max,
-                    rows=index.rows_of(accessible),
+                    rows=rows, block=index.matrix[rows],
                 )
                 result = best_first_search(
                     env, generator, theorem, retrieval_fn=retrieval_fn, budget=budget,

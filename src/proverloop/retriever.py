@@ -20,10 +20,11 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Premise, Theorem
+from .corpus import Corpus, Premise, PremiseFile, Theorem
 from .errors import CorruptDocument, EmptyDataset, EmptyGroundTruth, ShapeMismatch, StaleIndex
 from .storage import FLOAT_OR_NULL, STRINGS, json_field, read_bytes, write_atomic
 
@@ -56,25 +57,56 @@ def _crc_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _CRC_TABLE, _CRC_AFTER_ONE, _CRC_AFTER_TWO = _crc_tables()
 
 
-@lru_cache(maxsize=65536)
-def ngram_features(text: str, n_features: int) -> np.ndarray:
-    """Hashed byte 1-, 2- and 3-gram counts with a leading bias entry.
+# Texts per bincount in hash_ngrams. A block's counts are one
+# (HASH_BLOCK, n_features) int64 array; at 128 texts and 1024 buckets the
+# allocator maps and faults in fresh pages for it on most calls.
+HASH_BLOCK = 32
+
+
+def hash_ngrams(texts: Sequence[str], n_features: int) -> np.ndarray:
+    """Hashed byte 1-, 2- and 3-gram counts with a leading bias entry, one
+    float32 row per text.
 
     An n-gram lands in bucket 1 + crc32(n-gram) % (n_features - 1), so the
     features are the same across runs and platforms (crc32, not Python's
-    randomized hash). The counts are exact in float32. Cached: the returned
-    array is read-only.
+    randomized hash). The counts are exact in float32. The UTF-8 bytes of
+    HASH_BLOCK texts are joined, every n-gram of the joined bytes is hashed
+    at once and the block is counted with one bincount. An n-gram that
+    straddles two texts is counted in the bias slot of the first, which is
+    then overwritten, so it is dropped.
     """
     if n_features < 2:
         raise ValueError("need at least one hash bucket beyond the bias slot")
-    raw = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
-    # CRC registers after each 2-gram, then one more byte step for the 3-grams
-    two = _CRC_AFTER_TWO[(raw[:-1].astype(np.intp) << 8) | raw[1:]]
-    three = _CRC_TABLE[(two[:-1] ^ raw[2:]) & 0xFF] ^ (two[:-1] >> 8)
-    crcs = ~np.concatenate([_CRC_AFTER_ONE[raw], two, three])
-    counts = np.bincount(_BIAS_SLOT + crcs % (n_features - _BIAS_SLOT), minlength=n_features)
-    phi = counts.astype(np.float32)
-    phi[0] = 1.0
+    phi = np.empty((len(texts), n_features), dtype=np.float32)
+    for lo in range(0, len(texts), HASH_BLOCK):
+        encoded = [t.encode("utf-8") for t in texts[lo:lo + HASH_BLOCK]]
+        raw = np.frombuffer(b"".join(encoded), dtype=np.uint8)
+        # the offset of each byte's row in the block's flat counts
+        base = np.repeat(np.arange(0, len(encoded) * n_features, n_features),
+                         [len(b) for b in encoded])
+        # CRC registers after each 2-gram, then one more byte step for the 3-grams
+        two = _CRC_AFTER_TWO[(raw[:-1].astype(np.intp) << 8) | raw[1:]]
+        three = _CRC_TABLE[(two[:-1] ^ raw[2:]) & 0xFF] ^ (two[:-1] >> 8)
+        crcs = ~np.concatenate([_CRC_AFTER_ONE[raw], two, three])
+        buckets = _BIAS_SLOT + crcs % (n_features - _BIAS_SLOT)
+        inside = base[1:] == base[:-1]  # the 2-gram at each byte stays in its text
+        buckets[len(raw):2 * len(raw) - 1] *= inside
+        buckets[2 * len(raw) - 1:] *= inside[1:] & inside[:-1]
+        counts = np.bincount(np.concatenate([base, base[:-1], base[:-2]]) + buckets,
+                             minlength=len(encoded) * n_features)
+        phi[lo:lo + len(encoded)] = counts.reshape(len(encoded), n_features)
+    phi[:, 0] = 1.0
+    return phi
+
+
+@lru_cache(maxsize=4096)
+def ngram_features(texts: tuple[str, ...], n_features: int) -> np.ndarray:
+    """hash_ngrams of one premise file's texts, cached as a read-only block.
+
+    Only premise files are cached: a corpus that re-adds a file finds its
+    features here. States and loss batches are hashed on the fly.
+    """
+    phi = hash_ngrams(texts, n_features)
     phi.flags.writeable = False
     return phi
 
@@ -152,26 +184,57 @@ class EmbeddingModel:
     def embed_many(self, texts: list[str]) -> np.ndarray:
         """Unit-norm embeddings, one row per text.
 
-        Each text is featurized and embedded once per model. New texts are
-        embedded EMBED_TILE at a time: their features are copied into one
-        zero-padded (EMBED_TILE, n_features) block, and each block is one
-        product with the weights. Every product has that one shape because
-        BLAS picks its kernel, and with it the rounding, by shape: a
-        one-row product runs a matrix-vector kernel, and short and tall
-        products use different ones. So a row's bits do not depend on the
-        texts it was embedded with, nor on its place among them.
+        Each text is embedded once per model; the texts this model has not
+        embedded yet are featurized with one hash_ngrams call.
         """
         new = [t for t in dict.fromkeys(texts) if t not in self._rows]
         if new:
-            u = np.empty((len(new), self.dim))
-            block = np.empty((EMBED_TILE, self.n_features))
-            for lo in range(0, len(new), EMBED_TILE):
-                tile = new[lo:lo + EMBED_TILE]
-                block[:len(tile)] = [ngram_features(t, self.n_features) for t in tile]
-                block[len(tile):] = 0.0
-                u[lo:lo + len(tile)] = (block @ self.weight.T)[:len(tile)]
-            self._rows.update(zip(new, _unit_rows(u)[0]))
+            self._embed(new, [hash_ngrams(new, self.n_features)])
         return np.array([self._rows[t] for t in texts]).reshape(len(texts), self.dim)
+
+    def embed_files(self, files: Iterable[PremiseFile]) -> None:
+        """Embed the premises of the files, featurized one file at a time
+        through the ngram_features cache, passing only the texts this model
+        has not embedded yet."""
+        new: dict[str, None] = {}
+        blocks: list[np.ndarray] = []
+        for f in files:
+            texts = tuple(t for t in dict.fromkeys(p.text for p in f.premises)
+                          if t not in self._rows and t not in new)
+            if texts:
+                new.update(dict.fromkeys(texts))
+                blocks.append(ngram_features(texts, self.n_features))
+        if new:
+            self._embed(list(new), blocks)
+
+    def _embed(self, texts: list[str], blocks: list[np.ndarray]) -> None:
+        """Embed texts from their feature rows, the rows of blocks in order,
+        EMBED_TILE at a time.
+
+        Each tile of rows is copied into one zero-padded (EMBED_TILE,
+        n_features) block, and each block is one product with the weights.
+        Every product has that one shape because BLAS picks its kernel, and
+        with it the rounding, by shape: a one-row product runs a
+        matrix-vector kernel, and short and tall products use different
+        ones. So a row's bits do not depend on the texts it was embedded
+        with, nor on its place among them.
+        """
+        u = np.empty((len(texts), self.dim))
+        tile = np.empty((EMBED_TILE, self.n_features))
+        done = filled = 0
+        for phi in blocks:
+            lo = 0
+            while lo < len(phi):
+                take = min(EMBED_TILE - filled, len(phi) - lo)
+                tile[filled:filled + take] = phi[lo:lo + take]
+                filled += take
+                lo += take
+                if filled == EMBED_TILE or done + filled == len(texts):
+                    tile[filled:] = 0.0
+                    u[done:done + filled] = (tile @ self.weight.T)[:filled]
+                    done += filled
+                    filled = 0
+        self._rows.update(zip(texts, _unit_rows(u)[0]))
 
 
 # -- losses -------------------------------------------------------------------
@@ -231,8 +294,8 @@ def batch_loss_and_grad(
     """
     if not batch:
         raise EmptyDataset("empty batch")
-    phi = np.stack([ngram_features(t, model.n_features) for ex in batch for t in ex.texts()],
-                   dtype=np.float64)  # both products below then run in float64
+    phi = hash_ngrams([t for ex in batch for t in ex.texts()], model.n_features
+                      ).astype(np.float64)  # both products below then run in float64
     e, norms = _unit_rows(phi @ model.weight.T)
 
     n_cand = np.array([1 + len(ex.negatives) for ex in batch])
@@ -295,9 +358,11 @@ def mine_training_examples(
     """
     pool = corpus.all_premises()
     index_of = {p.key: i for i, p in enumerate(pool)}
-    by_file: dict[str, list[int]] = {}
+    file_rows: dict[str, list[int]] = {}
     for i, p in enumerate(pool):
-        by_file.setdefault(p.file_path, []).append(i)
+        file_rows.setdefault(p.file_path, []).append(i)
+    by_file = {path: np.array(same) for path, same in file_rows.items()}
+    rows = np.arange(len(pool))
     rng = np.random.default_rng(seed)
     examples: list[TrainingExample] = []
     for thm in theorems:
@@ -307,11 +372,12 @@ def mine_training_examples(
                 if pos is None:
                     continue
                 pos_i = index_of[pos.key]
-                in_file = [i for i in by_file.get(pos.file_path, ()) if i != pos_i]
+                same = by_file[pos.file_path]
+                in_file = same[same != pos_i]
                 chosen: list[int] = []
-                if in_file:
-                    chosen.append(int(rng.choice(np.asarray(in_file))))
-                rest = np.delete(np.arange(len(pool)), [pos_i, *chosen])
+                if len(in_file):
+                    chosen.append(int(rng.choice(in_file)))
+                rest = np.delete(rows, [pos_i, *chosen])
                 need = NEGATIVES_PER_EXAMPLE - len(chosen)
                 if len(rest) < need:
                     continue
@@ -357,8 +423,8 @@ class EmbeddingIndex:
 
 
 def precompute_embeddings(model: EmbeddingModel, corpus: Corpus) -> EmbeddingIndex:
-    premises = corpus.all_premises()
-    keyed = sorted(premises, key=lambda p: p.key)
+    model.embed_files(corpus.files)
+    keyed = sorted(corpus.all_premises(), key=lambda p: p.key)
     matrix = model.embed_many([p.text for p in keyed])
     return EmbeddingIndex(
         version_hash=model.version_hash,

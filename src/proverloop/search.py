@@ -117,20 +117,24 @@ def retrieve_premises(
     fraction: float = 0.25,
     max_n: int = 100,
     rows: np.ndarray | None = None,
+    block: np.ndarray | None = None,
 ) -> list[Premise]:
     """Top premises by cosine similarity among the accessible ones.
 
     Keeps ceil(fraction * N) of the N accessible premises, then at most
     max_n. Ties break by ascending premise key. A search passes rows =
-    index.rows_of(accessible), resolved once for all of a goal's states.
+    index.rows_of(accessible) and block = index.matrix[rows], gathered once
+    for all of a goal's states.
     """
     if not accessible:
         return []
     index.check_model(model)
     if rows is None:
         rows = index.rows_of(accessible)
+    if block is None:
+        block = index.matrix[rows]
     keep = min(max_n, math.ceil(fraction * len(accessible)))
-    order = rank_by_similarity(index.matrix[rows] @ model.embed(state), rows, keep)
+    order = rank_by_similarity(block @ model.embed(state), rows, keep)
     return [accessible[i] for i in order]
 
 

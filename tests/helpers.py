@@ -1,6 +1,7 @@
 """Small builders and reference implementations shared across the test modules."""
 
 import math
+import zlib
 
 import numpy as np
 
@@ -22,7 +23,6 @@ from proverloop.retriever import (
     RetrievalTask,
     TrainingExample,
     batch_loss_and_grad,
-    ngram_features,
     rank_by_similarity,
 )
 from proverloop.search import (
@@ -140,6 +140,17 @@ def contrastive_loss(state_emb, pos_emb, neg_embs):
     return m + math.log(float(np.sum(np.exp(sims - m)))) - sims[0]
 
 
+def ngram_oracle(text, n_features):
+    """Independent re-implementation of the hashed byte n-gram features."""
+    phi = np.zeros(n_features)
+    phi[0] = 1.0
+    raw = text.encode("utf-8")
+    for n in (1, 2, 3):
+        for i in range(len(raw) - n + 1):
+            phi[1 + zlib.crc32(raw[i:i + n]) % (n_features - 1)] += 1.0
+    return phi
+
+
 def example_loss_and_grad_oracle(model, example):
     """One example's contrastive loss and its gradient, row by row.
 
@@ -147,7 +158,7 @@ def example_loss_and_grad_oracle(model, example):
     zero gradient.
     """
     texts = example.texts()
-    phi = np.stack([ngram_features(t, model.n_features) for t in texts])
+    phi = np.stack([ngram_oracle(t, model.n_features) for t in texts])
     u = phi @ model.weight.T
     norms = np.linalg.norm(u, axis=1)
     e = np.zeros_like(u)

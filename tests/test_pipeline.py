@@ -1,12 +1,14 @@
 """Config parsing, fixture loading, and the end-to-end run."""
 
 import dataclasses
+import functools
 import json
 from pathlib import Path
 
 import pytest
 
 from helpers import dataset_from_metadata
+from proverloop import retriever
 from proverloop.corpus import STATUS_SORRY_PROVEN, serialize_corpus
 from proverloop.database import MERGE_ALL, SINGLE_REPO, DynamicDatabase
 from proverloop.errors import CorruptDocument, IoFailure, PipelineError
@@ -409,6 +411,26 @@ class TestMergeAllStrategy:
             .read_text(encoding="utf-8")
         )
         assert len(meta["repo_ids"]) == 3
+
+    def test_a_premise_file_shared_by_two_corpora_is_featurized_once(self, bundle, tmp_path,
+                                                                    monkeypatch):
+        config = override_config(parse_config(bundle / "run.cfg"),
+                                 strategy="merge-all", out_dir=tmp_path / "shared")
+        hashed = []
+        kernel = retriever.hash_ngrams
+        monkeypatch.setattr(retriever, "hash_ngrams", lambda texts, n_features: (
+            hashed.append(tuple(texts)) or kernel(texts, n_features)))
+        # an empty cache, so the run featurizes every premise file it embeds
+        monkeypatch.setattr(retriever, "ngram_features", functools.lru_cache(maxsize=None)(
+            retriever.ngram_features.__wrapped__))
+        run_pipeline(config)
+        db, _ = ingest_fixtures(config)
+        files = [tuple(p.text for p in f.premises)
+                 for record in db.repositories for f in record.premise_files]
+        shared = [texts for texts in set(files) if files.count(texts) > 1]
+        assert shared
+        for texts in set(files):
+            assert hashed.count(texts) == 1
 
 
 class TestDatasetMetadata:

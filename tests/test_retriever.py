@@ -4,7 +4,6 @@ import hashlib
 import io
 import json
 import math
-import zlib
 
 import numpy as np
 import pytest
@@ -16,6 +15,7 @@ from helpers import (
     corpus_of,
     example_loss_and_grad,
     example_loss_and_grad_oracle,
+    ngram_oracle,
     pfile,
     premise,
     premise_by_key,
@@ -45,6 +45,7 @@ from proverloop.retriever import (
     ewc_penalty,
     ewc_penalty_grad,
     extract_eval_pairs,
+    hash_ngrams,
     lr_at,
     mine_training_examples,
     ngram_features,
@@ -53,17 +54,6 @@ from proverloop.retriever import (
     recall_at_k,
     train_one_epoch,
 )
-
-
-def ngram_oracle(text, n_features):
-    """Independent re-implementation of the hashed byte n-gram features."""
-    phi = np.zeros(n_features)
-    phi[0] = 1.0
-    raw = text.encode("utf-8")
-    for n in (1, 2, 3):
-        for i in range(len(raw) - n + 1):
-            phi[1 + zlib.crc32(raw[i:i + n]) % (n_features - 1)] += 1.0
-    return phi
 
 
 def random_texts(count, seed=0):
@@ -76,39 +66,66 @@ def random_texts(count, seed=0):
 BUCKET_COUNTS = (2, 3, 1024, 2048, 65536)
 
 
+def assert_rows_match_oracle(texts, phi, n_features):
+    assert phi.shape == (len(texts), n_features)
+    for text, row in zip(texts, phi):
+        assert np.array_equal(row, ngram_oracle(text, n_features)), text
+
+
 class TestFeaturesAndEmbedding:
     def test_features_match_independent_oracle(self):
-        for text in ("", "ab", "lift the chain", "∀ x, x = x"):
-            got = ngram_features(text, 256)
-            assert np.array_equal(got, ngram_oracle(text, 256))
+        texts = ("", "ab", "lift the chain", "∀ x, x = x")
+        assert_rows_match_oracle(texts, ngram_features(texts, 256), 256)
 
     def test_kernel_matches_oracle_on_random_texts(self):
-        # the uncached body, so the sweep leaves no 256 KiB vectors in the cache
-        kernel = ngram_features.__wrapped__
-        for text in random_texts(500):
-            for n_features in BUCKET_COUNTS:
-                assert np.array_equal(kernel(text, n_features), ngram_oracle(text, n_features))
+        # the uncached kernel, so the sweep leaves no blocks in the cache; the
+        # widest bucket count goes 20 texts at a time to keep each call small
+        texts = random_texts(500)
+        for n_features in BUCKET_COUNTS:
+            step = 20 if n_features > 4096 else len(texts)
+            for lo in range(0, len(texts), step):
+                group = texts[lo:lo + step]
+                assert_rows_match_oracle(group, hash_ngrams(group, n_features), n_features)
+
+    def test_groups_keep_each_texts_grams_apart(self):
+        # empty, 1-byte and multi-byte texts side by side, so an n-gram that
+        # straddled two texts would add counts to a row; the longest list
+        # spans several bincount blocks
+        pieces = ["", "a", "é", "∀", "ab", "a∀", "⊢ x"]
+        for seed, size in enumerate((1, 2, 5, retriever.HASH_BLOCK, 3 * retriever.HASH_BLOCK + 7)):
+            rng = np.random.default_rng(seed)
+            texts = [pieces[i] for i in rng.integers(0, len(pieces), size)]
+            texts[::3] = random_texts(len(texts[::3]), seed=seed)
+            for n_features in (2, 3, 1024):
+                assert_rows_match_oracle(texts, hash_ngrams(texts, n_features), n_features)
 
     @pytest.mark.parametrize("text", ["", "a", "ab", "abc", "é", "∀", "a∀"])
     @pytest.mark.parametrize("n_features", BUCKET_COUNTS)
     def test_short_texts_match_oracle(self, text, n_features):
-        assert np.array_equal(ngram_features(text, n_features), ngram_oracle(text, n_features))
+        # the text between neighbours whose bytes would join its n-grams
+        group = ["b", text, "∀", text]
+        assert_rows_match_oracle(group, hash_ngrams(group, n_features), n_features)
 
     def test_features_are_read_only_float32(self):
-        phi = ngram_features("⊢ a ≤ b", 1024)
-        assert phi.dtype == np.float32
+        phi = ngram_features(("⊢ a ≤ b", "x"), 1024)
+        assert phi.dtype == np.float32 and phi.shape == (2, 1024)
         with pytest.raises(ValueError):
-            phi[1] = 2.0
+            phi[0, 1] = 2.0
+        assert hash_ngrams(["⊢ a ≤ b"], 1024).dtype == np.float32
 
     def test_too_few_buckets_rejected(self):
         with pytest.raises(ValueError):
-            ngram_features("x", 1)
+            hash_ngrams(["x"], 1)
+        with pytest.raises(ValueError):
+            ngram_features(("x",), 1)
 
     def test_disjoint_grams_are_orthogonal_past_the_bias(self):
-        a = ngram_features("ab", 65536)
-        b = ngram_features("cd", 65536)
+        a, b = hash_ngrams(["ab", "cd"], 65536)
         assert float(a[1:] @ b[1:]) == 0.0
         assert a[0] == b[0] == 1.0
+
+    def test_no_texts_no_rows(self):
+        assert hash_ngrams([], 64).shape == (0, 64)
 
     def test_same_text_same_vector(self):
         m = EmbeddingModel.random_init(dim=8, n_features=128, seed=1)
@@ -163,10 +180,11 @@ class TestFeaturesAndEmbedding:
         m = EmbeddingModel.random_init(dim=8, n_features=1024, seed=6)
         first = m.embed_many(texts)
 
-        def refuse(text, n_features):
-            raise AssertionError(f"featurized {text!r} again")
+        def refuse(texts, n_features):
+            raise AssertionError(f"featurized {texts!r} again")
 
         monkeypatch.setattr(retriever, "ngram_features", refuse)
+        monkeypatch.setattr(retriever, "hash_ngrams", refuse)
         assert np.array_equal(m.embed_many(texts[::-1]), first[::-1])
         assert np.array_equal(m.embed(texts[3]), first[3])
 
@@ -344,7 +362,7 @@ class TestBatchKernel:
         # zero the bias column and every bucket of pool[0]'s text: the empty
         # state and pool[0] embed to zero, every other row stays live
         w = np.random.default_rng(4).normal(0.0, 0.1, size=(6, n_features))
-        w[:, ngram_features(pool[0].text, n_features) > 0] = 0.0
+        w[:, hash_ngrams([pool[0].text], n_features)[0] > 0] = 0.0
         model = EmbeddingModel(weight=w)
         batch = [
             TrainingExample(state="", positive=pool[1], negatives=(pool[2], pool[3])),
@@ -352,7 +370,7 @@ class TestBatchKernel:
             TrainingExample(state="⊢ other", positive=pool[5],
                             negatives=(pool[0], pool[6], pool[7])),
         ]
-        phi = np.stack([ngram_features(t, n_features) for ex in batch for t in ex.texts()])
+        phi = hash_ngrams([t for ex in batch for t in ex.texts()], n_features)
         norms = np.linalg.norm(phi @ w.T, axis=1)
         assert (norms == 0.0).sum() == 3 and (norms > 0.0).sum() == 9
         loss, grad = batch_loss_and_grad(model, batch)
@@ -671,10 +689,11 @@ class TestTraining:
         out = train_one_epoch(start, task, TrainConfig(lr=0.1, warmup_steps=0,
                                                        batch_size=2, seed=5))
 
-        def refuse(text, n_features):
-            raise AssertionError(f"featurized {text!r} again")
+        def refuse(texts, n_features):
+            raise AssertionError(f"featurized {texts!r} again")
 
         monkeypatch.setattr(retriever, "ngram_features", refuse)
+        monkeypatch.setattr(retriever, "hash_ngrams", refuse)
         index = precompute_embeddings(out.model, task.corpus)
         assert recall_at_k(out.model, index, task.val_pairs, k=10) == out.best_val_r10
 

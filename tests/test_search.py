@@ -172,9 +172,11 @@ class TestRetrievePremises:
         accessible = corpus.all_premises()[::-1]
         rows = index.rows_of(accessible)
         for state in ("⊢ q", "⊢ p ∧ q", ""):
+            want = retrieve_premises(model, index, state, accessible, fraction=0.5)
             assert retrieve_premises(model, index, state, accessible, fraction=0.5,
-                                     rows=rows) == \
-                retrieve_premises(model, index, state, accessible, fraction=0.5)
+                                     rows=rows) == want
+            assert retrieve_premises(model, index, state, accessible, fraction=0.5,
+                                     rows=rows, block=index.matrix[rows]) == want
 
     def test_model_index_version_mismatch(self):
         corpus, model, index = self.setup_index()

@@ -12,7 +12,7 @@ import pytest
 
 from proverloop import pipeline, retriever
 from proverloop.fixtures import write_bundled
-from proverloop.pipeline import override_config, parse_config
+from proverloop.pipeline import ingest_fixtures, override_config, parse_config
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -87,3 +87,19 @@ def test_tracer_cache_has_the_featurizer_cache_size(traced_demo):
     _, _, _, tracer = traced_demo
     assert tracer.featurize_cache.cache_info().maxsize == \
         retriever.ngram_features.cache_info().maxsize
+
+
+def test_every_featurize_cache_key_is_one_demo_premise_file(traced_demo, tmp_path):
+    # per-text keys, or premise files featurized off the cached name, fail here
+    _, _, _, tracer = traced_demo
+    write_bundled(tmp_path)
+    config = parse_config(tmp_path / "run.cfg")
+    db, _ = ingest_fixtures(config)
+    keys = {(tuple(p.text for p in f.premises), config.feature_buckets)
+            for record in db.repositories for f in record.premise_files if f.premises}
+    cache = tracer.featurize_cache
+    assert cache.cache_info().currsize == len(keys)
+    misses = cache.cache_info().misses
+    for texts, n_features in keys:
+        cache(texts, n_features)
+    assert cache.cache_info().misses == misses
