@@ -147,6 +147,36 @@ class Corpus:
     def all_premises(self) -> list[Premise]:
         return [p for f in self.files for p in f.premises]
 
+    # The orders below are computed on first use and kept: every index build
+    # of the corpus reads them.
+
+    @cached_property
+    def premises_by_key(self) -> tuple[Premise, ...]:
+        """Every premise in ascending key order, the row order of an index."""
+        return tuple(sorted(self.all_premises(), key=lambda p: p.key))
+
+    @cached_property
+    def keys(self) -> tuple[str, ...]:
+        return tuple(p.key for p in self.premises_by_key)
+
+    @cached_property
+    def texts(self) -> tuple[str, ...]:
+        return tuple(p.text for p in self.premises_by_key)
+
+    @cached_property
+    def file_texts(self) -> tuple[tuple[str, ...], ...]:
+        """Each file's distinct premise texts that no earlier file has, in
+        file order, for every file that has one: the groups its premises
+        are featurized in."""
+        seen: set[str] = set()
+        groups = []
+        for f in self.files:
+            texts = tuple(dict.fromkeys(p.text for p in f.premises if p.text not in seen))
+            if texts:
+                seen.update(texts)
+                groups.append(texts)
+        return tuple(groups)
+
 
 @dataclass
 class DatasetSplit:

@@ -97,6 +97,15 @@ class RepositoryRecord:
             **contents,
         )
 
+    def to_json(self) -> dict:
+        """The record as database.json stores it."""
+        return {
+            **self.metadata_json(),
+            "theorems": [theorem_to_json(t) for t in self.theorems],
+            "premise_files": [premise_file_to_json(pf) for pf in self.premise_files],
+            "traced_files": list(self.traced_file_paths),
+        }
+
     @property
     def difficulty_cache(self) -> dict[tuple[str, str, str], Difficulty]:
         """Difficulty of every theorem by key, in record order, computed afresh."""
@@ -274,18 +283,8 @@ class DynamicDatabase:
     # -- persistence ----------------------------------------------------------
 
     def to_json(self) -> dict:
-        return {
-            "format_version": DATABASE_FORMAT,
-            "repositories": [
-                {
-                    **rec.metadata_json(),
-                    "theorems": [theorem_to_json(t) for t in rec.theorems],
-                    "premise_files": [premise_file_to_json(pf) for pf in rec.premise_files],
-                    "traced_files": list(rec.traced_file_paths),
-                }
-                for rec in self.repositories
-            ],
-        }
+        return {"format_version": DATABASE_FORMAT,
+                "repositories": [rec.to_json() for rec in self.repositories]}
 
     @classmethod
     def from_json(cls, doc: object) -> DynamicDatabase:
@@ -314,7 +313,10 @@ class DynamicDatabase:
         return db
 
     def dumps(self) -> str:
-        return dump_json(self.to_json())
+        """dump_json(self.to_json()), encoded one record at a time, so the
+        documents of all records never exist at once."""
+        records = ",".join(dump_json(rec.to_json())[:-1] for rec in self.repositories)
+        return f'{{"format_version":{DATABASE_FORMAT},"repositories":[{records}]}}\n'
 
     def persist(self, path: str | Path) -> None:
         write_atomic(path, self.dumps())

@@ -46,7 +46,6 @@ from .retriever import (
     EmbeddingModel,
     RetrievalTask,
     TrainConfig,
-    compute_fisher,
     extract_eval_pairs,
     mine_training_examples,
     precompute_embeddings,
@@ -456,9 +455,6 @@ def run_pipeline(config: RunConfig, *, prove: bool = True) -> RunReport:
                 ewc=checkpoint.ewc_term(config.ewc_lambda),
             )
             checkpoint = train_one_epoch(checkpoint, task, train_config)
-            checkpoint.fisher = compute_fisher(
-                checkpoint.model, task.train_examples, batch_size=config.batch_size
-            )
             checkpoint.save(task_checkpoint(out, k))
 
         with _stage(f"evaluate:{record.name}"):

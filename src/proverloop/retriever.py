@@ -18,13 +18,13 @@ import io
 import json
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Premise, PremiseFile, Theorem
+from .corpus import Corpus, Premise, Theorem
 from .errors import CorruptDocument, EmptyDataset, EmptyGroundTruth, ShapeMismatch, StaleIndex
 from .storage import FLOAT_OR_NULL, STRINGS, json_field, read_bytes, write_atomic
 
@@ -103,8 +103,9 @@ def hash_ngrams(texts: Sequence[str], n_features: int) -> np.ndarray:
 def ngram_features(texts: tuple[str, ...], n_features: int) -> np.ndarray:
     """hash_ngrams of one premise file's texts, cached as a read-only block.
 
-    Only premise files are cached: a corpus that re-adds a file finds its
-    features here. States and loss batches are hashed on the fly.
+    Only premise files are cached, under their Corpus.file_texts groups: a
+    corpus that re-adds a file finds its features here. States are hashed
+    on the fly, a task's training states once per epoch (example_features).
     """
     phi = hash_ngrams(texts, n_features)
     phi.flags.writeable = False
@@ -192,20 +193,16 @@ class EmbeddingModel:
             self._embed(new, [hash_ngrams(new, self.n_features)])
         return np.array([self._rows[t] for t in texts]).reshape(len(texts), self.dim)
 
-    def embed_files(self, files: Iterable[PremiseFile]) -> None:
-        """Embed the premises of the files, featurized one file at a time
-        through the ngram_features cache, passing only the texts this model
-        has not embedded yet."""
-        new: dict[str, None] = {}
-        blocks: list[np.ndarray] = []
-        for f in files:
-            texts = tuple(t for t in dict.fromkeys(p.text for p in f.premises)
-                          if t not in self._rows and t not in new)
-            if texts:
-                new.update(dict.fromkeys(texts))
-                blocks.append(ngram_features(texts, self.n_features))
-        if new:
-            self._embed(list(new), blocks)
+    def embed_files(self, file_texts: Iterable[tuple[str, ...]]) -> None:
+        """Embed premise texts grouped by file (Corpus.file_texts), each
+        group featurized through the ngram_features cache with only the
+        texts this model has not embedded yet."""
+        if self._rows:
+            file_texts = (tuple(t for t in texts if t not in self._rows) for texts in file_texts)
+        groups = [texts for texts in file_texts if texts]
+        if groups:
+            self._embed([t for texts in groups for t in texts],
+                        [ngram_features(texts, self.n_features) for texts in groups])
 
     def _embed(self, texts: list[str], blocks: list[np.ndarray]) -> None:
         """Embed texts from their feature rows, the rows of blocks in order,
@@ -276,10 +273,29 @@ class TrainingExample:
         return [self.state, self.positive.text, *(n.text for n in self.negatives)]
 
 
+def example_features(
+    corpus: Corpus, examples: list[TrainingExample], n_features: int
+) -> dict[str, np.ndarray]:
+    """The float32 feature row of every text of the examples.
+
+    A premise's row is a read-only row of its file's ngram_features block,
+    fetched under the Corpus.file_texts group that an index build of the
+    corpus fetches too. The other texts, the states, are hashed with one
+    hash_ngrams call.
+    """
+    rows: dict[str, np.ndarray] = {}
+    for texts in corpus.file_texts:
+        rows.update(zip(texts, ngram_features(texts, n_features)))
+    rest = [t for t in dict.fromkeys(t for ex in examples for t in ex.texts()) if t not in rows]
+    rows.update(zip(rest, hash_ngrams(rest, n_features)))
+    return rows
+
+
 def batch_loss_and_grad(
     model: EmbeddingModel,
     batch: list[TrainingExample],
     ewc: EwcTerm | None = None,
+    features: dict[str, np.ndarray] | None = None,
 ) -> tuple[float, np.ndarray]:
     """Mean contrastive loss (plus optional anchor penalty) and its exact
     gradient with respect to the weights.
@@ -291,11 +307,18 @@ def batch_loss_and_grad(
     of the candidate similarities. The gradient goes through the L2
     normalization; rows whose pre-normalization vector vanishes use the
     fixed fallback embedding and contribute zero gradient.
+
+    The texts' feature rows come from features (example_features) when it
+    is given, and are hashed otherwise.
     """
     if not batch:
         raise EmptyDataset("empty batch")
-    phi = hash_ngrams([t for ex in batch for t in ex.texts()], model.n_features
-                      ).astype(np.float64)  # both products below then run in float64
+    texts = [t for ex in batch for t in ex.texts()]
+    # as float64, so both products below run in float64
+    if features is None:
+        phi = hash_ngrams(texts, model.n_features).astype(np.float64)
+    else:
+        phi = np.array([features[t] for t in texts], dtype=np.float64)
     e, norms = _unit_rows(phi @ model.weight.T)
 
     n_cand = np.array([1 + len(ex.negatives) for ex in batch])
@@ -329,14 +352,17 @@ def compute_fisher(
     model: EmbeddingModel,
     examples: list[TrainingExample],
     batch_size: int = 16,
+    features: dict[str, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Parameter importance: mean over batches of the squared batch gradient."""
+    """Parameter importance: mean over batches of the squared batch gradient.
+
+    features is batch_loss_and_grad's."""
     if not examples:
         raise EmptyDataset("no examples to estimate parameter importance from")
     fisher = np.zeros(model.weight.size)
     n_batches = 0
     for lo in range(0, len(examples), batch_size):
-        _, grad = batch_loss_and_grad(model, examples[lo:lo + batch_size])
+        _, grad = batch_loss_and_grad(model, examples[lo:lo + batch_size], features=features)
         fisher += grad.reshape(-1) ** 2
         n_batches += 1
     return fisher / n_batches
@@ -355,14 +381,19 @@ def mine_training_examples(
     own file whenever that file has another premise. Tactic references that
     do not resolve in the corpus are skipped, as are examples for which three
     distinct negatives cannot be found.
+
+    Negatives are drawn as positions among the candidate rows, the pool
+    without the rows already taken, and shifted past the taken rows; that
+    is the draw rng.choice makes from the array of candidate rows.
     """
     pool = corpus.all_premises()
     index_of = {p.key: i for i, p in enumerate(pool)}
     file_rows: dict[str, list[int]] = {}
+    slot: list[int] = []  # each row's position among its file's rows
     for i, p in enumerate(pool):
-        file_rows.setdefault(p.file_path, []).append(i)
-    by_file = {path: np.array(same) for path, same in file_rows.items()}
-    rows = np.arange(len(pool))
+        same = file_rows.setdefault(p.file_path, [])
+        slot.append(len(same))
+        same.append(i)
     rng = np.random.default_rng(seed)
     examples: list[TrainingExample] = []
     for thm in theorems:
@@ -372,17 +403,19 @@ def mine_training_examples(
                 if pos is None:
                     continue
                 pos_i = index_of[pos.key]
-                same = by_file[pos.file_path]
-                in_file = same[same != pos_i]
+                same = file_rows[pos.file_path]
                 chosen: list[int] = []
-                if len(in_file):
-                    chosen.append(int(rng.choice(in_file)))
-                rest = np.delete(rows, [pos_i, *chosen])
+                if len(same) > 1:
+                    j = int(rng.choice(len(same) - 1))
+                    chosen.append(same[j + (j >= slot[pos_i])])
+                taken = sorted([pos_i, *chosen])
                 need = NEGATIVES_PER_EXAMPLE - len(chosen)
-                if len(rest) < need:
+                if len(pool) - len(taken) < need:
                     continue
-                picked = rng.choice(rest, size=need, replace=False)
-                chosen.extend(int(i) for i in picked)
+                for i in rng.choice(len(pool) - len(taken), size=need, replace=False).tolist():
+                    for row in taken:
+                        i += i >= row
+                    chosen.append(i)
                 examples.append(TrainingExample(
                     state=tac.state_before,
                     positive=pos,
@@ -404,32 +437,31 @@ class EmbeddingIndex:
     version_hash: str
     keys: tuple[str, ...]
     matrix: np.ndarray  # (len(keys), dim)
-    row_of: dict[str, int] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self.row_of = {k: i for i, k in enumerate(self.keys)}
 
     def check_model(self, model: EmbeddingModel) -> None:
         """Raise StaleIndex unless the index was built at the model's version."""
         if model.version_hash != self.version_hash:
             raise StaleIndex(f"index built at {self.version_hash}, model is {model.version_hash}")
 
+    @cached_property
+    def _row_of(self) -> dict[str, int]:
+        return {k: i for i, k in enumerate(self.keys)}
+
     def rows_of(self, premises: list[Premise]) -> np.ndarray:
-        """The row of each premise, in the order given."""
+        """The row of each premise, in the order given. The key to row map
+        is built on the first call and kept."""
         try:
-            return np.array([self.row_of[p.key] for p in premises], dtype=np.intp)
+            return np.array([self._row_of[p.key] for p in premises], dtype=np.intp)
         except KeyError as e:
             raise StaleIndex(f"premise {e.args[0]!r} missing from index") from e
 
 
 def precompute_embeddings(model: EmbeddingModel, corpus: Corpus) -> EmbeddingIndex:
-    model.embed_files(corpus.files)
-    keyed = sorted(corpus.all_premises(), key=lambda p: p.key)
-    matrix = model.embed_many([p.text for p in keyed])
+    model.embed_files(corpus.file_texts)
     return EmbeddingIndex(
         version_hash=model.version_hash,
-        keys=tuple(p.key for p in keyed),
-        matrix=matrix,
+        keys=corpus.keys,
+        matrix=model.embed_many(corpus.texts),
     )
 
 
@@ -663,8 +695,10 @@ def train_one_epoch(
     """One seeded pass over the task's examples.
 
     Returns the evaluated model with the highest validation recall@10, with
-    the embeddings its evaluation made; evaluations happen every eval_every
-    steps and at epoch end.
+    the embeddings its evaluation made and its parameter importance on the
+    task's examples; evaluations happen every eval_every steps and at epoch
+    end. The examples are featurized once (example_features), for every
+    step and the importance.
     """
     if not task.train_examples:
         raise EmptyDataset(f"task {task.name!r} has no training examples")
@@ -673,6 +707,25 @@ def train_one_epoch(
     if config.ewc is not None:
         config.ewc.check(checkpoint.model.weight.size)
 
+    features = example_features(task.corpus, task.train_examples,
+                                checkpoint.model.n_features)
+    # the steps run in their own frame, so their models and index are freed
+    # before the Fisher pass, which would otherwise raise the stage's peak heap
+    best_model, best_recall = _best_of_epoch(checkpoint.model.weight, task, config, features)
+    return Checkpoint(
+        model=best_model,
+        history=checkpoint.history + (task.name,),
+        best_val_r10=best_recall,
+        fisher=compute_fisher(best_model, task.train_examples, config.batch_size, features),
+    )
+
+
+def _best_of_epoch(
+    weight: np.ndarray, task: RetrievalTask, config: TrainConfig,
+    features: dict[str, np.ndarray],
+) -> tuple[EmbeddingModel, float]:
+    """The steps and evaluations of train_one_epoch from weight: the
+    evaluated model with the highest validation recall@10, and that recall."""
     rng = np.random.default_rng(config.seed)
     order = rng.permutation(len(task.train_examples))
     examples = [task.train_examples[i] for i in order]
@@ -683,12 +736,11 @@ def train_one_epoch(
     total = len(batches)
     eval_every = config.eval_every or max(1, total // 4)
 
-    weight = checkpoint.model.weight
     best_model = None
     best_recall = -1.0
     for step, batch in enumerate(batches):
         model = EmbeddingModel(weight=weight)
-        _, grad = batch_loss_and_grad(model, batch, ewc=config.ewc)
+        _, grad = batch_loss_and_grad(model, batch, ewc=config.ewc, features=features)
         norm = float(np.linalg.norm(grad))
         if config.clip_norm > 0.0 and norm > config.clip_norm:
             grad = grad * (config.clip_norm / norm)
@@ -701,8 +753,4 @@ def train_one_epoch(
                 best_recall = recall
                 best_model = candidate
     assert best_model is not None
-    return Checkpoint(
-        model=best_model,
-        history=checkpoint.history + (task.name,),
-        best_val_r10=best_recall,
-    )
+    return best_model, best_recall

@@ -19,11 +19,18 @@ from proverloop.database import DatasetMetadata, GeneratedDataset
 from proverloop.errors import EnvironmentFailure, ShapeMismatch
 from proverloop.fixtures import _premise
 from proverloop.retriever import (
+    NEGATIVES_PER_EXAMPLE,
+    Checkpoint,
     EmbeddingModel,
     RetrievalTask,
+    TrainConfig,
     TrainingExample,
     batch_loss_and_grad,
+    compute_fisher,
+    lr_at,
+    precompute_embeddings,
     rank_by_similarity,
+    recall_at_k,
 )
 from proverloop.search import (
     GOAL,
@@ -189,6 +196,74 @@ def example_loss_and_grad(
 ) -> tuple[float, np.ndarray]:
     """Contrastive loss of one example and its exact gradient."""
     return batch_loss_and_grad(model, [example])
+
+
+# -- mining and training oracles --------------------------------------------------
+
+def mine_training_examples_oracle(theorems, corpus, seed=0):
+    """mine_training_examples drawing from arrays of candidate rows: the
+    positive's file without it, then the pool without the rows taken."""
+    pool = corpus.all_premises()
+    index_of = {p.key: i for i, p in enumerate(pool)}
+    file_rows = {}
+    for i, p in enumerate(pool):
+        file_rows.setdefault(p.file_path, []).append(i)
+    by_file = {path: np.array(same) for path, same in file_rows.items()}
+    rows = np.arange(len(pool))
+    rng = np.random.default_rng(seed)
+    examples = []
+    for thm in theorems:
+        for tac in thm.traced_tactics:
+            for name in tac.referenced_premises:
+                pos = corpus.premise_by_name(name)
+                if pos is None:
+                    continue
+                pos_i = index_of[pos.key]
+                same = by_file[pos.file_path]
+                in_file = same[same != pos_i]
+                chosen = []
+                if len(in_file):
+                    chosen.append(int(rng.choice(in_file)))
+                rest = np.delete(rows, [pos_i, *chosen])
+                need = NEGATIVES_PER_EXAMPLE - len(chosen)
+                if len(rest) < need:
+                    continue
+                picked = rng.choice(rest, size=need, replace=False)
+                chosen.extend(int(i) for i in picked)
+                examples.append(TrainingExample(
+                    state=tac.state_before,
+                    positive=pos,
+                    negatives=tuple(pool[i] for i in chosen),
+                ))
+    return examples
+
+
+def train_one_epoch_oracle(checkpoint, task, config=TrainConfig()):
+    """train_one_epoch hashing every loss batch, then compute_fisher on the
+    returned model, hashing every batch again."""
+    rng = np.random.default_rng(config.seed)
+    examples = [task.train_examples[i] for i in rng.permutation(len(task.train_examples))]
+    batches = [examples[lo:lo + config.batch_size]
+               for lo in range(0, len(examples), config.batch_size)]
+    eval_every = config.eval_every or max(1, len(batches) // 4)
+    weight = checkpoint.model.weight
+    best_model, best_recall = None, -1.0
+    for step, batch in enumerate(batches):
+        _, grad = batch_loss_and_grad(EmbeddingModel(weight=weight), batch, ewc=config.ewc)
+        norm = float(np.linalg.norm(grad))
+        if config.clip_norm > 0.0 and norm > config.clip_norm:
+            grad = grad * (config.clip_norm / norm)
+        weight = weight - lr_at(step, len(batches), config.warmup_steps, config.lr) * grad
+        if (step + 1) % eval_every == 0 or step == len(batches) - 1:
+            candidate = EmbeddingModel(weight=weight)
+            recall = recall_at_k(candidate, precompute_embeddings(candidate, task.corpus),
+                                 task.val_pairs, k=10)
+            if recall > best_recall:
+                best_model, best_recall = candidate, recall
+    return Checkpoint(
+        model=best_model, history=checkpoint.history + (task.name,), best_val_r10=best_recall,
+        fisher=compute_fisher(best_model, task.train_examples, batch_size=config.batch_size),
+    )
 
 
 # -- separable toy retrieval task ------------------------------------------------

@@ -23,6 +23,7 @@ from proverloop.errors import (
     NotFound,
     UnknownRepo,
 )
+from proverloop.storage import dump_json
 
 
 def make_repo(url="fixture://repos/r1", commit="c1", name="r1", date="2024-05-01T00:00:00Z",
@@ -377,3 +378,11 @@ def test_round_trip_keeps_theorem_order_and_is_a_fixed_point(theorem_lists):
         [[t.key for t in thms] for thms in theorem_lists]
     assert again.repositories == db.repositories
     assert again.dumps() == text
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.lists(theorem_lists(), max_size=3))
+def test_record_at_a_time_encoding_equals_the_whole_document(theorem_lists):
+    db = DynamicDatabase([make_repo(url=f"fixture://r{i}", theorems=thms)
+                          for i, thms in enumerate(theorem_lists)])
+    assert db.dumps() == dump_json(db.to_json())

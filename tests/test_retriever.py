@@ -1,5 +1,6 @@
 """Embeddings, contrastive training, parameter anchoring, and recall."""
 
+import functools
 import hashlib
 import io
 import json
@@ -15,6 +16,7 @@ from helpers import (
     corpus_of,
     example_loss_and_grad,
     example_loss_and_grad_oracle,
+    mine_training_examples_oracle,
     ngram_oracle,
     pfile,
     premise,
@@ -22,6 +24,7 @@ from helpers import (
     recall_at_k_oracle,
     tactic,
     theorem,
+    train_one_epoch_oracle,
 )
 from proverloop import retriever
 from proverloop.corpus import parse_corpus
@@ -42,6 +45,7 @@ from proverloop.retriever import (
     TrainingExample,
     batch_loss_and_grad,
     compute_fisher,
+    example_features,
     ewc_penalty,
     ewc_penalty_grad,
     extract_eval_pairs,
@@ -443,6 +447,23 @@ class TestMining:
         b = mine_training_examples(thms, corpus, seed=7)
         assert a == b
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_draws_equal_the_candidate_array_oracle(self, seed):
+        # files of 1-12 premises, so some positives have no in-file negative
+        # and the smallest corpora skip examples for want of candidates
+        rng = np.random.default_rng(seed)
+        files = [pfile(f"lib/f{i}.lean",
+                       names=tuple(f"f{i}.p{j}" for j in range(int(rng.integers(1, 13)))))
+                 for i in range(int(rng.integers(1, 7)))]
+        corpus = corpus_of(*files)
+        names = [p.full_name for p in corpus.all_premises()] + ["ghost.q"]
+        thms = [theorem(f"t{k}", path="lib/f0.lean",
+                        tactics=tuple(tactic(names[int(i)], state_before=f"⊢ s{k}")
+                                      for i in rng.integers(len(names), size=4)))
+                for k in range(6)]
+        got = mine_training_examples(thms, corpus, seed=seed)
+        assert got == mine_training_examples_oracle(thms, corpus, seed=seed)
+
 
 class TestIndexAndRecall:
     def test_index_covers_every_premise(self):
@@ -460,7 +481,7 @@ class TestIndexAndRecall:
         corpus = tiny_corpus(n=5)
         m = EmbeddingModel.random_init(dim=6, n_features=64, seed=4)
         index = precompute_embeddings(m, corpus)
-        for key, row in index.row_of.items():
+        for row, key in enumerate(index.keys):
             assert np.array_equal(index.matrix[row], m.embed(premise_by_key(corpus, key).text))
 
     def test_rows_of_follows_the_given_order(self):
@@ -545,7 +566,7 @@ class TestIndexAndRecall:
             gt = frozenset(rng.choice(pool, size=3, replace=False).tolist())
             pairs.append((state, gt))
             q = m.embed(state)
-            sims = {key: float(index.matrix[index.row_of[key]] @ q) for key in pool}
+            sims = {key: float(index.matrix[index.keys.index(key)] @ q) for key in pool}
             top3 = sorted(pool, key=lambda key: (-sims[key], key))[:3]
             expected.append(len(gt.intersection(top3)) / 3.0)
         got = recall_at_k(m, index, pairs, k=3)
@@ -725,6 +746,85 @@ class TestTraining:
         d_free = np.linalg.norm(free.model.flat() - anchor)
         d_held = np.linalg.norm(held.model.flat() - anchor)
         assert d_held < d_free
+
+
+class TestExampleFeatures:
+    def task(self):
+        """Two files sharing one premise text, states repeated, one state
+        spelled like a premise text, and validation states of their own."""
+        corpus = corpus_of(pfile("lib/a.lean", names=("x.p0", "x.p1", "x.p2")),
+                           pfile("lib/b.lean", names=("x.p2", "x.p3", "x.p4", "x.p5")))
+        by_key = {p.key: p for p in corpus.all_premises()}
+        shared = by_key["lib/b.lean::x.p2"]
+        assert shared.text == by_key["lib/a.lean::x.p2"].text
+        states = ["⊢ one", "⊢ two", by_key["lib/a.lean::x.p1"].text, "⊢ one"]
+        premises = list(by_key.values())
+        examples = [TrainingExample(state=states[i % 4], positive=premises[i % 7],
+                                    negatives=tuple(premises[(i + d) % 7] for d in (1, 2, 3)))
+                    for i in range(9)] + [
+            TrainingExample(state="⊢ two", positive=shared, negatives=tuple(premises[:3]))]
+        pairs = [(f"⊢ check {i}", frozenset({premises[i].key})) for i in range(3)]
+        return make_task(corpus, examples, pairs)
+
+    def test_rows_are_the_hashed_rows(self):
+        task = self.task()
+        features = example_features(task.corpus, task.train_examples, 64)
+        texts = list(dict.fromkeys(t for ex in task.train_examples for t in ex.texts()))
+        assert sorted(features) == sorted(texts)
+        for text, row in zip(texts, hash_ngrams(texts, 64).astype(np.float64)):
+            assert features[text].dtype == np.float32
+            assert np.array_equal(features[text].astype(np.float64), row), text
+
+    @pytest.mark.parametrize("with_ewc", [False, True])
+    def test_loss_and_grad_are_the_hashing_paths(self, with_ewc):
+        task = self.task()
+        model = EmbeddingModel.random_init(dim=6, n_features=64, seed=2)
+        ewc = EwcTerm(lam=0.3, fisher=np.ones(model.weight.size),
+                      anchor=model.flat() + 0.01) if with_ewc else None
+        features = example_features(task.corpus, task.train_examples, 64)
+        for lo in range(0, len(task.train_examples), 3):
+            batch = task.train_examples[lo:lo + 3]
+            loss, grad = batch_loss_and_grad(model, batch, ewc, features=features)
+            want_loss, want_grad = batch_loss_and_grad(model, batch, ewc)
+            assert loss == want_loss and np.array_equal(grad, want_grad)
+        assert np.array_equal(compute_fisher(model, task.train_examples, 4, features),
+                              compute_fisher(model, task.train_examples, 4))
+
+    @pytest.mark.parametrize("with_ewc", [False, True])
+    def test_epoch_equals_the_hashing_loop_and_fisher(self, with_ewc):
+        task = self.task()
+        start = Checkpoint(model=EmbeddingModel.random_init(dim=6, n_features=64, seed=4),
+                           history=("earlier",))
+        ewc = EwcTerm(lam=0.5, fisher=np.linspace(0.0, 2.0, start.model.weight.size),
+                      anchor=start.model.flat() - 0.02) if with_ewc else None
+        config = TrainConfig(lr=0.2, warmup_steps=1, batch_size=3, seed=6, ewc=ewc)
+        got = train_one_epoch(start, task, config)
+        want = train_one_epoch_oracle(start, task, config)
+        assert np.array_equal(got.model.weight, want.model.weight)
+        assert got.best_val_r10 == want.best_val_r10
+        assert got.history == want.history == ("earlier", "unit")
+        assert np.array_equal(got.fisher, want.fisher)
+
+    def test_an_epoch_hashes_each_state_once_and_no_premise(self, monkeypatch):
+        task = self.task()
+        cache = functools.lru_cache(maxsize=None)(retriever.ngram_features.__wrapped__)
+        monkeypatch.setattr(retriever, "ngram_features", cache)
+        # fill the file cache first, so that hashed holds only what the epoch hashes
+        precompute_embeddings(EmbeddingModel.random_init(dim=6, n_features=64), task.corpus)
+        assert cache.cache_info().currsize == len(task.corpus.file_texts)
+        hashed = []
+        kernel = retriever.hash_ngrams
+        monkeypatch.setattr(retriever, "hash_ngrams", lambda texts, n_features: (
+            hashed.extend(texts) or kernel(texts, n_features)))
+        train_one_epoch(Checkpoint(model=EmbeddingModel.random_init(dim=6, n_features=64)),
+                        task, TrainConfig(lr=0.1, warmup_steps=0, batch_size=3))
+        premise_texts = {p.text for p in task.corpus.all_premises()}
+        assert premise_texts.isdisjoint(hashed)
+        states = {ex.state for ex in task.train_examples} - premise_texts
+        assert len(states) == 2
+        for state in states:
+            assert hashed.count(state) == 1, state
+        assert cache.cache_info().currsize == len(task.corpus.file_texts)
 
 
 class TestLrSchedule:

@@ -141,7 +141,7 @@ class TestRetrievePremises:
         state = "⊢ some goal"
         q = model.embed(state)
         order = sorted(accessible,
-                       key=lambda p: (-float(index.matrix[index.row_of[p.key]] @ q), p.key))
+                       key=lambda p: (-float(index.matrix[index.rows_of([p])[0]] @ q), p.key))
         got = retrieve_premises(model, index, state, accessible,
                                 fraction=0.5, max_n=100)
         assert [p.key for p in got] == [p.key for p in order[:4]]

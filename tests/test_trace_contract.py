@@ -6,6 +6,7 @@ and checks that it still finds, measures and restores what it wraps.
 """
 
 import importlib.util
+import math
 from pathlib import Path
 
 import pytest
@@ -103,3 +104,15 @@ def test_every_featurize_cache_key_is_one_demo_premise_file(traced_demo, tmp_pat
     for texts, n_features in keys:
         cache(texts, n_features)
     assert cache.cache_info().misses == misses
+
+
+def test_every_training_batch_is_one_step_and_fisher_is_timed(traced_demo, tmp_path):
+    # the Fisher pass runs inside the epoch; its batches must not read as steps
+    _, _, metrics, tracer = traced_demo
+    write_bundled(tmp_path)
+    batch_size = parse_config(tmp_path / "run.cfg").batch_size
+    batches = sum(math.ceil(attrs["examples"] / batch_size)
+                  for name, _, _, _, attrs in tracer.spans if name == "retriever.mine")
+    assert batches > 0
+    assert metrics["retriever.train_steps"] == batches
+    assert metrics["retriever.fisher_s"] > 0
