@@ -65,19 +65,23 @@ HASH_BLOCK = 32
 
 def hash_ngrams(texts: Sequence[str], n_features: int) -> np.ndarray:
     """Hashed byte 1-, 2- and 3-gram counts with a leading bias entry, one
-    float32 row per text.
+    row per text, in the narrowest unsigned integer type that holds them.
 
     An n-gram lands in bucket 1 + crc32(n-gram) % (n_features - 1), so the
     features are the same across runs and platforms (crc32, not Python's
-    randomized hash). The counts are exact in float32. The UTF-8 bytes of
-    HASH_BLOCK texts are joined, every n-gram of the joined bytes is hashed
-    at once and the block is counted with one bincount. An n-gram that
-    straddles two texts is counted in the bias slot of the first, which is
-    then overwritten, so it is dropped.
+    randomized hash). The UTF-8 bytes of HASH_BLOCK texts are joined, every
+    n-gram of the joined bytes is hashed at once and the block is counted
+    with one bincount. An n-gram that straddles two texts is counted in the
+    bias slot of the first, which is then overwritten, so it is dropped.
+
+    The rows start as uint8, one byte per bucket; a block with a larger
+    count widens the whole output, rows already written included, to the
+    type its largest count needs. Callers multiply in float64, which holds
+    every count exactly.
     """
     if n_features < 2:
         raise ValueError("need at least one hash bucket beyond the bias slot")
-    phi = np.empty((len(texts), n_features), dtype=np.float32)
+    phi = np.empty((len(texts), n_features), dtype=np.uint8)
     for lo in range(0, len(texts), HASH_BLOCK):
         encoded = [t.encode("utf-8") for t in texts[lo:lo + HASH_BLOCK]]
         raw = np.frombuffer(b"".join(encoded), dtype=np.uint8)
@@ -94,8 +98,10 @@ def hash_ngrams(texts: Sequence[str], n_features: int) -> np.ndarray:
         buckets[2 * len(raw) - 1:] *= inside[1:] & inside[:-1]
         counts = np.bincount(np.concatenate([base, base[:-1], base[:-2]]) + buckets,
                              minlength=len(encoded) * n_features)
+        if (top := counts.max()) > np.iinfo(phi.dtype).max:
+            phi = phi.astype(np.min_scalar_type(top))
         phi[lo:lo + len(encoded)] = counts.reshape(len(encoded), n_features)
-    phi[:, 0] = 1.0
+    phi[:, 0] = 1
     return phi
 
 
@@ -208,10 +214,10 @@ class EmbeddingModel:
         """Embed texts from their feature rows, the rows of blocks in order,
         EMBED_TILE at a time.
 
-        Each tile of rows is copied into one zero-padded (EMBED_TILE,
-        n_features) block, and each block is one product with the weights.
-        Every product has that one shape because BLAS picks its kernel, and
-        with it the rounding, by shape: a one-row product runs a
+        Each tile of rows is copied into one zero-padded float64
+        (EMBED_TILE, n_features) block, and each block is one product with
+        the weights. Every product has that one shape because BLAS picks its
+        kernel, and with it the rounding, by shape: a one-row product runs a
         matrix-vector kernel, and short and tall products use different
         ones. So a row's bits do not depend on the texts it was embedded
         with, nor on its place among them.
@@ -252,15 +258,23 @@ class EwcTerm:
             )
 
 
+# The penalty and its gradient each hold at most two parameter-sized
+# temporaries. Their in-place products run in the order of the plain
+# expressions in the comments, so they give the same bits.
+
 def ewc_penalty(theta: np.ndarray, term: EwcTerm) -> float:
     term.check(theta.size)
     delta = theta - term.anchor
-    return 0.5 * term.lam * float(np.sum(term.fisher * delta * delta))
+    weighted = term.fisher * delta
+    weighted *= delta  # fisher * delta * delta
+    return 0.5 * term.lam * float(np.sum(weighted))
 
 
 def ewc_penalty_grad(theta: np.ndarray, term: EwcTerm) -> np.ndarray:
     term.check(theta.size)
-    return term.lam * term.fisher * (theta - term.anchor)
+    grad = term.lam * term.fisher
+    grad *= theta - term.anchor  # lam * fisher * (theta - anchor)
+    return grad
 
 
 @dataclass(frozen=True)
@@ -276,7 +290,7 @@ class TrainingExample:
 def example_features(
     corpus: Corpus, examples: list[TrainingExample], n_features: int
 ) -> dict[str, np.ndarray]:
-    """The float32 feature row of every text of the examples.
+    """The feature row of every text of the examples, as hash_ngrams makes it.
 
     A premise's row is a read-only row of its file's ngram_features block,
     fetched under the Corpus.file_texts group that an index build of the
@@ -340,8 +354,10 @@ def batch_loss_and_grad(
     grad_e[state_rows] = np.add.reduceat(dsims[:, None] * e[cand], first)
     grad_e -= np.einsum("ij,ij->i", grad_e, e)[:, None] * e
     grad_u = np.divide(grad_e, norms[:, None], out=np.zeros_like(e), where=norms[:, None] > 0.0)
-    grad = grad_u.T @ phi / len(batch)
+    grad = grad_u.T @ phi
+    grad /= len(batch)
     if ewc is not None:
+        del phi, grad_u  # so the penalty's temporaries do not raise the peak
         theta = model.weight.reshape(-1)
         total += ewc_penalty(theta, ewc)
         grad += ewc_penalty_grad(theta, ewc).reshape(model.weight.shape)

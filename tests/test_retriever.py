@@ -36,6 +36,8 @@ from proverloop.errors import (
     ShapeMismatch,
     StaleIndex,
 )
+from proverloop.fixtures import write_bundled
+from proverloop.pipeline import ingest_fixtures, parse_config
 from proverloop.retriever import (
     Checkpoint,
     EmbeddingModel,
@@ -110,12 +112,41 @@ class TestFeaturesAndEmbedding:
         group = ["b", text, "∀", text]
         assert_rows_match_oracle(group, hash_ngrams(group, n_features), n_features)
 
-    def test_features_are_read_only_float32(self):
+    def test_features_are_read_only_narrowest_unsigned_counts(self):
         phi = ngram_features(("⊢ a ≤ b", "x"), 1024)
-        assert phi.dtype == np.float32 and phi.shape == (2, 1024)
+        assert phi.dtype == np.uint8 and phi.shape == (2, 1024)
         with pytest.raises(ValueError):
-            phi[0, 1] = 2.0
-        assert hash_ngrams(["⊢ a ≤ b"], 1024).dtype == np.float32
+            phi[0, 1] = 2
+        # 300 spaces count 300 in the 1-gram bucket of a space
+        wide = ngram_features(("x", " " * 300), 1024)
+        assert wide.dtype == np.uint16
+        with pytest.raises(ValueError):
+            wide[0, 1] = 2
+
+    @pytest.mark.parametrize("long_text", [" " * 300, "ab" * 300, "x" * 70_000],
+                             ids=["300 spaces", "300 ab", "70000 x"])
+    def test_counts_past_a_byte_widen_exactly(self, long_text):
+        # the long text alone, last in a block of short texts, and in a later
+        # block, so the rows written before it are widened with the output
+        short = random_texts(2 * retriever.HASH_BLOCK, seed=9)
+        want = ngram_oracle(long_text, 1024)
+        for before, after in ((0, 0), (retriever.HASH_BLOCK - 1, 0),
+                              (retriever.HASH_BLOCK + 3, 5)):
+            texts = short[:before] + [long_text] + short[before:before + after]
+            phi = hash_ngrams(texts, 1024)
+            assert phi.dtype == np.min_scalar_type(int(want.max()))
+            assert np.array_equal(phi[before], want)
+            others = texts[:before] + texts[before + 1:]
+            assert_rows_match_oracle(others, np.delete(phi, before, axis=0), 1024)
+
+    def test_demo_premise_blocks_hold_one_byte_per_bucket(self, tmp_path):
+        write_bundled(tmp_path)
+        config = parse_config(tmp_path / "run.cfg")
+        db, _ = ingest_fixtures(config)
+        for record in db.repositories:
+            for texts in corpus_of(*record.premise_files).file_texts:
+                block = ngram_features(texts, config.feature_buckets)
+                assert block.itemsize == 1 and block.nbytes == len(texts) * block.shape[1]
 
     def test_too_few_buckets_rejected(self):
         with pytest.raises(ValueError):
@@ -771,9 +802,55 @@ class TestExampleFeatures:
         features = example_features(task.corpus, task.train_examples, 64)
         texts = list(dict.fromkeys(t for ex in task.train_examples for t in ex.texts()))
         assert sorted(features) == sorted(texts)
-        for text, row in zip(texts, hash_ngrams(texts, 64).astype(np.float64)):
-            assert features[text].dtype == np.float32
-            assert np.array_equal(features[text].astype(np.float64), row), text
+        for text, row in zip(texts, hash_ngrams(texts, 64)):
+            assert features[text].dtype == row.dtype
+            assert np.array_equal(features[text], row), text
+
+    def test_rows_of_mixed_widths_equal_the_float64_path(self, monkeypatch):
+        """One premise file and one state count a bucket past 255, so their
+        rows are uint16 beside uint8 ones; the loss batches, the Fisher pass,
+        the index build and the state embeddings equal those made from the
+        same counts as float64 rows, bit for bit."""
+        long_premise = premise("w.b0", path="lib/b.lean", statement=" " * 300)
+        corpus = corpus_of(
+            pfile("lib/a.lean", names=("w.a0", "w.a1", "w.a2")),
+            pfile("lib/b.lean", premises=(long_premise, premise(
+                "w.b1", path="lib/b.lean", start=(4, 1), end=(5, 1)))))
+        premises = corpus.all_premises()
+        states = ["⊢ one", "⊢ " + "=" * 400, "⊢ two"]
+        examples = [TrainingExample(state=states[i % 3], positive=premises[i % 5],
+                                    negatives=tuple(premises[(i + d) % 5] for d in (1, 2, 3)))
+                    for i in range(10)]
+        model = EmbeddingModel.random_init(dim=6, n_features=64, seed=2)
+        ewc = EwcTerm(lam=0.3, fisher=np.ones(model.weight.size), anchor=model.flat() + 0.01)
+
+        def products(features):
+            fresh = EmbeddingModel(weight=model.weight)
+            return ([batch_loss_and_grad(fresh, examples[lo:lo + 4], ewc, features=features)
+                     for lo in range(0, len(examples), 4)],
+                    compute_fisher(fresh, examples, 4, features),
+                    precompute_embeddings(fresh, corpus).matrix,
+                    fresh.embed_many(states))
+
+        features = example_features(corpus, examples, 64)
+        for lo in range(0, len(examples), 4):
+            widths = {features[t].dtype for ex in examples[lo:lo + 4] for t in ex.texts()}
+            assert widths == {np.dtype(np.uint8), np.dtype(np.uint16)}
+        got = products(features)
+        kernel = retriever.hash_ngrams
+
+        def as_float64(texts, n_features):
+            return kernel(texts, n_features).astype(np.float64)
+
+        monkeypatch.setattr(retriever, "hash_ngrams", as_float64)
+        monkeypatch.setattr(retriever, "ngram_features", as_float64)
+        features64 = example_features(corpus, examples, 64)
+        assert {row.dtype for row in features64.values()} == {np.dtype(np.float64)}
+        want = products(features64)
+        for (loss, grad), (want_loss, want_grad) in zip(got[0], want[0]):
+            assert loss == want_loss and np.array_equal(grad, want_grad)
+        for array, want_array in zip(got[1:], want[1:]):
+            assert np.array_equal(array, want_array)
 
     @pytest.mark.parametrize("with_ewc", [False, True])
     def test_loss_and_grad_are_the_hashing_paths(self, with_ewc):
