@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from .corpus import (
     Corpus,
@@ -105,6 +106,20 @@ class RepositoryRecord:
             "premise_files": [premise_file_to_json(pf) for pf in self.premise_files],
             "traced_files": list(self.traced_file_paths),
         }
+
+    def json_chunks(self) -> Iterator[str]:
+        """dump_json(self.to_json()) without its newline, in pieces: one per
+        premise file and one per theorem, inside the record that dump_json
+        renders with both lists empty."""
+        shell = dump_json({**self.metadata_json(), "premise_files": [], "theorems": [],
+                           "traced_files": self.traced_file_paths})[:-1]
+        head, rest = _cut(shell, "premise_files")
+        middle, tail = _cut(rest, "theorems")
+        yield head
+        yield from _each_json(premise_file_to_json(pf) for pf in self.premise_files)
+        yield middle
+        yield from _each_json(theorem_to_json(t) for t in self.theorems)
+        yield tail
 
     @property
     def difficulty_cache(self) -> dict[tuple[str, str, str], Difficulty]:
@@ -312,18 +327,45 @@ class DynamicDatabase:
                 raise CorruptDocument(f"bad repository record {n} ({name}): {e}") from e
         return db
 
+    def json_chunks(self) -> Iterator[str]:
+        """dump_json(self.to_json()) in pieces, one per premise file and one
+        per theorem (RepositoryRecord.json_chunks), so the whole document
+        never exists at once."""
+        head, tail = _cut(dump_json({"format_version": DATABASE_FORMAT, "repositories": []}),
+                          "repositories")
+        yield head
+        for n, rec in enumerate(self.repositories):
+            if n:
+                yield ","
+            yield from rec.json_chunks()
+        yield tail
+
     def dumps(self) -> str:
-        """dump_json(self.to_json()), encoded one record at a time, so the
-        documents of all records never exist at once."""
-        records = ",".join(dump_json(rec.to_json())[:-1] for rec in self.repositories)
-        return f'{{"format_version":{DATABASE_FORMAT},"repositories":[{records}]}}\n'
+        """dump_json(self.to_json()), joined from json_chunks."""
+        return "".join(self.json_chunks())
 
     def persist(self, path: str | Path) -> None:
-        write_atomic(path, self.dumps())
+        """Write dumps() to path atomically, streaming json_chunks to the
+        temporary file in bounded memory."""
+        write_atomic(path, self.json_chunks())
 
     @classmethod
     def load(cls, path: str | Path) -> DynamicDatabase:
         return cls.from_json(read_json(path, "database"))
+
+
+def _cut(text: str, key: str) -> tuple[str, str]:
+    """text split just inside the empty list '"key":[]', which occurs once."""
+    i = text.index(f'"{key}":[]') + len(key) + 4
+    return text[:i], text[i:]
+
+
+def _each_json(docs: Iterable[object]) -> Iterator[str]:
+    """dump_json of each document without its newline, with commas between."""
+    for n, doc in enumerate(docs):
+        if n:
+            yield ","
+        yield dump_json(doc)[:-1]
 
 
 def write_dataset(dataset: GeneratedDataset, out_dir: str | Path) -> None:

@@ -624,14 +624,23 @@ class Checkpoint:
             return None
         return EwcTerm(lam=lam, fisher=self.fisher, anchor=self.model.flat())
 
-    def _encode(self) -> tuple[dict, bytes]:
-        buf = io.BytesIO()
+    def _encode(self) -> tuple[dict, list[bytes | memoryview]]:
+        """The header document and the payload after its line, as pieces:
+        each array's .npy header (as np.save writes it) and a view of the
+        array's own bytes, so the payload is never copied."""
         arrays = [self.model.weight.reshape(-1)]
         if self.fisher is not None:
             arrays.append(self.fisher)
+        pieces: list[bytes | memoryview] = []
         for arr in arrays:
-            np.save(buf, np.asarray(arr, dtype="<f8"), allow_pickle=False)
-        payload = buf.getvalue()
+            arr = np.ascontiguousarray(arr, dtype="<f8")
+            npy_header = io.BytesIO()
+            np.lib.format.write_array_header_1_0(
+                npy_header, np.lib.format.header_data_from_array_1_0(arr))
+            pieces += [npy_header.getvalue(), memoryview(arr).cast("B")]
+        digest = hashlib.sha256()
+        for piece in pieces:
+            digest.update(piece)
         header = {
             "format_version": CHECKPOINT_FORMAT,
             "dim": self.model.dim,
@@ -639,17 +648,20 @@ class Checkpoint:
             "history": list(self.history),
             "best_val_r10": self.best_val_r10,
             "has_fisher": self.fisher is not None,
-            "sha256": hashlib.sha256(payload).hexdigest(),
+            "sha256": digest.hexdigest(),
         }
-        return header, payload
+        return header, pieces
 
     def to_json(self) -> dict:
         """The header document; its sha256 pins the weights and importance."""
         return self._encode()[0]
 
     def save(self, path: str | Path) -> None:
-        header, payload = self._encode()
-        write_atomic(path, json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + payload)
+        """Write the header line, then each .npy header and a view of its
+        array, straight to the temporary file: the payload is never copied
+        whole, and the bytes are those of np.save after the header line."""
+        header, pieces = self._encode()
+        write_atomic(path, [json.dumps(header, sort_keys=True).encode("utf-8") + b"\n", *pieces])
 
     @classmethod
     def load(cls, path: str | Path) -> Checkpoint:
@@ -757,7 +769,8 @@ def _best_of_epoch(
     for step, batch in enumerate(batches):
         model = EmbeddingModel(weight=weight)
         _, grad = batch_loss_and_grad(model, batch, ewc=config.ewc, features=features)
-        norm = float(np.linalg.norm(grad))
+        # numpy's own pairwise sum: a BLAS dot would split it by thread count
+        norm = float(np.sqrt(np.sum(grad * grad)))
         if config.clip_norm > 0.0 and norm > config.clip_norm:
             grad = grad * (config.clip_norm / norm)
         weight = weight - lr_at(step, total, config.warmup_steps, config.lr) * grad

@@ -1,10 +1,11 @@
 """File I/O shared by every artifact the package reads or writes.
 
-Writes are atomic: the bytes go to a sibling temporary file that then
-replaces the target with ``os.replace``, so a failed or interrupted write
-leaves the previous file intact and no temporary file behind. Reads map
-``OSError`` to ``IoFailure`` and undecodable JSON to ``CorruptDocument``.
-Every field of a loaded document is read through ``json_field``.
+Writes are atomic: the bytes go, chunk by chunk, to a sibling temporary
+file that then replaces the target with ``os.replace``, so a failed or
+interrupted write leaves the previous file intact and no temporary file
+behind. Reads map ``OSError`` to ``IoFailure`` and undecodable JSON to
+``CorruptDocument``. Every field of a loaded document is read through
+``json_field``.
 """
 
 from __future__ import annotations
@@ -14,18 +15,29 @@ import os
 import sys
 from contextlib import suppress
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from .errors import CorruptDocument, IoFailure
 
 
-def write_atomic(path: str | Path, data: str | bytes) -> None:
-    """Replace the file at path with data (text as UTF-8), creating parent directories."""
+def write_atomic(path: str | Path,
+                 data: str | bytes | Iterable[str | bytes | memoryview]) -> None:
+    """Replace the file at path with data, creating parent directories.
+
+    data is one text or bytes value, or an iterable of text and bytes-like
+    chunks (a memoryview of an array, say) written in turn, so a large
+    document never has to exist whole in memory. Text is written as UTF-8.
+    If a chunk raises partway through, the exception propagates (an OSError
+    as IoFailure), and the previous file and no temporary file remain.
+    """
     target = Path(path)
     tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    chunks = (data,) if isinstance(data, (str, bytes)) else data
     try:
         target.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+        with open(tmp, "wb") as out:
+            for chunk in chunks:
+                out.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
         os.replace(tmp, target)
     except OSError as e:
         raise IoFailure(f"cannot write {target}: {e}") from e

@@ -250,7 +250,7 @@ def train_one_epoch_oracle(checkpoint, task, config=TrainConfig()):
     best_model, best_recall = None, -1.0
     for step, batch in enumerate(batches):
         _, grad = batch_loss_and_grad(EmbeddingModel(weight=weight), batch, ewc=config.ewc)
-        norm = float(np.linalg.norm(grad))
+        norm = float(np.sqrt(np.sum(grad * grad)))
         if config.clip_norm > 0.0 and norm > config.clip_norm:
             grad = grad * (config.clip_norm / norm)
         weight = weight - lr_at(step, len(batches), config.warmup_steps, config.lr) * grad

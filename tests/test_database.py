@@ -1,6 +1,7 @@
 """Repository records, merge semantics, proof bookkeeping, persistence."""
 
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -283,6 +284,24 @@ class TestPersistence:
         with pytest.raises(CorruptDocument, match="'r.two' is in 'nowhere.lean'"):
             DynamicDatabase.from_json(doc)
 
+    @pytest.mark.parametrize("records", [0, 1, 3])
+    def test_persisted_bytes_are_dump_json_of_the_whole_document(self, tmp_path, records):
+        """persist streams one chunk per premise file and per theorem; the
+        file is still dump_json(to_json()) byte for byte."""
+        repos = [
+            make_repo(url="fixture://ℕ", name="数-ℕ", theorems=[
+                theorem("r.∀", path="lib/base.lean", statement="∀ n : ℕ, n ≤ n",
+                        status="sorry_proven", proof=("intro n", "exact le_rfl")),
+                theorem("r.two", path="lib/base.lean", tactics=(tactic("base.x"),)),
+            ]),
+            make_repo(url="fixture://empty", name="empty", theorems=[], files=[]),
+            make_repo(url="fixture://b", date="2024-06-02T00:00:00Z"),
+        ][:records]
+        db = DynamicDatabase(repos)
+        db.persist(tmp_path / "db.json")
+        assert (tmp_path / "db.json").read_bytes() == dump_json(db.to_json()).encode("utf-8")
+        assert DynamicDatabase.load(tmp_path / "db.json").repositories == db.repositories
+
     def test_canonical_form_is_stable(self):
         db = self.build()
         assert db.dumps() == db.dumps()
@@ -386,3 +405,27 @@ def test_record_at_a_time_encoding_equals_the_whole_document(theorem_lists):
     db = DynamicDatabase([make_repo(url=f"fixture://r{i}", theorems=thms)
                           for i, thms in enumerate(theorem_lists)])
     assert db.dumps() == dump_json(db.to_json())
+
+
+def test_persist_holds_one_item_at_a_time_not_the_document(tmp_path):
+    """The traced peak of persist does not grow with the database: 24
+    copies of a record cost what 2 do, within a small constant."""
+    files = [pfile(f"lib/f{j}.lean", names=tuple(f"f{j}.p{k}" for k in range(10)))
+             for j in range(8)]
+    theorems = [theorem(f"t{k}", path="lib/f0.lean", tactics=(tactic("f0.p0"),))
+                for k in range(50)]
+
+    def peak(copies):
+        db = DynamicDatabase([make_repo(url=f"fixture://r{i}", theorems=theorems, files=files)
+                              for i in range(copies)])
+        tracemalloc.start()
+        try:
+            db.persist(tmp_path / "db.json")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small = peak(2)
+    large = peak(24)
+    assert (tmp_path / "db.json").stat().st_size > 500_000
+    assert large - small < 64 * 1024

@@ -131,3 +131,19 @@ def test_json_is_encoded_only_by_dump_json_and_the_checkpoint_header():
                   and node.func.value.id == "json"):
                 callers.append(f"{path.name}:{owner.get(id(node), '<module>')}")
     assert sorted(callers) == ["retriever.py:save", "storage.py:dump_json"]
+
+
+def test_no_whole_array_reduction_is_a_blas_call():
+    """A whole-array np.linalg.norm, np.dot or np.vdot is one BLAS call,
+    which OpenBLAS splits by its thread count, so its rounding and the
+    checkpoint bytes would depend on the host. A norm along an axis is
+    numpy's own loop."""
+    calls = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.Call):
+                name = ast.unparse(node.func)
+                whole = len(node.args) < 3 and all(k.arg != "axis" for k in node.keywords)
+                if name in ("np.dot", "np.vdot") or (name == "np.linalg.norm" and whole):
+                    calls.append(f"{path.name}:{node.lineno}: {name}")
+    assert calls == []

@@ -3,6 +3,9 @@
 import dataclasses
 import functools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -313,6 +316,27 @@ class TestRunPipeline:
             name = f"checkpoints/task_{k:02d}.ckpt"
             assert (config.out_dir / name).read_bytes() == \
                 (again.out_dir / name).read_bytes(), name
+
+    def test_out_dir_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        """The demo run, in fresh interpreters at one and at two OpenBLAS
+        threads, writes the same files with the same bytes."""
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                "from proverloop.fixtures import write_bundled; "
+                "from proverloop.pipeline import override_config, parse_config, run_pipeline; "
+                "write_bundled('demo'); "
+                "run_pipeline(override_config(parse_config('demo/run.cfg'), out_dir='out'))")
+        src = Path(__file__).resolve().parent.parent / "src"
+        outs = []
+        for threads in ("1", "2"):
+            cwd = tmp_path / f"threads_{threads}"
+            cwd.mkdir()
+            subprocess.run([sys.executable, "-c", code, str(src)], cwd=cwd, check=True,
+                           env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+            out = cwd / "out"
+            outs.append({p.relative_to(out).as_posix(): p.read_bytes()
+                         for p in out.rglob("*") if p.is_file()})
+        assert sorted(outs[0]) == sorted(outs[1])
+        assert [name for name in sorted(outs[0]) if outs[0][name] != outs[1][name]] == []
 
     def test_stage_failures_carry_the_stage_name(self, bundle, tmp_path):
         import shutil

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -964,6 +965,39 @@ class TestCheckpoint:
         for arr in arrays:
             np.save(buf, arr, allow_pickle=arr.dtype == object)
         return buf.getvalue()
+
+    @pytest.mark.parametrize("dim, n_features", [(1, 2), (48, 1024)])
+    @pytest.mark.parametrize("with_fisher", [False, True])
+    def test_streamed_bytes_are_the_whole_payload_encoding(self, tmp_path, dim, n_features,
+                                                          with_fisher):
+        """save writes each array's .npy header and then the array's own
+        bytes; the file is the header line and np.save into one buffer."""
+        m = EmbeddingModel.random_init(dim=dim, n_features=n_features, seed=2)
+        fisher = np.linspace(0.0, 1.0, m.weight.size) if with_fisher else None
+        Checkpoint(model=m, history=("a", "β"), best_val_r10=12.5, fisher=fisher).save(
+            tmp_path / "ck.ckpt")
+        payload = self._npy(m.flat(), *([fisher] if with_fisher else []))
+        header = {"format_version": 2, "dim": dim, "n_features": n_features,
+                  "history": ["a", "β"], "best_val_r10": 12.5, "has_fisher": with_fisher,
+                  "sha256": hashlib.sha256(payload).hexdigest()}
+        assert (tmp_path / "ck.ckpt").read_bytes() == \
+            json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + payload
+        again = Checkpoint.load(tmp_path / "ck.ckpt")
+        assert np.array_equal(again.model.weight, m.weight)
+        assert (again.fisher is None) == (fisher is None)
+        if with_fisher:
+            assert np.array_equal(again.fisher, fisher)
+
+    def test_save_does_not_copy_the_payload(self, tmp_path):
+        m = EmbeddingModel.random_init(dim=64, n_features=4096, seed=0)
+        ck = Checkpoint(model=m, fisher=np.ones(m.weight.size))  # 4 MiB of payload
+        tracemalloc.start()
+        try:
+            ck.save(tmp_path / "ck.ckpt")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
 
     def test_damaged_files_are_corrupt_documents(self, tmp_path):
         m = EmbeddingModel.random_init(dim=4, n_features=32, seed=0)

@@ -9,7 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import pfile, tactic, theorem
-from proverloop.corpus import premise_file_to_json, theorem_from_json, theorem_to_json
+from proverloop.corpus import (
+    parse_corpus,
+    premise_file_to_json,
+    theorem_from_json,
+    theorem_to_json,
+)
 from proverloop.database import DynamicDatabase
 from proverloop.errors import CorruptDocument, IoFailure, ProverloopError
 from proverloop.retriever import Checkpoint, EmbeddingModel
@@ -46,6 +51,30 @@ class TestWriteAtomic:
         monkeypatch.undo()
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["ck.ckpt"]
+
+    def test_writes_chunks_in_turn(self, tmp_path):
+        arr = np.arange(3.0)
+        write_atomic(tmp_path / "c.bin", iter(["π", b"\x00", memoryview(arr).cast("B")]))
+        assert (tmp_path / "c.bin").read_bytes() == "π".encode("utf-8") + b"\x00" + arr.tobytes()
+
+    @pytest.mark.parametrize("bad, raised", [
+        ({"x": float("nan")}, ValueError),
+        (OSError("disk full"), IoFailure),
+    ])
+    def test_a_chunk_that_raises_keeps_the_old_file_and_no_temp(self, tmp_path, bad, raised):
+        path = tmp_path / "doc.json"
+        write_atomic(path, "old\n")
+
+        def chunks():
+            yield dump_json({"a": 1})
+            if isinstance(bad, OSError):
+                raise bad
+            yield dump_json(bad)
+
+        with pytest.raises(raised):
+            write_atomic(path, chunks())
+        assert path.read_bytes() == b"old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
 
     def test_a_directory_in_the_way_is_an_io_failure(self, tmp_path):
         (tmp_path / "taken").mkdir()
@@ -107,28 +136,35 @@ def documents(tmp_path_factory):
     proved = theorem_to_json(theorem("t", tactics=(tactic("a.x"),)))
     edge = {"from": "s", "tactic": "t", "log_prob": -0.5, "to": "PROVED",
             "requires_premise": "a.x", "fails": False}
+    premise_file = premise_file_to_json(pfile("lib/a.lean", names=("a.x",)))
     record = {"url": "fixture://r", "commit": "c", "name": "r", "date_added": "2024-01-01",
               "toolchain_version": "v4", "theorems": [proved], "traced_files": ["lib/a.lean"],
-              "premise_files": [premise_file_to_json(pfile("lib/a.lean", names=("a.x",)))]}
+              "premise_files": [premise_file]}
     return {
         "theorem": (proved, theorem_from_json),
         "edge": (edge, lambda e: TableFixture.from_json({"initial": {"k": "s"}, "edges": [e]})),
         "record": (record, lambda r: DynamicDatabase.from_json(
             {"format_version": 2, "repositories": [r]})),
         "header": (json.loads(head), load_header),
+        "corpus line": (premise_file, lambda line: parse_corpus(json.dumps(line) + "\n")),
     }
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_one_replaced_field_loads_or_raises_a_package_error(documents, data):
     """Any JSON value (NaN included) in place of one field of a valid theorem,
-    search table edge, database record or checkpoint header either loads or
-    raises a ProverloopError, never another exception."""
+    search table edge, database record, checkpoint header or corpus line, or
+    that field deleted, either loads or raises a ProverloopError, never
+    another exception."""
     valid, load = documents[data.draw(st.sampled_from(sorted(documents)))]
     load(valid)
     field = data.draw(st.sampled_from(sorted(valid)))
+    if data.draw(st.booleans()):
+        changed = {key: value for key, value in valid.items() if key != field}
+    else:
+        changed = {**valid, field: data.draw(_JSON_VALUES)}
     try:
-        load({**valid, field: data.draw(_JSON_VALUES)})
+        load(changed)
     except ProverloopError:
         pass
