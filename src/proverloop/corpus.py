@@ -12,7 +12,6 @@ train/val/test is seeded and reproducible.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
@@ -28,7 +27,7 @@ from .errors import (
     TooFewTheorems,
     UnknownImport,
 )
-from .storage import POSITION, STRINGS, dump_json, json_field
+from .storage import POSITION, STRINGS, dump_json, json_field, parse_json
 
 Pos = tuple[int, int]
 
@@ -75,6 +74,12 @@ class PremiseFile:
     path: str
     imports: tuple[str, ...]
     premises: tuple[Premise, ...]
+
+    @cached_property
+    def texts(self) -> tuple[str, ...]:
+        """Its premises' texts in order, the unit they are featurized and
+        embedded in."""
+        return tuple(p.text for p in self.premises)
 
 
 @dataclass(frozen=True)
@@ -163,20 +168,6 @@ class Corpus:
     def texts(self) -> tuple[str, ...]:
         return tuple(p.text for p in self.premises_by_key)
 
-    @cached_property
-    def file_texts(self) -> tuple[tuple[str, ...], ...]:
-        """Each file's distinct premise texts that no earlier file has, in
-        file order, for every file that has one: the groups its premises
-        are featurized in."""
-        seen: set[str] = set()
-        groups = []
-        for f in self.files:
-            texts = tuple(dict.fromkeys(p.text for p in f.premises if p.text not in seen))
-            if texts:
-                seen.update(texts)
-                groups.append(texts)
-        return tuple(groups)
-
 
 @dataclass
 class DatasetSplit:
@@ -226,13 +217,10 @@ def parse_corpus(text: str) -> Corpus:
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise MalformedLine(line_no, f"invalid JSON: {e.msg}") from e
-        pf = premise_file_from_json(obj, partial(MalformedLine, line_no))
+        error = partial(MalformedLine, line_no)
+        pf = premise_file_from_json(parse_json(line, "premise file", error), error)
         if pf.path in seen_paths:
-            raise DuplicatePath(pf.path)
+            raise DuplicatePath(f"duplicate file path {pf.path!r}")
         seen_paths.add(pf.path)
         files.append(pf)
     return corpus_from_files(files)
@@ -244,7 +232,7 @@ def corpus_from_files(files: list[PremiseFile]) -> Corpus:
     for f in files:
         for target in f.imports:
             if target not in paths:
-                raise UnknownImport(f.path, target)
+                raise UnknownImport(f"{f.path!r} imports unknown file {target!r}")
     order = topological_order(files)
     by_path = {f.path: f for f in files}
     return Corpus(files=tuple(by_path[p] for p in order))
@@ -304,7 +292,7 @@ def topological_order(files: list[PremiseFile]) -> list[str]:
                 heapq.heappush(ready, index[dep])
     if len(order) != len(files):
         leftover = [f.path for f in files if f.path not in set(order)]
-        raise ImportCycle(leftover)
+        raise ImportCycle(f"import cycle among {leftover!r}")
     return order
 
 
@@ -415,10 +403,7 @@ def dump_theorems(theorems: list[Theorem]) -> str:
 
 
 def load_theorems(text: str) -> list[Theorem]:
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise InvalidRecord(f"invalid theorem JSON: {e.msg}") from e
+    raw = parse_json(text, "theorem file", InvalidRecord)
     if not isinstance(raw, list):
         raise InvalidRecord("theorem file must be a JSON array")
     return [theorem_from_json(obj) for obj in raw]

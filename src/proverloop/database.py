@@ -205,7 +205,7 @@ class DynamicDatabase:
         for rec in self.repositories:
             if rec.repo_id == repo_id:
                 return rec
-        raise UnknownRepo(repo_id)
+        raise UnknownRepo(f"unknown repository {repo_id!r}")
 
     @property
     def repo_ids(self) -> list[str]:

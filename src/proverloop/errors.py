@@ -18,26 +18,18 @@ class MalformedLine(ProverloopError):
     def __init__(self, line_no: int, reason: str) -> None:
         super().__init__(f"line {line_no}: {reason}")
         self.line_no = line_no
-        self.reason = reason
 
 
 class DuplicatePath(ProverloopError):
-    def __init__(self, path: str) -> None:
-        super().__init__(f"duplicate file path {path!r}")
-        self.path = path
+    pass
 
 
 class UnknownImport(ProverloopError):
-    def __init__(self, path: str, target: str) -> None:
-        super().__init__(f"{path!r} imports unknown file {target!r}")
-        self.path = path
-        self.target = target
+    pass
 
 
 class ImportCycle(ProverloopError):
-    def __init__(self, paths: list[str]) -> None:
-        super().__init__(f"import cycle among {paths!r}")
-        self.paths = paths
+    pass
 
 
 class TooFewTheorems(ProverloopError):
@@ -65,9 +57,7 @@ class AlreadyProven(ProverloopError):
 
 
 class UnknownRepo(ProverloopError):
-    def __init__(self, repo_id: str) -> None:
-        super().__init__(f"unknown repository {repo_id!r}")
-        self.repo_id = repo_id
+    pass
 
 
 class IoFailure(ProverloopError):
@@ -99,9 +89,7 @@ class EmptyGroundTruth(ProverloopError):
 # -- search ----------------------------------------------------------------
 
 class UnknownFile(ProverloopError):
-    def __init__(self, path: str) -> None:
-        super().__init__(f"file not in corpus: {path!r}")
-        self.path = path
+    pass
 
 
 class EnvironmentFailure(ProverloopError):
@@ -129,8 +117,3 @@ class InvalidMatrix(ProverloopError, ValueError):
 
 class PipelineError(ProverloopError):
     """Wraps a module error with the pipeline stage it surfaced in."""
-
-    def __init__(self, stage: str, cause: Exception) -> None:
-        super().__init__(f"stage {stage!r}: {cause}")
-        self.stage = stage
-        self.cause = cause

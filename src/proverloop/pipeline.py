@@ -224,7 +224,7 @@ def _stage(name: str):
     except PipelineError:
         raise
     except ProverloopError as e:
-        raise PipelineError(name, e) from e
+        raise PipelineError(f"stage {name!r}: {e}") from e
 
 
 # -- fixture directories -----------------------------------------------------

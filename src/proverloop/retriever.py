@@ -24,9 +24,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Premise, Theorem
+from .corpus import Corpus, Premise, PremiseFile, Theorem
 from .errors import CorruptDocument, EmptyDataset, EmptyGroundTruth, ShapeMismatch, StaleIndex
-from .storage import FLOAT_OR_NULL, STRINGS, json_field, read_bytes, write_atomic
+from .storage import FLOAT_OR_NULL, STRINGS, json_field, parse_json, read_bytes, write_atomic
 
 NEGATIVES_PER_EXAMPLE = 3
 
@@ -107,11 +107,12 @@ def hash_ngrams(texts: Sequence[str], n_features: int) -> np.ndarray:
 
 @lru_cache(maxsize=4096)
 def ngram_features(texts: tuple[str, ...], n_features: int) -> np.ndarray:
-    """hash_ngrams of one premise file's texts, cached as a read-only block.
+    """hash_ngrams of one premise file's texts (PremiseFile.texts), cached
+    as a read-only block.
 
-    Only premise files are cached, under their Corpus.file_texts groups: a
-    corpus that re-adds a file finds its features here. States are hashed
-    on the fly, a task's training states once per epoch (example_features).
+    Only whole premise files are cached, one key per file, so a corpus that
+    re-adds a file finds its features here. States are hashed on the fly, a
+    task's training states once per epoch (example_features).
     """
     phi = hash_ngrams(texts, n_features)
     phi.flags.writeable = False
@@ -199,44 +200,35 @@ class EmbeddingModel:
             self._embed(new, [hash_ngrams(new, self.n_features)])
         return np.array([self._rows[t] for t in texts]).reshape(len(texts), self.dim)
 
-    def embed_files(self, file_texts: Iterable[tuple[str, ...]]) -> None:
-        """Embed premise texts grouped by file (Corpus.file_texts), each
-        group featurized through the ngram_features cache with only the
-        texts this model has not embedded yet."""
-        if self._rows:
-            file_texts = (tuple(t for t in texts if t not in self._rows) for texts in file_texts)
-        groups = [texts for texts in file_texts if texts]
-        if groups:
-            self._embed([t for texts in groups for t in texts],
-                        [ngram_features(texts, self.n_features) for texts in groups])
+    def embed_files(self, files: Iterable[PremiseFile]) -> None:
+        """Embed premise files whole, each from its ngram_features block. A
+        file whose every text this model has embedded already is skipped."""
+        todo = [f for f in files if not all(t in self._rows for t in f.texts)]
+        if todo:
+            self._embed([t for f in todo for t in f.texts],
+                        [ngram_features(f.texts, self.n_features) for f in todo])
 
     def _embed(self, texts: list[str], blocks: list[np.ndarray]) -> None:
-        """Embed texts from their feature rows, the rows of blocks in order,
-        EMBED_TILE at a time.
+        """Embed texts from their feature rows, the rows of blocks in order.
 
-        Each tile of rows is copied into one zero-padded float64
-        (EMBED_TILE, n_features) block, and each block is one product with
-        the weights. Every product has that one shape because BLAS picks its
-        kernel, and with it the rounding, by shape: a one-row product runs a
-        matrix-vector kernel, and short and tall products use different
-        ones. So a row's bits do not depend on the texts it was embedded
-        with, nor on its place among them.
+        Each block is cut into tiles of EMBED_TILE rows, its last tile
+        zero-padded, and each tile is one float64 (EMBED_TILE, n_features)
+        product with the weights. Every product has that one shape because
+        BLAS picks its kernel, and with it the rounding, by shape: a one-row
+        product runs a matrix-vector kernel, and short and tall products use
+        different ones. So a row's bits do not depend on the texts it was
+        embedded with, nor on its place among them.
         """
         u = np.empty((len(texts), self.dim))
         tile = np.empty((EMBED_TILE, self.n_features))
-        done = filled = 0
+        done = 0
         for phi in blocks:
-            lo = 0
-            while lo < len(phi):
-                take = min(EMBED_TILE - filled, len(phi) - lo)
-                tile[filled:filled + take] = phi[lo:lo + take]
-                filled += take
-                lo += take
-                if filled == EMBED_TILE or done + filled == len(texts):
-                    tile[filled:] = 0.0
-                    u[done:done + filled] = (tile @ self.weight.T)[:filled]
-                    done += filled
-                    filled = 0
+            for lo in range(0, len(phi), EMBED_TILE):
+                rows = phi[lo:lo + EMBED_TILE]
+                tile[:len(rows)] = rows
+                tile[len(rows):] = 0.0
+                u[done:done + len(rows)] = (tile @ self.weight.T)[:len(rows)]
+                done += len(rows)
         self._rows.update(zip(texts, _unit_rows(u)[0]))
 
 
@@ -293,13 +285,13 @@ def example_features(
     """The feature row of every text of the examples, as hash_ngrams makes it.
 
     A premise's row is a read-only row of its file's ngram_features block,
-    fetched under the Corpus.file_texts group that an index build of the
-    corpus fetches too. The other texts, the states, are hashed with one
-    hash_ngrams call.
+    the block an index build of the corpus embeds the file from. The other
+    texts, the states, are hashed with one hash_ngrams call.
     """
     rows: dict[str, np.ndarray] = {}
-    for texts in corpus.file_texts:
-        rows.update(zip(texts, ngram_features(texts, n_features)))
+    for f in corpus.files:
+        if f.texts:
+            rows.update(zip(f.texts, ngram_features(f.texts, n_features)))
     rest = [t for t in dict.fromkeys(t for ex in examples for t in ex.texts()) if t not in rows]
     rows.update(zip(rest, hash_ngrams(rest, n_features)))
     return rows
@@ -473,7 +465,7 @@ class EmbeddingIndex:
 
 
 def precompute_embeddings(model: EmbeddingModel, corpus: Corpus) -> EmbeddingIndex:
-    model.embed_files(corpus.file_texts)
+    model.embed_files(corpus.files)
     return EmbeddingIndex(
         version_hash=model.version_hash,
         keys=corpus.keys,
@@ -666,10 +658,7 @@ class Checkpoint:
     @classmethod
     def load(cls, path: str | Path) -> Checkpoint:
         head, _, payload = read_bytes(path, "checkpoint").partition(b"\n")
-        try:
-            header = json.loads(head)
-        except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
-            raise CorruptDocument(f"checkpoint {path} has no JSON header line: {e}") from e
+        header = parse_json(head, f"checkpoint {path} header line")
         version = header.get("format_version") if isinstance(header, dict) else None
         if version != CHECKPOINT_FORMAT or type(version) is not int:
             raise CorruptDocument(

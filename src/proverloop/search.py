@@ -1,9 +1,9 @@
 """Premise-aware best-first proof search with proof replay.
 
 Environments and tactic generators are small protocols so tests can drive
-search with table-backed fixtures: a JSON file listing states, labeled
-transitions with log-probabilities, and per-theorem initial states. A
-transition to the marker "PROVED" closes the proof.
+search with table-backed fixtures: a JSON file of labeled transitions with
+log-probabilities and per-theorem initial states. A transition to the
+marker "PROVED" closes the proof.
 
 Search keeps a max-priority frontier on cumulative log-probability. Goal
 transitions enter the frontier as terminal entries and the proof is returned
@@ -73,7 +73,7 @@ class DependencyGraph:
 
     def reachable(self, path: str) -> frozenset[str]:
         if path not in self.closure:
-            raise UnknownFile(path)
+            raise UnknownFile(f"file not in corpus: {path!r}")
         return self.closure[path]
 
 
@@ -172,9 +172,6 @@ class TableFixture:
             self.by_source.setdefault(e.source, []).append(e)
 
     def to_json(self) -> dict:
-        states = sorted({e.source for e in self.edges}
-                        | {e.target for e in self.edges if e.target != GOAL}
-                        | set(self.initial.values()))
         edges = []
         for e in self.edges:
             obj: dict = {
@@ -188,7 +185,7 @@ class TableFixture:
             if e.fails:
                 obj["fails"] = True
             edges.append(obj)
-        return {"states": states, "initial": dict(sorted(self.initial.items())), "edges": edges}
+        return {"initial": dict(sorted(self.initial.items())), "edges": edges}
 
     @classmethod
     def from_json(cls, doc: object) -> TableFixture:

@@ -3,15 +3,16 @@
 Writes are atomic: the bytes go, chunk by chunk, to a sibling temporary
 file that then replaces the target with ``os.replace``, so a failed or
 interrupted write leaves the previous file intact and no temporary file
-behind. Reads map ``OSError`` to ``IoFailure`` and undecodable JSON to
-``CorruptDocument``. Every field of a loaded document is read through
-``json_field``.
+behind. Reads map ``OSError`` to ``IoFailure``; ``parse_json`` raises a
+document's own error type for text that is not JSON or holds a lone
+surrogate. Every field of a loaded document is read through ``json_field``.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import sys
 from contextlib import suppress
 from pathlib import Path
@@ -70,11 +71,45 @@ def read_text(path: str | Path, what: str) -> str:
 
 
 def read_json(path: str | Path, what: str) -> object:
-    text = read_text(path, what)
+    return parse_json(read_text(path, what), f"{what} at {path}")
+
+
+def parse_json(text: str | bytes, what: str,
+               error: Callable[[str], Exception] = CorruptDocument) -> object:
+    """The document in JSON text (bytes are read as UTF-8), or error(message
+    naming what) if the text is not JSON or a string in it holds a lone
+    surrogate, which json.loads keeps and no UTF-8 file or hash can encode."""
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as e:
-        raise CorruptDocument(f"{what} at {path} is not valid JSON: {e.msg}") from e
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
+        doc = json.loads(text)
+    except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
+        raise error(f"{what} is not valid JSON: {getattr(e, 'msg', e)}") from e
+    # text decoded from UTF-8 gets a surrogate only from a \ud800-\udfff
+    # escape; most documents pass the fast one-character search for "\\"
+    if ("\\" in text and re.search(r"\\u[dD][89a-fA-F]", text)
+            and (field := _lone_surrogate(doc, "")) is not None):
+        field = field.encode("utf-8", "backslashreplace").decode("utf-8") or "(the document)"
+        raise error(f"{what} field {field} holds a lone surrogate")
+    return doc
+
+
+def _lone_surrogate(doc: object, path: str) -> str | None:
+    """The path (``premises[0].code``) of a string in doc, a value, list
+    item or object key, that holds a surrogate code point, or None. The
+    pattern is compiled on first use: its character class takes 128 KiB."""
+    if type(doc) is str:
+        return path if re.search("[\ud800-\udfff]", doc) else None
+    if type(doc) is dict:
+        children = [(f"{path}.{k}" if path else k, s) for k, v in doc.items() for s in (k, v)]
+    elif type(doc) is list:
+        children = [(f"{path}[{i}]", v) for i, v in enumerate(doc)]
+    else:
+        return None
+    for child, value in children:
+        if (found := _lone_surrogate(value, child)) is not None:
+            return found
+    return None
 
 
 # Field kinds beyond the JSON types str, int, float, bool, list and dict;

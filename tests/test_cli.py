@@ -355,6 +355,42 @@ class TestErrorContract:
             assert "Traceback" not in err
             assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "ingest"])
+    @pytest.mark.parametrize("name, damage, names", [
+        ("corpus.jsonl", lambda text: text.replace('"code":"', '"code":"x \\ud800 y', 1),
+         "line 1: premise file field premises[0].code"),
+        ("theorems.json", lambda text: text.replace('"statement":"', '"statement":"\\udfff', 1),
+         "theorem file field [0].statement"),
+        ("repo.json", lambda text: text.replace('"name":"', '"name":"\\uD834', 1),
+         "repo.json field name"),
+        ("environment.json",
+         lambda text: text.replace('"initial":{', '"initial":{"\\ud800":"s",', 1),
+         "field initial.\\ud800 holds"),
+    ], ids=["corpus-code", "theorem-statement", "repo-name", "table-key"])
+    def test_a_lone_surrogate_in_an_input_document_exits_two(self, demo, tmp_path, capsys,
+                                                             command, name, damage, names):
+        root = tmp_path / "demo"
+        shutil.copytree(demo, root)
+        path = root / "repo_algebra" / name
+        path.write_text(damage(path.read_text(encoding="utf-8")), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main([command, *cfg_args(root, out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert names in err and "holds a lone surrogate" in err
+        assert not out.exists()
+
+    def test_prove_with_a_lone_surrogate_in_the_checkpoint_exits_two(self, demo, tmp_path,
+                                                                      capsys):
+        ckpt = tmp_path / "surrogate.ckpt"
+        Checkpoint(model=EmbeddingModel.random_init(dim=4, n_features=64),
+                   history=("repo", "x\ud800")).save(ckpt)
+        assert main(["prove", *cfg_args(demo, tmp_path / "out"),
+                     "--checkpoint", str(ckpt)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert f"checkpoint {ckpt} header line field history[1] holds a lone surrogate" in err
+
     def test_ingest_of_a_malformed_theorem_exits_two(self, demo, tmp_path, capsys):
         root = tmp_path / "demo"
         shutil.copytree(demo, root)

@@ -145,9 +145,9 @@ class TestFeaturesAndEmbedding:
         config = parse_config(tmp_path / "run.cfg")
         db, _ = ingest_fixtures(config)
         for record in db.repositories:
-            for texts in corpus_of(*record.premise_files).file_texts:
-                block = ngram_features(texts, config.feature_buckets)
-                assert block.itemsize == 1 and block.nbytes == len(texts) * block.shape[1]
+            for f in record.premise_files:
+                block = ngram_features(f.texts, config.feature_buckets)
+                assert block.itemsize == 1 and block.nbytes == len(f.texts) * block.shape[1]
 
     def test_too_few_buckets_rejected(self):
         with pytest.raises(ValueError):
@@ -210,6 +210,44 @@ class TestFeaturesAndEmbedding:
         assert rows.shape == (len(texts) + 5, 48)
         for text, row in zip(texts + texts[:5], rows):
             assert np.array_equal(row, EmbeddingModel(weight=m.weight).embed(text))
+
+    @pytest.mark.parametrize("n_features", [1024, 2048])
+    def test_index_rows_equal_texts_embedded_alone(self, n_features):
+        # files that end inside a tile, at its end and one past it, and a
+        # file spanning two tiles and one more row
+        sizes = (1, 7, retriever.EMBED_TILE, 9, 17)
+        corpus = corpus_of(*(pfile(f"lib/f{n}.lean", names=tuple(f"f{n}.p{i}" for i in range(n)))
+                             for n in sizes))
+        m = EmbeddingModel.random_init(dim=48, n_features=n_features, seed=4)
+        index = precompute_embeddings(m, corpus)
+        assert index.matrix.shape == (sum(sizes), 48)
+        for text, row in zip(corpus.texts, index.matrix):
+            assert np.array_equal(row, EmbeddingModel(weight=m.weight).embed(text)), text
+
+    def test_files_are_featurized_whole_under_one_key_each(self, monkeypatch):
+        a = pfile("lib/a.lean", names=("x.p0", "x.p1", "x.p2"))
+        b = pfile("lib/b.lean", names=("x.p2", "x.p3", "x.p4"))
+        assert a.texts[2] == b.texts[0]
+        cache = functools.lru_cache(maxsize=None)(retriever.ngram_features.__wrapped__)
+        monkeypatch.setattr(retriever, "ngram_features", cache)
+        m = EmbeddingModel.random_init(dim=6, n_features=64, seed=1)
+        precompute_embeddings(m, corpus_of(a))
+        cache(b.texts, 64)  # b's block is cached, as training caches it
+        misses = cache.cache_info().misses
+        # m has embedded b's first text with a; b is still embedded whole
+        index = precompute_embeddings(m, corpus_of(b))
+        assert cache.cache_info().misses == misses
+        assert cache.cache_info().currsize == 2
+        for text, row in zip(corpus_of(b).texts, index.matrix):
+            assert np.array_equal(row, EmbeddingModel(weight=m.weight).embed(text)), text
+
+        def refuse(texts, n_features):
+            raise AssertionError(f"featurized {texts!r} again")
+
+        # every text of both files is embedded, so neither is featurized
+        monkeypatch.setattr(retriever, "ngram_features", refuse)
+        monkeypatch.setattr(retriever, "hash_ngrams", refuse)
+        precompute_embeddings(m, corpus_of(a, b))
 
     def test_a_model_featurizes_each_text_once(self, monkeypatch):
         texts = random_texts(20, seed=2)
@@ -807,6 +845,25 @@ class TestExampleFeatures:
             assert features[text].dtype == row.dtype
             assert np.array_equal(features[text], row), text
 
+    def test_a_shared_text_has_its_hashed_row(self):
+        # the shared text sits in a uint16 block beside a long premise and in
+        # a uint8 block, and reads the counts hash_ngrams gives it alone
+        shared = premise("w.s", path="lib/a.lean", start=(4, 1), end=(5, 1))
+        corpus = corpus_of(
+            pfile("lib/a.lean", premises=(premise("w.a0", statement=" " * 300), shared)),
+            pfile("lib/b.lean", premises=(premise("w.s", path="lib/b.lean"),
+                                          premise("w.b1", path="lib/b.lean",
+                                                  start=(4, 1), end=(5, 1)))))
+        assert [f.texts.count(shared.text) for f in corpus.files] == [1, 1]
+        assert {ngram_features(f.texts, 64).dtype for f in corpus.files} == {
+            np.dtype(np.uint8), np.dtype(np.uint16)}
+        premises = corpus.all_premises()
+        examples = [TrainingExample(state="⊢ s", positive=p,
+                                    negatives=tuple(q for q in premises if q is not p)[:3])
+                    for p in premises]
+        features = example_features(corpus, examples, 64)
+        assert np.array_equal(features[shared.text], hash_ngrams([shared.text], 64)[0])
+
     def test_rows_of_mixed_widths_equal_the_float64_path(self, monkeypatch):
         """One premise file and one state count a bucket past 255, so their
         rows are uint16 beside uint8 ones; the loss batches, the Fisher pass,
@@ -889,7 +946,7 @@ class TestExampleFeatures:
         monkeypatch.setattr(retriever, "ngram_features", cache)
         # fill the file cache first, so that hashed holds only what the epoch hashes
         precompute_embeddings(EmbeddingModel.random_init(dim=6, n_features=64), task.corpus)
-        assert cache.cache_info().currsize == len(task.corpus.file_texts)
+        assert cache.cache_info().currsize == len(task.corpus.files)
         hashed = []
         kernel = retriever.hash_ngrams
         monkeypatch.setattr(retriever, "hash_ngrams", lambda texts, n_features: (
@@ -902,7 +959,7 @@ class TestExampleFeatures:
         assert len(states) == 2
         for state in states:
             assert hashed.count(state) == 1, state
-        assert cache.cache_info().currsize == len(task.corpus.file_texts)
+        assert cache.cache_info().currsize == len(task.corpus.files)
 
 
 class TestLrSchedule:
@@ -1010,10 +1067,12 @@ class TestCheckpoint:
         sized = "expected 128 little-endian float64"
         cases = [
             ("truncated", lambda p: p.write_bytes(data[:len(data) // 2]), "sha256"),
-            ("truncated header", lambda p: p.write_bytes(data[:20]), "no JSON header"),
+            ("truncated header", lambda p: p.write_bytes(data[:20]),
+             "header line is not valid JSON"),
             ("flipped payload byte", lambda p: p.write_bytes(bytes(flipped)), "sha256"),
             ("non-JSON header",
-             lambda p: p.write_bytes(b"\x93NUMPY not a header\n" + data), "no JSON header"),
+             lambda p: p.write_bytes(b"\x93NUMPY not a header\n" + data),
+             "header line is not valid JSON"),
             ("format 1 JSON", lambda p: p.write_text(json.dumps({
                 "format_version": 1, "dim": 4, "n_features": 32,
                 "theta": theta.tolist(), "history": [], "best_val_r10": None,

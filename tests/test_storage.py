@@ -10,16 +10,23 @@ from hypothesis import strategies as st
 
 from helpers import pfile, tactic, theorem
 from proverloop.corpus import (
+    load_theorems,
     parse_corpus,
     premise_file_to_json,
     theorem_from_json,
     theorem_to_json,
 )
 from proverloop.database import DynamicDatabase
-from proverloop.errors import CorruptDocument, IoFailure, ProverloopError
+from proverloop.errors import (
+    CorruptDocument,
+    InvalidRecord,
+    IoFailure,
+    MalformedLine,
+    ProverloopError,
+)
 from proverloop.retriever import Checkpoint, EmbeddingModel
 from proverloop.search import TableFixture
-from proverloop.storage import dump_json, read_json, read_text, write_atomic
+from proverloop.storage import dump_json, parse_json, read_json, read_text, write_atomic
 
 
 def checkpoint(seed):
@@ -114,8 +121,62 @@ class TestReads:
             read_json(tmp_path / "latin.txt", "config")
 
 
+LONE = "x \ud800 y"  # json.dumps writes it as an unpaired escape
+
+
+class TestLoneSurrogates:
+    @pytest.mark.parametrize("doc, field", [
+        ({"a": LONE}, "a"),
+        ({"a": [{"b": 1}, {"b": ["ok", LONE]}]}, "a[1].b[1]"),
+        ({"a": {LONE: 1}}, "a.x \\ud800 y"),
+        ([LONE], "[0]"),
+        (LONE, "(the document)"),
+        ({"a": "\udc00\ud800"}, "a"),
+    ], ids=["value", "nested-list-item", "key", "top-level-item", "top-level", "reversed-pair"])
+    def test_parse_json_names_the_field(self, doc, field):
+        with pytest.raises(CorruptDocument) as info:
+            parse_json(json.dumps(doc), "doc")
+        assert str(info.value) == f"doc field {field} holds a lone surrogate"
+
+    def test_pairs_and_escaped_backslashes_are_text(self):
+        assert parse_json('{"a": "\\ud83d\\ude00"}', "doc") == {"a": "\U0001f600"}
+        assert parse_json('{"a": "\\\\ud800"}', "doc") == {"a": "\\ud800"}
+        assert parse_json(b'["\\u00e9"]', "doc") == ["\u00e9"]
+
+    def test_corpus_line(self):
+        doc = premise_file_to_json(pfile("lib/a.lean", names=("a.x", "a.y")))
+        doc["premises"][1]["code"] = LONE
+        with pytest.raises(MalformedLine, match=r"line 2: premise file field premises\[1\]\.code"):
+            parse_corpus("\n" + json.dumps(doc) + "\n")
+
+    def test_theorem_file(self):
+        doc = [theorem_to_json(theorem("t", tactics=(tactic("a.x"),)))]
+        doc[0]["traced_tactics"][0]["state_before"] = LONE
+        with pytest.raises(InvalidRecord,
+                           match=r"theorem file field \[0\]\.traced_tactics\[0\]\.state_before"):
+            load_theorems(json.dumps(doc))
+
+    @pytest.mark.parametrize("what, load", [
+        ("database", DynamicDatabase.load),
+        ("search table", TableFixture.load),
+    ])
+    def test_read_json_documents(self, tmp_path, what, load):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"format_version": 2, "initial": {"k": LONE}}),
+                        encoding="utf-8")
+        with pytest.raises(CorruptDocument, match=f"{what} at .* field initial.k holds"):
+            load(path)
+
+    def test_checkpoint_header(self, tmp_path):
+        m = EmbeddingModel.random_init(dim=4, n_features=32, seed=0)
+        Checkpoint(model=m, history=("a", LONE)).save(tmp_path / "ck.ckpt")
+        with pytest.raises(CorruptDocument, match=r"header line field history\[1\] holds"):
+            Checkpoint.load(tmp_path / "ck.ckpt")
+
+
 _JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.just(LONE),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
                                                                 max_size=3),
     max_leaves=6,
@@ -153,10 +214,10 @@ def documents(tmp_path_factory):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_one_replaced_field_loads_or_raises_a_package_error(documents, data):
-    """Any JSON value (NaN included) in place of one field of a valid theorem,
-    search table edge, database record, checkpoint header or corpus line, or
-    that field deleted, either loads or raises a ProverloopError, never
-    another exception."""
+    """Any JSON value (NaN and a lone surrogate included) in place of one
+    field of a valid theorem, search table edge, database record, checkpoint
+    header or corpus line, or that field deleted, either loads or raises a
+    ProverloopError, never another exception."""
     valid, load = documents[data.draw(st.sampled_from(sorted(documents)))]
     load(valid)
     field = data.draw(st.sampled_from(sorted(valid)))

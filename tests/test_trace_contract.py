@@ -2,11 +2,14 @@
 
 A rename or a changed signature in src/ would silently break
 `perfbench/run.py --trace 1`; this runs the tracer over the bundled demo
-and checks that it still finds, measures and restores what it wraps.
+and checks that it still finds, measures and restores what it wraps. It
+also traces the benchmark's `merge-churn` workload (perfbench/workloads.py),
+whose repositories share premise files, as the demo's do not.
 """
 
 import importlib.util
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,14 +18,42 @@ from proverloop import pipeline, retriever
 from proverloop.fixtures import write_bundled
 from proverloop.pipeline import ingest_fixtures, override_config, parse_config
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load_perfbench(name):
+    """perfbench/<name>.py as a module, read in place."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # a dataclass looks its module up by name
     spec.loader.exec_module(module)
     return module
+
+
+def traced_run(tracing, config):
+    """The tracer after one run_pipeline(config) with it installed."""
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        pipeline.run_pipeline(config)
+    finally:
+        tracer.uninstall()
+    return tracer
+
+
+def assert_featurize_keys_are_whole_files(tracer, config):
+    """The tracer's featurize cache holds exactly one key per premise file of
+    the config's repositories: no per-text key, no part of a file, and no
+    file featurized off the cached name."""
+    db, _ = ingest_fixtures(config)
+    keys = {(f.texts, config.feature_buckets)
+            for record in db.repositories for f in record.premise_files if f.premises}
+    cache = tracer.featurize_cache
+    assert cache.cache_info().currsize == len(keys)
+    misses = cache.cache_info().misses
+    for texts, n_features in keys:
+        cache(texts, n_features)
+    assert cache.cache_info().misses == misses
 
 
 def attributes():
@@ -36,17 +67,12 @@ def attributes():
 
 @pytest.fixture(scope="module")
 def traced_demo(tmp_path_factory):
-    tracing = load_tracing()
+    tracing = load_perfbench("tracing")
     root = tmp_path_factory.mktemp("trace_demo")
     write_bundled(root)
     config = override_config(parse_config(root / "run.cfg"), out_dir=str(root / "out"))
     before = attributes()
-    tracer = tracing.Tracer()
-    tracer.install()
-    try:
-        pipeline.run_pipeline(config)
-    finally:
-        tracer.uninstall()
+    tracer = traced_run(tracing, config)
     metrics = tracing.layer_metrics(tracer.spans, tracer.featurize_cache.cache_info())
     return tracing, before, metrics, tracer
 
@@ -91,19 +117,20 @@ def test_tracer_cache_has_the_featurizer_cache_size(traced_demo):
 
 
 def test_every_featurize_cache_key_is_one_demo_premise_file(traced_demo, tmp_path):
-    # per-text keys, or premise files featurized off the cached name, fail here
     _, _, _, tracer = traced_demo
     write_bundled(tmp_path)
-    config = parse_config(tmp_path / "run.cfg")
-    db, _ = ingest_fixtures(config)
-    keys = {(tuple(p.text for p in f.premises), config.feature_buckets)
-            for record in db.repositories for f in record.premise_files if f.premises}
-    cache = tracer.featurize_cache
-    assert cache.cache_info().currsize == len(keys)
-    misses = cache.cache_info().misses
-    for texts, n_features in keys:
-        cache(texts, n_features)
-    assert cache.cache_info().misses == misses
+    assert_featurize_keys_are_whole_files(tracer, parse_config(tmp_path / "run.cfg"))
+
+
+def test_every_featurize_cache_key_is_one_shared_premise_file(tmp_path):
+    # merge-churn re-adds each repository's files in the next, so a model
+    # meets files whose texts it has partly embedded already
+    workloads = load_perfbench("workloads")
+    config = override_config(
+        parse_config(workloads.write(workloads.generate("merge-churn", 401), tmp_path)),
+        out_dir=str(tmp_path / "out"))
+    tracer = traced_run(load_perfbench("tracing"), config)
+    assert_featurize_keys_are_whole_files(tracer, config)
 
 
 def test_every_training_batch_is_one_step_and_fisher_is_timed(traced_demo, tmp_path):
