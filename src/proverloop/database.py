@@ -98,19 +98,10 @@ class RepositoryRecord:
             **contents,
         )
 
-    def to_json(self) -> dict:
-        """The record as database.json stores it."""
-        return {
-            **self.metadata_json(),
-            "theorems": [theorem_to_json(t) for t in self.theorems],
-            "premise_files": [premise_file_to_json(pf) for pf in self.premise_files],
-            "traced_files": list(self.traced_file_paths),
-        }
-
     def json_chunks(self) -> Iterator[str]:
-        """dump_json(self.to_json()) without its newline, in pieces: one per
-        premise file and one per theorem, inside the record that dump_json
-        renders with both lists empty."""
+        """The record as database.json stores it, without a newline, in
+        pieces: one dump_json per premise file and one per theorem, inside
+        the record that dump_json renders with both lists empty."""
         shell = dump_json({**self.metadata_json(), "premise_files": [], "theorems": [],
                            "traced_files": self.traced_file_paths})[:-1]
         head, rest = _cut(shell, "premise_files")
@@ -258,8 +249,6 @@ class DynamicDatabase:
         best: dict[tuple[str, str, str], tuple[int, Theorem]] = {}
         premise_files: list[PremiseFile] = []
         seen_paths: set[str] = set()
-        traced_files: list[str] = []
-        seen_traced: set[str] = set()
         for rec in records:
             rank = recency[rec.repo_id]
             for thm in rec.theorems:
@@ -273,10 +262,6 @@ class DynamicDatabase:
                 if pf.path not in seen_paths:
                     seen_paths.add(pf.path)
                     premise_files.append(pf)
-            for path in rec.traced_file_paths:
-                if path not in seen_traced:
-                    seen_traced.add(path)
-                    traced_files.append(path)
 
         theorems = [best[k][1] for k in ordered_keys]
         corpus = corpus_from_files(premise_files)
@@ -285,7 +270,7 @@ class DynamicDatabase:
             repo_ids=list(repo_ids),
             theorem_count=len(theorems),
             premise_file_count=len(premise_files),
-            traced_file_count=len(traced_files),
+            traced_file_count=len({p for rec in records for p in rec.traced_file_paths}),
             split_sizes={
                 "train": len(split.train),
                 "val": len(split.val),
@@ -296,10 +281,6 @@ class DynamicDatabase:
         return GeneratedDataset(split=split, corpus=corpus, metadata=metadata)
 
     # -- persistence ----------------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {"format_version": DATABASE_FORMAT,
-                "repositories": [rec.to_json() for rec in self.repositories]}
 
     @classmethod
     def from_json(cls, doc: object) -> DynamicDatabase:
@@ -328,9 +309,10 @@ class DynamicDatabase:
         return db
 
     def json_chunks(self) -> Iterator[str]:
-        """dump_json(self.to_json()) in pieces, one per premise file and one
-        per theorem (RepositoryRecord.json_chunks), so the whole document
-        never exists at once."""
+        """The one encoder of database.json: the canonical document (as
+        dump_json writes it) in pieces, one per premise file and one per
+        theorem (RepositoryRecord.json_chunks), so the whole document never
+        exists at once."""
         head, tail = _cut(dump_json({"format_version": DATABASE_FORMAT, "repositories": []}),
                           "repositories")
         yield head
@@ -341,7 +323,7 @@ class DynamicDatabase:
         yield tail
 
     def dumps(self) -> str:
-        """dump_json(self.to_json()), joined from json_chunks."""
+        """The database.json text, joined from json_chunks."""
         return "".join(self.json_chunks())
 
     def persist(self, path: str | Path) -> None:

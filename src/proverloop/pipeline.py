@@ -14,6 +14,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
+from typing import Any, Callable
 
 from .corpus import corpus_from_files, dump_theorems, load_theorems, parse_corpus, serialize_corpus
 from .curriculum import (
@@ -243,10 +244,10 @@ def write_fixture_dir(
 def load_repo_fixture(fixture_dir: str | Path) -> tuple[RepositoryRecord, TableFixture]:
     root = Path(fixture_dir)
     meta = read_json(root / "repo.json", "repository metadata")
-    corpus = parse_corpus(read_text(root / "corpus.jsonl", "corpus"))
+    corpus = _parse_file(root / "corpus.jsonl", "corpus", parse_corpus)
     record = RepositoryRecord.from_metadata(
         meta, f"repo.json in {root}", name=root.name,
-        theorems=load_theorems(read_text(root / "theorems.json", "theorems")),
+        theorems=_parse_file(root / "theorems.json", "theorems", load_theorems),
         premise_files=list(corpus.files),
         traced_file_paths=corpus.paths,
     )
@@ -256,6 +257,16 @@ def load_repo_fixture(fixture_dir: str | Path) -> tuple[RepositoryRecord, TableF
             raise CorruptDocument(
                 f"environment.json in {root} has no initial state for {theorem.key_str!r}")
     return record, environment
+
+
+def _parse_file(path: Path, what: str, parse: Callable[[str], Any]) -> Any:
+    """parse of the file's text; its errors name the file, since a run
+    reads one such file per repository."""
+    text = read_text(path, what)
+    try:
+        return parse(text)
+    except ProverloopError as e:
+        raise CorruptDocument(f"{path}: {e}") from e
 
 
 # -- report types ---------------------------------------------------------------

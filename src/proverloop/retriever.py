@@ -14,8 +14,6 @@ them against central finite differences.
 from __future__ import annotations
 
 import hashlib
-import io
-import json
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
@@ -26,7 +24,8 @@ import numpy as np
 
 from .corpus import Corpus, Premise, PremiseFile, Theorem
 from .errors import CorruptDocument, EmptyDataset, EmptyGroundTruth, ShapeMismatch, StaleIndex
-from .storage import FLOAT_OR_NULL, STRINGS, json_field, parse_json, read_bytes, write_atomic
+from .storage import (FLOAT_OR_NULL, STRINGS, dump_json, json_field, parse_json, read_bytes,
+                      write_atomic)
 
 NEGATIVES_PER_EXAMPLE = 3
 
@@ -581,16 +580,7 @@ class TrainConfig:
     ewc: EwcTerm | None = None
 
 
-CHECKPOINT_FORMAT = 2
-
-
-def _read_vector(buf: io.BytesIO, size: int) -> np.ndarray:
-    arr = np.lib.format.read_array(buf, allow_pickle=False)
-    if arr.dtype != np.dtype("<f8") or arr.shape != (size,):
-        raise ValueError(
-            f"expected {size} little-endian float64 entries, got {arr.dtype} {arr.shape}"
-        )
-    return arr
+CHECKPOINT_FORMAT = 3
 
 
 @dataclass
@@ -598,11 +588,12 @@ class Checkpoint:
     """Retriever state after a task, with the parameter importance that
     anchors the next one.
 
-    On disk a checkpoint is a single file: one sorted-key JSON header line
-    (``format_version``, ``dim``, ``n_features``, ``history``,
+    On disk a checkpoint is a single file: the header line, dump_json of
+    ``format_version``, ``dim``, ``n_features``, ``history``,
     ``best_val_r10``, ``has_fisher`` and the sha256 of every byte after the
-    line), then the ``.npy`` record of the flat weights and, when present,
-    the one of the importance vector, both little-endian float64.
+    line; then the ``dim * n_features`` weights in row-major order and, when
+    ``has_fisher`` is set, as many importance values, all little-endian
+    float64.
     """
 
     model: EmbeddingModel
@@ -616,20 +607,14 @@ class Checkpoint:
             return None
         return EwcTerm(lam=lam, fisher=self.fisher, anchor=self.model.flat())
 
-    def _encode(self) -> tuple[dict, list[bytes | memoryview]]:
-        """The header document and the payload after its line, as pieces:
-        each array's .npy header (as np.save writes it) and a view of the
-        array's own bytes, so the payload is never copied."""
+    def _encode(self) -> tuple[dict, list[memoryview]]:
+        """The header document and the payload after its line, as a view of
+        each array's own bytes, so the payload is never copied."""
         arrays = [self.model.weight.reshape(-1)]
         if self.fisher is not None:
             arrays.append(self.fisher)
-        pieces: list[bytes | memoryview] = []
-        for arr in arrays:
-            arr = np.ascontiguousarray(arr, dtype="<f8")
-            npy_header = io.BytesIO()
-            np.lib.format.write_array_header_1_0(
-                npy_header, np.lib.format.header_data_from_array_1_0(arr))
-            pieces += [npy_header.getvalue(), memoryview(arr).cast("B")]
+        pieces = [memoryview(np.ascontiguousarray(arr, dtype="<f8")).cast("B")
+                  for arr in arrays]
         digest = hashlib.sha256()
         for piece in pieces:
             digest.update(piece)
@@ -649,11 +634,10 @@ class Checkpoint:
         return self._encode()[0]
 
     def save(self, path: str | Path) -> None:
-        """Write the header line, then each .npy header and a view of its
-        array, straight to the temporary file: the payload is never copied
-        whole, and the bytes are those of np.save after the header line."""
+        """Write the header line, then a view of each array straight to the
+        temporary file: the payload is never copied whole."""
         header, pieces = self._encode()
-        write_atomic(path, [json.dumps(header, sort_keys=True).encode("utf-8") + b"\n", *pieces])
+        write_atomic(path, [dump_json(header), *pieces])
 
     @classmethod
     def load(cls, path: str | Path) -> Checkpoint:
@@ -662,9 +646,9 @@ class Checkpoint:
         version = header.get("format_version") if isinstance(header, dict) else None
         if version != CHECKPOINT_FORMAT or type(version) is not int:
             raise CorruptDocument(
-                f"checkpoint {path} is format {version!r}, not the binary format "
+                f"checkpoint {path} is format {version!r}, not the format "
                 f"{CHECKPOINT_FORMAT} this version reads; rerun `proverloop run` "
-                "to write .ckpt checkpoints"
+                "to rewrite its checkpoints"
             )
         if hashlib.sha256(payload).hexdigest() != header.get("sha256"):
             raise CorruptDocument(f"checkpoint {path} fails its sha256 check")
@@ -678,21 +662,20 @@ class Checkpoint:
         history = json_field(header, "history", STRINGS, what)
         best_val_r10 = json_field(header, "best_val_r10", FLOAT_OR_NULL, what)
         has_fisher = json_field(header, "has_fisher", bool, what)
-        buf = io.BytesIO(payload)
-        try:
-            theta = _read_vector(buf, dim * n_features)
-            fisher = _read_vector(buf, theta.size) if has_fisher else None
-        except (ValueError, EOFError) as e:  # a damaged .npy record
-            raise CorruptDocument(f"bad checkpoint {path}: {e}") from e
-        checkpoint = cls(
-            model=EmbeddingModel(weight=theta.reshape(dim, n_features)),
+        # checked before any array exists, so a forged header cannot make
+        # the load allocate what the file does not hold
+        size = dim * n_features
+        expected = 8 * size * (1 + has_fisher)
+        if len(payload) != expected:
+            raise CorruptDocument(f"checkpoint {path} has {len(payload)} bytes after its header "
+                                  f"line, not the {expected} it declares")
+        values = np.frombuffer(payload, dtype="<f8")
+        return cls(
+            model=EmbeddingModel(weight=values[:size].reshape(dim, n_features)),
             history=tuple(history),
             best_val_r10=best_val_r10,
-            fisher=fisher,
+            fisher=values[size:] if has_fisher else None,
         )
-        if buf.tell() != len(payload):
-            raise CorruptDocument(f"checkpoint {path} has bytes after its arrays")
-        return checkpoint
 
 
 def lr_at(step: int, total_steps: int, warmup_steps: int, lr_max: float) -> float:

@@ -14,8 +14,10 @@ from proverloop.corpus import (
     Theorem,
     TracedTactic,
     corpus_from_files,
+    premise_file_to_json,
+    theorem_to_json,
 )
-from proverloop.database import DatasetMetadata, GeneratedDataset
+from proverloop.database import DATABASE_FORMAT, DatasetMetadata, GeneratedDataset
 from proverloop.errors import EnvironmentFailure, ShapeMismatch
 from proverloop.fixtures import _premise
 from proverloop.retriever import (
@@ -126,6 +128,24 @@ def dataset_from_metadata(db, doc):
     )
     corpus = corpus_from_files([files[path] for path in doc["premise_files"]])
     return GeneratedDataset(split=split, corpus=corpus, metadata=metadata)
+
+
+def record_to_json(record):
+    """The repository record as database.json stores it: the document that
+    RepositoryRecord.json_chunks streams."""
+    return {
+        **record.metadata_json(),
+        "theorems": [theorem_to_json(t) for t in record.theorems],
+        "premise_files": [premise_file_to_json(pf) for pf in record.premise_files],
+        "traced_files": list(record.traced_file_paths),
+    }
+
+
+def database_to_json(db):
+    """The whole database.json document; DynamicDatabase.json_chunks streams
+    dump_json of it."""
+    return {"format_version": DATABASE_FORMAT,
+            "repositories": [record_to_json(rec) for rec in db.repositories]}
 
 
 # -- loss oracles ----------------------------------------------------------------

@@ -1,5 +1,7 @@
 """The proverloop command line, driven through main()."""
 
+import hashlib
+import io
 import json
 import shutil
 
@@ -384,12 +386,55 @@ class TestErrorContract:
                                                                       capsys):
         ckpt = tmp_path / "surrogate.ckpt"
         Checkpoint(model=EmbeddingModel.random_init(dim=4, n_features=64),
-                   history=("repo", "x\ud800")).save(ckpt)
+                   history=("repo", "x")).save(ckpt)
+        head, _, payload = ckpt.read_bytes().partition(b"\n")
+        header = {**json.loads(head), "history": ["repo", "x\ud800"]}
+        ckpt.write_bytes(json.dumps(header).encode("ascii") + b"\n" + payload)
         assert main(["prove", *cfg_args(demo, tmp_path / "out"),
                      "--checkpoint", str(ckpt)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
         assert f"checkpoint {ckpt} header line field history[1] holds a lone surrogate" in err
+
+    def test_prove_with_a_forged_format_2_checkpoint_exits_two(self, demo, tmp_path, capsys):
+        """A format-2 file whose .npy record claims 2**40 values: 325 bytes
+        that a reader trusting the record would try to allocate 8 TiB for."""
+        record = io.BytesIO()
+        np.lib.format.write_array_header_1_0(
+            record, {"descr": "<f8", "fortran_order": False, "shape": (2 ** 40,)})
+        payload = record.getvalue() + bytes(8)
+        header = {"format_version": 2, "dim": 48, "n_features": 1024, "history": [],
+                  "best_val_r10": None, "has_fisher": False,
+                  "sha256": hashlib.sha256(payload).hexdigest()}
+        ckpt = tmp_path / "forged.ckpt"
+        ckpt.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
+        assert ckpt.stat().st_size == 325
+        assert main(["prove", *cfg_args(demo, tmp_path / "out"),
+                     "--checkpoint", str(ckpt)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert f"checkpoint {ckpt} is format 2" in err and "rerun `proverloop run`" in err
+
+    @pytest.mark.parametrize("repo, name, damage, reason", [
+        ("repo_number", "corpus.jsonl",
+         lambda text: text.replace('"kind":"theorem-like"', '"kind":"lemma"', 1),
+         "line 1: "),
+        ("repo_topology", "theorems.json",
+         lambda text: text.replace('"start":[21,1]', '"start":[0,1]', 1),
+         "theorem field 'start' must be"),
+    ], ids=["corpus-kind", "theorem-start"])
+    def test_ingest_names_the_fixture_file_that_fails_to_parse(self, demo, tmp_path, capsys,
+                                                              repo, name, damage, reason):
+        root = tmp_path / "demo"
+        shutil.copytree(demo, root)
+        path = root / repo / name
+        text = path.read_text(encoding="utf-8")
+        assert damage(text) != text
+        path.write_text(damage(text), encoding="utf-8")
+        assert main(["ingest", *cfg_args(root, tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert f"{path}: {reason}" in err
 
     def test_ingest_of_a_malformed_theorem_exits_two(self, demo, tmp_path, capsys):
         root = tmp_path / "demo"

@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dataset_from_metadata, pfile, premise, premise_by_key, tactic, theorem
+from helpers import (
+    database_to_json,
+    dataset_from_metadata,
+    pfile,
+    premise,
+    premise_by_key,
+    tactic,
+    theorem,
+)
 from proverloop.corpus import THEOREM_STATUSES, dump_theorems, serialize_corpus
 from proverloop.database import (
     DynamicDatabase,
@@ -268,7 +276,7 @@ class TestPersistence:
         assert DynamicDatabase.load(path).dumps() == db.dumps()
 
     def test_a_bad_premise_names_its_record_not_a_corpus_line(self):
-        doc = self.build().to_json()
+        doc = database_to_json(self.build())
         doc["repositories"][1]["name"] = "r2"
         del doc["repositories"][1]["premise_files"][0]["premises"][1]["code"]
         with pytest.raises(CorruptDocument) as err:
@@ -278,7 +286,7 @@ class TestPersistence:
         assert "missing field 'code'" in message and "line 0" not in message
 
     def test_an_open_goal_outside_the_premise_files_fails_to_load(self):
-        doc = self.build().to_json()
+        doc = database_to_json(self.build())
         [goal] = [t for t in doc["repositories"][0]["theorems"] if t["full_name"] == "r.two"]
         goal["file_path"] = "nowhere.lean"
         with pytest.raises(CorruptDocument, match="'r.two' is in 'nowhere.lean'"):
@@ -287,7 +295,7 @@ class TestPersistence:
     @pytest.mark.parametrize("records", [0, 1, 3])
     def test_persisted_bytes_are_dump_json_of_the_whole_document(self, tmp_path, records):
         """persist streams one chunk per premise file and per theorem; the
-        file is still dump_json(to_json()) byte for byte."""
+        file is still dump_json of the whole document byte for byte."""
         repos = [
             make_repo(url="fixture://ℕ", name="数-ℕ", theorems=[
                 theorem("r.∀", path="lib/base.lean", statement="∀ n : ℕ, n ≤ n",
@@ -299,7 +307,8 @@ class TestPersistence:
         ][:records]
         db = DynamicDatabase(repos)
         db.persist(tmp_path / "db.json")
-        assert (tmp_path / "db.json").read_bytes() == dump_json(db.to_json()).encode("utf-8")
+        assert (tmp_path / "db.json").read_bytes() == \
+            dump_json(database_to_json(db)).encode("utf-8")
         assert DynamicDatabase.load(tmp_path / "db.json").repositories == db.repositories
 
     def test_canonical_form_is_stable(self):
@@ -347,7 +356,7 @@ class TestRoundTrip:
 
     def test_difficulties_are_derived_not_stored(self, proved_demo):
         db, _ = proved_demo
-        doc = db.to_json()
+        doc = database_to_json(db)
         assert doc["format_version"] == 2
         for raw, rec in zip(doc["repositories"], db.repositories, strict=True):
             assert "difficulty_cache" not in raw
@@ -359,7 +368,7 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("version", [1, None, 3, "2", 2.0])
     def test_other_format_versions_are_rejected(self, proved_demo, version):
-        doc = proved_demo[0].to_json()
+        doc = database_to_json(proved_demo[0])
         doc.pop("format_version")
         if version is not None:
             doc["format_version"] = version
@@ -404,7 +413,7 @@ def test_round_trip_keeps_theorem_order_and_is_a_fixed_point(theorem_lists):
 def test_record_at_a_time_encoding_equals_the_whole_document(theorem_lists):
     db = DynamicDatabase([make_repo(url=f"fixture://r{i}", theorems=thms)
                           for i, thms in enumerate(theorem_lists)])
-    assert db.dumps() == dump_json(db.to_json())
+    assert db.dumps() == dump_json(database_to_json(db))
 
 
 def test_persist_holds_one_item_at_a_time_not_the_document(tmp_path):

@@ -113,10 +113,9 @@ def test_every_imported_name_is_read_by_its_module():
     assert unread == []
 
 
-def test_json_is_encoded_only_by_dump_json_and_the_checkpoint_header():
-    """Every JSON document goes through storage.dump_json's one compact
-    encoder. Checkpoint.save keeps its own for the header, so .ckpt bytes
-    do not change."""
+def json_calls(name):
+    """'module:function' of each json.<name> call in src/, and of each
+    `from json import`, which would hide such a call."""
     callers = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = parse(path)
@@ -127,10 +126,42 @@ def test_json_is_encoded_only_by_dump_json_and_the_checkpoint_header():
             if isinstance(node, ast.ImportFrom) and node.module == "json":
                 callers.append(f"{path.name}: from json import")
             elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                  and node.func.attr == "dumps" and isinstance(node.func.value, ast.Name)
+                  and node.func.attr == name and isinstance(node.func.value, ast.Name)
                   and node.func.value.id == "json"):
                 callers.append(f"{path.name}:{owner.get(id(node), '<module>')}")
-    assert sorted(callers) == ["retriever.py:save", "storage.py:dump_json"]
+    return sorted(callers)
+
+
+def test_json_is_encoded_only_by_dump_json():
+    """Every JSON document and checkpoint header goes through
+    storage.dump_json's one compact encoder."""
+    assert json_calls("dumps") == ["storage.py:dump_json"]
+
+
+def test_json_is_decoded_only_by_parse_json():
+    """Every JSON document is parsed by storage.parse_json, which rejects
+    lone surrogates and maps bad text to the document's own error."""
+    assert json_calls("loads") == ["storage.py:parse_json"]
+
+
+def test_arrays_are_never_read_or_written_through_numpy_files_or_pickle():
+    """Checkpoints describe their arrays once, in the header line: no .npy
+    record, whose own header a reader would trust, and no pickle."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.Attribute):
+                names = [ast.unparse(node)]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names
+                      if name in ("np.lib.format", "np.load", "np.save", "np.fromfile")
+                      or name.startswith(("numpy.lib", "pickle"))]
+    assert found == []
 
 
 def test_no_whole_array_reduction_is_a_blas_call():

@@ -61,6 +61,7 @@ from proverloop.retriever import (
     recall_at_k,
     train_one_epoch,
 )
+from proverloop.storage import dump_json
 
 
 def random_texts(count, seed=0):
@@ -996,49 +997,32 @@ class TestCheckpoint:
             assert (tmp_path / "one.ckpt").read_bytes() == (tmp_path / "two.ckpt").read_bytes()
             assert (again.fisher is None) == (fisher is None)
 
-    def test_header_line_then_npy_records(self, tmp_path):
-        m = EmbeddingModel.random_init(dim=4, n_features=32, seed=0)
-        fisher = np.arange(m.weight.size, dtype=float)
-        Checkpoint(model=m, history=("a",), fisher=fisher).save(tmp_path / "ck.ckpt")
-        head, _, payload = (tmp_path / "ck.ckpt").read_bytes().partition(b"\n")
-        header = json.loads(head)
-        assert head.decode() == json.dumps(header, sort_keys=True)
-        assert header["format_version"] == 2 and header["has_fisher"] is True
-        assert header["sha256"] == hashlib.sha256(payload).hexdigest()
-        buf = io.BytesIO(payload)
-        assert np.array_equal(np.load(buf, allow_pickle=False), m.flat())
-        assert np.array_equal(np.load(buf, allow_pickle=False), fisher)
-        assert buf.tell() == len(payload)
-
     def _forge(self, path, payload, **fields):
         """A checkpoint file whose digest matches the given payload."""
-        header = {"format_version": 2, "dim": 4, "n_features": 32, "history": [],
+        header = {"format_version": 3, "dim": 4, "n_features": 32, "history": [],
                   "best_val_r10": None, "has_fisher": True,
                   "sha256": hashlib.sha256(payload).hexdigest(), **fields}
-        path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
+        path.write_bytes(dump_json(header).encode("utf-8") + payload)
 
-    def _npy(self, *arrays):
-        buf = io.BytesIO()
-        for arr in arrays:
-            np.save(buf, arr, allow_pickle=arr.dtype == object)
-        return buf.getvalue()
+    @staticmethod
+    def _raw(*arrays):
+        return b"".join(np.asarray(arr, dtype="<f8").tobytes() for arr in arrays)
 
     @pytest.mark.parametrize("dim, n_features", [(1, 2), (48, 1024)])
     @pytest.mark.parametrize("with_fisher", [False, True])
     def test_streamed_bytes_are_the_whole_payload_encoding(self, tmp_path, dim, n_features,
                                                           with_fisher):
-        """save writes each array's .npy header and then the array's own
-        bytes; the file is the header line and np.save into one buffer."""
+        """The file is dump_json of the header, then the weights' and the
+        importance's little-endian float64 bytes, with nothing between."""
         m = EmbeddingModel.random_init(dim=dim, n_features=n_features, seed=2)
         fisher = np.linspace(0.0, 1.0, m.weight.size) if with_fisher else None
         Checkpoint(model=m, history=("a", "β"), best_val_r10=12.5, fisher=fisher).save(
             tmp_path / "ck.ckpt")
-        payload = self._npy(m.flat(), *([fisher] if with_fisher else []))
-        header = {"format_version": 2, "dim": dim, "n_features": n_features,
+        payload = self._raw(m.weight, *([fisher] if with_fisher else []))
+        header = {"format_version": 3, "dim": dim, "n_features": n_features,
                   "history": ["a", "β"], "best_val_r10": 12.5, "has_fisher": with_fisher,
                   "sha256": hashlib.sha256(payload).hexdigest()}
-        assert (tmp_path / "ck.ckpt").read_bytes() == \
-            json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + payload
+        assert (tmp_path / "ck.ckpt").read_bytes() == dump_json(header).encode("utf-8") + payload
         again = Checkpoint.load(tmp_path / "ck.ckpt")
         assert np.array_equal(again.model.weight, m.weight)
         assert (again.fisher is None) == (fisher is None)
@@ -1062,9 +1046,12 @@ class TestCheckpoint:
         Checkpoint(model=m, history=("a",), fisher=np.ones(m.weight.size)).save(good)
         data = good.read_bytes()
         theta = m.flat()
+        both = self._raw(theta, np.ones(theta.size))
         flipped = bytearray(data)
         flipped[-3] ^= 0x01
-        sized = "expected 128 little-endian float64"
+        npy = io.BytesIO()
+        np.save(npy, theta)
+        sized = "bytes after its header line, not the"
         cases = [
             ("truncated", lambda p: p.write_bytes(data[:len(data) // 2]), "sha256"),
             ("truncated header", lambda p: p.write_bytes(data[:20]),
@@ -1078,31 +1065,27 @@ class TestCheckpoint:
                 "theta": theta.tolist(), "history": [], "best_val_r10": None,
                 "fisher": None, "anchor": None}, sort_keys=True) + "\n", encoding="utf-8"),
              "format 1.*rerun `proverloop run`"),
-            ("short fisher", lambda p: self._forge(p, self._npy(theta, np.ones(7))), sized),
-            ("short theta",
-             lambda p: self._forge(p, self._npy(theta[:-1]), has_fisher=False), sized),
+            ("format 2 npy records", lambda p: self._forge(
+                p, npy.getvalue(), format_version=2, has_fisher=False),
+             "format 2.*rerun `proverloop run`"),
+            ("short by one value", lambda p: self._forge(p, both[:-8]), f"2040 {sized} 2048"),
+            ("long by one value", lambda p: self._forge(p, both + bytes(8)), f"2056 {sized} 2048"),
+            ("fisher flag without fisher", lambda p: self._forge(p, self._raw(theta)),
+             f"1024 {sized} 2048"),
+            ("fisher without its flag", lambda p: self._forge(p, both, has_fisher=False),
+             f"2048 {sized} 1024"),
             ("float32 theta", lambda p: self._forge(
-                p, self._npy(theta.astype(np.float32)), has_fisher=False), sized),
-            ("trailing bytes", lambda p: self._forge(
-                p, self._npy(theta, np.ones(theta.size)) + b"extra"), "bytes after"),
-            ("missing fisher record", lambda p: self._forge(p, self._npy(theta)), "EOF"),
-            ("pickled record", lambda p: self._forge(
-                p, self._npy(np.array([None], dtype=object)), has_fisher=False),
-             "allow_pickle"),
-            ("bad history", lambda p: self._forge(
-                p, self._npy(theta, np.ones(theta.size)), history="ab"), "history"),
+                p, theta.astype(np.float32).tobytes(), has_fisher=False), sized),
+            ("npy record", lambda p: self._forge(p, npy.getvalue(), has_fisher=False), sized),
+            ("bad history", lambda p: self._forge(p, both, history="ab"), "history"),
             ("one feature bucket", lambda p: self._forge(
-                p, self._npy(np.ones(4), np.ones(4)), n_features=1), r"n_features.*\[2, inf\)"),
-            ("no embedding rows", lambda p: self._forge(
-                p, self._npy(np.ones(0), np.ones(0)), dim=0), r"dim.*\[1, inf\)"),
-            ("text best recall", lambda p: self._forge(
-                p, self._npy(theta, np.ones(theta.size)), best_val_r10="abc"), "best_val_r10"),
-            ("text dim", lambda p: self._forge(
-                p, self._npy(np.ones(64), np.ones(64)), dim="2"), "'dim'"),
-            ("boolean dim", lambda p: self._forge(
-                p, self._npy(np.ones(32), np.ones(32)), dim=True), "'dim'"),
-            ("float format", lambda p: self._forge(
-                p, self._npy(theta, np.ones(theta.size)), format_version=2.0), "format 2.0"),
+                p, self._raw(np.ones(4), np.ones(4)), n_features=1), r"n_features.*\[2, inf\)"),
+            ("no embedding rows", lambda p: self._forge(p, b"", dim=0), r"dim.*\[1, inf\)"),
+            ("text best recall", lambda p: self._forge(p, both, best_val_r10="abc"),
+             "best_val_r10"),
+            ("text dim", lambda p: self._forge(p, self._raw(np.ones(128)), dim="2"), "'dim'"),
+            ("boolean dim", lambda p: self._forge(p, self._raw(np.ones(64)), dim=True), "'dim'"),
+            ("float format", lambda p: self._forge(p, both, format_version=3.0), "format 3.0"),
         ]
         for name, write, reason in cases:
             path = tmp_path / f"{name}.ckpt"
@@ -1110,6 +1093,20 @@ class TestCheckpoint:
             with pytest.raises(CorruptDocument, match=reason):
                 Checkpoint.load(path)
         assert Checkpoint.load(good).best_val_r10 is None  # null is its one other value
+
+    def test_a_header_claiming_more_than_the_file_holds_allocates_nothing(self, tmp_path):
+        """2**40 declared values over a 16-byte payload fail on the size check,
+        before any array of the declared size is made."""
+        path = tmp_path / "huge.ckpt"
+        self._forge(path, bytes(16), dim=2 ** 20, n_features=2 ** 20, has_fisher=False)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CorruptDocument, match=f"16 bytes .* not the {2 ** 43}"):
+                Checkpoint.load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     def test_missing_file_is_an_io_failure(self, tmp_path):
         with pytest.raises(IoFailure):

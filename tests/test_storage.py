@@ -168,10 +168,16 @@ class TestLoneSurrogates:
             load(path)
 
     def test_checkpoint_header(self, tmp_path):
-        m = EmbeddingModel.random_init(dim=4, n_features=32, seed=0)
-        Checkpoint(model=m, history=("a", LONE)).save(tmp_path / "ck.ckpt")
+        """save writes UTF-8, which has no lone surrogate, so the header
+        carries one only as the escape another writer may use."""
+        path = tmp_path / "ck.ckpt"
+        Checkpoint(model=EmbeddingModel.random_init(dim=4, n_features=32, seed=0),
+                   history=("a", "b")).save(path)
+        head, _, payload = path.read_bytes().partition(b"\n")
+        header = {**json.loads(head), "history": ["a", LONE]}
+        path.write_bytes(json.dumps(header).encode("ascii") + b"\n" + payload)
         with pytest.raises(CorruptDocument, match=r"header line field history\[1\] holds"):
-            Checkpoint.load(tmp_path / "ck.ckpt")
+            Checkpoint.load(path)
 
 
 _JSON_VALUES = st.recursive(
