@@ -111,6 +111,11 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         print("error: give --matrix/--validation or at least one --setup",
               file=sys.stderr)
         return 2
+    names = [name for name, _, _ in setups]
+    repeated = next((name for i, name in enumerate(names) if name in names[:i]), None)
+    if repeated is not None:
+        print(f"error: setup name {repeated!r} given twice", file=sys.stderr)
+        return 2
     reports = {
         name: compute_report(read_matrix(matrix, validation), window=args.window)
         for name, matrix, validation in setups

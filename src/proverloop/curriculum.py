@@ -9,49 +9,31 @@ get spread evenly over the three graded buckets. Thresholds are the 33rd and
 from __future__ import annotations
 
 import math
+import sys
+from collections import Counter
 from dataclasses import dataclass
+from typing import Iterable
 
 from .corpus import STATUS_SORRY, Theorem
 from .errors import EmptyInput
-
-EASY = "easy"
-MEDIUM = "medium"
-HARD = "hard"
-UNPROVEN = "unproven"
-
-_GRADED = (EASY, MEDIUM, HARD)
 
 
 @dataclass(frozen=True)
 class Difficulty:
     kind: str  # "finite" | "infinite" | "unstepped"
-    steps: int | None = None
     value: float | None = None
-
-    @classmethod
-    def finite(cls, steps: int) -> Difficulty:
-        if steps < 1:
-            raise ValueError("finite difficulty needs at least one step")
-        return cls(kind="finite", steps=steps, value=math.exp(steps))
-
-    @classmethod
-    def infinite(cls) -> Difficulty:
-        return cls(kind="infinite", value=math.inf)
-
-    @classmethod
-    def unstepped(cls) -> Difficulty:
-        return cls(kind="unstepped")
 
 
 def compute_difficulty(theorem: Theorem) -> Difficulty:
     if theorem.status == STATUS_SORRY:
-        return Difficulty.infinite()
+        return Difficulty("infinite", math.inf)
     steps = len(theorem.traced_tactics)
     if steps == 0 and theorem.proof is not None:
         steps = len(theorem.proof)
     if steps == 0:
-        return Difficulty.unstepped()
-    return Difficulty.finite(steps)
+        return Difficulty("unstepped")
+    # e**710 overflows a float: longer proofs share the largest finite value
+    return Difficulty("finite", math.exp(steps) if steps < 710 else sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -85,35 +67,10 @@ def compute_thresholds(values: list[float]) -> Thresholds:
 def categorize_value(value: float, thresholds: Thresholds) -> str:
     # boundary values fall into the easier bucket
     if value <= thresholds.p33:
-        return EASY
+        return "easy"
     if value <= thresholds.p67:
-        return MEDIUM
-    return HARD
-
-
-def categorize_theorems(
-    items: list[tuple[Theorem, Difficulty]],
-    thresholds: Thresholds,
-) -> list[str]:
-    """Category per input item, in input order.
-
-    Unstepped theorems cycle easy, medium, hard in ascending
-    (file_path, full_name) order so no bucket starves.
-    """
-    categories: list[str | None] = [None] * len(items)
-    unstepped: list[tuple[tuple[str, str], int]] = []
-    for i, (thm, diff) in enumerate(items):
-        if diff.kind == "infinite":
-            categories[i] = UNPROVEN
-        elif diff.kind == "finite":
-            assert diff.value is not None
-            categories[i] = categorize_value(diff.value, thresholds)
-        else:
-            unstepped.append(((thm.file_path, thm.full_name), i))
-    unstepped.sort()
-    for slot, (_, i) in enumerate(unstepped):
-        categories[i] = _GRADED[slot % 3]
-    return [c for c in categories if c is not None]
+        return "medium"
+    return "hard"
 
 
 @dataclass(frozen=True)
@@ -136,12 +93,20 @@ class CategoryCounts:
         }
 
 
-def count_categories(categories: list[str]) -> CategoryCounts:
+def count_categories(
+    difficulties: Iterable[Difficulty], thresholds: Thresholds,
+) -> CategoryCounts:
+    """Bucket sizes of the difficulties. Finite values fall by the
+    thresholds; unstepped theorems are dealt easy, medium, hard in turn, so
+    no graded bucket starves."""
+    tally = Counter(categorize_value(d.value, thresholds) if d.kind == "finite" else d.kind
+                    for d in difficulties)
+    n = tally["unstepped"]
     return CategoryCounts(
-        easy=categories.count(EASY),
-        medium=categories.count(MEDIUM),
-        hard=categories.count(HARD),
-        unproven=categories.count(UNPROVEN),
+        easy=tally["easy"] + (n + 2) // 3,
+        medium=tally["medium"] + (n + 1) // 3,
+        hard=tally["hard"] + n // 3,
+        unproven=tally["infinite"],
     )
 
 

@@ -20,7 +20,6 @@ from .corpus import corpus_from_files, dump_theorems, load_theorems, parse_corpu
 from .curriculum import (
     CategoryCounts,
     Thresholds,
-    categorize_theorems,
     compute_thresholds,
     count_categories,
     order_repositories,
@@ -188,6 +187,8 @@ def parse_config(path: str | Path) -> RunConfig:
         if key in first_line:
             raise CorruptDocument(
                 f"config key {key!r} is set twice, on lines {first_line[key]} and {line_no}")
+        if "\0" in value:  # no path can hold one
+            raise CorruptDocument(f"config value for {key!r} holds a NUL byte")
         first_line[key] = line_no
         raw[key] = value
 
@@ -359,21 +360,13 @@ def build_curriculum(
 ) -> tuple[Thresholds, list[tuple[str, CategoryCounts]]]:
     """Pool finite difficulties into thresholds, then order the repositories."""
     with _stage("curriculum"):
-        difficulties = [rec.difficulty_cache for rec in db.repositories]
-        finite = [
-            d.value
-            for by_key in difficulties
-            for d in by_key.values()
-            if d.kind == "finite" and d.value is not None
-        ]
-        thresholds = compute_thresholds(finite)
-        per_repo = []
-        for rec, by_key in zip(db.repositories, difficulties):
-            items = [(thm, by_key[thm.key]) for thm in rec.theorems]
-            per_repo.append((rec.repo_id, count_categories(
-                categorize_theorems(items, thresholds)
-            )))
-        return thresholds, order_repositories(per_repo)
+        difficulties = [list(rec.difficulty_cache.values()) for rec in db.repositories]
+        thresholds = compute_thresholds(
+            [d.value for ds in difficulties for d in ds if d.kind == "finite"])
+        return thresholds, order_repositories([
+            (rec.repo_id, count_categories(ds, thresholds))
+            for rec, ds in zip(db.repositories, difficulties)
+        ])
 
 
 def task_checkpoint(out_dir: str | Path, k: int) -> Path:

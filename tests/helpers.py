@@ -17,6 +17,7 @@ from proverloop.corpus import (
     premise_file_to_json,
     theorem_to_json,
 )
+from proverloop.curriculum import CategoryCounts, categorize_value
 from proverloop.database import DATABASE_FORMAT, DatasetMetadata, GeneratedDataset
 from proverloop.errors import EnvironmentFailure, ShapeMismatch
 from proverloop.fixtures import _premise
@@ -306,6 +307,31 @@ def recall_at_k_oracle(model, index, eval_pairs, k):
         top = rank_by_similarity(index.matrix @ model.embed(state), rows, k)
         total += len(gt.intersection(index.keys[i] for i in top)) / len(gt)
     return total / len(eval_pairs)
+
+
+def categorize_theorems_oracle(items, thresholds):
+    """The category of each (theorem, difficulty) item, in input order:
+    finite values by the thresholds, infinite ones "unproven", and unstepped
+    theorems easy, medium, hard in turn in ascending (file_path, full_name)
+    order."""
+    categories = [None] * len(items)
+    unstepped = []
+    for i, (thm, diff) in enumerate(items):
+        if diff.kind == "infinite":
+            categories[i] = "unproven"
+        elif diff.kind == "finite":
+            categories[i] = categorize_value(diff.value, thresholds)
+        else:
+            unstepped.append(((thm.file_path, thm.full_name), i))
+    for slot, (_, i) in enumerate(sorted(unstepped)):
+        categories[i] = ("easy", "medium", "hard")[slot % 3]
+    return categories
+
+
+def count_categories_oracle(categories):
+    """count_categories as a tally of one category per theorem."""
+    return CategoryCounts(**{c: categories.count(c)
+                             for c in ("easy", "medium", "hard", "unproven")})
 
 
 def toy_retrieval_task(

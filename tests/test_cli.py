@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import math
 import shutil
 
 import numpy as np
@@ -55,6 +56,22 @@ class TestCurriculumCommand:
         assert len(doc["repositories"]) == 3
         printed = json.loads(capsys.readouterr().out)
         assert printed == doc
+
+    def test_a_710_step_proof_keeps_curriculum_and_run_finite(self, demo, tmp_path, capsys):
+        """e**710 overflows a float; such a proof takes the largest finite
+        difficulty instead of ending the command."""
+        root = tmp_path / "demo"
+        shutil.copytree(demo, root)
+        path = root / "repo_algebra" / "theorems.json"
+        theorems = json.loads(path.read_text(encoding="utf-8"))
+        [long] = [t for t in theorems if t["full_name"] == "alg.zero_use"]
+        long["traced_tactics"] *= 710
+        path.write_text(json.dumps(theorems), encoding="utf-8")
+        assert main(["curriculum", *cfg_args(root, tmp_path / "cur")]) == 0
+        doc = json.loads((tmp_path / "cur" / "curriculum.json").read_text(encoding="utf-8"))
+        assert all(math.isfinite(v) for v in doc["thresholds"].values())
+        assert main(["run", *cfg_args(root, tmp_path / "run")]) == 0
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestRunAndMetrics:
@@ -119,6 +136,21 @@ class TestRunAndMetrics:
         err = capsys.readouterr().err
         assert err.startswith("error:") and reason in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("spelling", [
+        ["--setup", "a", "{m}", "{v}", "--setup", "a", "{m}", "{v}"],
+        ["--setup", "run", "{m}", "{v}", "--matrix", "{m}", "--validation", "{v}"],
+    ], ids=["setup-twice", "setup-named-run"])
+    def test_metrics_with_a_setup_name_given_twice_exits_two(self, tmp_path, capsys,
+                                                             spelling):
+        (tmp_path / "m.csv").write_text(matrix_to_csv([[80.0], [70.0, 90.0]]),
+                                        encoding="utf-8")
+        (tmp_path / "v.csv").write_text(validation_to_csv([60.0, 70.0]), encoding="utf-8")
+        args = [a.format(m=tmp_path / "m.csv", v=tmp_path / "v.csv") for a in spelling]
+        assert main(["metrics", *args, "--out", str(tmp_path / "scored")]) == 2
+        name = args[1]
+        assert capsys.readouterr().err == f"error: setup name {name!r} given twice\n"
+        assert not (tmp_path / "scored").exists()
 
     def test_metrics_rejects_half_a_pair(self, tmp_path, capsys):
         (tmp_path / "m.csv").write_text(matrix_to_csv([[80.0]]), encoding="utf-8")
@@ -239,6 +271,26 @@ class TestOverridesAndFailures:
         assert err.startswith("error:") and key in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["ingest", "run"])
+    @pytest.mark.parametrize("key, line", [
+        ("out", "out = a\x00b"),
+        ("fixtures", "fixtures = repo_al\x00gebra"),
+    ], ids=["out", "fixtures"])
+    def test_a_nul_in_a_config_path_exits_two(self, demo, tmp_path, capsys, command, key,
+                                             line):
+        root = tmp_path / "demo"
+        shutil.copytree(demo, root)
+        cfg = root / "run.cfg"
+        lines = cfg.read_text(encoding="utf-8").splitlines()
+        [i] = [i for i, text in enumerate(lines) if text.startswith(f"{key} =")]
+        lines[i] = line
+        cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: config value for {key!r} holds a NUL byte\n"
+        assert sorted(p.name for p in root.iterdir()) == [
+            "repo_algebra", "repo_number", "repo_topology", "run.cfg"]
 
     def test_missing_config_exits_two(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2

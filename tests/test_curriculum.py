@@ -1,18 +1,18 @@
 """Difficulty scoring, percentile thresholds, categories, and repo ordering."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import tactic, theorem
+from helpers import categorize_theorems_oracle, count_categories_oracle, tactic, theorem
 from proverloop.curriculum import (
     CategoryCounts,
     Difficulty,
     Thresholds,
-    categorize_theorems,
     categorize_value,
     compute_difficulty,
     compute_thresholds,
@@ -55,11 +55,19 @@ class TestDifficulty:
     def test_searched_proof_counts_its_steps(self):
         thm = theorem("t", status="sorry_proven", proof=("a", "b", "c"))
         d = compute_difficulty(thm)
-        assert d.kind == "finite" and d.steps == 3
+        assert d.kind == "finite" and d.value == math.exp(3)
 
     def test_strictly_monotone_in_steps(self):
         values = [compute_difficulty(stepped("t", s)).value for s in range(1, 12)]
         assert all(a < b for a, b in zip(values, values[1:]))
+
+    def test_proofs_past_709_steps_take_the_largest_float(self):
+        """e**710 overflows, so longer proofs all score the largest finite
+        value and the thresholds over them stay finite."""
+        values = [compute_difficulty(stepped("t", s)).value for s in (708, 709, 710, 2000)]
+        assert values == [math.exp(708), math.exp(709)] + [sys.float_info.max] * 2
+        th = compute_thresholds(values)
+        assert math.isfinite(th.p33) and math.isfinite(th.p67)
 
 
 class TestThresholds:
@@ -108,16 +116,17 @@ class TestCategorize:
         assert categorize_value(10.0001, self.TH) == "hard"
 
     def test_infinite_is_unproven(self):
-        items = [(theorem("t", status="sorry_unproven"), Difficulty.infinite())]
-        assert categorize_theorems(items, self.TH) == ["unproven"]
+        counts = count_categories([Difficulty("infinite", math.inf)], self.TH)
+        assert counts == CategoryCounts(unproven=1)
 
     def test_unstepped_round_robin_in_key_order(self):
         names = ["d.t", "a.t", "c.t", "b.t"]
-        items = [(theorem(n), Difficulty.unstepped()) for n in names]
-        cats = categorize_theorems(items, self.TH)
+        items = [(theorem(n), Difficulty("unstepped")) for n in names]
         # ascending (file, name) order is a.t, b.t, c.t, d.t
-        by_name = dict(zip(names, cats))
+        by_name = dict(zip(names, categorize_theorems_oracle(items, self.TH)))
         assert by_name == {"a.t": "easy", "b.t": "medium", "c.t": "hard", "d.t": "easy"}
+        counts = count_categories([d for _, d in items], self.TH)
+        assert counts == CategoryCounts(easy=2, medium=1, hard=1)
 
     def test_partition_is_total(self):
         rng = np.random.default_rng(3)
@@ -125,27 +134,39 @@ class TestCategorize:
         for i in range(40):
             roll = rng.random()
             if roll < 0.2:
-                diffs.append(Difficulty.infinite())
+                diffs.append(Difficulty("infinite", math.inf))
             elif roll < 0.4:
-                diffs.append(Difficulty.unstepped())
+                diffs.append(Difficulty("unstepped"))
             else:
-                diffs.append(Difficulty.finite(int(rng.integers(1, 9))))
+                diffs.append(Difficulty("finite", math.exp(int(rng.integers(1, 9)))))
+        counts = count_categories(diffs, self.TH)
+        assert counts.total == len(diffs)
         items = [(theorem(f"t{i}"), d) for i, d in enumerate(diffs)]
-        cats = categorize_theorems(items, self.TH)
-        assert len(cats) == len(items)
-        assert set(cats) <= {"easy", "medium", "hard", "unproven"}
-        assert count_categories(cats).total == len(items)
+        assert counts == count_categories_oracle(categorize_theorems_oracle(items, self.TH))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.one_of(
+        st.just(Difficulty("unstepped")),
+        st.just(Difficulty("infinite", math.inf)),
+        st.builds(lambda s: Difficulty("finite", math.exp(s)), st.integers(1, 8)),
+        st.builds(lambda v: Difficulty("finite", v), st.floats(0.0, 20.0)),
+    ), max_size=40))
+    def test_counts_equal_the_per_theorem_oracle(self, diffs):
+        """Finite values on and between the cut points (the thresholds of
+        the drawn pool, so ties land on them), infinite and unstepped
+        difficulties are tallied as the oracle categorizes them one by one."""
+        finite = [d.value for d in diffs if d.kind == "finite"]
+        th = compute_thresholds(finite) if finite else self.TH
+        items = [(theorem(f"t{i}"), d) for i, d in enumerate(diffs)]
+        want = count_categories_oracle(categorize_theorems_oracle(items, th))
+        assert count_categories(diffs, th) == want
 
     def test_quantile_balance_on_tie_free_pools(self):
         rng = np.random.default_rng(5)
         for n in (3, 6, 30, 99, 198):
             values = list(rng.permutation(np.linspace(1.0, 2.0, n)))
             th = compute_thresholds(values)
-            items = [
-                (theorem(f"t{i}"), Difficulty(kind="finite", steps=None, value=v))
-                for i, v in enumerate(values)
-            ]
-            counts = count_categories(categorize_theorems(items, th))
+            counts = count_categories([Difficulty("finite", v) for v in values], th)
             sizes = [counts.easy, counts.medium, counts.hard]
             assert max(sizes) - min(sizes) <= 1, (n, sizes)
 

@@ -1,6 +1,7 @@
 """Repository records, merge semantics, proof bookkeeping, persistence."""
 
 import json
+import math
 import tracemalloc
 
 import pytest
@@ -111,7 +112,7 @@ class TestSorryProofs:
         assert updated.proof == ("apply base.x", "rfl")
         rec = db.repositories[0]
         assert rec.difficulty_cache[key].kind == "finite"
-        assert rec.difficulty_cache[key].steps == 2
+        assert rec.difficulty_cache[key].value == math.exp(2)
 
     def test_unknown_key(self):
         db = DynamicDatabase()
@@ -364,7 +365,7 @@ class TestRoundTrip:
         gated = next(t for rec in db.repositories for t in rec.theorems
                      if t.full_name == GATED_THEOREM)
         owner = next(rec for rec in db.repositories if gated in rec.theorems)
-        assert owner.difficulty_cache[gated.key].steps == 2
+        assert owner.difficulty_cache[gated.key].value == math.exp(2)
 
     @pytest.mark.parametrize("version", [1, None, 3, "2", 2.0])
     def test_other_format_versions_are_rejected(self, proved_demo, version):

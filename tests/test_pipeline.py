@@ -9,13 +9,22 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import dataset_from_metadata
 from proverloop import retriever
 from proverloop.corpus import STATUS_SORRY_PROVEN, serialize_corpus
 from proverloop.database import MERGE_ALL, SINGLE_REPO, DynamicDatabase
-from proverloop.errors import CorruptDocument, IoFailure, PipelineError
-from proverloop.fixtures import repo_algebra, repo_number, repo_topology, write_bundled
+from proverloop.errors import CorruptDocument, IoFailure, PipelineError, ProverloopError
+from proverloop.fixtures import (
+    BUNDLED_CONFIG,
+    BUNDLED_SEED,
+    repo_algebra,
+    repo_number,
+    repo_topology,
+    write_bundled,
+)
 from proverloop.metrics import composite_score
 from proverloop.pipeline import (
     RunConfig,
@@ -37,6 +46,11 @@ from proverloop.search import SearchResult, TableEnvironment, replay_proof
 
 REPORT_FILES = ("matrix.csv", "validation.csv", "metrics.json",
                 "proofs.json", "curriculum.json")
+
+
+# Any character, surrogates included, mixed with the ones config syntax and
+# paths give a meaning to.
+_CONFIG_TEXT = st.text(st.characters(exclude_categories=()) | st.sampled_from("\0\n\r=#,./"))
 
 
 class TestParseConfig:
@@ -128,6 +142,27 @@ class TestParseConfig:
         for line in ("fixture_dirs = a", "out_dir = b"):
             with pytest.raises(CorruptDocument, match="unknown config key"):
                 parse_config(self.write(tmp_path, f"fixtures = a\n{line}\n"))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_one_changed_line_of_the_demo_config_parses_or_raises_a_package_error(
+            self, tmp_path_factory, data):
+        """Any text (NUL and lone surrogates included) in place of one value
+        of the demo run.cfg, or that line deleted, either parses or raises
+        a ProverloopError, never another exception."""
+        lines = BUNDLED_CONFIG.format(seed=BUNDLED_SEED).splitlines()
+        settings_lines = [i for i, line in enumerate(lines) if "=" in line and line[0] != "#"]
+        i = data.draw(st.sampled_from(settings_lines))
+        if data.draw(st.booleans()):
+            del lines[i]
+        else:
+            lines[i] = lines[i].partition("=")[0] + "= " + data.draw(_CONFIG_TEXT)
+        path = tmp_path_factory.getbasetemp() / "fuzzed.cfg"
+        path.write_bytes("\n".join(lines).encode("utf-8", "surrogatepass"))
+        try:
+            assert isinstance(parse_config(path), RunConfig)
+        except ProverloopError:
+            pass
 
     def test_strategy_spellings(self):
         assert parse_strategy("single") == SINGLE_REPO

@@ -1,5 +1,6 @@
 """Atomic artifact writes, guarded reads and the field reader behind every loader."""
 
+import copy
 import json
 import os
 
@@ -191,7 +192,8 @@ _JSON_VALUES = st.recursive(
 
 @pytest.fixture(scope="module")
 def documents(tmp_path_factory):
-    """A valid document of each kind, with the loader that reads it."""
+    """A valid document of each kind, the loader that reads it, and the
+    paths of the objects in it whose fields the property changes."""
     path = tmp_path_factory.mktemp("fuzz") / "ck.ckpt"
     checkpoint(0).save(path)
     head, _, payload = path.read_bytes().partition(b"\n")
@@ -208,12 +210,14 @@ def documents(tmp_path_factory):
               "toolchain_version": "v4", "theorems": [proved], "traced_files": ["lib/a.lean"],
               "premise_files": [premise_file]}
     return {
-        "theorem": (proved, theorem_from_json),
-        "edge": (edge, lambda e: TableFixture.from_json({"initial": {"k": "s"}, "edges": [e]})),
-        "record": (record, lambda r: DynamicDatabase.from_json(
-            {"format_version": 2, "repositories": [r]})),
-        "header": (json.loads(head), load_header),
-        "corpus line": (premise_file, lambda line: parse_corpus(json.dumps(line) + "\n")),
+        "theorem": (proved, theorem_from_json, [(), ("traced_tactics", 0)]),
+        "table": ({"initial": {"k": "s"}, "edges": [edge]}, TableFixture.from_json,
+                  [(), ("edges", 0)]),
+        "database": ({"format_version": 2, "repositories": [record]},
+                     DynamicDatabase.from_json, [(), ("repositories", 0)]),
+        "header": (json.loads(head), load_header, [()]),
+        "corpus line": (premise_file, lambda line: parse_corpus(json.dumps(line) + "\n"),
+                        [(), ("premises", 0)]),
     }
 
 
@@ -221,16 +225,21 @@ def documents(tmp_path_factory):
 @given(st.data())
 def test_one_replaced_field_loads_or_raises_a_package_error(documents, data):
     """Any JSON value (NaN and a lone surrogate included) in place of one
-    field of a valid theorem, search table edge, database record, checkpoint
-    header or corpus line, or that field deleted, either loads or raises a
-    ProverloopError, never another exception."""
-    valid, load = documents[data.draw(st.sampled_from(sorted(documents)))]
+    field of a valid theorem or one of its traced tactics, search table or
+    one of its edges, database or its record, checkpoint header, or corpus
+    line or one of its premises, or that field deleted, either loads or
+    raises a ProverloopError, never another exception."""
+    valid, load, paths = documents[data.draw(st.sampled_from(sorted(documents)))]
     load(valid)
-    field = data.draw(st.sampled_from(sorted(valid)))
+    changed = copy.deepcopy(valid)
+    target = changed
+    for step in data.draw(st.sampled_from(paths)):
+        target = target[step]
+    field = data.draw(st.sampled_from(sorted(target)))
     if data.draw(st.booleans()):
-        changed = {key: value for key, value in valid.items() if key != field}
+        del target[field]
     else:
-        changed = {**valid, field: data.draw(_JSON_VALUES)}
+        target[field] = data.draw(_JSON_VALUES)
     try:
         load(changed)
     except ProverloopError:
