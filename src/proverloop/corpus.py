@@ -14,19 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
-from typing import Callable
+from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    DuplicatePath,
-    ImportCycle,
-    InvalidRecord,
-    MalformedLine,
-    TooFewTheorems,
-    UnknownImport,
-)
+from .errors import CorruptDocument
 from .storage import POSITION, STRINGS, dump_json, json_field, parse_json
 
 Pos = tuple[int, int]
@@ -178,31 +170,32 @@ class DatasetSplit:
 
 # -- parsing ----------------------------------------------------------------
 
-def _require(cond: bool, error: Callable[[str], Exception], reason: str) -> None:
+def _require(cond: bool, reason: str) -> None:
     if not cond:
-        raise error(reason)
+        raise CorruptDocument(reason)
 
 
-def premise_file_from_json(obj: object, error: Callable[[str], Exception]) -> PremiseFile:
-    """One premise file; error(reason) is raised for a bad field and says
-    where the file came from (a corpus line, a database record)."""
-    path = json_field(obj, "path", str, "premise file", error)
-    _require(bool(path), error, "path must be a non-empty string")
-    imports = json_field(obj, "imports", STRINGS, "premise file", error)
-    _require(path not in imports, error, "file imports itself")
+def premise_file_from_json(obj: object) -> PremiseFile:
+    """One premise file. A bad field raises CorruptDocument, and the caller
+    puts where the file came from (a corpus line, a database record) in
+    front of its message."""
+    path = json_field(obj, "path", str, "premise file")
+    _require(bool(path), "path must be a non-empty string")
+    imports = json_field(obj, "imports", STRINGS, "premise file")
+    _require(path not in imports, "file imports itself")
     premises: list[Premise] = []
     seen_names: set[str] = set()
-    for raw in json_field(obj, "premises", list, "premise file", error):
-        name = json_field(raw, "full_name", str, "premise", error)
-        _require(bool(name), error, "full_name must be a non-empty string")
-        _require(name not in seen_names, error, f"duplicate premise name {name!r}")
+    for raw in json_field(obj, "premises", list, "premise file"):
+        name = json_field(raw, "full_name", str, "premise")
+        _require(bool(name), "full_name must be a non-empty string")
+        _require(name not in seen_names, f"duplicate premise name {name!r}")
         seen_names.add(name)
-        code = json_field(raw, "code", str, "premise", error)
-        start = json_field(raw, "start", POSITION, "premise", error)
-        end = json_field(raw, "end", POSITION, "premise", error)
-        _require(start <= end, error, "premise start must not follow its end")
-        kind = json_field(raw, "kind", str, "premise", error)
-        _require(kind in PREMISE_KINDS, error, f"kind must be one of {PREMISE_KINDS}")
+        code = json_field(raw, "code", str, "premise")
+        start = json_field(raw, "start", POSITION, "premise")
+        end = json_field(raw, "end", POSITION, "premise")
+        _require(start <= end, "premise start must not follow its end")
+        kind = json_field(raw, "kind", str, "premise")
+        _require(kind in PREMISE_KINDS, f"kind must be one of {PREMISE_KINDS}")
         premises.append(Premise(
             full_name=name, file_path=path, statement=code,
             start=start, end=end, kind=kind,
@@ -217,10 +210,11 @@ def parse_corpus(text: str) -> Corpus:
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        error = partial(MalformedLine, line_no)
-        pf = premise_file_from_json(parse_json(line, "premise file", error), error)
-        if pf.path in seen_paths:
-            raise DuplicatePath(f"duplicate file path {pf.path!r}")
+        try:
+            pf = premise_file_from_json(parse_json(line, "premise file"))
+            _require(pf.path not in seen_paths, f"duplicate file path {pf.path!r}")
+        except CorruptDocument as e:
+            raise CorruptDocument(f"line {line_no}: {e}") from e
         seen_paths.add(pf.path)
         files.append(pf)
     return corpus_from_files(files)
@@ -232,7 +226,7 @@ def corpus_from_files(files: list[PremiseFile]) -> Corpus:
     for f in files:
         for target in f.imports:
             if target not in paths:
-                raise UnknownImport(f"{f.path!r} imports unknown file {target!r}")
+                raise CorruptDocument(f"{f.path!r} imports unknown file {target!r}")
     order = topological_order(files)
     by_path = {f.path: f for f in files}
     return Corpus(files=tuple(by_path[p] for p in order))
@@ -292,7 +286,7 @@ def topological_order(files: list[PremiseFile]) -> list[str]:
                 heapq.heappush(ready, index[dep])
     if len(order) != len(files):
         leftover = [f.path for f in files if f.path not in set(order)]
-        raise ImportCycle(f"import cycle among {leftover!r}")
+        raise CorruptDocument(f"import cycle among {leftover!r}")
     return order
 
 
@@ -307,11 +301,11 @@ def random_split(
     """Seeded uniform split; val and test each get max(1, floor(n * frac))."""
     n = len(theorems)
     if n < 3:
-        raise TooFewTheorems(f"need at least 3 theorems to split, got {n}")
+        raise CorruptDocument(f"need at least 3 theorems to split, got {n}")
     n_val = max(1, math.floor(n * val_frac))
     n_test = max(1, math.floor(n * test_frac))
     if n_val + n_test >= n:
-        raise TooFewTheorems(
+        raise CorruptDocument(
             f"split sizes val={n_val} test={n_test} leave no training data for n={n}"
         )
     rng = np.random.default_rng(seed)
@@ -334,21 +328,21 @@ def tactic_to_json(t: TracedTactic) -> dict:
 
 
 def tactic_from_json(obj: object) -> TracedTactic:
-    annotated = json_field(obj, "annotated_tactic", list, "traced tactic", InvalidRecord)
+    annotated = json_field(obj, "annotated_tactic", list, "traced tactic")
     if (len(annotated) != 2 or type(annotated[0]) is not str or type(annotated[1]) is not list
             or not all(type(name) is str for name in annotated[1])):
-        raise InvalidRecord("annotated_tactic must be [text, [names...]]")
+        raise CorruptDocument("annotated_tactic must be [text, [names...]]")
     text, names = annotated
     for name in names:
         if name not in text:
-            raise InvalidRecord(
+            raise CorruptDocument(
                 f"referenced premise {name!r} does not appear in the annotated tactic")
     return TracedTactic(
-        tactic=json_field(obj, "tactic", str, "traced tactic", InvalidRecord),
+        tactic=json_field(obj, "tactic", str, "traced tactic"),
         annotated_tactic=text,
         referenced_premises=tuple(names),
-        state_before=json_field(obj, "state_before", str, "traced tactic", InvalidRecord),
-        state_after=json_field(obj, "state_after", str, "traced tactic", InvalidRecord),
+        state_before=json_field(obj, "state_before", str, "traced tactic"),
+        state_after=json_field(obj, "state_after", str, "traced tactic"),
     )
 
 
@@ -370,26 +364,26 @@ def theorem_to_json(thm: Theorem) -> dict:
 
 
 def theorem_from_json(obj: object) -> Theorem:
-    status = json_field(obj, "status", str, "theorem", InvalidRecord, STATUS_PROVEN)
+    status = json_field(obj, "status", str, "theorem", STATUS_PROVEN)
     if status not in THEOREM_STATUSES:
-        raise InvalidRecord(f"unknown status {status!r}")
+        raise CorruptDocument(f"unknown status {status!r}")
     tactics = tuple(tactic_from_json(t) for t in
-                    json_field(obj, "traced_tactics", list, "theorem", InvalidRecord))
+                    json_field(obj, "traced_tactics", list, "theorem"))
     if status == STATUS_SORRY and tactics:
-        raise InvalidRecord("an unproven theorem cannot carry traced tactics")
-    start = json_field(obj, "start", POSITION, "theorem", InvalidRecord)
-    end = json_field(obj, "end", POSITION, "theorem", InvalidRecord)
+        raise CorruptDocument("an unproven theorem cannot carry traced tactics")
+    start = json_field(obj, "start", POSITION, "theorem")
+    end = json_field(obj, "end", POSITION, "theorem")
     if start > end:
-        raise InvalidRecord("theorem start must not follow its end")
-    proof = json_field(obj, "proof", STRINGS, "theorem", InvalidRecord, None)
+        raise CorruptDocument("theorem start must not follow its end")
+    proof = json_field(obj, "proof", STRINGS, "theorem", None)
     if proof is None and status == STATUS_SORRY_PROVEN:
-        raise InvalidRecord("a proved sorry must carry its proof")
+        raise CorruptDocument("a proved sorry must carry its proof")
     return Theorem(
-        url=json_field(obj, "url", str, "theorem", InvalidRecord),
-        commit=json_field(obj, "commit", str, "theorem", InvalidRecord),
-        file_path=json_field(obj, "file_path", str, "theorem", InvalidRecord),
-        full_name=json_field(obj, "full_name", str, "theorem", InvalidRecord),
-        statement=json_field(obj, "statement", str, "theorem", InvalidRecord),
+        url=json_field(obj, "url", str, "theorem"),
+        commit=json_field(obj, "commit", str, "theorem"),
+        file_path=json_field(obj, "file_path", str, "theorem"),
+        full_name=json_field(obj, "full_name", str, "theorem"),
+        statement=json_field(obj, "statement", str, "theorem"),
         start=start,
         end=end,
         traced_tactics=tactics,
@@ -403,7 +397,7 @@ def dump_theorems(theorems: list[Theorem]) -> str:
 
 
 def load_theorems(text: str) -> list[Theorem]:
-    raw = parse_json(text, "theorem file", InvalidRecord)
+    raw = parse_json(text, "theorem file")
     if not isinstance(raw, list):
-        raise InvalidRecord("theorem file must be a JSON array")
+        raise CorruptDocument("theorem file must be a JSON array")
     return [theorem_from_json(obj) for obj in raw]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .corpus import STATUS_SORRY, Theorem
-from .errors import EmptyInput
+from .errors import CorruptDocument
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ def _quantile(ordered: list[float], q: float) -> float:
 def compute_thresholds(values: list[float]) -> Thresholds:
     """Percentile cut points over the pooled finite difficulties."""
     if not values:
-        raise EmptyInput("no finite difficulties to take percentiles of")
+        raise CorruptDocument("no finite difficulties to take percentiles of")
     ordered = sorted(map(float, values))
     return Thresholds(p33=_quantile(ordered, 0.33), p67=_quantile(ordered, 0.67))
 

@@ -40,14 +40,7 @@ from .corpus import (
     theorem_to_json,
 )
 from .curriculum import Difficulty, compute_difficulty
-from .errors import (
-    AlreadyProven,
-    CorruptDocument,
-    InvalidRecord,
-    NotFound,
-    ProverloopError,
-    UnknownRepo,
-)
+from .errors import AlreadyProven, CorruptDocument, ProverloopError
 from .storage import REQUIRED, STRINGS, dump_json, json_field, read_json, write_atomic
 
 SINGLE_REPO = "single_repo"
@@ -126,18 +119,18 @@ class RepositoryRecord:
         seen_paths: set[str] = set()
         for pf in self.premise_files:
             if pf.path in seen_paths:
-                raise InvalidRecord(f"duplicate premise file {pf.path!r} in {self.repo_id}")
+                raise CorruptDocument(f"duplicate premise file {pf.path!r} in {self.repo_id}")
             seen_paths.add(pf.path)
         seen_keys: set[tuple[str, str, str]] = set()
         for t in self.theorems:
             if t.key in seen_keys:
-                raise InvalidRecord(f"duplicate theorem {t.full_name!r} in {self.repo_id}")
+                raise CorruptDocument(f"duplicate theorem {t.full_name!r} in {self.repo_id}")
             seen_keys.add(t.key)
             if t.status == STATUS_SORRY and t.traced_tactics:
-                raise InvalidRecord(f"unproven theorem {t.full_name!r} carries traced tactics")
+                raise CorruptDocument(f"unproven theorem {t.full_name!r} carries traced tactics")
             if t.status == STATUS_SORRY and t.file_path not in seen_paths:
-                raise InvalidRecord(f"open goal {t.full_name!r} is in {t.file_path!r}, "
-                                    f"not a premise file of {self.repo_id}")
+                raise CorruptDocument(f"open goal {t.full_name!r} is in {t.file_path!r}, "
+                                      f"not a premise file of {self.repo_id}")
         # raises if imports dangle or cycle
         corpus_from_files(self.premise_files)
 
@@ -196,7 +189,7 @@ class DynamicDatabase:
         for rec in self.repositories:
             if rec.repo_id == repo_id:
                 return rec
-        raise UnknownRepo(f"unknown repository {repo_id!r}")
+        raise ProverloopError(f"unknown repository {repo_id!r}")
 
     @property
     def repo_ids(self) -> list[str]:
@@ -224,7 +217,7 @@ class DynamicDatabase:
                 found_proven = True
         if found_proven:
             raise AlreadyProven(f"theorem {key[1]!r} already has a proof")
-        raise NotFound(f"no theorem with key {key!r}")
+        raise ProverloopError(f"no theorem with key {key!r}")
 
     # -- dataset generation ---------------------------------------------------
 
@@ -237,11 +230,11 @@ class DynamicDatabase:
         test_frac: float = 0.02,
     ) -> GeneratedDataset:
         if strategy not in STRATEGIES:
-            raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
+            raise ProverloopError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
         if strategy == SINGLE_REPO and len(repo_ids) != 1:
-            raise ValueError("single_repo strategy takes exactly one repository")
+            raise ProverloopError("single_repo strategy takes exactly one repository")
         if not repo_ids:
-            raise ValueError("no repositories given")
+            raise ProverloopError("no repositories given")
         records = [self.get_repository(rid) for rid in repo_ids]
 
         recency = {rec.repo_id: i for i, rec in enumerate(self.repositories)}
@@ -293,17 +286,17 @@ class DynamicDatabase:
         for n, raw in enumerate(json_field(doc, "repositories", list, "database"), start=1):
             name = json_field(raw, "name", str, f"database record {n}")
             try:
-                db.add_repository(RepositoryRecord.from_metadata(
+                record = RepositoryRecord.from_metadata(
                     raw, "database record",
                     theorems=[theorem_from_json(t) for t in
                               json_field(raw, "theorems", list, "database record")],
-                    premise_files=[
-                        premise_file_from_json(pf, lambda reason, i=i: CorruptDocument(
-                            f"premise file {i}: {reason}"))
-                        for i, pf in enumerate(
-                            json_field(raw, "premise_files", list, "database record"), start=1)],
+                    premise_files=[_premise_file(i, pf) for i, pf in enumerate(
+                        json_field(raw, "premise_files", list, "database record"), start=1)],
                     traced_file_paths=json_field(raw, "traced_files", STRINGS, "database record"),
-                ))
+                )
+                if record.repo_id in db.repo_ids:
+                    raise CorruptDocument(f"repository {record.repo_id!r} is listed twice")
+                db.add_repository(record)
             except ProverloopError as e:
                 raise CorruptDocument(f"bad repository record {n} ({name}): {e}") from e
         return db
@@ -334,6 +327,14 @@ class DynamicDatabase:
     @classmethod
     def load(cls, path: str | Path) -> DynamicDatabase:
         return cls.from_json(read_json(path, "database"))
+
+
+def _premise_file(i: int, doc: object) -> PremiseFile:
+    """premise_file_from_json, its errors naming the file's place in its record."""
+    try:
+        return premise_file_from_json(doc)
+    except CorruptDocument as e:
+        raise CorruptDocument(f"premise file {i}: {e}") from e
 
 
 def _cut(text: str, key: str) -> tuple[str, str]:

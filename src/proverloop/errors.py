@@ -1,8 +1,16 @@
 """Exception types shared across the package.
 
-Every error raised by proverloop's own logic derives from ProverloopError so
-callers can catch the whole family with one handler. Wrappers around OS or
-JSON failures keep the original exception chained via ``raise ... from``.
+Every error raised by proverloop's own logic is a ProverloopError: callers
+catch the whole family with one handler, and the CLI maps it to exit code 2.
+
+The one rule: one type per way a caller reacts. A call whose own arguments
+do not fit raises ProverloopError itself; bad content of a document, record,
+config, fixture or CSV is a CorruptDocument, and a failed read or write is
+an IoFailure. Each of the other three is caught by a caller. A message says
+what is wrong; the boundary that knows where (a corpus line, a database
+record, a fixture file) re-raises it with that place in front. Wrappers
+around OS or JSON failures keep the original exception chained via
+``raise ... from``.
 """
 
 from __future__ import annotations
@@ -12,84 +20,16 @@ class ProverloopError(Exception):
     """Base class for all package errors."""
 
 
-# -- corpus ----------------------------------------------------------------
-
-class MalformedLine(ProverloopError):
-    def __init__(self, line_no: int, reason: str) -> None:
-        super().__init__(f"line {line_no}: {reason}")
-        self.line_no = line_no
-
-
-class DuplicatePath(ProverloopError):
-    pass
-
-
-class UnknownImport(ProverloopError):
-    pass
-
-
-class ImportCycle(ProverloopError):
-    pass
-
-
-class TooFewTheorems(ProverloopError):
-    pass
-
-
-# -- curriculum ------------------------------------------------------------
-
-class EmptyInput(ProverloopError):
-    pass
-
-
-# -- database --------------------------------------------------------------
-
-class InvalidRecord(ProverloopError):
-    pass
-
-
-class NotFound(ProverloopError):
-    pass
-
-
-class AlreadyProven(ProverloopError):
-    pass
-
-
-class UnknownRepo(ProverloopError):
-    pass
+class CorruptDocument(ProverloopError):
+    """The content of a document, record, config, fixture or CSV is bad."""
 
 
 class IoFailure(ProverloopError):
-    pass
+    """The operating system failed to read or write a file."""
 
 
-class CorruptDocument(ProverloopError):
-    pass
-
-
-# -- retriever -------------------------------------------------------------
-
-class ShapeMismatch(ProverloopError):
-    pass
-
-
-class EmptyDataset(ProverloopError):
-    pass
-
-
-class StaleIndex(ProverloopError):
-    pass
-
-
-class EmptyGroundTruth(ProverloopError):
-    pass
-
-
-# -- search ----------------------------------------------------------------
-
-class UnknownFile(ProverloopError):
-    pass
+class AlreadyProven(ProverloopError):
+    """A proof was recorded for a theorem that already has one."""
 
 
 class EnvironmentFailure(ProverloopError):
@@ -98,22 +38,6 @@ class EnvironmentFailure(ProverloopError):
     Search treats the offending edge as invalid and counts the failure.
     """
 
-
-# -- metrics ---------------------------------------------------------------
-
-class TooFewTasks(ProverloopError):
-    pass
-
-
-class DegenerateCurve(ProverloopError):
-    pass
-
-
-class InvalidMatrix(ProverloopError, ValueError):
-    pass
-
-
-# -- orchestrator ----------------------------------------------------------
 
 class PipelineError(ProverloopError):
     """Wraps a module error with the pipeline stage it surfaced in."""

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
-from .errors import CorruptDocument, DegenerateCurve, InvalidMatrix, TooFewTasks
+from .errors import CorruptDocument, ProverloopError
 from .storage import read_text
 
 METRIC_NAMES = ("wf5", "fm", "cfr", "ebwt", "wp5", "ip")
@@ -50,31 +50,31 @@ class PerformanceMatrix:
     def __post_init__(self) -> None:
         for k, row in enumerate(self.rows):
             if len(row) != k + 1:
-                raise InvalidMatrix(f"row {k + 1} must have {k + 1} entries, has {len(row)}")
+                raise CorruptDocument(f"row {k + 1} must have {k + 1} entries, has {len(row)}")
             for x in row:
                 if not 0.0 <= x <= 100.0:
-                    raise InvalidMatrix(f"recall {x} outside [0, 100]")
+                    raise CorruptDocument(f"recall {x} outside [0, 100]")
         if len(self.validation) != len(self.rows):
-            raise InvalidMatrix(
+            raise CorruptDocument(
                 f"validation series has {len(self.validation)} entries "
                 f"for {len(self.rows)} tasks"
             )
         for v in self.validation:
             if not 0.0 <= v <= 100.0:
-                raise InvalidMatrix(f"validation recall {v} outside [0, 100]")
+                raise CorruptDocument(f"validation recall {v} outside [0, 100]")
 
 
 def average_test_curve(rows: list[list[float]]) -> list[float]:
     """a_k: mean recall over tasks 1..k after training task k."""
     if not rows:
-        raise TooFewTasks("empty matrix")
+        raise CorruptDocument("empty matrix")
     return [sum(row) / len(row) for row in rows]
 
 
 def windowed_forgetting(curve: list[float], window: int = 5) -> float:
     """Average drop of a_k below its recent peak (window includes k)."""
     if window < 2:
-        raise ValueError("window must span at least two tasks")
+        raise ProverloopError("window must span at least two tasks")
     drops = []
     for k, a_k in enumerate(curve):
         lo = max(0, k - window + 1)
@@ -85,7 +85,7 @@ def windowed_forgetting(curve: list[float], window: int = 5) -> float:
 def windowed_plasticity(curve: list[float], window: int = 5) -> float:
     """Largest rise of a_k above its recent minimum (window includes k)."""
     if window < 2:
-        raise ValueError("window must span at least two tasks")
+        raise ProverloopError("window must span at least two tasks")
     rises = []
     for k, a_k in enumerate(curve):
         lo = max(0, k - window + 1)
@@ -97,7 +97,7 @@ def forgetting_measure(rows: list[list[float]]) -> float:
     """Mean gap between each task's best earlier recall and its final recall."""
     t = len(rows)
     if t < 2:
-        raise TooFewTasks("forgetting needs at least two tasks")
+        raise CorruptDocument("forgetting needs at least two tasks")
     total = 0.0
     for i in range(t - 1):
         peak = max(rows[j][i] for j in range(i, t - 1))
@@ -108,10 +108,10 @@ def forgetting_measure(rows: list[list[float]]) -> float:
 def cfr(curve: list[float]) -> float:
     """min/max quotient of the average-recall curve."""
     if not curve:
-        raise TooFewTasks("empty curve")
+        raise CorruptDocument("empty curve")
     peak = max(curve)
     if peak <= 0.0:
-        raise DegenerateCurve("curve never leaves zero")
+        raise CorruptDocument("curve never leaves zero")
     return min(curve) / peak
 
 
@@ -119,7 +119,7 @@ def expanded_bwt(rows: list[list[float]]) -> float:
     """Mean of the backward-transfer averages taken after each task."""
     t = len(rows)
     if t < 2:
-        raise TooFewTasks("backward transfer needs at least two tasks")
+        raise CorruptDocument("backward transfer needs at least two tasks")
     bwts = []
     for k in range(1, t):
         bwts.append(sum(rows[k][i] - rows[i][i] for i in range(k)) / k)
@@ -130,7 +130,7 @@ def incremental_plasticity(validation: list[float]) -> float:
     """Mean per-task slope of validation recall relative to the first task."""
     t = len(validation)
     if t < 2:
-        raise TooFewTasks("plasticity needs at least two tasks")
+        raise CorruptDocument("plasticity needs at least two tasks")
     return sum((validation[k] - validation[0]) / k for k in range(1, t)) / (t - 1)
 
 
@@ -166,7 +166,7 @@ def _metric_values(report: MetricReport | Mapping[str, float]) -> dict[str, floa
         return report.to_json()
     missing = [n for n in METRIC_NAMES if n not in report]
     if missing:
-        raise KeyError(f"setup is missing metrics {missing}")
+        raise ProverloopError(f"setup is missing metrics {missing}")
     return {n: float(report[n]) for n in METRIC_NAMES}
 
 
@@ -175,7 +175,7 @@ def normalize_metrics(
 ) -> dict[str, dict[str, float]]:
     """Min-max normalize each metric across setups; constants map to 0.5."""
     if not setups:
-        raise TooFewTasks("no setups to normalize")
+        raise CorruptDocument("no setups to normalize")
     values = {name: _metric_values(rep) for name, rep in setups.items()}
     out: dict[str, dict[str, float]] = {name: {} for name in values}
     for metric in METRIC_NAMES:

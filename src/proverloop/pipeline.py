@@ -101,10 +101,7 @@ class RunConfig:
     wall_clock: bool = False
 
     def __post_init__(self) -> None:
-        try:
-            object.__setattr__(self, "strategy", parse_strategy(self.strategy))
-        except ValueError as e:
-            raise CorruptDocument(str(e)) from e
+        object.__setattr__(self, "strategy", parse_strategy(self.strategy))
         for key, interval in _RANGES:
             check_within(key, getattr(self, key), interval)
 
@@ -145,13 +142,13 @@ def _parse_bool(raw: str) -> bool:
         return True
     if lowered in ("false", "no", "0", "off"):
         return False
-    raise ValueError(f"expected a boolean, got {raw!r}")
+    raise CorruptDocument(f"expected a boolean, got {raw!r}")
 
 
 def parse_strategy(raw: str) -> str:
     key = raw.strip().lower()
     if key not in STRATEGY_SPELLINGS:
-        raise ValueError(f"strategy must be one of {sorted(STRATEGY_SPELLINGS)}, got {raw!r}")
+        raise CorruptDocument(f"strategy must be one of {sorted(STRATEGY_SPELLINGS)}, got {raw!r}")
     return STRATEGY_SPELLINGS[key]
 
 
@@ -207,7 +204,7 @@ def parse_config(path: str | Path) -> RunConfig:
             raise CorruptDocument(f"unknown config key {key!r}")
         try:
             kwargs[key] = parser(value)
-        except ValueError as e:
+        except (ValueError, CorruptDocument) as e:
             raise CorruptDocument(f"bad config value for {key!r}: {e}") from e
     return RunConfig(fixture_dirs=fixture_dirs, out_dir=out_dir, **kwargs)
 
@@ -347,9 +344,14 @@ def ingest_fixtures(config: RunConfig) -> tuple[DynamicDatabase, dict[str, Table
     """Load every fixture directory into a fresh database."""
     db = DynamicDatabase()
     environments: dict[str, TableFixture] = {}
+    source: dict[str, Path] = {}
     with _stage("ingest"):
         for fixture_dir in config.fixture_dirs:
             record, env_fixture = load_repo_fixture(fixture_dir)
+            if record.repo_id in source:
+                raise CorruptDocument(f"fixture directories {source[record.repo_id]} and "
+                                      f"{fixture_dir} hold the same repository {record.repo_id!r}")
+            source[record.repo_id] = fixture_dir
             db.add_repository(record)
             environments[record.repo_id] = env_fixture
     return db, environments

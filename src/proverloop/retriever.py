@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus import Corpus, Premise, PremiseFile, Theorem
-from .errors import CorruptDocument, EmptyDataset, EmptyGroundTruth, ShapeMismatch, StaleIndex
+from .errors import CorruptDocument, ProverloopError
 from .storage import (FLOAT_OR_NULL, STRINGS, dump_json, json_field, parse_json, read_bytes,
                       write_atomic)
 
@@ -79,7 +79,7 @@ def hash_ngrams(texts: Sequence[str], n_features: int) -> np.ndarray:
     every count exactly.
     """
     if n_features < 2:
-        raise ValueError("need at least one hash bucket beyond the bias slot")
+        raise ProverloopError("need at least one hash bucket beyond the bias slot")
     phi = np.empty((len(texts), n_features), dtype=np.uint8)
     for lo in range(0, len(texts), HASH_BLOCK):
         encoded = [t.encode("utf-8") for t in texts[lo:lo + HASH_BLOCK]]
@@ -180,7 +180,7 @@ class EmbeddingModel:
 
     def with_flat(self, theta: np.ndarray) -> EmbeddingModel:
         if theta.size != self.weight.size:
-            raise ShapeMismatch(
+            raise ProverloopError(
                 f"expected {self.weight.size} parameters, got {theta.size}"
             )
         return replace(self, weight=theta.reshape(self.weight.shape))
@@ -243,7 +243,7 @@ class EwcTerm:
 
     def check(self, n_params: int) -> None:
         if self.fisher.size != n_params or self.anchor.size != n_params:
-            raise ShapeMismatch(
+            raise ProverloopError(
                 f"penalty terms sized {self.fisher.size}/{self.anchor.size}, "
                 f"model has {n_params} parameters"
             )
@@ -317,7 +317,7 @@ def batch_loss_and_grad(
     is given, and are hashed otherwise.
     """
     if not batch:
-        raise EmptyDataset("empty batch")
+        raise ProverloopError("empty batch")
     texts = [t for ex in batch for t in ex.texts()]
     # as float64, so both products below run in float64
     if features is None:
@@ -365,7 +365,7 @@ def compute_fisher(
 
     features is batch_loss_and_grad's."""
     if not examples:
-        raise EmptyDataset("no examples to estimate parameter importance from")
+        raise ProverloopError("no examples to estimate parameter importance from")
     fisher = np.zeros(model.weight.size)
     n_batches = 0
     for lo in range(0, len(examples), batch_size):
@@ -446,9 +446,10 @@ class EmbeddingIndex:
     matrix: np.ndarray  # (len(keys), dim)
 
     def check_model(self, model: EmbeddingModel) -> None:
-        """Raise StaleIndex unless the index was built at the model's version."""
+        """Raise ProverloopError unless the index was built at the model's version."""
         if model.version_hash != self.version_hash:
-            raise StaleIndex(f"index built at {self.version_hash}, model is {model.version_hash}")
+            raise ProverloopError(
+                f"index built at {self.version_hash}, model is {model.version_hash}")
 
     @cached_property
     def _row_of(self) -> dict[str, int]:
@@ -460,7 +461,7 @@ class EmbeddingIndex:
         try:
             return np.array([self._row_of[p.key] for p in premises], dtype=np.intp)
         except KeyError as e:
-            raise StaleIndex(f"premise {e.args[0]!r} missing from index") from e
+            raise ProverloopError(f"premise {e.args[0]!r} missing from index") from e
 
 
 def precompute_embeddings(model: EmbeddingModel, corpus: Corpus) -> EmbeddingIndex:
@@ -540,13 +541,13 @@ def recall_at_k(
     once stay small.
     """
     if k < 1:
-        raise ValueError("k must be positive")
+        raise ProverloopError("k must be positive")
     index.check_model(model)
     if not eval_pairs:
-        raise EmptyGroundTruth("no evaluation pairs")
+        raise ProverloopError("no evaluation pairs")
     for state, gt in eval_pairs:
         if not gt:
-            raise EmptyGroundTruth(f"empty ground truth for state {state!r}")
+            raise ProverloopError(f"empty ground truth for state {state!r}")
     queries = model.embed_many([state for state, _ in eval_pairs])
     total = 0.0
     for lo in range(0, len(eval_pairs), RECALL_BLOCK):
@@ -701,9 +702,9 @@ def train_one_epoch(
     step and the importance.
     """
     if not task.train_examples:
-        raise EmptyDataset(f"task {task.name!r} has no training examples")
+        raise CorruptDocument(f"task {task.name!r} has no training examples")
     if not task.val_pairs:
-        raise EmptyDataset(f"task {task.name!r} has no validation pairs")
+        raise CorruptDocument(f"task {task.name!r} has no validation pairs")
     if config.ewc is not None:
         config.ewc.check(checkpoint.model.weight.size)
 

@@ -22,7 +22,7 @@ from typing import Callable, Protocol
 import numpy as np
 
 from .corpus import Corpus, Premise, Theorem
-from .errors import CorruptDocument, EnvironmentFailure, UnknownFile
+from .errors import CorruptDocument, EnvironmentFailure, ProverloopError
 from .retriever import EmbeddingIndex, EmbeddingModel, rank_by_similarity
 from .storage import dump_json, json_field, read_json, write_atomic
 
@@ -73,7 +73,7 @@ class DependencyGraph:
 
     def reachable(self, path: str) -> frozenset[str]:
         if path not in self.closure:
-            raise UnknownFile(f"file not in corpus: {path!r}")
+            raise ProverloopError(f"file not in corpus: {path!r}")
         return self.closure[path]
 
 
@@ -336,7 +336,7 @@ def best_first_search(
         premises = retrieval_fn(state) if retrieval_fn is not None else None
         for tactic, log_prob in generator.propose(state, premises, budget.candidates):
             if log_prob > 0.0:
-                raise ValueError(f"generator proposed log-probability {log_prob} > 0")
+                raise ProverloopError(f"generator proposed log-probability {log_prob} > 0")
             try:
                 outcome = env.apply(state, tactic)
             except EnvironmentFailure:

@@ -3,9 +3,9 @@
 Writes are atomic: the bytes go, chunk by chunk, to a sibling temporary
 file that then replaces the target with ``os.replace``, so a failed or
 interrupted write leaves the previous file intact and no temporary file
-behind. Reads map ``OSError`` to ``IoFailure``; ``parse_json`` raises a
-document's own error type for text that is not JSON or holds a lone
-surrogate. Every field of a loaded document is read through ``json_field``.
+behind. Reads map ``OSError`` to ``IoFailure``; text that is not UTF-8 or
+JSON, or holds a lone surrogate, and every bad field read through
+``json_field`` raise ``CorruptDocument``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import re
 import sys
 from contextlib import suppress
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 from .errors import CorruptDocument, IoFailure
 
@@ -74,23 +74,22 @@ def read_json(path: str | Path, what: str) -> object:
     return parse_json(read_text(path, what), f"{what} at {path}")
 
 
-def parse_json(text: str | bytes, what: str,
-               error: Callable[[str], Exception] = CorruptDocument) -> object:
-    """The document in JSON text (bytes are read as UTF-8), or error(message
-    naming what) if the text is not JSON or a string in it holds a lone
+def parse_json(text: str | bytes, what: str) -> object:
+    """The document in JSON text (bytes are read as UTF-8). CorruptDocument,
+    naming what, if the text is not JSON or a string in it holds a lone
     surrogate, which json.loads keeps and no UTF-8 file or hash can encode."""
     try:
         if isinstance(text, bytes):
             text = text.decode("utf-8")
         doc = json.loads(text)
     except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
-        raise error(f"{what} is not valid JSON: {getattr(e, 'msg', e)}") from e
+        raise CorruptDocument(f"{what} is not valid JSON: {getattr(e, 'msg', e)}") from e
     # text decoded from UTF-8 gets a surrogate only from a \ud800-\udfff
     # escape; most documents pass the fast one-character search for "\\"
     if ("\\" in text and re.search(r"\\u[dD][89a-fA-F]", text)
             and (field := _lone_surrogate(doc, "")) is not None):
         field = field.encode("utf-8", "backslashreplace").decode("utf-8") or "(the document)"
-        raise error(f"{what} field {field} holds a lone surrogate")
+        raise CorruptDocument(f"{what} field {field} holds a lone surrogate")
     return doc
 
 
@@ -125,9 +124,8 @@ _FLOAT_MAX = sys.float_info.max
 
 
 def json_field(doc: object, key: str, kind: object, what: str,
-               error: Callable[[str], Exception] = CorruptDocument,
                default: object = REQUIRED) -> Any:
-    """doc[key] if it has its one kind, else raise error(message naming what and key).
+    """doc[key] if it has its one kind, else CorruptDocument naming what and key.
 
     Nothing is coerced: a bool is never an int or a float, a float field is
     finite (a JSON int there reads as a float), and null is only a value of
@@ -135,11 +133,11 @@ def json_field(doc: object, key: str, kind: object, what: str,
     is required. A POSITION reads as a tuple.
     """
     if type(doc) is not dict:
-        raise error(f"{what} must be an object, got {doc!r:.60}")
+        raise CorruptDocument(f"{what} must be an object, got {doc!r:.60}")
     value = doc.get(key, REQUIRED)
     if value is REQUIRED:
         if default is REQUIRED:
-            raise error(f"{what} is missing field {key!r}")
+            raise CorruptDocument(f"{what} is missing field {key!r}")
         return default
     t = type(value)
     if t is kind and t is not float:
@@ -156,4 +154,5 @@ def json_field(doc: object, key: str, kind: object, what: str,
         if (t is list and len(value) == 2 and type(value[0]) is int is type(value[1])
                 and value[0] >= 1 and value[1] >= 1):
             return (value[0], value[1])
-    raise error(f"{what} field {key!r} must be {_KIND_NAMES.get(kind, kind)}, got {value!r:.60}")
+    raise CorruptDocument(
+        f"{what} field {key!r} must be {_KIND_NAMES.get(kind, kind)}, got {value!r:.60}")

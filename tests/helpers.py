@@ -19,7 +19,7 @@ from proverloop.corpus import (
 )
 from proverloop.curriculum import CategoryCounts, categorize_value
 from proverloop.database import DATABASE_FORMAT, DatasetMetadata, GeneratedDataset
-from proverloop.errors import EnvironmentFailure, ShapeMismatch
+from proverloop.errors import EnvironmentFailure, ProverloopError
 from proverloop.fixtures import _premise
 from proverloop.retriever import (
     NEGATIVES_PER_EXAMPLE,
@@ -162,7 +162,7 @@ def contrastive_loss(state_emb, pos_emb, neg_embs):
     neg_embs = np.asarray(neg_embs, dtype=np.float64).reshape(-1, state_emb.shape[-1]) \
         if np.asarray(neg_embs).size else np.zeros((0, state_emb.shape[-1]))
     if pos_emb.shape != state_emb.shape:
-        raise ShapeMismatch("state and positive embeddings differ in dimension")
+        raise ProverloopError("state and positive embeddings differ in dimension")
     sims = np.concatenate(([float(state_emb @ pos_emb)], neg_embs @ state_emb))
     m = float(np.max(sims))
     return m + math.log(float(np.sum(np.exp(sims - m)))) - sims[0]

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import shutil
 
 import numpy as np
@@ -13,7 +14,7 @@ from helpers import tactic, theorem
 from proverloop.cli import main
 from proverloop.corpus import tactic_from_json, tactic_to_json, theorem_from_json, theorem_to_json
 from proverloop.database import DynamicDatabase
-from proverloop.errors import CorruptDocument, InvalidRecord, ProverloopError
+from proverloop.errors import CorruptDocument
 from proverloop.metrics import matrix_to_csv, validation_to_csv
 from proverloop.retriever import Checkpoint, EmbeddingModel
 from proverloop.search import TableFixture
@@ -292,6 +293,29 @@ class TestOverridesAndFailures:
         assert sorted(p.name for p in root.iterdir()) == [
             "repo_algebra", "repo_number", "repo_topology", "run.cfg"]
 
+    @pytest.mark.parametrize("command", ["curriculum", "run"])
+    @pytest.mark.parametrize("second", ["repo_algebra", "algebra_copy"])
+    def test_a_repository_given_twice_exits_two(self, demo, tmp_path, capsys, command,
+                                                second):
+        """A repository is its url@commit, so a copy under another directory
+        name is the same repository given twice, not one more task."""
+        root = tmp_path / "demo"
+        shutil.copytree(demo, root)
+        if second != "repo_algebra":
+            shutil.copytree(root / "repo_algebra", root / second)
+        cfg = root / "run.cfg"
+        text = cfg.read_text(encoding="utf-8")
+        cfg.write_text(text.replace("fixtures = repo_algebra, repo_number, repo_topology",
+                                    f"fixtures = repo_algebra, {second}, repo_number"),
+                       encoding="utf-8")
+        out = tmp_path / "out"
+        assert main([command, *cfg_args(root, out)]) == 2
+        first, again = (root / "repo_algebra").resolve(), (root / second).resolve()
+        assert capsys.readouterr().err == (
+            f"error: stage 'ingest': fixture directories {first} and {again} hold the same "
+            "repository 'fixture://repos/algebra@aaa1111'\n")
+        assert not out.exists()
+
     def test_missing_config_exits_two(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2
         assert "error:" in capsys.readouterr().err
@@ -305,11 +329,13 @@ def tactic_with(**fields):
     return tactic_from_json({**tactic_to_json(tactic()), **fields})
 
 
+RECORD = {"url": "fixture://r", "commit": "c", "name": "r", "theorems": [],
+          "premise_files": [], "traced_files": []}
+
+
 def database_with(**fields):
-    record = {"url": "fixture://r", "commit": "c", "name": "r", "theorems": [],
-              "premise_files": [], "traced_files": []}
     return DynamicDatabase.from_json(
-        {"format_version": 2, "repositories": [{**record, **fields}]})
+        {"format_version": 2, "repositories": [{**RECORD, **fields}]})
 
 
 def table_with_edge(**fields):
@@ -318,39 +344,61 @@ def table_with_edge(**fields):
 
 
 class TestErrorContract:
-    @pytest.mark.parametrize("parse, expected", [
-        (lambda: theorem_with(start=[1]), InvalidRecord),
-        (lambda: theorem_with(start=["a", 1]), InvalidRecord),
-        (lambda: theorem_with(traced_tactics=5), InvalidRecord),
-        (lambda: theorem_with(proof=5), InvalidRecord),
-        (lambda: theorem_with(status="sorry_proven", proof="rfl"), InvalidRecord),
-        (lambda: theorem_with(status="sorry_proven", proof=["rfl", 5]), InvalidRecord),
-        (lambda: theorem_with(status="sorry_proven"), InvalidRecord),
+    @pytest.mark.parametrize("parse, message", [
+        (lambda: theorem_with(start=[1]), "theorem field 'start' must be a [line, col] pair"),
+        (lambda: theorem_with(start=["a", 1]), "theorem field 'start' must be a [line, col] pair"),
+        (lambda: theorem_with(traced_tactics=5), "theorem field 'traced_tactics' must be a list"),
+        (lambda: theorem_with(proof=5), "theorem field 'proof' must be a list of strings"),
+        (lambda: theorem_with(status="sorry_proven", proof="rfl"),
+         "theorem field 'proof' must be a list of strings"),
+        (lambda: theorem_with(status="sorry_proven", proof=["rfl", 5]),
+         "theorem field 'proof' must be a list of strings"),
+        (lambda: theorem_with(status="sorry_proven"), "a proved sorry must carry its proof"),
         (lambda: DynamicDatabase.from_json({"repositories": [{"theorems": []}]}),
-         CorruptDocument),
-        (lambda: TableFixture.from_json({"initial": [], "edges": []}), CorruptDocument),
-        (lambda: table_with_edge(fails="false"), CorruptDocument),
-        (lambda: table_with_edge(requires_premise=5), CorruptDocument),
+         "database is format None,"),
+        (lambda: TableFixture.from_json({"initial": [], "edges": []}),
+         "search table field 'initial' must be an object"),
+        (lambda: table_with_edge(fails="false"),
+         "search table edge field 'fails' must be a boolean"),
+        (lambda: table_with_edge(requires_premise=5),
+         "search table edge field 'requires_premise' must be a string"),
         (lambda: DynamicDatabase.from_json({"format_version": 1, "repositories": []}),
-         CorruptDocument),
-        (lambda: database_with(theorems={}), CorruptDocument),
-        (lambda: database_with(theorems=5), CorruptDocument),
-        (lambda: database_with(theorems=[5]), CorruptDocument),
-        (lambda: theorem_with(start=["1", "1"]), InvalidRecord),
-        (lambda: theorem_with(start=[1.9, 1]), InvalidRecord),
-        (lambda: theorem_with(start=[0, 0]), InvalidRecord),
-        (lambda: theorem_with(start=[True, 1]), InvalidRecord),
-        (lambda: theorem_with(start=[1, 1, 5]), InvalidRecord),
-        (lambda: theorem_with(full_name=["x"]), InvalidRecord),
-        (lambda: tactic_with(state_before=2), InvalidRecord),
-        (lambda: tactic_with(state_after=None), InvalidRecord),
-        (lambda: table_with_edge(log_prob="-0.5"), CorruptDocument),
-        (lambda: table_with_edge(log_prob=False), CorruptDocument),
-        (lambda: table_with_edge(log_prob=float("nan")), CorruptDocument),
+         "database is format 1,"),
+        (lambda: database_with(theorems={}),
+         "bad repository record 1 (r): database record field 'theorems' must be a list"),
+        (lambda: database_with(theorems=5),
+         "bad repository record 1 (r): database record field 'theorems' must be a list"),
+        (lambda: database_with(theorems=[5]),
+         "bad repository record 1 (r): theorem must be an object"),
+        (lambda: theorem_with(start=["1", "1"]),
+         "theorem field 'start' must be a [line, col] pair"),
+        (lambda: theorem_with(start=[1.9, 1]), "theorem field 'start' must be a [line, col] pair"),
+        (lambda: theorem_with(start=[0, 0]), "theorem field 'start' must be a [line, col] pair"),
+        (lambda: theorem_with(start=[True, 1]),
+         "theorem field 'start' must be a [line, col] pair"),
+        (lambda: theorem_with(start=[1, 1, 5]),
+         "theorem field 'start' must be a [line, col] pair"),
+        (lambda: theorem_with(full_name=["x"]), "theorem field 'full_name' must be a string"),
+        (lambda: tactic_with(state_before=2),
+         "traced tactic field 'state_before' must be a string"),
+        (lambda: tactic_with(state_after=None),
+         "traced tactic field 'state_after' must be a string"),
+        (lambda: table_with_edge(log_prob="-0.5"),
+         "search table edge field 'log_prob' must be a finite number"),
+        (lambda: table_with_edge(log_prob=False),
+         "search table edge field 'log_prob' must be a finite number"),
+        (lambda: table_with_edge(log_prob=float("nan")),
+         "search table edge field 'log_prob' must be a finite number"),
         (lambda: TableFixture.from_json({"initial": {"a::b": 5}, "edges": []}),
-         CorruptDocument),
-        (lambda: database_with(url=1), CorruptDocument),
-        (lambda: database_with(traced_files=[1]), CorruptDocument),
+         "search table initial field 'a::b' must be a string"),
+        (lambda: database_with(url=1),
+         "bad repository record 1 (r): database record field 'url' must be a string"),
+        (lambda: database_with(traced_files=[1]),
+         "bad repository record 1 (r):"
+         " database record field 'traced_files' must be a list of strings"),
+        (lambda: DynamicDatabase.from_json(
+            {"format_version": 2, "repositories": [RECORD, {**RECORD, "name": "r2"}]}),
+         "bad repository record 2 (r2): repository 'fixture://r@c' is listed twice"),
     ], ids=["start-short", "start-text", "tactics-int", "proof-int", "proof-string",
             "proof-entry-int", "sorry-proven-without-proof", "db-theorems-list",
             "table-initial-list", "edge-fails-string", "edge-premise-int", "db-format-1",
@@ -358,11 +406,10 @@ class TestErrorContract:
             "start-digit-strings", "start-float", "start-zero", "start-bool", "start-triple",
             "full-name-list", "tactic-state-before-int", "tactic-state-after-null",
             "edge-log-prob-string", "edge-log-prob-bool", "edge-log-prob-nan",
-            "table-initial-int", "db-url-int", "db-traced-file-int"])
-    def test_malformed_documents_raise_package_errors(self, parse, expected):
-        with pytest.raises(ProverloopError) as info:
+            "table-initial-int", "db-url-int", "db-traced-file-int", "db-repository-twice"])
+    def test_malformed_documents_raise_package_errors(self, parse, message):
+        with pytest.raises(CorruptDocument, match="^" + re.escape(message)):
             parse()
-        assert isinstance(info.value, expected)
 
     @pytest.mark.parametrize("validation, reason", [
         ("1,nan\n2,inf\n", "nan"),
@@ -474,7 +521,9 @@ class TestErrorContract:
         ("repo_topology", "theorems.json",
          lambda text: text.replace('"start":[21,1]', '"start":[0,1]', 1),
          "theorem field 'start' must be"),
-    ], ids=["corpus-kind", "theorem-start"])
+        ("repo_number", "corpus.jsonl", lambda text: text + text.splitlines(keepends=True)[0],
+         "line 3: duplicate file path 'lib/core.lean'\n"),
+    ], ids=["corpus-kind", "theorem-start", "corpus-path-twice"])
     def test_ingest_names_the_fixture_file_that_fails_to_parse(self, demo, tmp_path, capsys,
                                                               repo, name, damage, reason):
         root = tmp_path / "demo"

@@ -17,14 +17,7 @@ from proverloop.corpus import (
     tactic_to_json,
     topological_order,
 )
-from proverloop.errors import (
-    DuplicatePath,
-    ImportCycle,
-    InvalidRecord,
-    MalformedLine,
-    TooFewTheorems,
-    UnknownImport,
-)
+from proverloop.errors import CorruptDocument
 
 
 def file_line(path, imports=(), names=("x",)):
@@ -56,50 +49,50 @@ class TestParseCorpus:
             file_line("a.lean", imports=["b.lean"]),
             file_line("b.lean", imports=["a.lean"], names=("b.x",)),
         ])
-        with pytest.raises(ImportCycle) as exc:
+        with pytest.raises(CorruptDocument, match="^import cycle among ") as exc:
             parse_corpus(text)
         assert "a.lean" in str(exc.value) and "b.lean" in str(exc.value)
 
     def test_invalid_json_reports_line_number(self):
         text = file_line("a.lean") + "\n{not json\n"
-        with pytest.raises(MalformedLine) as exc:
+        with pytest.raises(CorruptDocument, match=r"^line 2: premise file is not valid JSON: "):
             parse_corpus(text)
-        assert exc.value.line_no == 2
 
     def test_duplicate_path(self):
         text = file_line("a.lean") + "\n" + file_line("a.lean", names=("y",))
-        with pytest.raises(DuplicatePath):
+        with pytest.raises(CorruptDocument, match=r"^line 2: duplicate file path 'a\.lean'$"):
             parse_corpus(text)
 
     def test_unknown_import(self):
-        with pytest.raises(UnknownImport):
+        with pytest.raises(CorruptDocument, match="imports unknown file 'missing.lean'"):
             parse_corpus(file_line("a.lean", imports=["missing.lean"]))
 
     def test_self_import_rejected(self):
-        with pytest.raises(MalformedLine):
+        with pytest.raises(CorruptDocument, match="^line 1: file imports itself$"):
             parse_corpus(file_line("a.lean", imports=["a.lean"]))
 
     def test_duplicate_premise_name_rejected(self):
-        with pytest.raises(MalformedLine):
+        with pytest.raises(CorruptDocument, match="^line 1: duplicate premise name 'x'$"):
             parse_corpus(file_line("a.lean", names=("x", "x")))
 
     def test_zero_based_position_rejected(self):
         doc = json.loads(file_line("a.lean"))
         doc["premises"][0]["start"] = [0, 1]
-        with pytest.raises(MalformedLine):
+        with pytest.raises(CorruptDocument, match="^line 1: premise field 'start' must be "):
             parse_corpus(json.dumps(doc))
 
     def test_start_after_end_rejected(self):
         doc = json.loads(file_line("a.lean"))
         doc["premises"][0]["start"] = [9, 1]
         doc["premises"][0]["end"] = [2, 1]
-        with pytest.raises(MalformedLine):
+        with pytest.raises(CorruptDocument,
+                           match="^line 1: premise start must not follow its end$"):
             parse_corpus(json.dumps(doc))
 
     def test_unknown_kind_rejected(self):
         doc = json.loads(file_line("a.lean"))
         doc["premises"][0]["kind"] = "axiomish"
-        with pytest.raises(MalformedLine):
+        with pytest.raises(CorruptDocument, match="^line 1: kind must be one of "):
             parse_corpus(json.dumps(doc))
 
     def test_blank_lines_skipped(self):
@@ -171,7 +164,7 @@ class TestRandomSplit:
         assert (len(split.train), len(split.val), len(split.test)) == (8, 1, 1)
 
     def test_two_theorems_is_too_few(self):
-        with pytest.raises(TooFewTheorems):
+        with pytest.raises(CorruptDocument, match="^need at least 3 theorems to split, got 2$"):
             random_split([theorem("t0"), theorem("t1")], seed=0)
 
     def test_same_seed_is_bit_identical(self):
@@ -212,7 +205,7 @@ class TestTheoremSerialization:
     def test_annotation_must_contain_each_referenced_name(self):
         doc = tactic_to_json(tactic("a.x"))
         doc["annotated_tactic"] = ["apply something else", ["a.x"]]
-        with pytest.raises(InvalidRecord):
+        with pytest.raises(CorruptDocument, match="^referenced premise 'a.x' does not appear "):
             tactic_from_json(doc)
 
     def test_annotated_wire_shape_is_text_plus_names(self):
@@ -222,13 +215,14 @@ class TestTheoremSerialization:
     def test_unproven_theorem_with_tactics_rejected(self):
         doc = json.loads(dump_theorems([theorem("a.one", tactics=(tactic(),))]))
         doc[0]["status"] = "sorry_unproven"
-        with pytest.raises(InvalidRecord):
+        with pytest.raises(CorruptDocument,
+                           match="^an unproven theorem cannot carry traced tactics$"):
             load_theorems(json.dumps(doc))
 
     def test_unknown_status_rejected(self):
         doc = json.loads(dump_theorems([theorem("a.one")]))
         doc[0]["status"] = "half-proven"
-        with pytest.raises(InvalidRecord):
+        with pytest.raises(CorruptDocument, match="^unknown status 'half-proven'$"):
             load_theorems(json.dumps(doc))
 
 

@@ -19,7 +19,7 @@ from proverloop.curriculum import (
     count_categories,
     order_repositories,
 )
-from proverloop.errors import EmptyInput
+from proverloop.errors import CorruptDocument
 
 
 def interpolated_percentile(values, q):
@@ -100,7 +100,8 @@ class TestThresholds:
         assert th.p33 == th.p67 == 4.25
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(CorruptDocument,
+                           match="^no finite difficulties to take percentiles of$"):
             compute_thresholds([])
 
 

@@ -26,13 +26,7 @@ from proverloop.database import (
 )
 from proverloop.fixtures import GATED_THEOREM, write_bundled
 from proverloop.pipeline import build_curriculum, ingest_fixtures, parse_config
-from proverloop.errors import (
-    AlreadyProven,
-    CorruptDocument,
-    InvalidRecord,
-    NotFound,
-    UnknownRepo,
-)
+from proverloop.errors import AlreadyProven, CorruptDocument, ProverloopError
 from proverloop.storage import dump_json
 
 
@@ -74,23 +68,24 @@ class TestMembership:
     def test_duplicate_theorem_keys_rejected(self):
         dup = theorem("r.one", path="lib/base.lean")
         rec = make_repo(theorems=[dup, dup])
-        with pytest.raises(InvalidRecord):
+        with pytest.raises(CorruptDocument, match="^duplicate theorem 'r.one' in "):
             DynamicDatabase().add_repository(rec)
 
     def test_duplicate_premise_file_path_rejected(self):
         rec = make_repo(files=[pfile("lib/a.lean", names=("x",)),
                                pfile("lib/a.lean", names=("y",))])
-        with pytest.raises(InvalidRecord):
+        with pytest.raises(CorruptDocument, match="^duplicate premise file 'lib/a.lean' in "):
             DynamicDatabase().add_repository(rec)
 
     def test_open_goal_outside_the_premise_files_rejected(self):
         stray = theorem("r.stray", path="nowhere.lean", status="sorry_unproven")
         rec = make_repo(theorems=[stray])
-        with pytest.raises(InvalidRecord, match="'r.stray' is in 'nowhere.lean'"):
+        with pytest.raises(CorruptDocument, match="'r.stray' is in 'nowhere.lean'"):
             DynamicDatabase().add_repository(rec)
 
     def test_unknown_repo(self):
-        with pytest.raises(UnknownRepo):
+        with pytest.raises(ProverloopError,
+                           match="^unknown repository 'fixture://missing@c'$"):
             DynamicDatabase().get_repository("fixture://missing@c")
 
     def test_difficulties_cached_on_add(self):
@@ -117,7 +112,7 @@ class TestSorryProofs:
     def test_unknown_key(self):
         db = DynamicDatabase()
         db.add_repository(make_repo())
-        with pytest.raises(NotFound):
+        with pytest.raises(ProverloopError, match="^no theorem with key "):
             db.record_sorry_proof(("lib/base.lean", "r.missing", "?"), ["rfl"])
 
     def test_second_proof_rejected(self):
@@ -203,7 +198,8 @@ class TestGenerateDataset:
         db = DynamicDatabase()
         db.add_repository(make_repo(url="fixture://a"))
         db.add_repository(make_repo(url="fixture://b"))
-        with pytest.raises(ValueError):
+        with pytest.raises(ProverloopError,
+                           match="^single_repo strategy takes exactly one repository$"):
             db.generate_dataset(db.repo_ids, strategy="single_repo", seed=0)
 
     def test_merge_is_deterministic(self):

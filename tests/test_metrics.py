@@ -2,7 +2,7 @@
 
 import pytest
 
-from proverloop.errors import CorruptDocument, DegenerateCurve, IoFailure, TooFewTasks
+from proverloop.errors import CorruptDocument, IoFailure, ProverloopError
 from proverloop.metrics import (
     METRIC_NAMES,
     MetricReport,
@@ -34,17 +34,17 @@ class TestMatrixShape:
         assert len(m.rows) == 3
 
     def test_rejects_ragged_rows(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(CorruptDocument, match="^row 2 must have 2 entries, has 1$"):
             PerformanceMatrix(rows=[[80.0], [70.0]], validation=[60.0, 70.0])
 
     def test_rejects_out_of_range_recall(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(CorruptDocument, match=r"^recall 101\.0 outside \[0, 100\]$"):
             PerformanceMatrix(rows=[[101.0]], validation=[60.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(CorruptDocument, match=r"^recall -1\.0 outside \[0, 100\]$"):
             PerformanceMatrix(rows=[[-1.0]], validation=[60.0])
 
     def test_rejects_validation_length_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(CorruptDocument, match="^validation series has 2 entries for 1 tasks$"):
             PerformanceMatrix(rows=[[80.0]], validation=[60.0, 70.0])
 
 
@@ -54,7 +54,7 @@ class TestAverageCurve:
             [80.0, 75.0, 80.0]
 
     def test_empty_rejected(self):
-        with pytest.raises(TooFewTasks):
+        with pytest.raises(CorruptDocument, match="^empty matrix$"):
             average_test_curve([])
 
 
@@ -74,7 +74,7 @@ class TestWindowedForgetting:
         assert windowed_forgetting([10.0, 10.0, 40.0, 80.0, 80.0], window=5) == 0.0
 
     def test_window_must_cover_two_tasks(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ProverloopError, match="^window must span at least two tasks$"):
             windowed_forgetting([50.0, 60.0], window=1)
 
 
@@ -90,7 +90,7 @@ class TestWindowedPlasticity:
         assert windowed_plasticity([90.0, 80.0, 70.0], window=5) == 0.0
 
     def test_window_must_cover_two_tasks(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ProverloopError, match="^window must span at least two tasks$"):
             windowed_plasticity([50.0, 60.0], window=1)
 
 
@@ -104,7 +104,7 @@ class TestForgettingMeasure:
         assert forgetting_measure(rows) == pytest.approx(-10.0, abs=1e-12)
 
     def test_single_task_rejected(self):
-        with pytest.raises(TooFewTasks):
+        with pytest.raises(CorruptDocument, match="^forgetting needs at least two tasks$"):
             forgetting_measure([[80.0]])
 
 
@@ -116,11 +116,11 @@ class TestCfr:
         assert cfr([75.0, 75.0, 75.0]) == 1.0
 
     def test_all_zero_curve_rejected(self):
-        with pytest.raises(DegenerateCurve):
+        with pytest.raises(CorruptDocument, match="^curve never leaves zero$"):
             cfr([0.0, 0.0])
 
     def test_empty_rejected(self):
-        with pytest.raises(TooFewTasks):
+        with pytest.raises(CorruptDocument, match="^empty curve$"):
             cfr([])
 
 
@@ -138,7 +138,7 @@ class TestExpandedBwt:
         assert expanded_bwt(rows) == pytest.approx(5.0, abs=1e-12)
 
     def test_single_task_rejected(self):
-        with pytest.raises(TooFewTasks):
+        with pytest.raises(CorruptDocument, match="^backward transfer needs at least two tasks$"):
             expanded_bwt([[80.0]])
 
 
@@ -154,7 +154,7 @@ class TestIncrementalPlasticity:
         assert incremental_plasticity([80.0, 70.0, 60.0]) == pytest.approx(-10.0)
 
     def test_single_task_rejected(self):
-        with pytest.raises(TooFewTasks):
+        with pytest.raises(CorruptDocument, match="^plasticity needs at least two tasks$"):
             incremental_plasticity([60.0])
 
 
@@ -245,11 +245,11 @@ class TestNormalizationAndComposite:
             assert transformed[name] == pytest.approx(original[name], abs=1e-12)
 
     def test_dict_input_must_cover_every_metric(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ProverloopError, match="^setup is missing metrics "):
             composite_score({"a": {"wf5": 1.0}})
 
     def test_no_setups_rejected(self):
-        with pytest.raises(TooFewTasks):
+        with pytest.raises(CorruptDocument, match="^no setups to normalize$"):
             composite_score({})
 
 

@@ -1,5 +1,6 @@
-"""The package surface: importing it loads nothing, and `src/` keeps no
-module-level name, method or property that nothing on the run path uses."""
+"""The package surface: importing it loads nothing, `src/` keeps no
+module-level name, method or property that nothing on the run path uses,
+and it raises only the error types of `errors.py`."""
 
 import ast
 import subprocess
@@ -140,8 +141,38 @@ def test_json_is_encoded_only_by_dump_json():
 
 def test_json_is_decoded_only_by_parse_json():
     """Every JSON document is parsed by storage.parse_json, which rejects
-    lone surrogates and maps bad text to the document's own error."""
+    lone surrogates and maps bad text to CorruptDocument."""
     assert json_calls("loads") == ["storage.py:parse_json"]
+
+
+ERROR_CLASSES = {node.name for node in PACKAGE_TREES["errors.py"].body
+                 if isinstance(node, ast.ClassDef)}
+
+
+def test_every_raise_names_a_package_error():
+    """A failure the package raises is a ProverloopError, which the CLI
+    maps to exit 2, never a builtin exception; a bare raise re-raises."""
+    raised = []
+    for module, tree in PACKAGE_TREES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if not (isinstance(exc, ast.Name) and exc.id in ERROR_CLASSES):
+                    raised.append(f"{module}:{node.lineno}: {ast.unparse(exc)}")
+    assert raised == []
+
+
+def test_every_error_subclass_is_caught_by_a_caller():
+    """A subclass exists only where a caller reacts to it: an except clause
+    in src/ or the acceptance gate names it. ProverloopError, CorruptDocument
+    and IoFailure name a kind of fault and need no handler of their own."""
+    named = {sub.id for tree in PACKAGE_TREES.values() for node in ast.walk(tree)
+             if isinstance(node, ast.ExceptHandler) and node.type is not None
+             for sub in ast.walk(node.type) if isinstance(sub, ast.Name)}
+    gate = parse(ROOT / "tests" / "test_acceptance.py")
+    named |= {sub.id for sub in ast.walk(gate) if isinstance(sub, ast.Name)}
+    kinds = {"ProverloopError", "CorruptDocument", "IoFailure"}
+    assert sorted(ERROR_CLASSES - kinds - named) == []
 
 
 def test_arrays_are_never_read_or_written_through_numpy_files_or_pickle():

@@ -169,7 +169,8 @@ class TestParseConfig:
         assert parse_strategy("single_repo") == SINGLE_REPO
         assert parse_strategy("merge-all") == MERGE_ALL
         assert parse_strategy("MERGE_ALL") == MERGE_ALL
-        with pytest.raises(ValueError):
+        with pytest.raises(CorruptDocument,
+                           match="^strategy must be one of .*, got 'everything'$"):
             parse_strategy("everything")
 
 

@@ -29,14 +29,7 @@ from helpers import (
 )
 from proverloop import retriever
 from proverloop.corpus import parse_corpus
-from proverloop.errors import (
-    CorruptDocument,
-    EmptyDataset,
-    EmptyGroundTruth,
-    IoFailure,
-    ShapeMismatch,
-    StaleIndex,
-)
+from proverloop.errors import CorruptDocument, IoFailure, ProverloopError
 from proverloop.fixtures import write_bundled
 from proverloop.pipeline import ingest_fixtures, parse_config
 from proverloop.retriever import (
@@ -151,9 +144,10 @@ class TestFeaturesAndEmbedding:
                 assert block.itemsize == 1 and block.nbytes == len(f.texts) * block.shape[1]
 
     def test_too_few_buckets_rejected(self):
-        with pytest.raises(ValueError):
+        too_few = "^need at least one hash bucket beyond the bias slot$"
+        with pytest.raises(ProverloopError, match=too_few):
             hash_ngrams(["x"], 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ProverloopError, match=too_few):
             ngram_features(("x",), 1)
 
     def test_disjoint_grams_are_orthogonal_past_the_bias(self):
@@ -282,7 +276,7 @@ class TestFeaturesAndEmbedding:
     def test_with_flat_round_trip_and_shape_guard(self):
         m = EmbeddingModel.random_init(dim=3, n_features=8, seed=0)
         assert np.array_equal(m.with_flat(m.flat()).weight, m.weight)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ProverloopError, match="^expected 24 parameters, got 7$"):
             m.with_flat(np.zeros(7))
 
 
@@ -306,7 +300,7 @@ class TestContrastiveLoss:
         assert contrastive_loss(e, e, np.zeros((0, 2))) == pytest.approx(0.0, abs=1e-12)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ProverloopError, match="^state and positive embeddings differ "):
             contrastive_loss(np.zeros(2), np.zeros(3), np.zeros((0, 2)))
 
 
@@ -330,7 +324,7 @@ class TestAnchorPenalty:
 
     def test_shape_guard(self):
         term = EwcTerm(lam=0.5, fisher=np.zeros(3), anchor=np.zeros(3))
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ProverloopError, match="^penalty terms sized 3/3, model has 4 "):
             ewc_penalty(np.zeros(4), term)
 
 
@@ -380,7 +374,8 @@ class TestFisher:
 
     def test_no_examples_rejected(self):
         m = EmbeddingModel.random_init(dim=4, n_features=32, seed=0)
-        with pytest.raises(EmptyDataset):
+        with pytest.raises(ProverloopError,
+                           match="^no examples to estimate parameter importance from$"):
             compute_fisher(m, [], batch_size=4)
 
 
@@ -569,7 +564,7 @@ class TestIndexAndRecall:
         m = EmbeddingModel.random_init(dim=4, n_features=64, seed=0)
         index = precompute_embeddings(m, corpus)
         stranger = corpus_of(pfile("lib/ghost.lean", names=("ghost.p",))).all_premises()
-        with pytest.raises(StaleIndex, match="ghost"):
+        with pytest.raises(ProverloopError, match="^premise 'lib/ghost.lean::ghost.p' missing "):
             index.rows_of(corpus.all_premises() + stranger)
 
     def test_recall_after_retraining_raises_stale_index(self):
@@ -578,7 +573,7 @@ class TestIndexAndRecall:
         new = EmbeddingModel.random_init(dim=4, n_features=64, seed=1)
         index = precompute_embeddings(old, corpus)
         pairs = [("s", frozenset({"lib/pool.lean::pool.p0"}))]
-        with pytest.raises(StaleIndex):
+        with pytest.raises(ProverloopError, match="^index built at .*, model is "):
             recall_at_k(new, index, pairs, k=10)
 
     def ranked_corpus(self):
@@ -647,9 +642,9 @@ class TestIndexAndRecall:
         corpus = tiny_corpus(n=4)
         m = EmbeddingModel.random_init(dim=4, n_features=64, seed=0)
         index = precompute_embeddings(m, corpus)
-        with pytest.raises(EmptyGroundTruth):
+        with pytest.raises(ProverloopError, match="^no evaluation pairs$"):
             recall_at_k(m, index, [], k=10)
-        with pytest.raises(EmptyGroundTruth):
+        with pytest.raises(ProverloopError, match="^empty ground truth for state 's'$"):
             recall_at_k(m, index, [("s", frozenset())], k=10)
 
 
@@ -793,10 +788,10 @@ class TestTraining:
         task = self.training_task()
         start = Checkpoint(model=EmbeddingModel.random_init(dim=6, n_features=64, seed=0))
         empty_examples = make_task(task.corpus, [], task.val_pairs)
-        with pytest.raises(EmptyDataset):
+        with pytest.raises(CorruptDocument, match="^task '.*' has no training examples$"):
             train_one_epoch(start, empty_examples, TrainConfig())
         empty_pairs = make_task(task.corpus, task.train_examples, [])
-        with pytest.raises(EmptyDataset):
+        with pytest.raises(CorruptDocument, match="^task '.*' has no validation pairs$"):
             train_one_epoch(start, empty_pairs, TrainConfig())
 
     def test_anchored_training_stays_closer_to_the_anchor(self):

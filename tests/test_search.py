@@ -11,7 +11,7 @@ from helpers import (
     random_search_fixture,
     theorem,
 )
-from proverloop.errors import CorruptDocument, EnvironmentFailure, IoFailure, StaleIndex, UnknownFile
+from proverloop.errors import CorruptDocument, EnvironmentFailure, IoFailure, ProverloopError
 from proverloop.retriever import EmbeddingModel, precompute_embeddings
 from proverloop.search import (
     GOAL,
@@ -65,7 +65,7 @@ class TestDependencyGraph:
 
     def test_unknown_file_rejected(self):
         graph = DependencyGraph(closure={"lib/a.lean": frozenset({"lib/a.lean"})})
-        with pytest.raises(UnknownFile):
+        with pytest.raises(ProverloopError, match="^file not in corpus: 'lib/ghost.lean'$"):
             graph.reachable("lib/ghost.lean")
 
 
@@ -181,13 +181,14 @@ class TestRetrievePremises:
     def test_model_index_version_mismatch(self):
         corpus, model, index = self.setup_index()
         other = EmbeddingModel.random_init(dim=8, n_features=256, seed=2)
-        with pytest.raises(StaleIndex):
+        with pytest.raises(ProverloopError, match="^index built at .*, model is "):
             retrieve_premises(other, index, "⊢ q", corpus.all_premises())
 
     def test_premise_missing_from_index(self):
         corpus, model, index = self.setup_index()
         stranger = premise("ghost.p", path="lib/ghost.lean")
-        with pytest.raises(StaleIndex):
+        with pytest.raises(ProverloopError,
+                           match="^premise 'lib/ghost.lean::ghost.p' missing from index$"):
             retrieve_premises(model, index, "⊢ q", [stranger])
 
 
@@ -367,7 +368,8 @@ class TestBestFirstSearch:
             def propose(self, state, premises, n):
                 return [("win", 0.25)]
 
-        with pytest.raises(ValueError):
+        with pytest.raises(ProverloopError,
+                           match=r"^generator proposed log-probability 0\.25 > 0$"):
             best_first_search(TableEnvironment(fx), Overconfident(), THM,
                               clock=TickClock())
 

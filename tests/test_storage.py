@@ -18,13 +18,7 @@ from proverloop.corpus import (
     theorem_to_json,
 )
 from proverloop.database import DynamicDatabase
-from proverloop.errors import (
-    CorruptDocument,
-    InvalidRecord,
-    IoFailure,
-    MalformedLine,
-    ProverloopError,
-)
+from proverloop.errors import CorruptDocument, IoFailure, ProverloopError
 from proverloop.retriever import Checkpoint, EmbeddingModel
 from proverloop.search import TableFixture
 from proverloop.storage import dump_json, parse_json, read_json, read_text, write_atomic
@@ -147,14 +141,15 @@ class TestLoneSurrogates:
     def test_corpus_line(self):
         doc = premise_file_to_json(pfile("lib/a.lean", names=("a.x", "a.y")))
         doc["premises"][1]["code"] = LONE
-        with pytest.raises(MalformedLine, match=r"line 2: premise file field premises\[1\]\.code"):
+        with pytest.raises(CorruptDocument,
+                           match=r"^line 2: premise file field premises\[1\]\.code"):
             parse_corpus("\n" + json.dumps(doc) + "\n")
 
     def test_theorem_file(self):
         doc = [theorem_to_json(theorem("t", tactics=(tactic("a.x"),)))]
         doc[0]["traced_tactics"][0]["state_before"] = LONE
-        with pytest.raises(InvalidRecord,
-                           match=r"theorem file field \[0\]\.traced_tactics\[0\]\.state_before"):
+        with pytest.raises(CorruptDocument,
+                           match=r"^theorem file field \[0\]\.traced_tactics\[0\]\.state_before"):
             load_theorems(json.dumps(doc))
 
     @pytest.mark.parametrize("what, load", [
