@@ -194,6 +194,8 @@ def parse_config(path: str | Path) -> RunConfig:
     fixture_dirs = tuple(
         (base / p.strip()).resolve() for p in raw.pop("fixtures").split(",") if p.strip()
     )
+    if not fixture_dirs:
+        raise CorruptDocument("config key 'fixtures' names no fixture directory")
     out_dir = (base / raw.pop("out", "out")).resolve()
 
     annotations = {f.name: f.type for f in dataclasses.fields(RunConfig)}

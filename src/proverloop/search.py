@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable, Protocol
 
@@ -57,10 +58,19 @@ class ProofEnvironment(Protocol):
     def apply(self, state: str, tactic: str) -> TacticOutcome: ...
 
 
+PremisesFn = Callable[[], list[Premise]]
+
+
 class TacticGenerator(Protocol):
     def propose(
-        self, state: str, premises: list[Premise] | None, n: int
-    ) -> list[tuple[str, float]]: ...
+        self, state: str, premises: PremisesFn | None, n: int
+    ) -> list[tuple[str, float]]:
+        """At most n (tactic, log-probability) pairs for the state.
+
+        premises returns the state's retrieved premises; a generator calls
+        it at most once, and only when its proposals depend on them. None
+        is the oracle's view: every premise is available.
+        """
 
 
 # -- dependency graph and retrieval ------------------------------------------
@@ -239,23 +249,22 @@ class TableGenerator:
     """Proposes the table's outgoing transitions, most probable first.
 
     An edge gated on a premise is only proposed when that premise was
-    retrieved; passing premises=None disables gating (the oracle's view).
+    retrieved. The premises are pulled once, and only at a state with a
+    gated edge; passing premises=None disables gating (the oracle's view).
     """
 
     def __init__(self, fixture: TableFixture) -> None:
         self.fixture = fixture
 
     def propose(
-        self, state: str, premises: list[Premise] | None, n: int
+        self, state: str, premises: PremisesFn | None, n: int
     ) -> list[tuple[str, float]]:
-        available = None if premises is None else {p.full_name for p in premises}
-        out = []
-        for e in self.fixture.by_source.get(state, ()):
-            if e.requires_premise is not None and available is not None \
-                    and e.requires_premise not in available:
-                continue
-            out.append((e.tactic, e.log_prob))
-        out.sort(key=lambda t: (-t[1], t[0]))
+        edges = self.fixture.by_source.get(state, ())
+        if premises is not None and any(e.requires_premise is not None for e in edges):
+            available = {p.full_name for p in premises()}
+            edges = [e for e in edges
+                     if e.requires_premise is None or e.requires_premise in available]
+        out = sorted(((e.tactic, e.log_prob) for e in edges), key=lambda t: (-t[1], t[0]))
         return out[:n]
 
 
@@ -303,7 +312,8 @@ def best_first_search(
     """Expand highest cumulative log-probability first; prune repeat states.
 
     A revisited state survives only with a better score. Environment crashes
-    count as failures and the edge is skipped.
+    count as failures and the edge is skipped. The generator pulls a state's
+    premises from retrieval_fn on demand, at most once per expansion.
     """
     import heapq
 
@@ -333,7 +343,7 @@ def best_first_search(
         if budget.max_expansions is not None and expansions >= budget.max_expansions:
             return SearchResult("timeout", None, None, expansions, elapsed(), failures)
         expansions += 1
-        premises = retrieval_fn(state) if retrieval_fn is not None else None
+        premises = None if retrieval_fn is None else partial(retrieval_fn, state)
         for tactic, log_prob in generator.propose(state, premises, budget.candidates):
             if log_prob > 0.0:
                 raise ProverloopError(f"generator proposed log-probability {log_prob} > 0")

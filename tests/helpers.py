@@ -2,6 +2,7 @@
 
 import math
 import zlib
+from functools import partial
 
 import numpy as np
 
@@ -424,6 +425,36 @@ def random_search_fixture(seed: int) -> tuple[TableFixture, Theorem]:
     return fixture, theorem
 
 
+# -- eager retrieval oracle ------------------------------------------------------
+
+class EagerGenerator:
+    """Retrieves at every propose, whether the inner generator reads the
+    premises or not, then delegates: the search protocol's behaviour before
+    premises were pulled on demand. Its results are the reference."""
+
+    def __init__(self, inner: TacticGenerator) -> None:
+        self.inner = inner
+
+    def propose(self, state, premises, n):
+        if premises is not None:
+            retrieved = premises()
+            premises = lambda: retrieved
+        return self.inner.propose(state, premises, n)
+
+
+class RecordingGenerator:
+    """Delegates to a generator and records the state of every propose,
+    which is one per search expansion."""
+
+    def __init__(self, inner: TacticGenerator) -> None:
+        self.inner = inner
+        self.states: list[str] = []
+
+    def propose(self, state, premises, n):
+        self.states.append(state)
+        return self.inner.propose(state, premises, n)
+
+
 # -- exhaustive search oracle -----------------------------------------------------
 
 def brute_force_prove(
@@ -440,7 +471,7 @@ def brute_force_prove(
     def dfs(state: str, path: tuple[str, ...], score: float) -> None:
         if len(path) >= depth_limit:
             return
-        premises = retrieval_fn(state) if retrieval_fn is not None else None
+        premises = None if retrieval_fn is None else partial(retrieval_fn, state)
         for tactic, log_prob in generator.propose(state, premises, candidates):
             if log_prob > 0.0:
                 raise ValueError(f"generator proposed log-probability {log_prob} > 0")

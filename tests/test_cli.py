@@ -316,6 +316,22 @@ class TestOverridesAndFailures:
             "repository 'fixture://repos/algebra@aaa1111'\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["ingest", "curriculum", "run"])
+    @pytest.mark.parametrize("value", ["", ",", " , ,"], ids=["empty", "comma", "commas"])
+    def test_a_config_with_no_fixture_directory_exits_two(self, demo, tmp_path, capsys,
+                                                          command, value):
+        root = tmp_path / "demo"
+        shutil.copytree(demo, root)
+        cfg = root / "run.cfg"
+        text = cfg.read_text(encoding="utf-8")
+        cfg.write_text(text.replace("fixtures = repo_algebra, repo_number, repo_topology",
+                                    f"fixtures = {value}"), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main([command, *cfg_args(root, out)]) == 2
+        assert capsys.readouterr().err == \
+            "error: config key 'fixtures' names no fixture directory\n"
+        assert not out.exists()
+
     def test_missing_config_exits_two(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2
         assert "error:" in capsys.readouterr().err

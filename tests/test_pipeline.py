@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dataset_from_metadata
-from proverloop import retriever
+from helpers import EagerGenerator, dataset_from_metadata
+from proverloop import pipeline, retriever
 from proverloop.corpus import STATUS_SORRY_PROVEN, serialize_corpus
 from proverloop.database import MERGE_ALL, SINGLE_REPO, DynamicDatabase
 from proverloop.errors import CorruptDocument, IoFailure, PipelineError, ProverloopError
@@ -42,7 +42,7 @@ from proverloop.pipeline import (
     write_fixture_dir,
 )
 from proverloop.retriever import Checkpoint, EmbeddingIndex, EmbeddingModel
-from proverloop.search import SearchResult, TableEnvironment, replay_proof
+from proverloop.search import SearchResult, TableEnvironment, TableGenerator, replay_proof
 
 REPORT_FILES = ("matrix.csv", "validation.csv", "metrics.json",
                 "proofs.json", "curriculum.json")
@@ -352,6 +352,29 @@ class TestRunPipeline:
             name = f"checkpoints/task_{k:02d}.ckpt"
             assert (config.out_dir / name).read_bytes() == \
                 (again.out_dir / name).read_bytes(), name
+
+    def test_retrieving_at_every_expansion_writes_the_same_bytes(self, finished_run, tmp_path,
+                                                                  monkeypatch):
+        # the eager reference retrieves at every expansion; pulling premises
+        # only where the generator reads them must not change a byte
+        config, _ = finished_run
+        retrieved = []
+        retrieve = pipeline.retrieve_premises
+        monkeypatch.setattr(pipeline, "retrieve_premises", lambda *a, **k: (
+            retrieved.append(1) or retrieve(*a, **k)))
+        monkeypatch.setattr(pipeline, "TableGenerator",
+                            lambda fixture: EagerGenerator(TableGenerator(fixture)))
+        eager = override_config(config, out_dir=tmp_path / "eager")
+        report = run_pipeline(eager)
+        assert len(retrieved) == sum(a.result.expansions for a in report.attempts) > 0
+
+        def files(root):
+            return {p.relative_to(root).as_posix(): p.read_bytes()
+                    for p in root.rglob("*") if p.is_file()}
+
+        want = files(config.out_dir)
+        assert any(name.startswith("checkpoints/") for name in want)
+        assert files(eager.out_dir) == want
 
     def test_out_dir_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
         """The demo run, in fresh interpreters at one and at two OpenBLAS

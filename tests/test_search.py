@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
+    EagerGenerator,
+    RecordingGenerator,
     brute_force_prove,
     corpus_of,
     pfile,
@@ -273,12 +277,45 @@ class TestTableGenerator:
             edge("s0", "free", -0.5, "s1"),
             edge("s0", "gated", -0.1, GOAL, requires_premise="base.one"),
         ))
-        without = gen.propose("s0", [], 10)
+        without = gen.propose("s0", lambda: [], 10)
         assert without == [("free", -0.5)]
-        with_premise = gen.propose("s0", [premise("base.one", path="lib/base.lean")], 10)
+        with_premise = gen.propose(
+            "s0", lambda: [premise("base.one", path="lib/base.lean")], 10)
         assert with_premise == [("gated", -0.1), ("free", -0.5)]
         ungated = gen.propose("s0", None, 10)
         assert ungated == [("gated", -0.1), ("free", -0.5)]
+
+    def counting(self, retrieved=()):
+        calls = []
+
+        def premises():
+            calls.append(1)
+            return list(retrieved)
+
+        return premises, calls
+
+    def test_premises_are_not_pulled_at_a_state_without_a_gated_edge(self):
+        gen = TableGenerator(fixture_of(
+            {KEY: "s0"},
+            edge("s0", "free", -0.5, "s1"),
+            edge("s1", "gated", -0.1, GOAL, requires_premise="base.one"),
+        ))
+        premises, calls = self.counting()
+        assert gen.propose("s0", premises, 10) == [("free", -0.5)]
+        assert gen.propose("elsewhere", premises, 10) == []
+        assert calls == []
+
+    def test_two_gated_edges_pull_premises_once_and_none_proposes_both(self):
+        gen = TableGenerator(fixture_of(
+            {KEY: "s0"},
+            edge("s0", "one", -0.1, GOAL, requires_premise="base.one"),
+            edge("s0", "two", -0.2, GOAL, requires_premise="base.two"),
+            edge("s0", "free", -0.5, "s1"),
+        ))
+        premises, calls = self.counting([premise("base.two", path="lib/base.lean")])
+        assert gen.propose("s0", premises, 10) == [("two", -0.2), ("free", -0.5)]
+        assert calls == [1]
+        assert gen.propose("s0", None, 10) == [("one", -0.1), ("two", -0.2), ("free", -0.5)]
 
 
 def search_on(fx, budget=None, clock=None, retrieval_fn=None):
@@ -456,6 +493,55 @@ class TestBruteForce:
         env, gen = TableEnvironment(fx), TableGenerator(fx)
         assert brute_force_prove(env, gen, THM, 2, retrieval_fn=lambda s: []) == []
         assert brute_force_prove(env, gen, THM, 2) == [(("gated",), -0.1)]
+
+
+PREMISE_NAMES = ("base.one", "base.two", "base.three")
+
+
+@st.composite
+def gated_searches(draw):
+    """A small table whose edges may be gated, crash or loop back, the
+    premises retrieval returns at each state, and an expansion cap."""
+    states = [f"s{i}" for i in range(draw(st.integers(1, 4)))]
+    edges = []
+    for state in states:
+        for t in range(draw(st.integers(0, 3))):
+            edges.append(edge(
+                state, f"t{t}", draw(st.sampled_from((0.0, -0.25, -0.5, -1.0, -2.0))),
+                draw(st.sampled_from(states + [GOAL])),
+                requires_premise=draw(st.none() | st.sampled_from(PREMISE_NAMES)),
+                fails=draw(st.sampled_from((False, False, False, True))),
+            ))
+    retrieved = {s: draw(st.sets(st.sampled_from(PREMISE_NAMES))) for s in states}
+    cap = draw(st.none() | st.integers(1, 6))
+    return fixture_of({KEY: "s0"}, *edges), retrieved, cap
+
+
+class TestOnDemandPremises:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(gated_searches())
+    def test_search_equals_the_eager_reference_and_retrieves_only_at_gated_states(
+            self, search):
+        fx, retrieved, cap = search
+        pulled = []
+
+        def retrieval_fn(state):
+            pulled.append(state)
+            return [premise(name, path="lib/base.lean") for name in sorted(retrieved[state])]
+
+        budget = SearchBudget(max_expansions=cap)
+        env = TableEnvironment(fx)
+        eager = best_first_search(env, EagerGenerator(TableGenerator(fx)), THM,
+                                  retrieval_fn=retrieval_fn, budget=budget, clock=TickClock())
+        assert len(pulled) == eager.expansions
+        pulled.clear()
+
+        generator = RecordingGenerator(TableGenerator(fx))
+        lazy = best_first_search(env, generator, THM, retrieval_fn=retrieval_fn,
+                                 budget=budget, clock=TickClock())
+        assert lazy == eager
+        gated = {e.source for e in fx.edges if e.requires_premise is not None}
+        assert pulled == [s for s in generator.states if s in gated]
 
 
 class TestAgainstRandomInstances:

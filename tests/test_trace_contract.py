@@ -14,9 +14,11 @@ from pathlib import Path
 
 import pytest
 
+from helpers import RecordingGenerator
 from proverloop import pipeline, retriever
 from proverloop.fixtures import write_bundled
 from proverloop.pipeline import ingest_fixtures, override_config, parse_config
+from proverloop.search import TableGenerator
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -96,11 +98,27 @@ def test_wrapped_layers_were_called(traced_demo):
         assert metrics[name] > 0, name
 
 
-def test_every_expansion_retrieves_through_the_wrapped_name(traced_demo):
+def test_each_expansion_at_a_gated_state_retrieves_through_the_wrapped_name(
+        traced_demo, tmp_path, monkeypatch):
     # retrieval that bypasses search.retrieve_premises would read 0 calls here
-    # and quietly zero search.retrieve_ms_p50
+    # and quietly zero search.retrieve_ms_p50. The generator reads premises
+    # only at a state with an edge gated on one, so only there is one retrieval.
     _, _, metrics, _ = traced_demo
-    assert metrics["search.retrieval_calls"] == metrics["search.expansions"]
+    generators = []
+
+    def recording(fixture):
+        generators.append((fixture, RecordingGenerator(TableGenerator(fixture))))
+        return generators[-1][1]
+
+    monkeypatch.setattr(pipeline, "TableGenerator", recording)
+    write_bundled(tmp_path)
+    pipeline.run_pipeline(override_config(parse_config(tmp_path / "run.cfg"),
+                                          out_dir=str(tmp_path / "out")))
+    expanded = [(fixture, state) for fixture, g in generators for state in g.states]
+    at_gated = sum(any(e.requires_premise is not None for e in fixture.by_source.get(state, ()))
+                   for fixture, state in expanded)
+    assert len(expanded) == metrics["search.expansions"]
+    assert metrics["search.retrieval_calls"] == at_gated > 0
 
 
 def test_featurizing_goes_through_the_cached_name(traced_demo):
