@@ -12,11 +12,21 @@ from __future__ import annotations
 import dataclasses
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Any, Callable
 
-from .corpus import corpus_from_files, dump_theorems, load_theorems, parse_corpus, serialize_corpus
+from .corpus import (
+    Corpus,
+    Premise,
+    PremiseFile,
+    Theorem,
+    corpus_from_files,
+    dump_theorems,
+    load_theorems,
+    parse_corpus,
+    serialize_corpus,
+)
 from .curriculum import (
     CategoryCounts,
     Thresholds,
@@ -43,6 +53,7 @@ from .metrics import (
 )
 from .retriever import (
     Checkpoint,
+    EmbeddingIndex,
     EmbeddingModel,
     RetrievalTask,
     TrainConfig,
@@ -53,6 +64,8 @@ from .retriever import (
     train_one_epoch,
 )
 from .search import (
+    DependencyGraph,
+    RetrievalFn,
     SearchBudget,
     SearchResult,
     TableEnvironment,
@@ -104,6 +117,9 @@ class RunConfig:
         object.__setattr__(self, "strategy", parse_strategy(self.strategy))
         for key, interval in _RANGES:
             check_within(key, getattr(self, key), interval)
+        for key in _UNSET_OR_POSITIVE:
+            if getattr(self, key) is not None:
+                check_within(key, getattr(self, key), "[1, inf)")
 
 
 # Every interval is open at infinity, so NaN and the infinities never pass.
@@ -125,6 +141,8 @@ _RANGES = (
     ("clip_norm", "[0, inf)"),
     ("ewc_lambda", "[0, inf)"),
 )
+# Optional counts: None, which a config file writes as 0, leaves them unset.
+_UNSET_OR_POSITIVE = ("eval_every", "max_expansions")
 
 
 def check_within(key: str, value: float, interval: str) -> None:
@@ -153,8 +171,11 @@ def parse_strategy(raw: str) -> str:
 
 
 def _opt_int(raw: str) -> int | None:
+    """An optional count: 0 leaves it unset, and a negative one is an error."""
     value = int(raw)
-    return value if value > 0 else None
+    if value < 0:
+        raise CorruptDocument(f"must be 0 (unset) or in [1, inf), got {value}")
+    return value or None
 
 
 # The parser for each RunConfig annotation a config value can take; the
@@ -388,8 +409,12 @@ def prove_goals(
     """Search every open goal of the given repositories, in their order, and
     record each proof found in the database.
 
-    Each repository with open goals is one `prove:<name>` stage; the others
-    are skipped before their corpus, graph and index are built.
+    Each repository with open goals is one `prove:<name>` stage. Its corpus,
+    dependency graph and index are built when the first of its goals
+    retrieves, and a goal's accessible premises, their rows and embedding
+    block on its own first retrieval; a stage whose goals never retrieve
+    builds none of them. Under wall_clock, the first goal that retrieves
+    counts that one-time setup in its elapsed_ms and time budget.
     """
     budget = SearchBudget(time_ms=config.time_budget_ms, max_expansions=config.max_expansions,
                           candidates=config.candidates)
@@ -400,27 +425,49 @@ def prove_goals(
         if not sorries:
             continue
         with _stage(f"prove:{record.name}"):
-            corpus = corpus_from_files(record.premise_files)
-            graph = build_dependency_graph(corpus)
-            index = precompute_embeddings(model, corpus)
+            stage = cache(partial(_stage_inputs, model, record.premise_files))
             env = TableEnvironment(environments[repo_id])
             generator = TableGenerator(environments[repo_id])
             for theorem in sorries:
-                accessible = accessible_premises(graph, corpus, theorem)
-                rows = index.rows_of(accessible)
-                retrieval_fn = partial(  # rows and their block are gathered once, for this goal
-                    retrieve_premises, model, index, accessible=accessible,
-                    fraction=config.retrieval_fraction, max_n=config.retrieval_max,
-                    rows=rows, block=index.matrix[rows],
-                )
                 result = best_first_search(
-                    env, generator, theorem, retrieval_fn=retrieval_fn, budget=budget,
-                    clock=None if config.wall_clock else TickClock(),
+                    env, generator, theorem,
+                    retrieval_fn=_goal_retrieval(model, config, stage, theorem),
+                    budget=budget, clock=None if config.wall_clock else TickClock(),
                 )
                 attempts.append(ProofAttempt(theorem.key_str, repo_id, phase, result))
                 if result.status == "proved" and result.proof is not None:
                     db.record_sorry_proof(theorem.key, result.proof)
     return attempts
+
+
+def _stage_inputs(
+    model: EmbeddingModel, files: list[PremiseFile]
+) -> tuple[Corpus, DependencyGraph, EmbeddingIndex]:
+    corpus = corpus_from_files(files)
+    return corpus, build_dependency_graph(corpus), precompute_embeddings(model, corpus)
+
+
+def _goal_retrieval(
+    model: EmbeddingModel,
+    config: RunConfig,
+    stage: Callable[[], tuple[Corpus, DependencyGraph, EmbeddingIndex]],
+    theorem: Theorem,
+) -> RetrievalFn:
+    """The goal's retrieval_fn; its first call gathers the goal's accessible
+    premises, their rows and their block, for all of the goal's states."""
+    @cache
+    def inputs():
+        corpus, graph, index = stage()
+        accessible = accessible_premises(graph, corpus, theorem)
+        rows = index.rows_of(accessible)
+        return index, accessible, rows, index.matrix[rows]
+
+    def retrieve(state: str) -> list[Premise]:
+        index, accessible, rows, block = inputs()
+        return retrieve_premises(model, index, state, accessible,
+                                 fraction=config.retrieval_fraction, max_n=config.retrieval_max,
+                                 rows=rows, block=block)
+    return retrieve
 
 
 def run_pipeline(config: RunConfig, *, prove: bool = True) -> RunReport:

@@ -413,7 +413,7 @@ def mine_training_examples(
                 same = file_rows[pos.file_path]
                 chosen: list[int] = []
                 if len(same) > 1:
-                    j = int(rng.choice(len(same) - 1))
+                    j = int(rng.integers(len(same) - 1))
                     chosen.append(same[j + (j >= slot[pos_i])])
                 taken = sorted([pos_i, *chosen])
                 need = NEGATIVES_PER_EXAMPLE - len(chosen)
@@ -740,12 +740,15 @@ def _best_of_epoch(
     best_model = None
     best_recall = -1.0
     for step, batch in enumerate(batches):
-        model = EmbeddingModel(weight=weight)
-        _, grad = batch_loss_and_grad(model, batch, ewc=config.ewc, features=features)
+        # the step reads only the gradient, so the penalty's value is not taken;
+        # its gradient is added as batch_loss_and_grad(..., ewc=) adds it
+        _, grad = batch_loss_and_grad(EmbeddingModel(weight=weight), batch, features=features)
+        if config.ewc is not None:
+            grad += ewc_penalty_grad(weight.reshape(-1), config.ewc).reshape(grad.shape)
         # numpy's own pairwise sum: a BLAS dot would split it by thread count
         norm = float(np.sqrt(np.sum(grad * grad)))
         if config.clip_norm > 0.0 and norm > config.clip_norm:
-            grad = grad * (config.clip_norm / norm)
+            grad *= config.clip_norm / norm
         weight = weight - lr_at(step, total, config.warmup_steps, config.lr) * grad
         if (step + 1) % eval_every == 0 or step == total - 1:
             candidate = EmbeddingModel(weight=weight)

@@ -133,8 +133,9 @@ def retrieve_premises(
 
     Keeps ceil(fraction * N) of the N accessible premises, then at most
     max_n. Ties break by ascending premise key. A search passes rows =
-    index.rows_of(accessible) and block = index.matrix[rows], gathered once
-    for all of a goal's states.
+    index.rows_of(accessible) and block = index.matrix[rows], gathered on
+    the goal's first retrieval for all of its states; pipeline.prove_goals
+    builds the index itself only when a goal of its stage first retrieves.
     """
     if not accessible:
         return []

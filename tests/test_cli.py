@@ -273,6 +273,22 @@ class TestOverridesAndFailures:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value", [("max_expansions", -2), ("eval_every", -3)])
+    def test_a_negative_optional_count_exits_two(self, demo, tmp_path, capsys, key, value):
+        # 0 leaves the count unset; a negative one used to read as unset too
+        root = tmp_path / "demo"
+        shutil.copytree(demo, root)
+        cfg = root / "run.cfg"
+        lines = cfg.read_text(encoding="utf-8").splitlines()
+        [i] = [i for i, text in enumerate(lines) if text.startswith(f"{key} =")]
+        lines[i] = f"{key} = {value}"
+        cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["run", *cfg_args(root, out)]) == 2
+        assert capsys.readouterr().err == (f"error: bad config value for {key!r}: "
+                                           f"must be 0 (unset) or in [1, inf), got {value}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["ingest", "run"])
     @pytest.mark.parametrize("key, line", [
         ("out", "out = a\x00b"),

@@ -48,6 +48,13 @@ REPORT_FILES = ("matrix.csv", "validation.csv", "metrics.json",
                 "proofs.json", "curriculum.json")
 
 
+class OracleGenerator(TableGenerator):
+    """Proposes every edge, gated or not, and so never reads premises."""
+
+    def propose(self, state, premises, n):
+        return super().propose(state, None, n)
+
+
 # Any character, surrogates included, mixed with the ones config syntax and
 # paths give a meaning to.
 _CONFIG_TEXT = st.text(st.characters(exclude_categories=()) | st.sampled_from("\0\n\r=#,./"))
@@ -82,7 +89,7 @@ class TestParseConfig:
         assert cfg.ewc_lambda == 0.25
         assert cfg.window == 3
         assert cfg.lr == 0.5
-        assert cfg.eval_every is None  # non-positive means default
+        assert cfg.eval_every is None  # 0 means unset
         assert cfg.max_expansions == 200
         assert cfg.prove_after is True
         assert cfg.wall_clock is False
@@ -193,14 +200,16 @@ class TestOverrideConfig:
     def test_closed_ends_of_the_ranges_are_accepted(self):
         cfg = override_config(self.base(), clip_norm=0.0, ewc_lambda=0.0,
                               retrieval_fraction=1.0, warmup_steps=0,
-                              candidates=1, retrieval_max=1)
+                              candidates=1, retrieval_max=1, eval_every=1, max_expansions=1)
         assert (cfg.clip_norm, cfg.ewc_lambda, cfg.retrieval_fraction) == (0.0, 0.0, 1.0)
+        assert (cfg.eval_every, cfg.max_expansions) == (1, 1)
 
     @pytest.mark.parametrize("key, value", [
         ("lr", 0.0), ("lr", float("inf")), ("init_scale", 0.0), ("time_budget_ms", 0.0),
         ("val_frac", 0.0), ("test_frac", 1.0), ("retrieval_fraction", 0.0),
         ("clip_norm", float("nan")), ("ewc_lambda", float("inf")), ("warmup_steps", -1),
-        ("strategy", "everything"),
+        ("strategy", "everything"), ("eval_every", 0), ("eval_every", -3),
+        ("max_expansions", 0), ("max_expansions", -2),
     ])
     def test_open_ends_and_non_finite_values_are_rejected(self, key, value):
         with pytest.raises(CorruptDocument, match=key):
@@ -448,20 +457,50 @@ class TestTrainThenProve:
             thm = next(t for t in record.theorems if t.key_str == attempt.theorem)
             assert thm.status == STATUS_SORRY_PROVEN
 
-    def test_premise_rows_are_resolved_once_per_goal(self, bundle, tmp_path, monkeypatch):
-        config = override_config(parse_config(bundle / "run.cfg"),
-                                 out_dir=tmp_path / "rows_once")
+    def untrained(self, bundle, tmp_path, name):
+        config = override_config(parse_config(bundle / "run.cfg"), out_dir=tmp_path / name)
         Checkpoint(model=EmbeddingModel.random_init(
             dim=config.embedding_dim, n_features=config.feature_buckets,
             seed=config.seed, scale=config.init_scale,
         )).save(tmp_path / "untrained.ckpt")
-        resolved = []
+        return config, tmp_path / "untrained.ckpt"
+
+    def test_premise_rows_are_resolved_once_per_goal(self, bundle, tmp_path, monkeypatch):
+        # once for each goal that retrieves, and never for one that does not
+        config, ckpt = self.untrained(bundle, tmp_path, "rows_once")
+        resolved, retrieved = [], []
         rows_of = EmbeddingIndex.rows_of
         monkeypatch.setattr(EmbeddingIndex, "rows_of", lambda index, premises: (
-            resolved.append(len(premises)) or rows_of(index, premises)))
-        _, attempts = prove_standalone(config, tmp_path / "untrained.ckpt")
-        expansions = sum(a.result.expansions for a in attempts)
-        assert len(resolved) == len(attempts) < expansions
+            resolved.append(premises) or rows_of(index, premises)))
+        retrieve = pipeline.retrieve_premises
+        monkeypatch.setattr(pipeline, "retrieve_premises", lambda model, index, state, accessible,
+                            **k: retrieved.append(accessible) or retrieve(
+                                model, index, state, accessible, **k))
+        _, attempts = prove_standalone(config, ckpt)
+        # one accessible list per goal, so the goals that retrieved are the
+        # distinct lists retrieve_premises saw; the others resolve no rows
+        goals = {id(accessible): accessible for accessible in retrieved}
+        assert sorted(map(id, resolved)) == sorted(goals)
+        assert 0 < len(goals) < len(attempts)
+
+    def test_a_stage_whose_goals_never_retrieve_builds_nothing(self, bundle, tmp_path,
+                                                                monkeypatch):
+        config, ckpt = self.untrained(bundle, tmp_path, "no_retrieval")
+        names = ("corpus_from_files", "build_dependency_graph", "precompute_embeddings",
+                 "accessible_premises")
+        built = []
+
+        def recording(name, fn):
+            return lambda *a, **k: built.append(name) or fn(*a, **k)
+
+        for name in names:
+            monkeypatch.setattr(pipeline, name, recording(name, getattr(pipeline, name)))
+        prove_standalone(config, ckpt)
+        assert set(built) == set(names)
+        built.clear()
+        monkeypatch.setattr(pipeline, "TableGenerator", OracleGenerator)
+        _, attempts = prove_standalone(config, ckpt)
+        assert attempts and built == []
 
     def test_default_checkpoint_is_the_last_tasks(self, bundle, tmp_path):
         config = override_config(parse_config(bundle / "run.cfg"),

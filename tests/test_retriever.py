@@ -936,6 +936,24 @@ class TestExampleFeatures:
         assert got.history == want.history == ("earlier", "unit")
         assert np.array_equal(got.fisher, want.fisher)
 
+    def test_an_epoch_never_takes_the_penalty_value(self, monkeypatch):
+        # the steps read only the gradient; a small clip norm clips every step
+        task = self.task()
+        start = Checkpoint(model=EmbeddingModel.random_init(dim=6, n_features=64, seed=4))
+        ewc = EwcTerm(lam=0.5, fisher=np.linspace(0.0, 2.0, start.model.weight.size),
+                      anchor=start.model.flat() - 0.02)
+        config = TrainConfig(lr=0.2, warmup_steps=1, batch_size=3, clip_norm=1e-3, seed=6,
+                             ewc=ewc)
+        want = train_one_epoch_oracle(start, task, config)
+
+        def refuse(theta, term):
+            raise AssertionError("ewc_penalty called")
+
+        monkeypatch.setattr(retriever, "ewc_penalty", refuse)
+        got = train_one_epoch(start, task, config)
+        assert np.array_equal(got.model.weight, want.model.weight)
+        assert np.array_equal(got.fisher, want.fisher)
+
     def test_an_epoch_hashes_each_state_once_and_no_premise(self, monkeypatch):
         task = self.task()
         cache = functools.lru_cache(maxsize=None)(retriever.ngram_features.__wrapped__)

@@ -8,13 +8,14 @@ whose repositories share premise files, as the demo's do not.
 """
 
 import importlib.util
+import json
 import math
 import sys
 from pathlib import Path
 
 import pytest
 
-from helpers import RecordingGenerator
+from helpers import RecordingGenerator, dataset_from_metadata
 from proverloop import pipeline, retriever
 from proverloop.fixtures import write_bundled
 from proverloop.pipeline import ingest_fixtures, override_config, parse_config
@@ -44,18 +45,40 @@ def traced_run(tracing, config):
 
 
 def assert_featurize_keys_are_whole_files(tracer, config):
-    """The tracer's featurize cache holds exactly one key per premise file of
-    the config's repositories: no per-text key, no part of a file, and no
-    file featurized off the cached name."""
+    """The tracer's featurize cache holds exactly one key per premise file the
+    run embeds, every file of every task's dataset corpus and of every
+    repository whose prove stage retrieved: no per-text key, no part of a
+    file, and no file featurized off the cached name."""
     db, _ = ingest_fixtures(config)
-    keys = {(f.texts, config.feature_buckets)
-            for record in db.repositories for f in record.premise_files if f.premises}
+    out = Path(config.out_dir)
+    files = [f for meta in sorted(out.glob("datasets/*/metadata.json"))
+             for f in dataset_from_metadata(db, json.loads(meta.read_text("utf-8"))).corpus.files]
+    files += [f for repo_id in retrieving_repositories(tracer, out)
+              for f in db.get_repository(repo_id).premise_files]
+    keys = {(f.texts, config.feature_buckets) for f in files if f.premises}
     cache = tracer.featurize_cache
     assert cache.cache_info().currsize == len(keys)
     misses = cache.cache_info().misses
     for texts, n_features in keys:
         cache(texts, n_features)
     assert cache.cache_info().misses == misses
+
+
+def retrieving_repositories(tracer, out):
+    """The repositories of the goals inside whose search a retrieval span
+    opened; goal spans and proofs.json's attempts are in the same order."""
+    spans = tracer.spans
+    goals = [i for i, span in enumerate(spans) if span[0] == "search.goal"]
+    attempts = json.loads((out / "proofs.json").read_text("utf-8"))["attempts"]
+    assert len(goals) == len(attempts)
+
+    def goal_of(i):
+        while spans[i][0] != "search.goal":
+            i = spans[i][3]
+        return i
+
+    return {attempts[goals.index(goal_of(i))]["repo"]
+            for i, span in enumerate(spans) if span[0] == "search.retrieve"}
 
 
 def attributes():
@@ -68,13 +91,17 @@ def attributes():
 
 
 @pytest.fixture(scope="module")
-def traced_demo(tmp_path_factory):
-    tracing = load_perfbench("tracing")
+def demo_config(tmp_path_factory):
     root = tmp_path_factory.mktemp("trace_demo")
     write_bundled(root)
-    config = override_config(parse_config(root / "run.cfg"), out_dir=str(root / "out"))
+    return override_config(parse_config(root / "run.cfg"), out_dir=str(root / "out"))
+
+
+@pytest.fixture(scope="module")
+def traced_demo(demo_config):
+    tracing = load_perfbench("tracing")
     before = attributes()
-    tracer = traced_run(tracing, config)
+    tracer = traced_run(tracing, demo_config)
     metrics = tracing.layer_metrics(tracer.spans, tracer.featurize_cache.cache_info())
     return tracing, before, metrics, tracer
 
@@ -134,15 +161,17 @@ def test_tracer_cache_has_the_featurizer_cache_size(traced_demo):
         retriever.ngram_features.cache_info().maxsize
 
 
-def test_every_featurize_cache_key_is_one_demo_premise_file(traced_demo, tmp_path):
+def test_every_featurize_cache_key_is_one_demo_premise_file(traced_demo, demo_config):
     _, _, _, tracer = traced_demo
-    write_bundled(tmp_path)
-    assert_featurize_keys_are_whole_files(tracer, parse_config(tmp_path / "run.cfg"))
+    assert retrieving_repositories(tracer, demo_config.out_dir)
+    assert_featurize_keys_are_whole_files(tracer, demo_config)
 
 
-def test_every_featurize_cache_key_is_one_shared_premise_file(tmp_path):
+def test_every_featurize_cache_key_is_one_embedded_premise_file(tmp_path):
     # merge-churn re-adds each repository's files in the next, so a model
-    # meets files whose texts it has partly embedded already
+    # meets files whose texts it has partly embedded already; its prove
+    # stages never retrieve, so the re-added copies that no dataset corpus
+    # keeps are never featurized
     workloads = load_perfbench("workloads")
     config = override_config(
         parse_config(workloads.write(workloads.generate("merge-churn", 401), tmp_path)),
