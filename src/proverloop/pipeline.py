@@ -58,6 +58,7 @@ from .retriever import (
     RetrievalTask,
     TrainConfig,
     extract_eval_pairs,
+    ground_truth_rows,
     mine_training_examples,
     precompute_embeddings,
     recall_at_k,
@@ -354,12 +355,17 @@ def emit_reports(report: RunReport, out_dir: str | Path) -> None:
 def _build_task(
     name: str, dataset: GeneratedDataset, seed: int
 ) -> RetrievalTask:
+    corpus = dataset.corpus
+    val_pairs = extract_eval_pairs(dataset.split.val, corpus)
+    test_pairs = extract_eval_pairs(dataset.split.test, corpus)
     return RetrievalTask(
         name=name,
-        corpus=dataset.corpus,
-        train_examples=mine_training_examples(dataset.split.train, dataset.corpus, seed=seed),
-        val_pairs=extract_eval_pairs(dataset.split.val, dataset.corpus),
-        test_pairs=extract_eval_pairs(dataset.split.test, dataset.corpus),
+        corpus=corpus,
+        train_examples=mine_training_examples(dataset.split.train, corpus, seed=seed),
+        val_pairs=val_pairs,
+        test_pairs=test_pairs,
+        val_rows=ground_truth_rows(val_pairs, corpus.keys),
+        test_rows=ground_truth_rows(test_pairs, corpus.keys),
     )
 
 
@@ -471,6 +477,16 @@ def _goal_retrieval(
 
 
 def run_pipeline(config: RunConfig, *, prove: bool = True) -> RunReport:
+    """Train through the curriculum, proving after each task when prove is
+    set, and write every report.
+
+    The forgetting metrics compare tasks, so a run needs at least two
+    fixture directories; fewer are rejected before anything is written.
+    """
+    if len(config.fixture_dirs) < 2:
+        raise CorruptDocument(
+            f"config key 'fixtures' names {len(config.fixture_dirs)} fixture directory; "
+            "a run needs at least two, since its metrics compare tasks")
     out = Path(config.out_dir)
     db, environments = ingest_fixtures(config)
     thresholds, ordered = build_curriculum(db)
@@ -519,7 +535,7 @@ def run_pipeline(config: RunConfig, *, prove: bool = True) -> RunReport:
             for earlier in tasks:
                 index = precompute_embeddings(checkpoint.model, earlier.corpus)
                 row.append(100.0 * recall_at_k(
-                    checkpoint.model, index, earlier.test_pairs, k=10
+                    checkpoint.model, index, earlier.test_pairs, k=10, gt_rows=earlier.test_rows
                 ))
             matrix_rows.append(row)
 

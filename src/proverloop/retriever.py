@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from pathlib import Path
@@ -297,7 +298,7 @@ def example_features(
 
 
 def batch_loss_and_grad(
-    model: EmbeddingModel,
+    model: EmbeddingModel | np.ndarray,
     batch: list[TrainingExample],
     ewc: EwcTerm | None = None,
     features: dict[str, np.ndarray] | None = None,
@@ -314,17 +315,19 @@ def batch_loss_and_grad(
     fixed fallback embedding and contribute zero gradient.
 
     The texts' feature rows come from features (example_features) when it
-    is given, and are hashed otherwise.
+    is given, and are hashed otherwise. model is the encoder or its weights,
+    which are only read.
     """
     if not batch:
         raise ProverloopError("empty batch")
+    weight = model.weight if isinstance(model, EmbeddingModel) else model
     texts = [t for ex in batch for t in ex.texts()]
     # as float64, so both products below run in float64
     if features is None:
-        phi = hash_ngrams(texts, model.n_features).astype(np.float64)
+        phi = hash_ngrams(texts, weight.shape[1]).astype(np.float64)
     else:
         phi = np.array([features[t] for t in texts], dtype=np.float64)
-    e, norms = _unit_rows(phi @ model.weight.T)
+    e, norms = _unit_rows(phi @ weight.T)
 
     n_cand = np.array([1 + len(ex.negatives) for ex in batch])
     first = np.cumsum(n_cand) - n_cand  # each positive's position among the candidates
@@ -349,9 +352,9 @@ def batch_loss_and_grad(
     grad /= len(batch)
     if ewc is not None:
         del phi, grad_u  # so the penalty's temporaries do not raise the peak
-        theta = model.weight.reshape(-1)
+        theta = weight.reshape(-1)
         total += ewc_penalty(theta, ewc)
-        grad += ewc_penalty_grad(theta, ewc).reshape(model.weight.shape)
+        grad += ewc_penalty_grad(theta, ewc).reshape(weight.shape)
     return total, grad
 
 
@@ -509,23 +512,59 @@ def rank_by_similarity(sims: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray
     return np.lexsort((rows, neg))[:k]
 
 
-def _top_k_rows(sims: np.ndarray, k: int) -> list[np.ndarray]:
-    """For each row of sims, the set of columns that
-    rank_by_similarity(row, columns, k) keeps, in no particular order.
+def _top_k_mask(sims: np.ndarray, k: int) -> np.ndarray:
+    """kept[i, j]: whether rank_by_similarity(sims[i], columns, k) keeps
+    column j.
 
-    One partition finds every row's k-th largest similarity. Where exactly
-    k columns reach it, they are the top k whatever the tie-break; a row
-    with a tie at the cut, or a NaN cut, is ranked on its own.
+    One partition of the negated similarities, in place so that no second
+    copy of the block is made, finds every row's k-th largest similarity.
+    Where exactly k columns reach it, they are the top k whatever the
+    tie-break; a row with a tie at the cut, or a NaN cut, is ranked on its
+    own.
     """
-    n_rows, n_cols = sims.shape
-    columns = np.arange(n_cols)
+    n_cols = sims.shape[1]
     if k >= n_cols:
-        return [columns] * n_rows
+        return np.ones(sims.shape, dtype=bool)
     neg = -sims
-    kept = neg <= np.partition(neg, k - 1, axis=1)[:, k - 1:k]
-    exact = np.count_nonzero(kept, axis=1) == k
-    return [np.flatnonzero(row_kept) if ok else rank_by_similarity(row, columns, k)
-            for row, row_kept, ok in zip(sims, kept, exact)]
+    neg.partition(k - 1, axis=1)
+    kept = sims >= -neg[:, k - 1:k]
+    columns = np.arange(n_cols)
+    for i in np.flatnonzero(np.count_nonzero(kept, axis=1) != k):
+        kept[i] = False
+        kept[i, rank_by_similarity(sims[i], columns, k)] = True
+    return kept
+
+
+@dataclass(frozen=True)
+class GroundTruthRows:
+    """The ground truth of an eval set as rows of keys, an index's key order.
+
+    query and row hold one (query, row) pair per ground-truth key that keys
+    holds, in query order. size is each query's number of ground-truth
+    keys, counting those that keys lacks.
+    """
+
+    keys: tuple[str, ...]
+    query: np.ndarray
+    row: np.ndarray
+    size: np.ndarray
+
+
+def ground_truth_rows(eval_pairs: list[EvalPair], keys: tuple[str, ...]) -> GroundTruthRows:
+    """Resolve the pairs' ground-truth keys to rows of keys, which must be
+    in ascending order as an index's are, by bisection."""
+    query: list[int] = []
+    row: list[int] = []
+    for q, (_, gt) in enumerate(eval_pairs):
+        for key in gt:
+            i = bisect_left(keys, key)
+            if i < len(keys) and keys[i] == key:
+                query.append(q)
+                row.append(i)
+    # int32, not intp: a task keeps its rows for the whole run
+    return GroundTruthRows(keys=keys, query=np.array(query, dtype=np.int32),
+                           row=np.array(row, dtype=np.int32),
+                           size=np.array([len(gt) for _, gt in eval_pairs], dtype=np.int32))
 
 
 def recall_at_k(
@@ -533,12 +572,16 @@ def recall_at_k(
     index: EmbeddingIndex,
     eval_pairs: list[EvalPair],
     k: int = 10,
+    gt_rows: GroundTruthRows | None = None,
 ) -> float:
     """Mean fraction of ground-truth premises found in the top k.
 
     Similarity ties break by ascending premise key. Queries are scored
     RECALL_BLOCK at a time, one product each, so the similarities held at
-    once stay small.
+    once stay small. gt_rows is ground_truth_rows(eval_pairs, index.keys),
+    resolved here when not given. A block's hits are its _top_k_mask at
+    the queries' ground-truth rows, counted with one bincount, and the
+    fractions are added in query order.
     """
     if k < 1:
         raise ProverloopError("k must be positive")
@@ -548,12 +591,20 @@ def recall_at_k(
     for state, gt in eval_pairs:
         if not gt:
             raise ProverloopError(f"empty ground truth for state {state!r}")
+    if gt_rows is None:
+        gt_rows = ground_truth_rows(eval_pairs, index.keys)
+    elif gt_rows.keys != index.keys or len(gt_rows.size) != len(eval_pairs):
+        raise ProverloopError("ground-truth rows resolved for other pairs or another index")
     queries = model.embed_many([state for state, _ in eval_pairs])
     total = 0.0
     for lo in range(0, len(eval_pairs), RECALL_BLOCK):
         sims = queries[lo:lo + RECALL_BLOCK] @ index.matrix.T
-        for (_, gt), top in zip(eval_pairs[lo:lo + RECALL_BLOCK], _top_k_rows(sims, k)):
-            total += len(gt.intersection(index.keys[i] for i in top)) / len(gt)
+        kept = _top_k_mask(sims, k)
+        a, b = np.searchsorted(gt_rows.query, (lo, lo + len(sims)))
+        query = gt_rows.query[a:b] - lo
+        hits = np.bincount(query[kept[query, gt_rows.row[a:b]]], minlength=len(sims))
+        for fraction in (hits / gt_rows.size[lo:lo + len(sims)]).tolist():
+            total += fraction
     return total / len(eval_pairs)
 
 
@@ -561,13 +612,20 @@ def recall_at_k(
 
 @dataclass
 class RetrievalTask:
-    """Everything one training round needs from a generated dataset."""
+    """Everything one training round needs from a generated dataset.
+
+    val_rows and test_rows are the pairs' ground_truth_rows in the corpus's
+    key order, resolved once for every recall_at_k of the task; recall_at_k
+    resolves them itself where they are unset.
+    """
 
     name: str
     corpus: Corpus
     train_examples: list[TrainingExample]
     val_pairs: list[EvalPair]
     test_pairs: list[EvalPair]
+    val_rows: GroundTruthRows | None = None
+    test_rows: GroundTruthRows | None = None
 
 
 @dataclass(frozen=True)
@@ -726,7 +784,13 @@ def _best_of_epoch(
     features: dict[str, np.ndarray],
 ) -> tuple[EmbeddingModel, float]:
     """The steps and evaluations of train_one_epoch from weight: the
-    evaluated model with the highest validation recall@10, and that recall."""
+    evaluated model with the highest validation recall@10, and that recall.
+
+    The steps update one copy of weight in place, the same operations in
+    the same order as weight = weight - lr * grad; each evaluated model
+    copies it, so no model shares it.
+    """
+    weight = np.array(weight)
     rng = np.random.default_rng(config.seed)
     order = rng.permutation(len(task.train_examples))
     examples = [task.train_examples[i] for i in order]
@@ -742,18 +806,19 @@ def _best_of_epoch(
     for step, batch in enumerate(batches):
         # the step reads only the gradient, so the penalty's value is not taken;
         # its gradient is added as batch_loss_and_grad(..., ewc=) adds it
-        _, grad = batch_loss_and_grad(EmbeddingModel(weight=weight), batch, features=features)
+        _, grad = batch_loss_and_grad(weight, batch, features=features)
         if config.ewc is not None:
             grad += ewc_penalty_grad(weight.reshape(-1), config.ewc).reshape(grad.shape)
         # numpy's own pairwise sum: a BLAS dot would split it by thread count
         norm = float(np.sqrt(np.sum(grad * grad)))
         if config.clip_norm > 0.0 and norm > config.clip_norm:
             grad *= config.clip_norm / norm
-        weight = weight - lr_at(step, total, config.warmup_steps, config.lr) * grad
+        grad *= lr_at(step, total, config.warmup_steps, config.lr)
+        weight -= grad
         if (step + 1) % eval_every == 0 or step == total - 1:
             candidate = EmbeddingModel(weight=weight)
             index = precompute_embeddings(candidate, task.corpus)
-            recall = recall_at_k(candidate, index, task.val_pairs, k=10)
+            recall = recall_at_k(candidate, index, task.val_pairs, k=10, gt_rows=task.val_rows)
             if recall > best_recall:
                 best_recall = recall
                 best_model = candidate

@@ -24,6 +24,7 @@ from proverloop.errors import EnvironmentFailure, ProverloopError
 from proverloop.fixtures import _premise
 from proverloop.retriever import (
     NEGATIVES_PER_EXAMPLE,
+    RECALL_BLOCK,
     Checkpoint,
     EmbeddingModel,
     RetrievalTask,
@@ -33,7 +34,6 @@ from proverloop.retriever import (
     compute_fisher,
     lr_at,
     precompute_embeddings,
-    rank_by_similarity,
     recall_at_k,
 )
 from proverloop.search import (
@@ -300,12 +300,20 @@ _TOY_STATE = (
 
 
 def recall_at_k_oracle(model, index, eval_pairs, k):
-    """recall_at_k one query at a time: one matrix-vector product and one
-    ranking per query."""
+    """recall_at_k one query at a time: a full sort of each query's
+    similarities by descending similarity, ties by ascending row, and the
+    top k's keys intersected with the ground truth.
+
+    The similarities come from the same RECALL_BLOCK-row products as
+    recall_at_k's. A matrix-vector product rounds differently, so texts that
+    tie exactly in one need not tie in the other."""
+    queries = model.embed_many([state for state, _ in eval_pairs])
+    sims = np.concatenate([queries[lo:lo + RECALL_BLOCK] @ index.matrix.T
+                           for lo in range(0, len(queries), RECALL_BLOCK)])
     rows = np.arange(len(index.keys))
     total = 0.0
-    for state, gt in eval_pairs:
-        top = rank_by_similarity(index.matrix @ model.embed(state), rows, k)
+    for (_, gt), query_sims in zip(eval_pairs, sims):
+        top = np.lexsort((rows, -query_sims))[:k]
         total += len(gt.intersection(index.keys[i] for i in top)) / len(gt)
     return total / len(eval_pairs)
 

@@ -9,6 +9,8 @@ import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import tactic, theorem
 from proverloop.cli import main
@@ -348,6 +350,29 @@ class TestOverridesAndFailures:
             "error: config key 'fixtures' names no fixture directory\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "train"])
+    def test_a_run_of_one_repository_exits_two_before_writing(self, demo, tmp_path, capsys,
+                                                             command):
+        """The forgetting metrics compare tasks, so a one-repository run is
+        refused before training writes a checkpoint; ingest and curriculum
+        still take one repository."""
+        root = tmp_path / "demo"
+        shutil.copytree(demo, root)
+        cfg = root / "run.cfg"
+        text = cfg.read_text(encoding="utf-8")
+        cfg.write_text(text.replace("fixtures = repo_algebra, repo_number, repo_topology",
+                                    "fixtures = repo_algebra"), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main([command, *cfg_args(root, out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: config key 'fixtures' names 1 fixture directory; a run needs at least "
+            "two, since its metrics compare tasks\n")
+        assert not (out / "checkpoints").exists()
+        assert not out.exists()
+        for works in ("ingest", "curriculum"):
+            assert main([works, *cfg_args(root, out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["curriculum.json", "database.json"]
+
     def test_missing_config_exits_two(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2
         assert "error:" in capsys.readouterr().err
@@ -579,3 +604,58 @@ class TestErrorContract:
         assert main(["ingest", *cfg_args(root, tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+
+FIXTURE_FILES = ("repo.json", "corpus.jsonl", "theorems.json", "environment.json")
+
+# what replaces one value of a fixture document: every JSON type, values
+# out of range, and strings that may repeat a name or a path
+_FIXTURE_VALUES = (st.none() | st.booleans() | st.integers(-2, 3)
+                   | st.sampled_from([2 ** 63, 1e300, -0.5, [], {}, [1], [0, 0], [1, 1, 1]])
+                   | st.text(max_size=3) | st.sampled_from(["lib/core.lean", "core.add_comm"]))
+
+
+def _value_paths(doc, path=()):
+    """The path of every value inside a JSON document."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield path + (key,)
+        yield from _value_paths(value, path + (key,))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_one_change_to_a_fixture_directory_ingests_or_exits_two(demo, tmp_path_factory, data):
+    """One value of a demo fixture's repo.json, corpus.jsonl, theorems.json
+    or environment.json replaced or deleted, or one of those files cut
+    short: `proverloop ingest` exits 0 or 2, never with a traceback."""
+    root = tmp_path_factory.getbasetemp() / "fuzzed-fixtures"
+    if root.exists():
+        shutil.rmtree(root)
+    shutil.copytree(demo, root)
+    repo = data.draw(st.sampled_from(sorted(p.name for p in root.iterdir() if p.is_dir())))
+    path = root / repo / data.draw(st.sampled_from(FIXTURE_FILES))
+    raw = path.read_bytes()
+    change = data.draw(st.sampled_from(["replace", "delete", "truncate"]))
+    if change == "truncate":
+        path.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1))])
+    else:
+        lines = raw.decode("utf-8").splitlines()
+        i = data.draw(st.integers(0, len(lines) - 1))
+        doc = json.loads(lines[i])
+        where = data.draw(st.sampled_from(list(_value_paths(doc))))
+        parent = doc
+        for step in where[:-1]:
+            parent = parent[step]
+        if change == "delete":
+            del parent[where[-1]]
+        else:
+            parent[where[-1]] = data.draw(_FIXTURE_VALUES)
+        lines[i] = json.dumps(doc, ensure_ascii=False)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["ingest", *cfg_args(root, root / "out")]) in (0, 2)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -267,6 +268,33 @@ class TestLoadRepoFixture:
             load_repo_fixture(broken)
 
 
+def demo_run_in_a_child(cwd, **env):
+    """The files, by relative path, of a demo run in a fresh interpreter
+    started in cwd with env added to its environment."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "from proverloop.fixtures import write_bundled; "
+            "from proverloop.pipeline import override_config, parse_config, run_pipeline; "
+            "write_bundled('demo'); "
+            "run_pipeline(override_config(parse_config('demo/run.cfg'), out_dir='out'))")
+    src = Path(__file__).resolve().parent.parent / "src"
+    cwd.mkdir()
+    subprocess.run([sys.executable, "-c", code, str(src)], cwd=cwd, check=True,
+                   env={**os.environ, **env})
+    out = cwd / "out"
+    return {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+
+def haswell_kernel_selectable():
+    """Whether OPENBLAS_CORETYPE can switch numpy's BLAS to its Haswell
+    kernels: a DYNAMIC_ARCH OpenBLAS, on a CPU with AVX2."""
+    config = np.show_config(mode="dicts")
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    simd = config.get("SIMD Extensions", {})
+    cpu = {*simd.get("baseline", ()), *simd.get("found", ())}
+    return ("DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+            and bool(cpu & {"AVX2", "X86_V3"}))
+
+
 class TestRunPipeline:
     def test_matrix_is_lower_triangular_over_the_curriculum(self, finished_run):
         _, report = finished_run
@@ -388,23 +416,30 @@ class TestRunPipeline:
     def test_out_dir_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
         """The demo run, in fresh interpreters at one and at two OpenBLAS
         threads, writes the same files with the same bytes."""
-        code = ("import sys; sys.path.insert(0, sys.argv[1]); "
-                "from proverloop.fixtures import write_bundled; "
-                "from proverloop.pipeline import override_config, parse_config, run_pipeline; "
-                "write_bundled('demo'); "
-                "run_pipeline(override_config(parse_config('demo/run.cfg'), out_dir='out'))")
-        src = Path(__file__).resolve().parent.parent / "src"
-        outs = []
-        for threads in ("1", "2"):
-            cwd = tmp_path / f"threads_{threads}"
-            cwd.mkdir()
-            subprocess.run([sys.executable, "-c", code, str(src)], cwd=cwd, check=True,
-                           env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
-            out = cwd / "out"
-            outs.append({p.relative_to(out).as_posix(): p.read_bytes()
-                         for p in out.rglob("*") if p.is_file()})
+        outs = [demo_run_in_a_child(tmp_path / f"threads_{threads}",
+                                    OPENBLAS_NUM_THREADS=threads)
+                for threads in ("1", "2")]
         assert sorted(outs[0]) == sorted(outs[1])
         assert [name for name in sorted(outs[0]) if outs[0][name] != outs[1][name]] == []
+
+    @pytest.mark.skipif(not haswell_kernel_selectable(),
+                        reason="numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS on an AVX2 CPU")
+    def test_only_checkpoints_depend_on_the_blas_kernel(self, tmp_path):
+        """The demo run under the CPU's own OpenBLAS kernel and under the
+        Haswell one: every file outside checkpoints/ has the same bytes, and
+        each checkpoint's weights and importance agree to 1e-12."""
+        own = demo_run_in_a_child(tmp_path / "own")
+        haswell = demo_run_in_a_child(tmp_path / "haswell", OPENBLAS_CORETYPE="Haswell")
+        assert sorted(own) == sorted(haswell)
+        checkpoints = [name for name in sorted(own) if name.startswith("checkpoints/")]
+        assert len(checkpoints) == 3
+        assert [name for name in sorted(own)
+                if own[name] != haswell[name] and name not in checkpoints] == []
+        for name in checkpoints:
+            a, b = (Checkpoint.load(tmp_path / run / "out" / name) for run in ("own", "haswell"))
+            assert (a.history, a.best_val_r10) == (b.history, b.best_val_r10)
+            assert np.max(np.abs(a.model.weight - b.model.weight)) <= 1e-12
+            assert np.max(np.abs(a.fisher - b.fisher)) <= 1e-12
 
     def test_stage_failures_carry_the_stage_name(self, bundle, tmp_path):
         import shutil

@@ -45,6 +45,7 @@ from proverloop.retriever import (
     ewc_penalty,
     ewc_penalty_grad,
     extract_eval_pairs,
+    ground_truth_rows,
     hash_ngrams,
     lr_at,
     mine_training_examples,
@@ -672,6 +673,8 @@ def test_top_k_ranking_is_the_prefix_of_the_full_sort(ranking):
 # rank in exact ties, some of them at the cut
 RECALL_NAMES = ("alpha", "beta", "gamma", "delta", "eps")
 RECALL_STATEMENTS = ("x = x", "x + 0 = x", "0 < 1")
+# a ground-truth key that no index holds
+GHOST_KEY = "lib/ghost.lean::ghost"
 
 
 @st.composite
@@ -687,24 +690,58 @@ def recall_cases(draw):
     corpus = corpus_of(*files)
     keys = sorted(p.key for p in corpus.all_premises())
     states = [f"⊢ goal {i}" for i in range(4)] + [p.text for p in corpus.all_premises()]
-    n_queries = draw(st.sampled_from([1, 5, retriever.RECALL_BLOCK,
+    n_queries = draw(st.sampled_from([1, 5, retriever.RECALL_BLOCK, retriever.RECALL_BLOCK + 1,
                                       2 * retriever.RECALL_BLOCK + 3]))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    ghosts = draw(st.sampled_from([0.0, 0.3]))
     pairs = [(states[rng.integers(len(states))],
               frozenset(rng.choice(keys, size=rng.integers(1, min(3, len(keys)) + 1),
-                                   replace=False).tolist()))
+                                   replace=False).tolist())
+              | ({GHOST_KEY} if rng.random() < ghosts else set()))
              for _ in range(n_queries)]
     k = draw(st.integers(1, len(keys) + 2))
-    return corpus, pairs, k, draw(st.integers(0, 3))
+    nan_rows = draw(st.lists(st.integers(0, len(keys) - 1), max_size=3))
+    return corpus, pairs, k, draw(st.integers(0, 3)), nan_rows
 
 
-@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(recall_cases())
 def test_blocked_recall_equals_the_per_query_oracle(case):
-    corpus, pairs, k, seed = case
+    """Tied texts, keys missing from the index, NaN similarities, k >= the
+    index size and one to three blocks, with the ground-truth rows resolved
+    by recall_at_k and resolved beforehand."""
+    corpus, pairs, k, seed, nan_rows = case
     m = EmbeddingModel.random_init(dim=8, n_features=64, seed=seed)
     index = precompute_embeddings(m, corpus)
-    assert recall_at_k(m, index, pairs, k=k) == recall_at_k_oracle(m, index, pairs, k)
+    index.matrix[nan_rows] = np.nan
+    want = recall_at_k_oracle(m, index, pairs, k)
+    assert recall_at_k(m, index, pairs, k=k) == want
+    rows = ground_truth_rows(pairs, corpus.keys)
+    assert recall_at_k(m, index, pairs, k=k, gt_rows=rows) == want
+
+
+def test_ground_truth_rows_are_index_rows():
+    corpus = corpus_of(pfile("lib/a.lean", names=("a0", "a1", "a2")),
+                       pfile("lib/b.lean", names=("b0",)))
+    keys = corpus.keys
+    pairs = [("s0", frozenset({keys[2], GHOST_KEY})), ("s1", frozenset({GHOST_KEY})),
+             ("s2", frozenset({keys[0], keys[3]}))]
+    rows = ground_truth_rows(pairs, keys)
+    assert rows.keys is keys
+    assert sorted(zip(rows.query.tolist(), rows.row.tolist())) == [(0, 2), (2, 0), (2, 3)]
+    assert rows.size.tolist() == [2, 1, 2]
+
+
+def test_recall_rejects_rows_of_other_pairs_or_another_index():
+    corpus = tiny_corpus(n=4)
+    m = EmbeddingModel.random_init(dim=4, n_features=64, seed=0)
+    index = precompute_embeddings(m, corpus)
+    pairs = [("s", frozenset({"lib/pool.lean::pool.p0"}))]
+    message = "^ground-truth rows resolved for other pairs or another index$"
+    with pytest.raises(ProverloopError, match=message):
+        recall_at_k(m, index, pairs, gt_rows=ground_truth_rows(pairs * 2, corpus.keys))
+    with pytest.raises(ProverloopError, match=message):
+        recall_at_k(m, index, pairs, gt_rows=ground_truth_rows(pairs, corpus.keys[1:]))
 
 
 def make_task(corpus, examples, pairs, name="unit"):
@@ -953,6 +990,34 @@ class TestExampleFeatures:
         got = train_one_epoch(start, task, config)
         assert np.array_equal(got.model.weight, want.model.weight)
         assert np.array_equal(got.fisher, want.fisher)
+
+    def test_in_place_steps_change_no_model_and_no_anchor(self, monkeypatch):
+        """The steps update their own buffer in place: the caller's weights,
+        the anchor and every model evaluated before a later step keep theirs."""
+        task = self.task()
+        start = Checkpoint(model=EmbeddingModel.random_init(dim=6, n_features=64, seed=4),
+                           fisher=np.linspace(0.0, 2.0, 6 * 64))
+        ewc = start.ewc_term(0.5)
+        start_weight, anchor = start.model.weight.copy(), ewc.anchor.copy()
+        evaluated = []
+        recall = retriever.recall_at_k
+
+        def recording(model, index, pairs, k, gt_rows=None):
+            evaluated.append((model, model.weight.copy()))
+            return recall(model, index, pairs, k, gt_rows)
+
+        monkeypatch.setattr(retriever, "recall_at_k", recording)
+        config = TrainConfig(lr=0.2, warmup_steps=1, batch_size=2, eval_every=1, seed=6,
+                             ewc=ewc)
+        got = train_one_epoch(start, task, config)
+        assert len(evaluated) == math.ceil(len(task.train_examples) / 2) > 2
+        assert np.array_equal(start.model.weight, start_weight)
+        assert np.array_equal(ewc.anchor, anchor)
+        for model, weight in evaluated:
+            assert np.array_equal(model.weight, weight)
+            assert not model.weight.flags.writeable
+        assert not np.array_equal(evaluated[0][1], evaluated[-1][1])
+        assert any(model is got.model for model, _ in evaluated)
 
     def test_an_epoch_hashes_each_state_once_and_no_premise(self, monkeypatch):
         task = self.task()
