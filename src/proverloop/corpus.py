@@ -120,11 +120,9 @@ class Corpus:
     """Premise files in topological import order with lookup tables."""
 
     files: tuple[PremiseFile, ...]
-    _by_path: dict[str, PremiseFile] = field(init=False, repr=False)
     _by_name: dict[str, Premise] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._by_path = {f.path: f for f in self.files}
         self._by_name = {}
         for f in self.files:
             for p in f.premises:
@@ -135,30 +133,33 @@ class Corpus:
     def paths(self) -> list[str]:
         return [f.path for f in self.files]
 
-    def file(self, path: str) -> PremiseFile | None:
-        return self._by_path.get(path)
-
     def premise_by_name(self, full_name: str) -> Premise | None:
         return self._by_name.get(full_name)
 
     def all_premises(self) -> list[Premise]:
         return [p for f in self.files for p in f.premises]
 
-    # The orders below are computed on first use and kept: every index build
-    # of the corpus reads them.
-
     @cached_property
-    def premises_by_key(self) -> tuple[Premise, ...]:
-        """Every premise in ascending key order, the row order of an index."""
-        return tuple(sorted(self.all_premises(), key=lambda p: p.key))
+    def _key_order(self) -> tuple[tuple[str, ...], tuple[np.ndarray, ...]]:
+        """One stable sort of every premise by key, kept for every index
+        build of the corpus: the sorted keys, and each file's rows in them."""
+        keys = [p.key for f in self.files for p in f.premises]
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        row = np.empty(len(keys), dtype=np.intp)
+        row[order] = np.arange(len(keys))
+        ends = np.cumsum([len(f.premises) for f in self.files], dtype=np.intp)
+        return (tuple(keys[i] for i in order),
+                tuple(row[end - len(f.premises):end] for f, end in zip(self.files, ends)))
 
-    @cached_property
+    @property
     def keys(self) -> tuple[str, ...]:
-        return tuple(p.key for p in self.premises_by_key)
+        """Every premise key in ascending order, the row order of an index."""
+        return self._key_order[0]
 
-    @cached_property
-    def texts(self) -> tuple[str, ...]:
-        return tuple(p.text for p in self.premises_by_key)
+    @property
+    def file_rows(self) -> tuple[np.ndarray, ...]:
+        """The row in keys of each premise, file by file."""
+        return self._key_order[1]
 
 
 @dataclass

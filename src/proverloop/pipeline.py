@@ -218,7 +218,10 @@ def parse_config(path: str | Path) -> RunConfig:
     )
     if not fixture_dirs:
         raise CorruptDocument("config key 'fixtures' names no fixture directory")
-    out_dir = (base / raw.pop("out", "out")).resolve()
+    out = raw.pop("out", "out")
+    if not out:  # `out = .` names the config's own directory
+        raise CorruptDocument("config key 'out' names no output directory")
+    out_dir = (base / out).resolve()
 
     annotations = {f.name: f.type for f in dataclasses.fields(RunConfig)}
     kwargs: dict = {}

@@ -36,6 +36,9 @@ NEGATIVES_PER_EXAMPLE = 3
 # half as much for the lone text a search expansion embeds.
 EMBED_TILE = 8
 RECALL_BLOCK = 64
+# Feature rows converted to float64 at once in an embedding; 64 rows were
+# faster but raised the peak RSS of a run.
+EMBED_CHUNK = 32
 
 # Index 0 of every feature vector is a constant bias so empty text still
 # embeds deterministically.
@@ -137,12 +140,17 @@ class EmbeddingModel:
     """Linear text encoder with unit-norm outputs.
 
     The model keeps a read-only copy of the weights it was built from, so
-    its version hash, computed once on first use, and the embedding it
-    remembers for each text it has embedded cannot go stale.
+    its version hash, computed once on first use, and the embeddings it
+    remembers cannot go stale: one read-only block per premise file it has
+    embedded, keyed by the file's texts, and one row per text embedded
+    through embed_many.
     """
 
     weight: np.ndarray  # (dim, n_features) float64
     _version_hash: str | None = field(default=None, init=False, repr=False, compare=False)
+    _blocks: dict[tuple[str, ...], np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
     _rows: dict[str, np.ndarray] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -197,39 +205,46 @@ class EmbeddingModel:
         """
         new = [t for t in dict.fromkeys(texts) if t not in self._rows]
         if new:
-            self._embed(new, [hash_ngrams(new, self.n_features)])
+            self._rows.update(zip(new, self._embed(hash_ngrams(new, self.n_features))))
         return np.array([self._rows[t] for t in texts]).reshape(len(texts), self.dim)
 
-    def embed_files(self, files: Iterable[PremiseFile]) -> None:
-        """Embed premise files whole, each from its ngram_features block. A
-        file whose every text this model has embedded already is skipped."""
-        todo = [f for f in files if not all(t in self._rows for t in f.texts)]
-        if todo:
-            self._embed([t for f in todo for t in f.texts],
-                        [ngram_features(f.texts, self.n_features) for f in todo])
+    def embed_files(self, files: Iterable[PremiseFile]) -> list[np.ndarray]:
+        """The unit embeddings of each file's premises, one read-only block
+        per file. A file is embedded whole from its ngram_features block,
+        once per model and texts tuple."""
+        blocks = []
+        for f in files:
+            block = self._blocks.get(f.texts)
+            if block is None:
+                # an empty file has no features to look up
+                phi = ngram_features(f.texts, self.n_features) if f.texts else np.empty((0, 0))
+                block = self._blocks[f.texts] = self._embed(phi)
+                block.flags.writeable = False
+            blocks.append(block)
+        return blocks
 
-    def _embed(self, texts: list[str], blocks: list[np.ndarray]) -> None:
-        """Embed texts from their feature rows, the rows of blocks in order.
+    def _embed(self, phi: np.ndarray) -> np.ndarray:
+        """The unit embeddings of the feature rows phi, one row each.
 
-        Each block is cut into tiles of EMBED_TILE rows, its last tile
-        zero-padded, and each tile is one float64 (EMBED_TILE, n_features)
-        product with the weights. Every product has that one shape because
-        BLAS picks its kernel, and with it the rounding, by shape: a one-row
-        product runs a matrix-vector kernel, and short and tall products use
+        The rows are converted to float64 EMBED_CHUNK at a time, and each
+        tile of EMBED_TILE of them, the last zero-padded, is one float64
+        (EMBED_TILE, n_features) product with the weights, written straight
+        into the output. Every product has that one shape because BLAS picks
+        its kernel, and with it the rounding, by shape: a one-row product
+        runs a matrix-vector kernel, and short and tall products use
         different ones. So a row's bits do not depend on the texts it was
         embedded with, nor on its place among them.
         """
-        u = np.empty((len(texts), self.dim))
-        tile = np.empty((EMBED_TILE, self.n_features))
-        done = 0
-        for phi in blocks:
-            for lo in range(0, len(phi), EMBED_TILE):
-                rows = phi[lo:lo + EMBED_TILE]
-                tile[:len(rows)] = rows
-                tile[len(rows):] = 0.0
-                u[done:done + len(rows)] = (tile @ self.weight.T)[:len(rows)]
-                done += len(rows)
-        self._rows.update(zip(texts, _unit_rows(u)[0]))
+        u = np.empty((-(-len(phi) // EMBED_TILE) * EMBED_TILE, self.dim))
+        chunk = np.empty((min(EMBED_CHUNK, len(u)), self.n_features))
+        for lo in range(0, len(phi), EMBED_CHUNK):
+            rows = phi[lo:lo + EMBED_CHUNK]
+            chunk[:len(rows)] = rows
+            chunk[len(rows):len(u) - lo] = 0.0
+            for t in range(0, len(rows), EMBED_TILE):
+                np.matmul(chunk[t:t + EMBED_TILE], self.weight.T,
+                          out=u[lo + t:lo + t + EMBED_TILE])
+        return _unit_rows(u[:len(phi)])[0]
 
 
 # -- losses -------------------------------------------------------------------
@@ -444,13 +459,20 @@ class EmbeddingIndex:
     ascending row are broken by ascending key.
     """
 
-    version_hash: str
     keys: tuple[str, ...]
     matrix: np.ndarray  # (len(keys), dim)
+    weight: np.ndarray  # the read-only weights of the model it was built with
+
+    @cached_property
+    def version_hash(self) -> str:
+        """The version hash of the weights, computed when first read."""
+        return EmbeddingModel(weight=self.weight).version_hash
 
     def check_model(self, model: EmbeddingModel) -> None:
-        """Raise ProverloopError unless the index was built at the model's version."""
-        if model.version_hash != self.version_hash:
+        """Raise ProverloopError unless the index was built at the model's
+        version: with its own weight array, or with weights of the same
+        version hash."""
+        if model.weight is not self.weight and model.version_hash != self.version_hash:
             raise ProverloopError(
                 f"index built at {self.version_hash}, model is {model.version_hash}")
 
@@ -468,12 +490,12 @@ class EmbeddingIndex:
 
 
 def precompute_embeddings(model: EmbeddingModel, corpus: Corpus) -> EmbeddingIndex:
-    model.embed_files(corpus.files)
-    return EmbeddingIndex(
-        version_hash=model.version_hash,
-        keys=corpus.keys,
-        matrix=model.embed_many(corpus.texts),
-    )
+    """The index of the corpus at the model: each file's embed_files block
+    written to the file's rows in key order (Corpus.file_rows)."""
+    matrix = np.empty((len(corpus.keys), model.dim))
+    for rows, block in zip(corpus.file_rows, model.embed_files(corpus.files)):
+        matrix[rows] = block
+    return EmbeddingIndex(keys=corpus.keys, matrix=matrix, weight=model.weight)
 
 
 # -- evaluation -------------------------------------------------------------------
@@ -817,8 +839,9 @@ def _best_of_epoch(
         weight -= grad
         if (step + 1) % eval_every == 0 or step == total - 1:
             candidate = EmbeddingModel(weight=weight)
-            index = precompute_embeddings(candidate, task.corpus)
-            recall = recall_at_k(candidate, index, task.val_pairs, k=10, gt_rows=task.val_rows)
+            # the index dies with the recall: it holds the candidate's weights
+            recall = recall_at_k(candidate, precompute_embeddings(candidate, task.corpus),
+                                 task.val_pairs, k=10, gt_rows=task.val_rows)
             if recall > best_recall:
                 best_recall = recall
                 best_model = candidate

@@ -26,6 +26,7 @@ from proverloop.retriever import (
     NEGATIVES_PER_EXAMPLE,
     RECALL_BLOCK,
     Checkpoint,
+    EmbeddingIndex,
     EmbeddingModel,
     RetrievalTask,
     TrainConfig,
@@ -103,6 +104,11 @@ def premise_by_key(corpus, key):
 
 def corpus_of(*files):
     return corpus_from_files(list(files))
+
+
+def texts_by_key(corpus):
+    """Every premise's text in a stable sort by key, the row order of an index."""
+    return [p.text for p in sorted(corpus.all_premises(), key=lambda p: p.key)]
 
 
 def dataset_from_metadata(db, doc):
@@ -258,6 +264,13 @@ def mine_training_examples_oracle(theorems, corpus, seed=0):
                     negatives=tuple(pool[i] for i in chosen),
                 ))
     return examples
+
+
+def precompute_embeddings_oracle(model, corpus):
+    """precompute_embeddings as a per-text gather: every premise text, in
+    key order, embedded with one embed_many call."""
+    return EmbeddingIndex(keys=tuple(sorted(p.key for p in corpus.all_premises())),
+                          matrix=model.embed_many(texts_by_key(corpus)), weight=model.weight)
 
 
 def train_one_epoch_oracle(checkpoint, task, config=TrainConfig()):

@@ -265,7 +265,8 @@ def test_criterion_6_database_persistence_and_merge_laws(tmp_path):
     assert len(copies[0].traced_tactics) == 2
     assert copies[0].url == "fixture://repos/right"
     assert merged.metadata.theorem_count == 3
-    kept = [p.full_name for p in merged.corpus.file(shared).premises]
+    [kept_file] = [f for f in merged.corpus.files if f.path == shared]
+    kept = [p.full_name for p in kept_file.premises]
     assert kept == ["base.x", "base.y"]
 
     # sorry transitions are monotone: proving is permanent and unrepeatable

@@ -350,6 +350,22 @@ class TestOverridesAndFailures:
             "error: config key 'fixtures' names no fixture directory\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["ingest", "run"])
+    def test_an_empty_out_exits_two_before_writing(self, demo, tmp_path, capsys, command):
+        """An empty out would resolve to the config's own directory; `out = .`
+        says so explicitly. No --out is given, so the config's out is read."""
+        root = tmp_path / "demo"
+        shutil.copytree(demo, root)
+        cfg = root / "run.cfg"
+        text = cfg.read_text(encoding="utf-8")
+        assert "\nout = out\n" in text
+        cfg.write_text(text.replace("\nout = out\n", "\nout =\n"), encoding="utf-8")
+        before = sorted(p.name for p in root.iterdir())
+        assert main([command, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == \
+            "error: config key 'out' names no output directory\n"
+        assert sorted(p.name for p in root.iterdir()) == before
+
     @pytest.mark.parametrize("command", ["run", "train"])
     def test_a_run_of_one_repository_exits_two_before_writing(self, demo, tmp_path, capsys,
                                                              command):

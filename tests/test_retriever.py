@@ -20,15 +20,17 @@ from helpers import (
     mine_training_examples_oracle,
     ngram_oracle,
     pfile,
+    precompute_embeddings_oracle,
     premise,
     premise_by_key,
     recall_at_k_oracle,
     tactic,
+    texts_by_key,
     theorem,
     train_one_epoch_oracle,
 )
 from proverloop import retriever
-from proverloop.corpus import parse_corpus
+from proverloop.corpus import parse_corpus, serialize_corpus
 from proverloop.errors import CorruptDocument, IoFailure, ProverloopError
 from proverloop.fixtures import write_bundled
 from proverloop.pipeline import ingest_fixtures, parse_config
@@ -217,7 +219,7 @@ class TestFeaturesAndEmbedding:
         m = EmbeddingModel.random_init(dim=48, n_features=n_features, seed=4)
         index = precompute_embeddings(m, corpus)
         assert index.matrix.shape == (sum(sizes), 48)
-        for text, row in zip(corpus.texts, index.matrix):
+        for text, row in zip(texts_by_key(corpus), index.matrix):
             assert np.array_equal(row, EmbeddingModel(weight=m.weight).embed(text)), text
 
     def test_files_are_featurized_whole_under_one_key_each(self, monkeypatch):
@@ -234,7 +236,7 @@ class TestFeaturesAndEmbedding:
         index = precompute_embeddings(m, corpus_of(b))
         assert cache.cache_info().misses == misses
         assert cache.cache_info().currsize == 2
-        for text, row in zip(corpus_of(b).texts, index.matrix):
+        for text, row in zip(texts_by_key(corpus_of(b)), index.matrix):
             assert np.array_equal(row, EmbeddingModel(weight=m.weight).embed(text)), text
 
         def refuse(texts, n_features):
@@ -244,6 +246,26 @@ class TestFeaturesAndEmbedding:
         monkeypatch.setattr(retriever, "ngram_features", refuse)
         monkeypatch.setattr(retriever, "hash_ngrams", refuse)
         precompute_embeddings(m, corpus_of(a, b))
+
+    def test_an_index_over_re_added_files_featurizes_nothing(self, monkeypatch):
+        # merge-all: the next corpus holds copies of the files the model
+        # embedded, equal but not the same objects, in another order
+        first = corpus_of(pfile("lib/a.lean", names=("a.p0", "a.p1", "a.p2")),
+                          pfile("lib/b.lean", names=tuple(f"b.p{i}" for i in range(9))),
+                          pfile("lib/empty.lean"))
+        m = EmbeddingModel.random_init(dim=6, n_features=64, seed=2)
+        index = precompute_embeddings(m, first)
+
+        def refuse(texts, n_features):
+            raise AssertionError(f"featurized {texts!r} again")
+
+        monkeypatch.setattr(retriever, "ngram_features", refuse)
+        monkeypatch.setattr(retriever, "hash_ngrams", refuse)
+        again = corpus_of(*parse_corpus(serialize_corpus(first)).files[::-1])
+        assert [f.path for f in again.files] != [f.path for f in first.files]
+        rebuilt = precompute_embeddings(m, again)
+        assert rebuilt.keys == index.keys
+        assert rebuilt.matrix.tobytes() == index.matrix.tobytes()
 
     def test_a_model_featurizes_each_text_once(self, monkeypatch):
         texts = random_texts(20, seed=2)
@@ -577,6 +599,34 @@ class TestIndexAndRecall:
         with pytest.raises(ProverloopError, match="^index built at .*, model is "):
             recall_at_k(new, index, pairs, k=10)
 
+    def test_an_index_checks_its_own_model_without_hashing(self, monkeypatch):
+        corpus = tiny_corpus(n=4)
+        m = EmbeddingModel.random_init(dim=4, n_features=64, seed=0)
+        monkeypatch.setattr(hashlib, "sha256", None)  # any hash would fail
+        index = precompute_embeddings(m, corpus)
+        index.check_model(m)
+        pairs = [("s", frozenset({"lib/pool.lean::pool.p0"}))]
+        assert recall_at_k(m, index, pairs, k=10) == 1.0
+
+    def test_an_index_accepts_other_weights_of_its_version_through_the_hash(self):
+        corpus = tiny_corpus(n=4)
+        m = EmbeddingModel.random_init(dim=4, n_features=64, seed=0)
+        index = precompute_embeddings(m, corpus)
+        same = EmbeddingModel(weight=m.weight)
+        assert same.weight is not m.weight
+        index.check_model(same)
+        assert index.version_hash == same.version_hash == m.version_hash
+
+    def test_an_index_rejects_a_retrained_model_naming_both_versions(self):
+        corpus = tiny_corpus(n=4)
+        m = EmbeddingModel.random_init(dim=4, n_features=64, seed=0)
+        index = precompute_embeddings(m, corpus)
+        retrained = m.with_flat(m.flat() + 1e-3)
+        with pytest.raises(ProverloopError) as e:
+            index.check_model(retrained)
+        assert str(e.value) == \
+            f"index built at {m.version_hash}, model is {retrained.version_hash}"
+
     def ranked_corpus(self):
         return corpus_of(pfile(
             "lib/deck.lean",
@@ -675,6 +725,49 @@ RECALL_NAMES = ("alpha", "beta", "gamma", "delta", "eps")
 RECALL_STATEMENTS = ("x = x", "x + 0 = x", "0 < 1")
 # a ground-truth key that no index holds
 GHOST_KEY = "lib/ghost.lean::ghost"
+
+
+# file sizes around the embedding tile and chunk edges, and empty files
+INDEX_FILE_SIZES = (0, 1, 7, retriever.EMBED_TILE, 9, retriever.EMBED_CHUNK - 1,
+                    retriever.EMBED_CHUNK, retriever.EMBED_CHUNK + 1, 2 * retriever.EMBED_CHUNK + 1)
+
+
+@st.composite
+def index_cases(draw):
+    """A corpus, possibly with a file of another's texts and a file sharing
+    one text with another, and the premise texts a model embeds through
+    embed_many before the build."""
+    files = [pfile(f"lib/f{j}.lean", names=tuple(f"f{j}.p{i}" for i in range(n)))
+             for j, n in enumerate(draw(st.lists(st.sampled_from(INDEX_FILE_SIZES),
+                                                 min_size=1, max_size=4)))]
+    if draw(st.booleans()):
+        twin = draw(st.sampled_from(files))
+        files.append(pfile("lib/twin.lean", names=tuple(p.full_name for p in twin.premises)))
+    if draw(st.booleans()):
+        shared = draw(st.sampled_from([p.full_name for f in files for p in f.premises] or ["x"]))
+        files.append(pfile("lib/shared.lean", names=("shared.p0", shared, "shared.p1")))
+    corpus = corpus_of(*files)
+    texts = [p.text for p in corpus.all_premises()]
+    early = draw(st.lists(st.sampled_from(texts), max_size=12)) if texts else []
+    return corpus, early, draw(st.integers(0, 3))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(index_cases())
+def test_index_equals_the_per_text_oracle(case):
+    """The scattered file blocks are the per-text gather bit for bit, and
+    each row is its text embedded alone."""
+    corpus, early, seed = case
+    m = EmbeddingModel.random_init(dim=48, n_features=1024, seed=seed)
+    m.embed_many(early)
+    index = precompute_embeddings(m, corpus)
+    oracle = precompute_embeddings_oracle(EmbeddingModel(weight=m.weight), corpus)
+    assert index.keys == oracle.keys == corpus.keys
+    assert index.matrix.shape == (len(corpus.keys), 48)
+    assert index.matrix.tobytes() == oracle.matrix.tobytes()
+    alone = EmbeddingModel(weight=m.weight)
+    for text, row in zip(texts_by_key(corpus), index.matrix):
+        assert row.tobytes() == alone.embed(text).tobytes(), text
 
 
 @st.composite

@@ -34,14 +34,28 @@ def load_perfbench(name):
 
 
 def traced_run(tracing, config):
-    """The tracer after one run_pipeline(config) with it installed."""
+    """The tracer after one run_pipeline(config) with it installed, and the
+    number of indices the run made, counted at EmbeddingIndex itself."""
     tracer = tracing.Tracer()
-    tracer.install()
-    try:
-        pipeline.run_pipeline(config)
-    finally:
-        tracer.uninstall()
-    return tracer
+    indices = []
+    with pytest.MonkeyPatch.context() as mp:
+        init = retriever.EmbeddingIndex.__init__
+        mp.setattr(retriever.EmbeddingIndex, "__init__",
+                   lambda self, *args, **kwargs: indices.append(init(self, *args, **kwargs)))
+        tracer.install()
+        try:
+            pipeline.run_pipeline(config)
+        finally:
+            tracer.uninstall()
+    return tracer, len(indices)
+
+
+def assert_indices_are_traced_builds_without_hashing(tracing, tracer, indices):
+    """Every index the run made is a traced precompute_embeddings call, and
+    each is checked against its own model, so no version hash is computed."""
+    metrics = tracing.layer_metrics(tracer.spans, tracer.featurize_cache.cache_info())
+    assert metrics["retriever.index_builds"] == indices > 0
+    assert metrics["retriever.version_hash_calls"] == 0
 
 
 def assert_featurize_keys_are_whole_files(tracer, config):
@@ -101,25 +115,25 @@ def demo_config(tmp_path_factory):
 def traced_demo(demo_config):
     tracing = load_perfbench("tracing")
     before = attributes()
-    tracer = traced_run(tracing, demo_config)
+    tracer, indices = traced_run(tracing, demo_config)
     metrics = tracing.layer_metrics(tracer.spans, tracer.featurize_cache.cache_info())
-    return tracing, before, metrics, tracer
+    return tracing, before, metrics, tracer, indices
 
 
 def test_uninstall_restores_the_retriever(traced_demo):
-    _, before, _, _ = traced_demo
+    _, before, _, _, _ = traced_demo
     after = attributes()
     assert after.keys() == before.keys()
     assert [k for k in before if after[k] is not before[k]] == []
 
 
 def test_every_per_layer_metric_is_reported(traced_demo):
-    tracing, _, metrics, _ = traced_demo
+    tracing, _, metrics, _, _ = traced_demo
     assert set(metrics) == set(tracing.PER_LAYER) - {"trace.overhead_frac"}
 
 
 def test_wrapped_layers_were_called(traced_demo):
-    _, _, metrics, _ = traced_demo
+    _, _, metrics, _, _ = traced_demo
     for name in ("retriever.examples", "retriever.train_steps", "retriever.index_builds",
                  "retriever.recall_queries", "search.retrieval_calls"):
         assert metrics[name] > 0, name
@@ -130,7 +144,7 @@ def test_each_expansion_at_a_gated_state_retrieves_through_the_wrapped_name(
     # retrieval that bypasses search.retrieve_premises would read 0 calls here
     # and quietly zero search.retrieve_ms_p50. The generator reads premises
     # only at a state with an edge gated on one, so only there is one retrieval.
-    _, _, metrics, _ = traced_demo
+    _, _, metrics, _, _ = traced_demo
     generators = []
 
     def recording(fixture):
@@ -150,19 +164,24 @@ def test_each_expansion_at_a_gated_state_retrieves_through_the_wrapped_name(
 
 def test_featurizing_goes_through_the_cached_name(traced_demo):
     # a featurizer that bypasses retriever.ngram_features would read 0 here
-    _, _, metrics, _ = traced_demo
+    _, _, metrics, _, _ = traced_demo
     for name in ("retriever.featurize_misses", "retriever.featurize_cache_entries"):
         assert metrics[name] > 0, name
 
 
+def test_every_demo_index_is_a_traced_build_without_hashing(traced_demo):
+    tracing, _, _, tracer, indices = traced_demo
+    assert_indices_are_traced_builds_without_hashing(tracing, tracer, indices)
+
+
 def test_tracer_cache_has_the_featurizer_cache_size(traced_demo):
-    _, _, _, tracer = traced_demo
+    _, _, _, tracer, _ = traced_demo
     assert tracer.featurize_cache.cache_info().maxsize == \
         retriever.ngram_features.cache_info().maxsize
 
 
 def test_every_featurize_cache_key_is_one_demo_premise_file(traced_demo, demo_config):
-    _, _, _, tracer = traced_demo
+    _, _, _, tracer, _ = traced_demo
     assert retrieving_repositories(tracer, demo_config.out_dir)
     assert_featurize_keys_are_whole_files(tracer, demo_config)
 
@@ -176,13 +195,15 @@ def test_every_featurize_cache_key_is_one_embedded_premise_file(tmp_path):
     config = override_config(
         parse_config(workloads.write(workloads.generate("merge-churn", 401), tmp_path)),
         out_dir=str(tmp_path / "out"))
-    tracer = traced_run(load_perfbench("tracing"), config)
+    tracing = load_perfbench("tracing")
+    tracer, indices = traced_run(tracing, config)
     assert_featurize_keys_are_whole_files(tracer, config)
+    assert_indices_are_traced_builds_without_hashing(tracing, tracer, indices)
 
 
 def test_every_training_batch_is_one_step_and_fisher_is_timed(traced_demo, tmp_path):
     # the Fisher pass runs inside the epoch; its batches must not read as steps
-    _, _, metrics, tracer = traced_demo
+    _, _, metrics, tracer, _ = traced_demo
     write_bundled(tmp_path)
     batch_size = parse_config(tmp_path / "run.cfg").batch_size
     batches = sum(math.ceil(attrs["examples"] / batch_size)
