@@ -275,10 +275,10 @@ def validation_to_csv(validation: list[float]) -> str:
 def validation_from_csv(text: str) -> list[float]:
     cells = _read_cells(text, "validation", ["task", "val_r10"])
     by_task = {k: value for (k,), value in cells.items()}
-    t = max(by_task)
-    if sorted(by_task) != list(range(1, t + 1)):
+    tasks = range(1, len(by_task) + 1)  # not up to the largest task: it may be huge
+    if sorted(by_task) != list(tasks):
         raise CorruptDocument("validation tasks must be 1..T without gaps")
-    return [by_task[k] for k in range(1, t + 1)]
+    return [by_task[k] for k in tasks]
 
 
 def read_matrix(matrix_path: str | Path, validation_path: str | Path) -> PerformanceMatrix:

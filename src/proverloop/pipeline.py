@@ -10,6 +10,7 @@ across reruns; flip wall_clock for real timing.
 from __future__ import annotations
 
 import dataclasses
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cache, partial
@@ -66,7 +67,6 @@ from .retriever import (
 )
 from .search import (
     DependencyGraph,
-    RetrievalFn,
     SearchBudget,
     SearchResult,
     TableEnvironment,
@@ -121,6 +121,9 @@ class RunConfig:
         for key in _UNSET_OR_POSITIVE:
             if getattr(self, key) is not None:
                 check_within(key, getattr(self, key), "[1, inf)")
+        if 8 * self.embedding_dim * self.feature_buckets > sys.maxsize:
+            raise CorruptDocument("embedding_dim * feature_buckets float64 weights take more "
+                                  f"than the {sys.maxsize} bytes an array can address")
 
 
 # Every interval is open at infinity, so NaN and the infinities never pass.
@@ -420,10 +423,10 @@ def prove_goals(
 
     Each repository with open goals is one `prove:<name>` stage. Its corpus,
     dependency graph and index are built when the first of its goals
-    retrieves, and a goal's accessible premises, their rows and embedding
-    block on its own first retrieval; a stage whose goals never retrieve
-    builds none of them. Under wall_clock, the first goal that retrieves
-    counts that one-time setup in its elapsed_ms and time budget.
+    retrieves, so a stage whose goals never retrieve builds none of them.
+    Each retrieval gathers its goal's accessible premises. Under wall_clock,
+    the first goal that retrieves counts the stage's one-time setup in its
+    elapsed_ms and time budget.
     """
     budget = SearchBudget(time_ms=config.time_budget_ms, max_expansions=config.max_expansions,
                           candidates=config.candidates)
@@ -440,7 +443,7 @@ def prove_goals(
             for theorem in sorries:
                 result = best_first_search(
                     env, generator, theorem,
-                    retrieval_fn=_goal_retrieval(model, config, stage, theorem),
+                    retrieval_fn=partial(_retrieve, model, config, stage, theorem),
                     budget=budget, clock=None if config.wall_clock else TickClock(),
                 )
                 attempts.append(ProofAttempt(theorem.key_str, repo_id, phase, result))
@@ -456,27 +459,19 @@ def _stage_inputs(
     return corpus, build_dependency_graph(corpus), precompute_embeddings(model, corpus)
 
 
-def _goal_retrieval(
+def _retrieve(
     model: EmbeddingModel,
     config: RunConfig,
     stage: Callable[[], tuple[Corpus, DependencyGraph, EmbeddingIndex]],
     theorem: Theorem,
-) -> RetrievalFn:
-    """The goal's retrieval_fn; its first call gathers the goal's accessible
-    premises, their rows and their block, for all of the goal's states."""
-    @cache
-    def inputs():
-        corpus, graph, index = stage()
-        accessible = accessible_premises(graph, corpus, theorem)
-        rows = index.rows_of(accessible)
-        return index, accessible, rows, index.matrix[rows]
-
-    def retrieve(state: str) -> list[Premise]:
-        index, accessible, rows, block = inputs()
-        return retrieve_premises(model, index, state, accessible,
-                                 fraction=config.retrieval_fraction, max_n=config.retrieval_max,
-                                 rows=rows, block=block)
-    return retrieve
+    state: str,
+) -> list[Premise]:
+    """The retrieval_fn of the theorem's search, once model, config, stage
+    and theorem are bound: the state's premises among the theorem's
+    accessible ones."""
+    corpus, graph, index = stage()
+    return retrieve_premises(model, index, state, accessible_premises(graph, corpus, theorem),
+                             fraction=config.retrieval_fraction, max_n=config.retrieval_max)
 
 
 def run_pipeline(config: RunConfig, *, prove: bool = True) -> RunReport:

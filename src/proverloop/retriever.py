@@ -140,14 +140,13 @@ class EmbeddingModel:
     """Linear text encoder with unit-norm outputs.
 
     The model keeps a read-only copy of the weights it was built from, so
-    its version hash, computed once on first use, and the embeddings it
-    remembers cannot go stale: one read-only block per premise file it has
-    embedded, keyed by the file's texts, and one row per text embedded
-    through embed_many.
+    the embeddings it remembers cannot go stale: one read-only block per
+    premise file it has embedded, keyed by the file's texts, and one row
+    per text embedded through embed_many. Its version hash is computed
+    from the weights each time it is read.
     """
 
     weight: np.ndarray  # (dim, n_features) float64
-    _version_hash: str | None = field(default=None, init=False, repr=False, compare=False)
     _blocks: dict[tuple[str, ...], np.ndarray] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -170,12 +169,10 @@ class EmbeddingModel:
 
     @property
     def version_hash(self) -> str:
-        if self._version_hash is None:
-            h = hashlib.sha256()
-            h.update(f"{self.dim}x{self.n_features}:".encode())
-            h.update(np.ascontiguousarray(self.weight).tobytes())
-            object.__setattr__(self, "_version_hash", h.hexdigest()[:16])
-        return self._version_hash
+        h = hashlib.sha256()
+        h.update(f"{self.dim}x{self.n_features}:".encode())
+        h.update(np.ascontiguousarray(self.weight).tobytes())
+        return h.hexdigest()[:16]
 
     @classmethod
     def random_init(
@@ -463,9 +460,9 @@ class EmbeddingIndex:
     matrix: np.ndarray  # (len(keys), dim)
     weight: np.ndarray  # the read-only weights of the model it was built with
 
-    @cached_property
+    @property
     def version_hash(self) -> str:
-        """The version hash of the weights, computed when first read."""
+        """The version hash of the weights the index was built with."""
         return EmbeddingModel(weight=self.weight).version_hash
 
     def check_model(self, model: EmbeddingModel) -> None:

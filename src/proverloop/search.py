@@ -20,8 +20,6 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, Protocol
 
-import numpy as np
-
 from .corpus import Corpus, Premise, Theorem
 from .errors import CorruptDocument, EnvironmentFailure, ProverloopError
 from .retriever import EmbeddingIndex, EmbeddingModel, rank_by_similarity
@@ -29,33 +27,13 @@ from .storage import dump_json, json_field, read_json, write_atomic
 
 GOAL = "PROVED"
 
-NEXT = "next"
-PROVED = "proved"
-INVALID = "invalid"
-
-
-@dataclass(frozen=True)
-class TacticOutcome:
-    kind: str  # next | proved | invalid
-    state: str | None = None
-
-    @classmethod
-    def next_state(cls, state: str) -> TacticOutcome:
-        return cls(kind=NEXT, state=state)
-
-    @classmethod
-    def proved(cls) -> TacticOutcome:
-        return cls(kind=PROVED)
-
-    @classmethod
-    def invalid(cls) -> TacticOutcome:
-        return cls(kind=INVALID)
-
 
 class ProofEnvironment(Protocol):
     def initial_state(self, theorem: Theorem) -> str: ...
 
-    def apply(self, state: str, tactic: str) -> TacticOutcome: ...
+    def apply(self, state: str, tactic: str) -> str | None:
+        """The state the tactic leads to, GOAL when it closes the proof, or
+        None when it does not apply."""
 
 
 PremisesFn = Callable[[], list[Premise]]
@@ -126,26 +104,19 @@ def retrieve_premises(
     accessible: list[Premise],
     fraction: float = 0.25,
     max_n: int = 100,
-    rows: np.ndarray | None = None,
-    block: np.ndarray | None = None,
 ) -> list[Premise]:
     """Top premises by cosine similarity among the accessible ones.
 
     Keeps ceil(fraction * N) of the N accessible premises, then at most
-    max_n. Ties break by ascending premise key. A search passes rows =
-    index.rows_of(accessible) and block = index.matrix[rows], gathered on
-    the goal's first retrieval for all of its states; pipeline.prove_goals
-    builds the index itself only when a goal of its stage first retrieves.
+    max_n. Ties break by ascending premise key. Each call gathers the
+    accessible premises' rows of the index and their embeddings.
     """
     if not accessible:
         return []
     index.check_model(model)
-    if rows is None:
-        rows = index.rows_of(accessible)
-    if block is None:
-        block = index.matrix[rows]
+    rows = index.rows_of(accessible)
     keep = min(max_n, math.ceil(fraction * len(accessible)))
-    order = rank_by_similarity(block @ model.embed(state), rows, keep)
+    order = rank_by_similarity(index.matrix[rows] @ model.embed(state), rows, keep)
     return [accessible[i] for i in order]
 
 
@@ -235,15 +206,13 @@ class TableEnvironment:
             raise EnvironmentFailure(f"no initial state for {theorem.key_str!r}")
         return state
 
-    def apply(self, state: str, tactic: str) -> TacticOutcome:
+    def apply(self, state: str, tactic: str) -> str | None:
         edge = self.fixture.lookup.get((state, tactic))
         if edge is None:
-            return TacticOutcome.invalid()
+            return None
         if edge.fails:
             raise EnvironmentFailure(f"transition {state!r} -{tactic!r}-> crashed")
-        if edge.target == GOAL:
-            return TacticOutcome.proved()
-        return TacticOutcome.next_state(edge.target)
+        return edge.target
 
 
 class TableGenerator:
@@ -349,14 +318,14 @@ def best_first_search(
             if log_prob > 0.0:
                 raise ProverloopError(f"generator proposed log-probability {log_prob} > 0")
             try:
-                outcome = env.apply(state, tactic)
+                target = env.apply(state, tactic)
             except EnvironmentFailure:
                 failures += 1
                 continue
-            if outcome.kind == INVALID:
+            if target is None:
                 continue
             new_score = score + log_prob
-            key = None if outcome.kind == PROVED else outcome.state
+            key = None if target == GOAL else target
             if key in best_score and best_score[key] >= new_score:
                 continue
             best_score[key] = new_score
@@ -370,13 +339,11 @@ def replay_proof(env: ProofEnvironment, theorem: Theorem, proof: list[str]) -> b
     try:
         state = env.initial_state(theorem)
         for i, tactic in enumerate(proof):
-            outcome = env.apply(state, tactic)
-            if outcome.kind == INVALID:
+            state = env.apply(state, tactic)
+            if state is None:
                 return False
-            if outcome.kind == PROVED:
+            if state == GOAL:
                 return i == len(proof) - 1
-            assert outcome.state is not None
-            state = outcome.state
     except EnvironmentFailure:
         return False
     return False

@@ -39,8 +39,6 @@ from proverloop.retriever import (
 )
 from proverloop.search import (
     GOAL,
-    INVALID,
-    PROVED,
     ProofEnvironment,
     RetrievalFn,
     TableFixture,
@@ -497,16 +495,13 @@ def brute_force_prove(
             if log_prob > 0.0:
                 raise ValueError(f"generator proposed log-probability {log_prob} > 0")
             try:
-                outcome = env.apply(state, tactic)
+                target = env.apply(state, tactic)
             except EnvironmentFailure:
                 continue
-            if outcome.kind == INVALID:
-                continue
-            if outcome.kind == PROVED:
+            if target == GOAL:
                 results.append((path + (tactic,), score + log_prob))
-            else:
-                assert outcome.state is not None
-                dfs(outcome.state, path + (tactic,), score + log_prob)
+            elif target is not None:
+                dfs(target, path + (tactic,), score + log_prob)
 
     dfs(env.initial_state(theorem), (), 0.0)
     return results

@@ -224,6 +224,9 @@ class TestOverridesAndFailures:
     @pytest.mark.parametrize("command, key, line, flags", [
         ("run", "feature_buckets", "feature_buckets = 1", []),
         ("run", "embedding_dim", "embedding_dim = 0", []),
+        # a weight matrix of more bytes than an array can address
+        ("run", "embedding_dim", f"embedding_dim = {10**20}", []),
+        ("run", "feature_buckets", f"feature_buckets = {10**20}", []),
         ("run", "batch_size", "batch_size = 0", []),
         ("run", "batch_size", "batch_size = -3", []),
         ("run", "window", "window = 0", []),
@@ -246,7 +249,8 @@ class TestOverridesAndFailures:
         ("run", "clip_norm", "clip_norm = -1", []),
         ("run", "ewc_lambda", "", ["--ewc-lambda", "nan"]),
         ("run", "seed", "", ["--seed", "-1"]),
-    ], ids=["buckets-1", "dim-0", "batch-0", "batch-negative", "window-0", "run-window-flag",
+    ], ids=["buckets-1", "dim-0", "dim-unaddressable", "buckets-unaddressable",
+            "batch-0", "batch-negative", "window-0", "run-window-flag",
             "metrics-window-flag", "init-scale-negative", "retrieval-max-negative",
             "candidates-negative", "candidates-0", "val-frac-negative", "val-frac-1",
             "test-frac-negative", "lr-negative", "lr-nan", "retrieval-fraction-negative",
@@ -266,8 +270,11 @@ class TestOverridesAndFailures:
         else:
             root = tmp_path / "demo"
             shutil.copytree(demo, root)
-            with open(root / "run.cfg", "a", encoding="utf-8") as cfg:
-                cfg.write(line + "\n")
+            cfg = root / "run.cfg"
+            # the demo sets most keys already; a second line would fail as a duplicate
+            lines = [ln for ln in cfg.read_text(encoding="utf-8").splitlines()
+                     if ln.partition("=")[0].strip() != key]
+            cfg.write_text("\n".join([*lines, line]) + "\n", encoding="utf-8")
             args = cfg_args(root, out)
         assert main([command, *args, *flags]) == 2
         err = capsys.readouterr().err
@@ -500,6 +507,14 @@ class TestErrorContract:
         err = capsys.readouterr().err
         assert err.startswith("error:") and reason in err and "Traceback" not in err
         assert not (tmp_path / "scored").exists()
+
+    def test_metrics_with_a_huge_validation_task_number_exits_two(self, tmp_path, capsys):
+        (tmp_path / "m.csv").write_text(matrix_to_csv([[80.0]]), encoding="utf-8")
+        (tmp_path / "v.csv").write_text(f"task,val_r10\n{10**18},50\n", encoding="utf-8")
+        assert main(["metrics", "--matrix", str(tmp_path / "m.csv"),
+                     "--validation", str(tmp_path / "v.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: validation tasks must be 1..T without gaps\n"
 
     def test_run_with_a_sorry_missing_its_initial_state_exits_two(self, demo, tmp_path,
                                                                    capsys):

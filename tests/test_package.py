@@ -114,6 +114,29 @@ def test_every_imported_name_is_read_by_its_module():
     assert unread == []
 
 
+def test_every_parameter_is_read_by_its_function():
+    """A parameter that its body never reads is dead surface, such as the
+    fast-path argument left behind when the fast path goes. Protocol stubs
+    have no body, and a name starting with _ is unread on purpose."""
+    unread = []
+    for module, tree in PACKAGE_TREES.items():
+        stubs = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                 and any(ast.unparse(base) == "Protocol" for base in cls.bases)
+                 for node in cls.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.Lambda)) or id(fn) in stubs:
+                continue
+            a = fn.args
+            params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+                      if p is not None and not p.arg.startswith("_")]
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            reads = {node.id for stmt in body for node in ast.walk(stmt)
+                     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            name = getattr(fn, "name", "<lambda>")
+            unread.extend(f"{module}:{fn.lineno}: {name}({p})" for p in params if p not in reads)
+    assert unread == []
+
+
 def json_calls(name):
     """'module:function' of each json.<name> call in src/, and of each
     `from json import`, which would hide such a call."""

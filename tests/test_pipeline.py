@@ -500,8 +500,9 @@ class TestTrainThenProve:
         )).save(tmp_path / "untrained.ckpt")
         return config, tmp_path / "untrained.ckpt"
 
-    def test_premise_rows_are_resolved_once_per_goal(self, bundle, tmp_path, monkeypatch):
-        # once for each goal that retrieves, and never for one that does not
+    def test_premise_rows_are_resolved_once_per_retrieval(self, bundle, tmp_path,
+                                                          monkeypatch):
+        # and never for a goal that does not retrieve
         config, ckpt = self.untrained(bundle, tmp_path, "rows_once")
         resolved, retrieved = [], []
         rows_of = EmbeddingIndex.rows_of
@@ -512,11 +513,9 @@ class TestTrainThenProve:
                             **k: retrieved.append(accessible) or retrieve(
                                 model, index, state, accessible, **k))
         _, attempts = prove_standalone(config, ckpt)
-        # one accessible list per goal, so the goals that retrieved are the
-        # distinct lists retrieve_premises saw; the others resolve no rows
-        goals = {id(accessible): accessible for accessible in retrieved}
-        assert sorted(map(id, resolved)) == sorted(goals)
-        assert 0 < len(goals) < len(attempts)
+        assert list(map(id, resolved)) == list(map(id, retrieved))
+        # fewer retrievals than goals: some goal never retrieved
+        assert 0 < len(retrieved) < len(attempts)
 
     def test_a_stage_whose_goals_never_retrieve_builds_nothing(self, bundle, tmp_path,
                                                                 monkeypatch):

@@ -171,17 +171,6 @@ class TestRetrievePremises:
                                 fraction=0.5, max_n=100)
         assert [p.key for p in got] == sorted(p.key for p in accessible)[:4]
 
-    def test_rows_resolved_once_give_the_same_premises(self):
-        corpus, model, index = self.setup_index(n=8)
-        accessible = corpus.all_premises()[::-1]
-        rows = index.rows_of(accessible)
-        for state in ("⊢ q", "⊢ p ∧ q", ""):
-            want = retrieve_premises(model, index, state, accessible, fraction=0.5)
-            assert retrieve_premises(model, index, state, accessible, fraction=0.5,
-                                     rows=rows) == want
-            assert retrieve_premises(model, index, state, accessible, fraction=0.5,
-                                     rows=rows, block=index.matrix[rows]) == want
-
     def test_model_index_version_mismatch(self):
         corpus, model, index = self.setup_index()
         other = EmbeddingModel.random_init(dim=8, n_features=256, seed=2)
@@ -252,9 +241,9 @@ class TestTableEnvironment:
 
     def test_apply_outcomes(self):
         env = self.env()
-        assert env.apply("s0", "step").state == "s1"
-        assert env.apply("s1", "finish").kind == "proved"
-        assert env.apply("s0", "made-up").kind == "invalid"
+        assert env.apply("s0", "step") == "s1"
+        assert env.apply("s1", "finish") == GOAL
+        assert env.apply("s0", "made-up") is None
         with pytest.raises(EnvironmentFailure):
             env.apply("s0", "boom")
 
@@ -397,6 +386,23 @@ class TestBestFirstSearch:
         assert res.status == "proved"
         assert res.proof == ["win"]
         assert res.env_failures == 1
+
+    def test_a_tactic_that_does_not_apply_is_skipped(self):
+        fx = fixture_of(
+            {KEY: "s0"},
+            edge("s0", "b", -0.5, "s1"),
+            edge("s1", "c", -0.5, GOAL),
+        )
+
+        class Guessing(TableGenerator):
+            """Proposes first, at every state, a tactic the table lacks."""
+
+            def propose(self, state, premises, n):
+                return [("made-up", -0.01), *super().propose(state, premises, n)]
+
+        res = best_first_search(TableEnvironment(fx), Guessing(fx), THM, clock=TickClock())
+        assert res.status == "proved" and res.env_failures == 0
+        assert res == search_on(fx)
 
     def test_positive_log_probability_from_a_generator_is_an_error(self):
         fx = fixture_of({KEY: "s0"}, edge("s0", "win", -0.5, GOAL))
