@@ -116,19 +116,19 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     if repeated is not None:
         print(f"error: setup name {repeated!r} given twice", file=sys.stderr)
         return 2
-    reports = {
-        name: compute_report(read_matrix(matrix, validation), window=args.window)
+    raw = {
+        name: compute_report(read_matrix(matrix, validation), window=args.window).to_json()
         for name, matrix, validation in setups
     }
-    normalized = normalize_metrics(reports)
-    composites = composite_score(reports)
+    normalized = normalize_metrics(raw)
+    composites = composite_score(raw)
     doc = {
         name: {
-            "raw": reports[name].to_json(),
+            "raw": raw[name],
             "normalized": normalized[name],
             "composite": composites[name],
         }
-        for name in reports
+        for name in raw
     }
     text = dump_json(doc)
     if args.out:

@@ -109,7 +109,7 @@ class Theorem:
 
     @property
     def key_str(self) -> str:
-        return f"{self.file_path}::{self.full_name}"
+        return premise_key(self.file_path, self.full_name)
 
     def with_status(self, status: str, proof: tuple[str, ...] | None = None) -> Theorem:
         return replace(self, status=status, proof=proof)

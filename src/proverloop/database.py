@@ -1,9 +1,9 @@
 """Growable store of traced repositories and dataset generation.
 
-The database keeps repositories in the order they were added (most recent
-last), remembers which admitted-but-unproven theorems have since been proved,
-and turns any subset of repositories into a train/val/test dataset, merging
-with well-defined dedup rules:
+The database keeps each repository once, in the order they were added
+(most recent last), remembers which admitted-but-unproven theorems have
+since been proved, and turns any subset of repositories into a
+train/val/test dataset, merging with well-defined dedup rules:
 
 * duplicate theorem identities resolve to the most recently added copy,
 * duplicate premise files and traced files resolve to the first encountered.
@@ -179,10 +179,11 @@ class DynamicDatabase:
     # -- membership ---------------------------------------------------------
 
     def add_repository(self, record: RepositoryRecord) -> None:
-        """Append a validated record; re-adding a repo id replaces and
-        moves it to the most-recent slot."""
+        """Append a validated record as the most recent. Each repository is
+        held once: a repo id the database already holds is rejected."""
+        if record.repo_id in self.repo_ids:
+            raise CorruptDocument(f"repository {record.repo_id!r} is listed twice")
         record.validate()
-        self.repositories = [r for r in self.repositories if r.repo_id != record.repo_id]
         self.repositories.append(record)
 
     def get_repository(self, repo_id: str) -> RepositoryRecord:
@@ -294,8 +295,6 @@ class DynamicDatabase:
                         json_field(raw, "premise_files", list, "database record"), start=1)],
                     traced_file_paths=json_field(raw, "traced_files", STRINGS, "database record"),
                 )
-                if record.repo_id in db.repo_ids:
-                    raise CorruptDocument(f"repository {record.repo_id!r} is listed twice")
                 db.add_repository(record)
             except ProverloopError as e:
                 raise CorruptDocument(f"bad repository record {n} ({name}): {e}") from e

@@ -161,9 +161,7 @@ def compute_report(matrix: PerformanceMatrix, window: int = 5) -> MetricReport:
 
 # -- cross-setup comparison ----------------------------------------------------
 
-def _metric_values(report: MetricReport | Mapping[str, float]) -> dict[str, float]:
-    if isinstance(report, MetricReport):
-        return report.to_json()
+def _metric_values(report: Mapping[str, float]) -> dict[str, float]:
     missing = [n for n in METRIC_NAMES if n not in report]
     if missing:
         raise ProverloopError(f"setup is missing metrics {missing}")
@@ -171,7 +169,7 @@ def _metric_values(report: MetricReport | Mapping[str, float]) -> dict[str, floa
 
 
 def normalize_metrics(
-    setups: Mapping[str, MetricReport | Mapping[str, float]],
+    setups: Mapping[str, Mapping[str, float]],
 ) -> dict[str, dict[str, float]]:
     """Min-max normalize each metric across setups; constants map to 0.5."""
     if not setups:
@@ -190,7 +188,7 @@ def normalize_metrics(
 
 
 def composite_score(
-    setups: Mapping[str, MetricReport | Mapping[str, float]],
+    setups: Mapping[str, Mapping[str, float]],
 ) -> dict[str, float]:
     """Fixed-weight blend of normalized metrics, higher is better.
 

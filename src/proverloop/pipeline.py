@@ -59,14 +59,12 @@ from .retriever import (
     RetrievalTask,
     TrainConfig,
     extract_eval_pairs,
-    ground_truth_rows,
     mine_training_examples,
     precompute_embeddings,
     recall_at_k,
     train_one_epoch,
 )
 from .search import (
-    DependencyGraph,
     SearchBudget,
     SearchResult,
     TableEnvironment,
@@ -362,16 +360,12 @@ def _build_task(
     name: str, dataset: GeneratedDataset, seed: int
 ) -> RetrievalTask:
     corpus = dataset.corpus
-    val_pairs = extract_eval_pairs(dataset.split.val, corpus)
-    test_pairs = extract_eval_pairs(dataset.split.test, corpus)
     return RetrievalTask(
         name=name,
         corpus=corpus,
         train_examples=mine_training_examples(dataset.split.train, corpus, seed=seed),
-        val_pairs=val_pairs,
-        test_pairs=test_pairs,
-        val_rows=ground_truth_rows(val_pairs, corpus.keys),
-        test_rows=ground_truth_rows(test_pairs, corpus.keys),
+        val_pairs=extract_eval_pairs(dataset.split.val, corpus),
+        test_pairs=extract_eval_pairs(dataset.split.test, corpus),
     )
 
 
@@ -454,7 +448,7 @@ def prove_goals(
 
 def _stage_inputs(
     model: EmbeddingModel, files: list[PremiseFile]
-) -> tuple[Corpus, DependencyGraph, EmbeddingIndex]:
+) -> tuple[Corpus, dict[str, frozenset[str]], EmbeddingIndex]:
     corpus = corpus_from_files(files)
     return corpus, build_dependency_graph(corpus), precompute_embeddings(model, corpus)
 
@@ -462,7 +456,7 @@ def _stage_inputs(
 def _retrieve(
     model: EmbeddingModel,
     config: RunConfig,
-    stage: Callable[[], tuple[Corpus, DependencyGraph, EmbeddingIndex]],
+    stage: Callable[[], tuple[Corpus, dict[str, frozenset[str]], EmbeddingIndex]],
     theorem: Theorem,
     state: str,
 ) -> list[Premise]:
@@ -521,7 +515,7 @@ def run_pipeline(config: RunConfig, *, prove: bool = True) -> RunReport:
                 clip_norm=config.clip_norm,
                 eval_every=config.eval_every,
                 seed=config.seed + 10_000 + k,
-                ewc=checkpoint.ewc_term(config.ewc_lambda),
+                ewc_lambda=config.ewc_lambda,
             )
             checkpoint = train_one_epoch(checkpoint, task, train_config)
             checkpoint.save(task_checkpoint(out, k))

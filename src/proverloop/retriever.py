@@ -381,6 +381,8 @@ def compute_fisher(
     features is batch_loss_and_grad's."""
     if not examples:
         raise ProverloopError("no examples to estimate parameter importance from")
+    if batch_size < 1:
+        raise ProverloopError(f"batch_size must be positive, got {batch_size}")
     fisher = np.zeros(model.weight.size)
     n_batches = 0
     for lo in range(0, len(examples), batch_size):
@@ -634,8 +636,7 @@ class RetrievalTask:
     """Everything one training round needs from a generated dataset.
 
     val_rows and test_rows are the pairs' ground_truth_rows in the corpus's
-    key order, resolved once for every recall_at_k of the task; recall_at_k
-    resolves them itself where they are unset.
+    key order, resolved once here for every recall_at_k of the task.
     """
 
     name: str
@@ -643,8 +644,12 @@ class RetrievalTask:
     train_examples: list[TrainingExample]
     val_pairs: list[EvalPair]
     test_pairs: list[EvalPair]
-    val_rows: GroundTruthRows | None = None
-    test_rows: GroundTruthRows | None = None
+    val_rows: GroundTruthRows = field(init=False)
+    test_rows: GroundTruthRows = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.val_rows = ground_truth_rows(self.val_pairs, self.corpus.keys)
+        self.test_rows = ground_truth_rows(self.test_pairs, self.corpus.keys)
 
 
 @dataclass(frozen=True)
@@ -655,7 +660,7 @@ class TrainConfig:
     clip_norm: float = 1.0
     eval_every: int | None = None  # None: four evaluations per epoch
     seed: int = 0
-    ewc: EwcTerm | None = None
+    ewc_lambda: float = 0.0  # strength of the anchor to the start checkpoint
 
 
 CHECKPOINT_FORMAT = 3
@@ -680,10 +685,11 @@ class Checkpoint:
     fisher: np.ndarray | None = None
 
     def ewc_term(self, lam: float) -> EwcTerm | None:
-        """Penalty anchoring the next task to this checkpoint, if armed."""
+        """Penalty anchoring the next task to this checkpoint, if armed; the
+        anchor is a view of the model's read-only weights."""
         if lam <= 0.0 or self.fisher is None:
             return None
-        return EwcTerm(lam=lam, fisher=self.fisher, anchor=self.model.flat())
+        return EwcTerm(lam=lam, fisher=self.fisher, anchor=self.model.weight.reshape(-1))
 
     def _encode(self) -> tuple[dict, list[memoryview]]:
         """The header document and the payload after its line, as a view of
@@ -770,7 +776,8 @@ def train_one_epoch(
     task: RetrievalTask,
     config: TrainConfig = TrainConfig(),
 ) -> Checkpoint:
-    """One seeded pass over the task's examples.
+    """One seeded pass over the task's examples, anchored to the
+    checkpoint by checkpoint.ewc_term(config.ewc_lambda).
 
     Returns the evaluated model with the highest validation recall@10, with
     the embeddings its evaluation made and its parameter importance on the
@@ -782,14 +789,15 @@ def train_one_epoch(
         raise CorruptDocument(f"task {task.name!r} has no training examples")
     if not task.val_pairs:
         raise CorruptDocument(f"task {task.name!r} has no validation pairs")
-    if config.ewc is not None:
-        config.ewc.check(checkpoint.model.weight.size)
+    if config.batch_size < 1:
+        raise ProverloopError(f"batch_size must be positive, got {config.batch_size}")
 
     features = example_features(task.corpus, task.train_examples,
                                 checkpoint.model.n_features)
     # the steps run in their own frame, so their models and index are freed
     # before the Fisher pass, which would otherwise raise the stage's peak heap
-    best_model, best_recall = _best_of_epoch(checkpoint.model.weight, task, config, features)
+    best_model, best_recall = _best_of_epoch(
+        checkpoint.model.weight, task, config, features, checkpoint.ewc_term(config.ewc_lambda))
     return Checkpoint(
         model=best_model,
         history=checkpoint.history + (task.name,),
@@ -800,7 +808,7 @@ def train_one_epoch(
 
 def _best_of_epoch(
     weight: np.ndarray, task: RetrievalTask, config: TrainConfig,
-    features: dict[str, np.ndarray],
+    features: dict[str, np.ndarray], ewc: EwcTerm | None,
 ) -> tuple[EmbeddingModel, float]:
     """The steps and evaluations of train_one_epoch from weight: the
     evaluated model with the highest validation recall@10, and that recall.
@@ -826,8 +834,8 @@ def _best_of_epoch(
         # the step reads only the gradient, so the penalty's value is not taken;
         # its gradient is added as batch_loss_and_grad(..., ewc=) adds it
         _, grad = batch_loss_and_grad(weight, batch, features=features)
-        if config.ewc is not None:
-            grad += ewc_penalty_grad(weight.reshape(-1), config.ewc).reshape(grad.shape)
+        if ewc is not None:
+            grad += ewc_penalty_grad(weight.reshape(-1), ewc).reshape(grad.shape)
         # numpy's own pairwise sum: a BLAS dot would split it by thread count
         norm = float(np.sqrt(np.sum(grad * grad)))
         if config.clip_norm > 0.0 and norm > config.clip_norm:

@@ -53,30 +53,20 @@ class TacticGenerator(Protocol):
 
 # -- dependency graph and retrieval ------------------------------------------
 
-@dataclass
-class DependencyGraph:
-    """Reflexive-transitive closure of the corpus import relation."""
-
-    closure: dict[str, frozenset[str]]
-
-    def reachable(self, path: str) -> frozenset[str]:
-        if path not in self.closure:
-            raise ProverloopError(f"file not in corpus: {path!r}")
-        return self.closure[path]
-
-
-def build_dependency_graph(corpus: Corpus) -> DependencyGraph:
+def build_dependency_graph(corpus: Corpus) -> dict[str, frozenset[str]]:
+    """The reflexive-transitive closure of the corpus import relation: each
+    file's path mapped to the paths it reaches, itself included."""
     closure: dict[str, frozenset[str]] = {}
     for f in corpus.files:  # topological order: imports are already closed
         reach: set[str] = {f.path}
         for target in f.imports:
             reach.update(closure[target])
         closure[f.path] = frozenset(reach)
-    return DependencyGraph(closure=closure)
+    return closure
 
 
 def accessible_premises(
-    graph: DependencyGraph, corpus: Corpus, theorem: Theorem
+    graph: dict[str, frozenset[str]], corpus: Corpus, theorem: Theorem
 ) -> list[Premise]:
     """Premises legal to use in the theorem's proof.
 
@@ -84,7 +74,9 @@ def accessible_premises(
     theorem's own file that end before the theorem starts. Ordered by file
     topological order, then position.
     """
-    reach = graph.reachable(theorem.file_path)
+    reach = graph.get(theorem.file_path)
+    if reach is None:
+        raise ProverloopError(f"file not in corpus: {theorem.file_path!r}")
     out: list[Premise] = []
     for f in corpus.files:
         if f.path not in reach:

@@ -280,9 +280,10 @@ def train_one_epoch_oracle(checkpoint, task, config=TrainConfig()):
                for lo in range(0, len(examples), config.batch_size)]
     eval_every = config.eval_every or max(1, len(batches) // 4)
     weight = checkpoint.model.weight
+    ewc = checkpoint.ewc_term(config.ewc_lambda)
     best_model, best_recall = None, -1.0
     for step, batch in enumerate(batches):
-        _, grad = batch_loss_and_grad(EmbeddingModel(weight=weight), batch, ewc=config.ewc)
+        _, grad = batch_loss_and_grad(EmbeddingModel(weight=weight), batch, ewc=ewc)
         norm = float(np.sqrt(np.sum(grad * grad)))
         if config.clip_norm > 0.0 and norm > config.clip_norm:
             grad = grad * (config.clip_norm / norm)

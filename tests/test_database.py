@@ -54,16 +54,27 @@ class TestMembership:
         db.add_repository(rec)
         assert db.repo_ids == [rec.repo_id]
 
-    def test_re_add_replaces_and_moves_to_most_recent(self):
+    def test_re_add_is_rejected(self):
+        db = DynamicDatabase()
+        db.add_repository(make_repo(url="fixture://a"))
+        with pytest.raises(CorruptDocument,
+                           match="^repository 'fixture://a@c1' is listed twice$"):
+            db.add_repository(make_repo(url="fixture://a", name="r1-updated"))
+        with pytest.raises(CorruptDocument, match="is listed twice$"):
+            DynamicDatabase([make_repo(), make_repo()])
+
+    def test_rejected_re_add_leaves_the_database_unchanged(self):
         db = DynamicDatabase()
         first = make_repo(url="fixture://a")
         second = make_repo(url="fixture://b")
         db.add_repository(first)
         db.add_repository(second)
-        replacement = make_repo(url="fixture://a", name="r1-updated")
-        db.add_repository(replacement)
-        assert db.repo_ids == [second.repo_id, replacement.repo_id]
-        assert db.get_repository(replacement.repo_id).name == "r1-updated"
+        before = "".join(db.json_chunks())
+        with pytest.raises(CorruptDocument):
+            db.add_repository(make_repo(url="fixture://a", name="r1-updated"))
+        assert db.repositories == [first, second]
+        assert db.get_repository(first.repo_id) is first
+        assert "".join(db.json_chunks()) == before
 
     def test_duplicate_theorem_keys_rejected(self):
         dup = theorem("r.one", path="lib/base.lean")

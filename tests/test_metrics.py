@@ -5,7 +5,6 @@ import pytest
 from proverloop.errors import CorruptDocument, IoFailure, ProverloopError
 from proverloop.metrics import (
     METRIC_NAMES,
-    MetricReport,
     PerformanceMatrix,
     average_test_curve,
     cfr,
@@ -198,7 +197,7 @@ class TestScaleBehavior:
 def report_like(**kwargs):
     base = dict(wf5=1.0, fm=1.0, cfr=0.5, ebwt=0.0, wp5=1.0, ip=0.0)
     base.update(kwargs)
-    return MetricReport(**base)
+    return base
 
 
 class TestNormalizationAndComposite:
@@ -236,7 +235,7 @@ class TestNormalizationAndComposite:
         affine = {"wf5": (3.0, 5.0), "fm": (0.5, -2.0), "cfr": (10.0, 0.0),
                   "ebwt": (2.0, 1.0), "wp5": (7.0, -3.0), "ip": (0.25, 0.125)}
         warped = {
-            name: {m: affine[m][0] * v + affine[m][1] for m, v in rep.to_json().items()}
+            name: {m: affine[m][0] * v + affine[m][1] for m, v in rep.items()}
             for name, rep in setups.items()
         }
         original = composite_score(setups)

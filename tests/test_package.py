@@ -3,6 +3,7 @@ module-level name, method or property that nothing on the run path uses,
 and it raises only the error types of `errors.py`."""
 
 import ast
+import dataclasses
 import subprocess
 import sys
 from collections import Counter
@@ -35,6 +36,29 @@ def test_a_demo_run_does_not_import_numpy_ma(tmp_path):
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, cwd=tmp_path)
     assert done.stdout.strip() == "False"
+
+
+def test_the_readme_config_table_holds_every_setting_with_its_default():
+    """README's "Config file" table has one row for each RunConfig field a
+    config key sets, and nothing else besides `fixtures` and `out`; each
+    row's default cell, parsed by the field's parse_config parser, is the
+    field's default."""
+    from proverloop.pipeline import _PARSERS, RunConfig, parse_strategy
+
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = readme.split("\n## Config file\n", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in table.splitlines():
+        if line.startswith("| ") and not line.startswith(("| key |", "| ---")):
+            keys, default = (cell.strip() for cell in line.split("|")[1:3])
+            rows.update((key, default) for key in keys.split(" / "))
+    fields = {f.name: f for f in dataclasses.fields(RunConfig)
+              if f.name not in ("fixture_dirs", "out_dir")}
+    assert sorted(set(rows) - set(fields)) == ["fixtures", "out"]
+    assert sorted(set(fields) - set(rows)) == []
+    for name, f in fields.items():
+        parser = parse_strategy if name == "strategy" else _PARSERS[f.type]
+        assert parser(rows[name]) == f.default, name
 
 
 def definitions(tree):

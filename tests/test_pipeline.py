@@ -310,7 +310,7 @@ class TestRunPipeline:
         assert all(isinstance(v, float) for v in raw.values())
         # a single setup min-max normalizes to the midpoint everywhere, so
         # the run reports no composite of its own
-        assert composite_score({"run": report.metric_report}) == {"run": pytest.approx(0.5)}
+        assert composite_score({"run": raw}) == {"run": pytest.approx(0.5)}
         assert not hasattr(report, "composite") and not hasattr(report, "normalized")
 
     def test_report_files_and_artifacts_exist(self, finished_run):

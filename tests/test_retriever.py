@@ -834,6 +834,21 @@ def test_recall_rejects_rows_of_other_pairs_or_another_index():
         recall_at_k(m, index, pairs, gt_rows=ground_truth_rows(pairs, corpus.keys[1:]))
 
 
+def test_a_task_resolves_its_own_ground_truth_rows():
+    corpus = corpus_of(pfile("lib/a.lean", names=("a0", "a1", "a2")),
+                       pfile("lib/b.lean", names=("b0",)))
+    keys = corpus.keys
+    val = [("s0", frozenset({keys[2], GHOST_KEY})), ("s1", frozenset({keys[1]}))]
+    test = [("s2", frozenset({keys[0], keys[3]}))]
+    task = RetrievalTask(name="unit", corpus=corpus, train_examples=[],
+                         val_pairs=val, test_pairs=test)
+    for rows, pairs in ((task.val_rows, val), (task.test_rows, test)):
+        want = ground_truth_rows(pairs, keys)
+        assert rows.keys == want.keys
+        for name in ("query", "row", "size"):
+            assert np.array_equal(getattr(rows, name), getattr(want, name))
+
+
 def make_task(corpus, examples, pairs, name="unit"):
     return RetrievalTask(name=name, corpus=corpus, train_examples=examples,
                          val_pairs=pairs, test_pairs=pairs)
@@ -923,9 +938,9 @@ class TestTraining:
 
     def test_anchored_training_stays_closer_to_the_anchor(self):
         task = self.training_task()
-        start = Checkpoint(model=EmbeddingModel.random_init(dim=6, n_features=64, seed=0))
+        start = Checkpoint(model=EmbeddingModel.random_init(dim=6, n_features=64, seed=0),
+                           fisher=np.ones(6 * 64))
         anchor = start.model.flat()
-        fisher = np.ones_like(anchor)
         # several small batches: the pull toward the anchor is zero at the
         # first step and only bites once parameters have moved; evaluate only
         # at epoch end so the returned model is the final iterate of each run
@@ -934,11 +949,42 @@ class TestTraining:
             eval_every=999, seed=2))
         held = train_one_epoch(start, task, TrainConfig(
             lr=0.1, warmup_steps=0, batch_size=2, clip_norm=0.0,
-            eval_every=999, seed=2,
-            ewc=EwcTerm(lam=5.0, fisher=fisher, anchor=anchor)))
+            eval_every=999, seed=2, ewc_lambda=5.0))
         d_free = np.linalg.norm(free.model.flat() - anchor)
         d_held = np.linalg.norm(held.model.flat() - anchor)
         assert d_held < d_free
+
+    def test_the_anchor_is_a_view_of_the_start_weights(self, monkeypatch):
+        task = self.training_task()
+        start = Checkpoint(model=EmbeddingModel.random_init(dim=6, n_features=64, seed=0),
+                           fisher=np.ones(6 * 64))
+        start_weight = start.model.weight.copy()
+        anchors = []
+        penalty_grad = retriever.ewc_penalty_grad
+
+        def recording(theta, term):
+            anchors.append(term.anchor)
+            return penalty_grad(theta, term)
+
+        monkeypatch.setattr(retriever, "ewc_penalty_grad", recording)
+        train_one_epoch(start, task, TrainConfig(lr=0.1, warmup_steps=0, batch_size=2,
+                                                 seed=2, ewc_lambda=5.0))
+        assert anchors
+        for anchor in anchors:
+            assert np.shares_memory(anchor, start.model.weight)
+            assert not anchor.flags.writeable
+        assert not start.model.weight.flags.writeable
+        assert np.array_equal(start.model.weight, start_weight)
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_a_batch_size_below_one_is_rejected(self, batch_size):
+        task = self.training_task()
+        start = Checkpoint(model=EmbeddingModel.random_init(dim=6, n_features=64, seed=0))
+        message = f"^batch_size must be positive, got {batch_size}$"
+        with pytest.raises(ProverloopError, match=message):
+            train_one_epoch(start, task, TrainConfig(batch_size=batch_size))
+        with pytest.raises(ProverloopError, match=message):
+            compute_fisher(start.model, task.train_examples, batch_size=batch_size)
 
 
 class TestExampleFeatures:
@@ -1052,10 +1098,9 @@ class TestExampleFeatures:
     def test_epoch_equals_the_hashing_loop_and_fisher(self, with_ewc):
         task = self.task()
         start = Checkpoint(model=EmbeddingModel.random_init(dim=6, n_features=64, seed=4),
-                           history=("earlier",))
-        ewc = EwcTerm(lam=0.5, fisher=np.linspace(0.0, 2.0, start.model.weight.size),
-                      anchor=start.model.flat() - 0.02) if with_ewc else None
-        config = TrainConfig(lr=0.2, warmup_steps=1, batch_size=3, seed=6, ewc=ewc)
+                           history=("earlier",), fisher=np.linspace(0.0, 2.0, 6 * 64))
+        config = TrainConfig(lr=0.2, warmup_steps=1, batch_size=3, seed=6,
+                             ewc_lambda=0.5 if with_ewc else 0.0)
         got = train_one_epoch(start, task, config)
         want = train_one_epoch_oracle(start, task, config)
         assert np.array_equal(got.model.weight, want.model.weight)
@@ -1066,11 +1111,10 @@ class TestExampleFeatures:
     def test_an_epoch_never_takes_the_penalty_value(self, monkeypatch):
         # the steps read only the gradient; a small clip norm clips every step
         task = self.task()
-        start = Checkpoint(model=EmbeddingModel.random_init(dim=6, n_features=64, seed=4))
-        ewc = EwcTerm(lam=0.5, fisher=np.linspace(0.0, 2.0, start.model.weight.size),
-                      anchor=start.model.flat() - 0.02)
+        start = Checkpoint(model=EmbeddingModel.random_init(dim=6, n_features=64, seed=4),
+                           fisher=np.linspace(0.0, 2.0, 6 * 64))
         config = TrainConfig(lr=0.2, warmup_steps=1, batch_size=3, clip_norm=1e-3, seed=6,
-                             ewc=ewc)
+                             ewc_lambda=0.5)
         want = train_one_epoch_oracle(start, task, config)
 
         def refuse(theta, term):
@@ -1098,7 +1142,7 @@ class TestExampleFeatures:
 
         monkeypatch.setattr(retriever, "recall_at_k", recording)
         config = TrainConfig(lr=0.2, warmup_steps=1, batch_size=2, eval_every=1, seed=6,
-                             ewc=ewc)
+                             ewc_lambda=0.5)
         got = train_one_epoch(start, task, config)
         assert len(evaluated) == math.ceil(len(task.train_examples) / 2) > 2
         assert np.array_equal(start.model.weight, start_weight)

@@ -19,7 +19,6 @@ from proverloop.errors import CorruptDocument, EnvironmentFailure, IoFailure, Pr
 from proverloop.retriever import EmbeddingModel, precompute_embeddings
 from proverloop.search import (
     GOAL,
-    DependencyGraph,
     SearchBudget,
     TableEnvironment,
     TableFixture,
@@ -52,8 +51,7 @@ KEY = "lib/t.lean::thm.t"
 class TestDependencyGraph:
     def test_closure_is_reflexive(self):
         corpus = corpus_of(pfile("lib/a.lean", names=("a.x",)))
-        graph = build_dependency_graph(corpus)
-        assert graph.reachable("lib/a.lean") == frozenset({"lib/a.lean"})
+        assert build_dependency_graph(corpus) == {"lib/a.lean": frozenset({"lib/a.lean"})}
 
     def test_closure_is_transitive(self):
         corpus = corpus_of(
@@ -62,15 +60,14 @@ class TestDependencyGraph:
             pfile("lib/c.lean", names=("c.x",), imports=("lib/b.lean",)),
         )
         graph = build_dependency_graph(corpus)
-        assert graph.reachable("lib/c.lean") == frozenset(
-            {"lib/a.lean", "lib/b.lean", "lib/c.lean"}
-        )
-        assert graph.reachable("lib/b.lean") == frozenset({"lib/a.lean", "lib/b.lean"})
+        assert graph["lib/c.lean"] == frozenset({"lib/a.lean", "lib/b.lean", "lib/c.lean"})
+        assert graph["lib/b.lean"] == frozenset({"lib/a.lean", "lib/b.lean"})
 
     def test_unknown_file_rejected(self):
-        graph = DependencyGraph(closure={"lib/a.lean": frozenset({"lib/a.lean"})})
+        corpus = corpus_of(pfile("lib/a.lean", names=("a.x",)))
+        ghost = theorem("ghost.thm", path="lib/ghost.lean")
         with pytest.raises(ProverloopError, match="^file not in corpus: 'lib/ghost.lean'$"):
-            graph.reachable("lib/ghost.lean")
+            accessible_premises(build_dependency_graph(corpus), corpus, ghost)
 
 
 class TestAccessiblePremises:
