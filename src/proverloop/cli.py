@@ -6,10 +6,12 @@ import argparse
 import sys
 from pathlib import Path
 
+from .database import STRATEGIES
 from .errors import ProverloopError
 from .fixtures import BUNDLED_SEED, write_bundled
 from .metrics import composite_score, compute_report, normalize_metrics, read_matrix
 from .pipeline import (
+    RANGES,
     build_curriculum,
     check_within,
     curriculum_json,
@@ -26,7 +28,7 @@ from .storage import dump_json, write_atomic
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True, help="key = value run config file")
     p.add_argument("--seed", type=int, help="override the config seed")
-    p.add_argument("--strategy", choices=["single", "merge-all"],
+    p.add_argument("--strategy", choices=STRATEGIES,
                    help="dataset strategy override")
     p.add_argument("--ewc-lambda", type=float, dest="ewc_lambda",
                    help="quadratic anchor strength override")
@@ -50,6 +52,7 @@ def _load_config(args: argparse.Namespace):
 
 
 def _cmd_fixture(args: argparse.Namespace) -> int:
+    check_within("seed", args.seed, RANGES["seed"])
     dirs = write_bundled(args.out, seed=args.seed)
     for d in dirs:
         print(f"wrote {d}")
@@ -100,7 +103,7 @@ def _cmd_prove(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    check_within("window", args.window, "[2, inf)")
+    check_within("window", args.window, RANGES["window"])
     setups = list(args.setup or [])
     if args.matrix or args.validation:
         if not (args.matrix and args.validation):

@@ -2,8 +2,8 @@
 
 The database keeps each repository once, in the order they were added
 (most recent last), remembers which admitted-but-unproven theorems have
-since been proved, and turns any subset of repositories into a
-train/val/test dataset, merging with well-defined dedup rules:
+since been proved, and turns a curriculum prefix into a task's
+train/val/test dataset by a strategy, merging with well-defined dedup rules:
 
 * duplicate theorem identities resolve to the most recently added copy,
 * duplicate premise files and traced files resolve to the first encountered.
@@ -31,6 +31,7 @@ from .corpus import (
     DatasetSplit,
     PremiseFile,
     STATUS_SORRY,
+    STATUS_SORRY_PROVEN,
     Theorem,
     corpus_from_files,
     premise_file_from_json,
@@ -43,8 +44,10 @@ from .curriculum import Difficulty, compute_difficulty
 from .errors import AlreadyProven, CorruptDocument, ProverloopError
 from .storage import REQUIRED, STRINGS, dump_json, json_field, read_json, write_atomic
 
-SINGLE_REPO = "single_repo"
-MERGE_ALL = "merge_all"
+# Dataset strategies, as a config spells them: a task trains on its own
+# repository, or on every repository of the curriculum so far.
+SINGLE_REPO = "single"
+MERGE_ALL = "merge-all"
 STRATEGIES = (SINGLE_REPO, MERGE_ALL)
 
 # Placeholder when fixture metadata carries no date; keeps ingest reproducible.
@@ -114,6 +117,18 @@ class RepositoryRecord:
         """Unproven theorems in deterministic (file, name) order."""
         return sorted((t for t in self.theorems if t.status == STATUS_SORRY),
                       key=lambda t: t.key)
+
+    def record_proof(self, key: tuple[str, str, str], proof: list[str]) -> Theorem:
+        """Mark this record's unproven theorem key as proved by proof: the one
+        sorry -> sorry_proven transition. Transitions are monotone: a theorem
+        already proved, by trace or by search, raises AlreadyProven."""
+        for i, thm in enumerate(self.theorems):
+            if thm.key == key:
+                if thm.status != STATUS_SORRY:
+                    raise AlreadyProven(f"theorem {key[1]!r} already has a proof")
+                self.theorems[i] = thm.with_status(STATUS_SORRY_PROVEN, tuple(proof))
+                return self.theorems[i]
+        raise ProverloopError(f"no theorem with key {key!r} in {self.repo_id}")
 
     def validate(self) -> None:
         seen_paths: set[str] = set()
@@ -201,24 +216,15 @@ class DynamicDatabase:
     def record_sorry_proof(
         self, key: tuple[str, str, str], proof: list[str]
     ) -> Theorem:
-        """Mark the most recent copy of an unproven theorem as proved.
-
-        Transitions are monotone: once proved (by trace or by search) a
-        theorem never returns to the unproven pool.
-        """
-        found_proven = False
-        for rec in reversed(self.repositories):
-            for i, thm in enumerate(rec.theorems):
-                if thm.key != key:
-                    continue
-                if thm.status == STATUS_SORRY:
-                    updated = thm.with_status("sorry_proven", tuple(proof))
-                    rec.theorems[i] = updated
-                    return updated
-                found_proven = True
-        if found_proven:
-            raise AlreadyProven(f"theorem {key[1]!r} already has a proof")
-        raise ProverloopError(f"no theorem with key {key!r}")
+        """Mark the most recent unproven copy of a theorem as proved
+        (RepositoryRecord.record_proof); with every copy proved, the most
+        recent one raises AlreadyProven."""
+        copies = [(rec, t) for rec in reversed(self.repositories)
+                  for t in rec.theorems if t.key == key]
+        if not copies:
+            raise ProverloopError(f"no theorem with key {key!r}")
+        record = next((rec for rec, t in copies if t.status == STATUS_SORRY), copies[0][0])
+        return record.record_proof(key, proof)
 
     # -- dataset generation ---------------------------------------------------
 
@@ -230,12 +236,17 @@ class DynamicDatabase:
         val_frac: float = 0.02,
         test_frac: float = 0.02,
     ) -> GeneratedDataset:
+        """The dataset of the task whose curriculum prefix is repo_ids, the
+        repositories trained on so far in curriculum order: `single` keeps
+        the last of them, the task's own, and `merge-all` keeps all of them,
+        merged by the dedup rules above. seed draws the split."""
         if strategy not in STRATEGIES:
-            raise ProverloopError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
-        if strategy == SINGLE_REPO and len(repo_ids) != 1:
-            raise ProverloopError("single_repo strategy takes exactly one repository")
+            raise ProverloopError(
+                f"strategy must be one of {', '.join(STRATEGIES)}, got {strategy!r}")
         if not repo_ids:
             raise ProverloopError("no repositories given")
+        if strategy == SINGLE_REPO:
+            repo_ids = repo_ids[-1:]
         records = [self.get_repository(rid) for rid in repo_ids]
 
         recency = {rec.repo_id: i for i, rec in enumerate(self.repositories)}

@@ -36,8 +36,8 @@ from .curriculum import (
     order_repositories,
 )
 from .database import (
-    MERGE_ALL,
     SINGLE_REPO,
+    STRATEGIES,
     DynamicDatabase,
     GeneratedDataset,
     RepositoryRecord,
@@ -78,14 +78,6 @@ from .search import (
 )
 from .storage import dump_json, read_json, read_text, write_atomic
 
-STRATEGY_SPELLINGS = {
-    "single": SINGLE_REPO,
-    "single_repo": SINGLE_REPO,
-    "merge-all": MERGE_ALL,
-    "merge_all": MERGE_ALL,
-}
-
-
 @dataclass(frozen=True)
 class RunConfig:
     fixture_dirs: tuple[Path, ...]
@@ -113,8 +105,10 @@ class RunConfig:
     wall_clock: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "strategy", parse_strategy(self.strategy))
-        for key, interval in _RANGES:
+        if self.strategy not in STRATEGIES:
+            raise CorruptDocument(
+                f"strategy must be one of {', '.join(STRATEGIES)}, got {self.strategy!r}")
+        for key, interval in RANGES.items():
             check_within(key, getattr(self, key), interval)
         for key in _UNSET_OR_POSITIVE:
             if getattr(self, key) is not None:
@@ -125,24 +119,24 @@ class RunConfig:
 
 
 # Every interval is open at infinity, so NaN and the infinities never pass.
-_RANGES = (
-    ("seed", "[0, inf)"),
-    ("feature_buckets", "[2, inf)"),
-    ("embedding_dim", "[1, inf)"),
-    ("batch_size", "[1, inf)"),
-    ("window", "[2, inf)"),
-    ("candidates", "[1, inf)"),
-    ("retrieval_max", "[1, inf)"),
-    ("warmup_steps", "[0, inf)"),
-    ("lr", "(0, inf)"),
-    ("init_scale", "(0, inf)"),
-    ("time_budget_ms", "(0, inf)"),
-    ("val_frac", "(0, 1)"),
-    ("test_frac", "(0, 1)"),
-    ("retrieval_fraction", "(0, 1]"),
-    ("clip_norm", "[0, inf)"),
-    ("ewc_lambda", "[0, inf)"),
-)
+RANGES = {
+    "seed": "[0, inf)",
+    "feature_buckets": "[2, inf)",
+    "embedding_dim": "[1, inf)",
+    "batch_size": "[1, inf)",
+    "window": "[2, inf)",
+    "candidates": "[1, inf)",
+    "retrieval_max": "[1, inf)",
+    "warmup_steps": "[0, inf)",
+    "lr": "(0, inf)",
+    "init_scale": "(0, inf)",
+    "time_budget_ms": "(0, inf)",
+    "val_frac": "(0, 1)",
+    "test_frac": "(0, 1)",
+    "retrieval_fraction": "(0, 1]",
+    "clip_norm": "[0, inf)",
+    "ewc_lambda": "[0, inf)",
+}
 # Optional counts: None, which a config file writes as 0, leaves them unset.
 _UNSET_OR_POSITIVE = ("eval_every", "max_expansions")
 
@@ -157,19 +151,9 @@ def check_within(key: str, value: float, interval: str) -> None:
 
 
 def _parse_bool(raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("true", "yes", "1", "on"):
-        return True
-    if lowered in ("false", "no", "0", "off"):
-        return False
-    raise CorruptDocument(f"expected a boolean, got {raw!r}")
-
-
-def parse_strategy(raw: str) -> str:
-    key = raw.strip().lower()
-    if key not in STRATEGY_SPELLINGS:
-        raise CorruptDocument(f"strategy must be one of {sorted(STRATEGY_SPELLINGS)}, got {raw!r}")
-    return STRATEGY_SPELLINGS[key]
+    if raw not in ("true", "false"):
+        raise CorruptDocument(f"expected true or false, got {raw!r}")
+    return raw == "true"
 
 
 def _opt_int(raw: str) -> int | None:
@@ -441,8 +425,8 @@ def prove_goals(
                     budget=budget, clock=None if config.wall_clock else TickClock(),
                 )
                 attempts.append(ProofAttempt(theorem.key_str, repo_id, phase, result))
-                if result.status == "proved" and result.proof is not None:
-                    db.record_sorry_proof(theorem.key, result.proof)
+                if result.status == "proved":
+                    record.record_proof(theorem.key, result.proof)
     return attempts
 
 
@@ -498,9 +482,8 @@ def run_pipeline(config: RunConfig, *, prove: bool = True) -> RunReport:
     for k, repo_id in enumerate(ordered_ids, start=1):
         record = db.get_repository(repo_id)
         with _stage(f"dataset:{record.name}"):
-            ids = [repo_id] if config.strategy == SINGLE_REPO else ordered_ids[:k]
             dataset = db.generate_dataset(
-                ids, strategy=config.strategy, seed=config.seed,
+                ordered_ids[:k], strategy=config.strategy, seed=config.seed,
                 val_frac=config.val_frac, test_frac=config.test_frac,
             )
             write_dataset(dataset, out / "datasets" / f"task_{k:02d}")

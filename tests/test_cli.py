@@ -42,6 +42,11 @@ class TestFixtureCommand:
             assert files == ["corpus.jsonl", "environment.json",
                              "repo.json", "theorems.json"]
 
+    def test_a_negative_seed_exits_two_before_writing(self, tmp_path, capsys):
+        assert main(["fixture", "--out", str(tmp_path / "demo"), "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: seed must be in [0, inf), got -1\n"
+        assert not (tmp_path / "demo").exists()
+
 
 class TestIngestCommand:
     def test_persists_the_database(self, demo, tmp_path, capsys):
@@ -211,7 +216,7 @@ class TestOverridesAndFailures:
                      "--strategy", "merge-all", "--seed", "24", "--window", "3",
                      "--ewc-lambda", "0.0", "--time-budget-ms", "1000"]) == 0
         doc = json.loads((out / "metrics.json").read_text(encoding="utf-8"))
-        assert doc["strategy"] == "merge_all"
+        assert doc["strategy"] == "merge-all"
         assert doc["seed"] == 24
         assert doc["window"] == 3
 
@@ -249,6 +254,9 @@ class TestOverridesAndFailures:
         ("run", "clip_norm", "clip_norm = -1", []),
         ("run", "ewc_lambda", "", ["--ewc-lambda", "nan"]),
         ("run", "seed", "", ["--seed", "-1"]),
+        ("run", "strategy", "strategy = single_repo", []),
+        ("run", "strategy", "strategy = Single", []),
+        ("run", "prove_after", "prove_after = yes", []),
     ], ids=["buckets-1", "dim-0", "dim-unaddressable", "buckets-unaddressable",
             "batch-0", "batch-negative", "window-0", "run-window-flag",
             "metrics-window-flag", "init-scale-negative", "retrieval-max-negative",
@@ -256,7 +264,8 @@ class TestOverridesAndFailures:
             "test-frac-negative", "lr-negative", "lr-nan", "retrieval-fraction-negative",
             "retrieval-fraction-above-1", "warmup-negative", "time-budget-negative",
             "time-budget-flag-inf", "clip-norm-negative", "ewc-lambda-flag-nan",
-            "seed-flag-negative"])
+            "seed-flag-negative", "strategy-underscore", "strategy-capitalized",
+            "prove-after-yes"])
     def test_bad_run_settings_exit_two_before_any_work(self, demo, tmp_path, capsys,
                                                        command, key, line, flags):
         out = tmp_path / "out"

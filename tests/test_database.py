@@ -19,6 +19,8 @@ from helpers import (
 )
 from proverloop.corpus import THEOREM_STATUSES, dump_theorems, serialize_corpus
 from proverloop.database import (
+    MERGE_ALL,
+    SINGLE_REPO,
     DynamicDatabase,
     RepositoryRecord,
     repo_id_of,
@@ -156,13 +158,29 @@ class TestSorryProofs:
         assert [t.status for t in newer.theorems if t.key == key] == ["sorry_proven"]
         assert [t.status for t in older.theorems if t.key == key] == ["sorry_unproven"]
 
+    def test_a_record_proves_its_own_copy_once(self):
+        db = DynamicDatabase()
+        db.add_repository(make_repo(url="fixture://a"))
+        db.add_repository(make_repo(url="fixture://b"))
+        key = ("lib/base.lean", "r.two", "GoalOf r.two")
+        older, newer = db.repositories
+        assert older.record_proof(key, ["rfl"]).proof == ("rfl",)
+        assert [t.status for t in older.theorems if t.key == key] == ["sorry_proven"]
+        assert [t.status for t in newer.theorems if t.key == key] == ["sorry_unproven"]
+        with pytest.raises(AlreadyProven):
+            older.record_proof(key, ["exact base.y"])
+        with pytest.raises(AlreadyProven):
+            older.record_proof(("lib/base.lean", "r.one", "GoalOf r.one"), ["rfl"])
+        with pytest.raises(ProverloopError, match="^no theorem with key "):
+            older.record_proof(("lib/base.lean", "r.missing", "?"), ["rfl"])
+
 
 class TestGenerateDataset:
     def test_one_repo_hundred_theorems(self):
         thms = [theorem(f"t{i}", path="lib/base.lean") for i in range(100)]
         db = DynamicDatabase()
         db.add_repository(make_repo(theorems=thms))
-        ds = db.generate_dataset(db.repo_ids, strategy="merge_all", seed=0)
+        ds = db.generate_dataset(db.repo_ids, strategy=MERGE_ALL, seed=0)
         assert ds.metadata.theorem_count == 100
         assert ds.metadata.split_sizes == {"train": 96, "val": 2, "test": 2}
 
@@ -177,7 +195,7 @@ class TestGenerateDataset:
         db.add_repository(make_repo(url="fixture://b", theorems=[
             newer_copy, theorem("b.only", path="lib/base.lean"),
         ]))
-        ds = db.generate_dataset(db.repo_ids, strategy="merge_all", seed=0)
+        ds = db.generate_dataset(db.repo_ids, strategy=MERGE_ALL, seed=0)
         assert ds.metadata.theorem_count == 4  # shared key deduplicated
         copies = [t for t in ds.theorems if t.full_name == "shared.t"]
         assert copies == [newer_copy]
@@ -192,33 +210,45 @@ class TestGenerateDataset:
         db = DynamicDatabase()
         db.add_repository(mk("fixture://a", first, ("a.t0", "a.t1", "a.t2")))
         db.add_repository(mk("fixture://b", second, ("b.t0", "b.t1")))
-        ds = db.generate_dataset(db.repo_ids, strategy="merge_all", seed=0)
+        ds = db.generate_dataset(db.repo_ids, strategy=MERGE_ALL, seed=0)
         assert ds.metadata.premise_file_count == 1
         assert premise_by_key(ds.corpus, "lib/shared.lean::s.x").statement == "first version"
 
     def test_single_repo_equals_merge_all_of_one(self):
         db = DynamicDatabase()
         db.add_repository(make_repo())
-        a = db.generate_dataset(db.repo_ids, strategy="single_repo", seed=4)
-        b = db.generate_dataset(db.repo_ids, strategy="merge_all", seed=4)
+        a = db.generate_dataset(db.repo_ids, strategy=SINGLE_REPO, seed=4)
+        b = db.generate_dataset(db.repo_ids, strategy=MERGE_ALL, seed=4)
         assert serialize_corpus(a.corpus) == serialize_corpus(b.corpus)
         for part in ("train", "val", "test"):
             assert dump_theorems(getattr(a.split, part)) == dump_theorems(getattr(b.split, part))
 
-    def test_single_repo_rejects_multiple_ids(self):
+    def test_single_of_a_prefix_is_merge_all_of_its_last(self):
         db = DynamicDatabase()
-        db.add_repository(make_repo(url="fixture://a"))
-        db.add_repository(make_repo(url="fixture://b"))
-        with pytest.raises(ProverloopError,
-                           match="^single_repo strategy takes exactly one repository$"):
+        db.add_repository(make_repo(url="fixture://a", theorems=[
+            theorem(f"a.t{i}", path="lib/base.lean") for i in range(4)]))
+        db.add_repository(make_repo(url="fixture://b", date="2024-06-01T00:00:00Z"))
+        db.add_repository(make_repo(url="fixture://c"))
+        prefix = ["fixture://c@c1", "fixture://a@c1", "fixture://b@c1"]
+        a = db.generate_dataset(prefix, strategy=SINGLE_REPO, seed=2)
+        b = db.generate_dataset(prefix[-1:], strategy=MERGE_ALL, seed=2)
+        assert a.metadata.to_json() == b.metadata.to_json()
+        assert a.metadata.repo_ids == ["fixture://b@c1"]
+        assert serialize_corpus(a.corpus) == serialize_corpus(b.corpus)
+        assert dump_theorems(a.theorems) == dump_theorems(b.theorems)
+
+    def test_an_unknown_strategy_is_rejected(self):
+        db = DynamicDatabase()
+        db.add_repository(make_repo())
+        with pytest.raises(ProverloopError, match="^strategy must be one of "):
             db.generate_dataset(db.repo_ids, strategy="single_repo", seed=0)
 
     def test_merge_is_deterministic(self):
         db = DynamicDatabase()
         db.add_repository(make_repo(url="fixture://a"))
         db.add_repository(make_repo(url="fixture://b", date="2024-06-01T00:00:00Z"))
-        a = db.generate_dataset(db.repo_ids, strategy="merge_all", seed=9)
-        b = db.generate_dataset(db.repo_ids, strategy="merge_all", seed=9)
+        a = db.generate_dataset(db.repo_ids, strategy=MERGE_ALL, seed=9)
+        b = db.generate_dataset(db.repo_ids, strategy=MERGE_ALL, seed=9)
         assert dump_theorems(a.theorems) == dump_theorems(b.theorems)
         assert serialize_corpus(a.corpus) == serialize_corpus(b.corpus)
         assert a.metadata.to_json() == b.metadata.to_json()
@@ -227,7 +257,7 @@ class TestGenerateDataset:
     def test_all_statuses_travel_into_datasets(self):
         db = DynamicDatabase()
         db.add_repository(make_repo())
-        ds = db.generate_dataset(db.repo_ids, strategy="merge_all", seed=0)
+        ds = db.generate_dataset(db.repo_ids, strategy=MERGE_ALL, seed=0)
         assert {t.status for t in ds.theorems} == {"proven", "sorry_unproven"}
 
     def test_write_dataset_emits_files(self, tmp_path):

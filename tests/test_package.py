@@ -2,8 +2,10 @@
 module-level name, method or property that nothing on the run path uses,
 and it raises only the error types of `errors.py`."""
 
+import argparse
 import ast
 import dataclasses
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -43,10 +45,9 @@ def test_the_readme_config_table_holds_every_setting_with_its_default():
     config key sets, and nothing else besides `fixtures` and `out`; each
     row's default cell, parsed by the field's parse_config parser, is the
     field's default."""
-    from proverloop.pipeline import _PARSERS, RunConfig, parse_strategy
+    from proverloop.pipeline import _PARSERS, RunConfig
 
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    table = readme.split("\n## Config file\n", 1)[1].split("\n## ", 1)[0]
+    table = readme_section("Config file")
     rows = {}
     for line in table.splitlines():
         if line.startswith("| ") and not line.startswith(("| key |", "| ---")):
@@ -57,8 +58,29 @@ def test_the_readme_config_table_holds_every_setting_with_its_default():
     assert sorted(set(rows) - set(fields)) == ["fixtures", "out"]
     assert sorted(set(fields) - set(rows)) == []
     for name, f in fields.items():
-        parser = parse_strategy if name == "strategy" else _PARSERS[f.type]
-        assert parser(rows[name]) == f.default, name
+        assert _PARSERS[f.type](rows[name]) == f.default, name
+
+
+def test_the_readme_cli_section_names_every_flag_and_strategy():
+    """README's "CLI" section names each flag of each subcommand, and the
+    `--strategy {...}` set it writes is the STRATEGIES tuple."""
+    from proverloop.cli import build_parser
+    from proverloop.database import STRATEGIES
+
+    text = readme_section("CLI")
+    [subcommands] = [a for a in build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    flags = {flag for sub in subcommands.choices.values() for action in sub._actions
+             if not isinstance(action, argparse._HelpAction) for flag in action.option_strings}
+    assert sorted(f for f in flags if not re.search(rf"(?<![\w-]){f}(?![\w-])", text)) == []
+    [written] = re.findall(r"--strategy\s+\{([^}]*)\}", text)
+    assert tuple(written.split(",")) == STRATEGIES
+
+
+def readme_section(title):
+    """The text of README's "## title" section, up to the next heading."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    return readme.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
 
 
 def definitions(tree):

@@ -13,10 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import EagerGenerator, dataset_from_metadata
+from helpers import EagerGenerator, dataset_from_metadata, pfile, theorem
 from proverloop import pipeline, retriever
-from proverloop.corpus import STATUS_SORRY_PROVEN, serialize_corpus
-from proverloop.database import MERGE_ALL, SINGLE_REPO, DynamicDatabase
+from proverloop.corpus import STATUS_SORRY, STATUS_SORRY_PROVEN, serialize_corpus
+from proverloop.database import MERGE_ALL, SINGLE_REPO, DynamicDatabase, RepositoryRecord
 from proverloop.errors import CorruptDocument, IoFailure, PipelineError, ProverloopError
 from proverloop.fixtures import (
     BUNDLED_CONFIG,
@@ -36,14 +36,21 @@ from proverloop.pipeline import (
     load_repo_fixture,
     override_config,
     parse_config,
-    parse_strategy,
+    prove_goals,
     prove_standalone,
     run_pipeline,
     task_checkpoint,
     write_fixture_dir,
 )
 from proverloop.retriever import Checkpoint, EmbeddingIndex, EmbeddingModel
-from proverloop.search import SearchResult, TableEnvironment, TableGenerator, replay_proof
+from proverloop.search import (
+    GOAL,
+    SearchResult,
+    TableEnvironment,
+    TableFixture,
+    TableGenerator,
+    replay_proof,
+)
 
 REPORT_FILES = ("matrix.csv", "validation.csv", "metrics.json",
                 "proofs.json", "curriculum.json")
@@ -81,7 +88,7 @@ class TestParseConfig:
             "lr = 0.5",
             "eval_every = 0",
             "max_expansions = 200",
-            "prove_after = yes",
+            "prove_after = true",
         ])))
         assert cfg.fixture_dirs == ((tmp_path / "repos" / "a").resolve(),)
         assert cfg.out_dir == (tmp_path / "results").resolve()
@@ -142,7 +149,9 @@ class TestParseConfig:
         assert set(values) == settings
         defaults = RunConfig(fixture_dirs=(), out_dir=Path("out"))
         assert all(getattr(defaults, key) != value for key, value in values.items())
-        lines = ["fixtures = a"] + [f"{key} = {value}" for key, value in values.items()]
+        # a config spells a boolean in lower case
+        lines = ["fixtures = a"] + [f"{key} = {str(value).lower() if value is True else value}"
+                                    for key, value in values.items()]
         cfg = parse_config(self.write(tmp_path, "\n".join(lines)))
         assert {key: getattr(cfg, key) for key in values} == values
 
@@ -172,14 +181,27 @@ class TestParseConfig:
         except ProverloopError:
             pass
 
-    def test_strategy_spellings(self):
-        assert parse_strategy("single") == SINGLE_REPO
-        assert parse_strategy("single_repo") == SINGLE_REPO
-        assert parse_strategy("merge-all") == MERGE_ALL
-        assert parse_strategy("MERGE_ALL") == MERGE_ALL
-        with pytest.raises(CorruptDocument,
-                           match="^strategy must be one of .*, got 'everything'$"):
-            parse_strategy("everything")
+    def test_strategy_spellings(self, tmp_path):
+        """A strategy has one spelling, the one STRATEGIES lists."""
+        for spelling, strategy in (("single", SINGLE_REPO), ("merge-all", MERGE_ALL)):
+            path = self.write(tmp_path, f"fixtures = a\nstrategy = {spelling}\n")
+            assert parse_config(path).strategy == strategy
+        for spelling in ("single_repo", "merge_all", "MERGE_ALL", "Single", "everything"):
+            path = self.write(tmp_path, f"fixtures = a\nstrategy = {spelling}\n")
+            with pytest.raises(CorruptDocument, match=(
+                    f"^strategy must be one of single, merge-all, got '{spelling}'$")):
+                parse_config(path)
+
+    def test_a_boolean_is_true_or_false(self, tmp_path):
+        for spelling, value in (("true", True), ("false", False)):
+            path = self.write(tmp_path, f"fixtures = a\nwall_clock = {spelling}\n")
+            assert parse_config(path).wall_clock is value
+        for spelling in ("yes", "no", "on", "off", "1", "0", "True", "FALSE"):
+            path = self.write(tmp_path, f"fixtures = a\nwall_clock = {spelling}\n")
+            with pytest.raises(CorruptDocument, match=(
+                    f"^bad config value for 'wall_clock': expected true or false, "
+                    f"got '{spelling}'$")):
+                parse_config(path)
 
 
 class TestOverrideConfig:
@@ -474,6 +496,35 @@ class TestRunPipeline:
         assert doc == {"attempts": []}
 
 
+class TestProveGoals:
+    def test_a_proof_is_recorded_on_the_copy_that_was_searched(self):
+        """Two commits of one repository share an open goal that only the
+        first commit's table proves: the proof lands on that commit's copy,
+        and the second commit's copy stays open for its own search."""
+        goal = theorem("r.open", path="lib/base.lean", status=STATUS_SORRY)
+        db = DynamicDatabase([
+            RepositoryRecord(url="fixture://r", commit=commit, name="r", theorems=[goal],
+                             premise_files=[pfile("lib/base.lean", names=("base.x",))],
+                             traced_file_paths=["lib/base.lean"])
+            for commit in ("a", "b")])
+        first, second = db.repositories
+        closes = [{"from": "s0", "tactic": "close", "log_prob": -0.1, "to": GOAL}]
+        environments = {
+            first.repo_id: TableFixture.from_json({"initial": {goal.key_str: "s0"},
+                                                   "edges": closes}),
+            second.repo_id: TableFixture.from_json({"initial": {goal.key_str: "s0"},
+                                                    "edges": []}),
+        }
+        model = EmbeddingModel.random_init(dim=4, n_features=16, seed=0, scale=0.1)
+        config = RunConfig(fixture_dirs=(), out_dir=Path("out"))
+        [proved] = prove_goals(db, environments, model, config, [first.repo_id], "during")
+        assert proved.result.status == "proved"
+        assert [t.status for t in first.theorems] == [STATUS_SORRY_PROVEN]
+        assert [t.status for t in second.theorems] == [STATUS_SORRY]
+        [searched] = prove_goals(db, environments, model, config, [second.repo_id], "during")
+        assert (searched.repo_id, searched.result.status) == (second.repo_id, "exhausted")
+
+
 class TestTrainThenProve:
     def test_standalone_proving_uses_the_saved_checkpoint(self, bundle, tmp_path):
         config = override_config(parse_config(bundle / "run.cfg"),
@@ -604,8 +655,8 @@ class TestDatasetMetadata:
         assert [d.name for d in tasks] == ["task_01", "task_02", "task_03"]
         for k, task in enumerate(tasks, start=1):
             doc = json.loads((task / "metadata.json").read_text(encoding="utf-8"))
-            ids = [ordered[k - 1]] if config.strategy == SINGLE_REPO else ordered[:k]
-            expected = db.generate_dataset(ids, strategy=config.strategy, seed=config.seed,
+            expected = db.generate_dataset(ordered[:k], strategy=config.strategy,
+                                           seed=config.seed,
                                            val_frac=config.val_frac, test_frac=config.test_frac)
             rebuilt = dataset_from_metadata(db, doc)
             assert rebuilt.split == expected.split, k
