@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CorruptDocument
-from .storage import POSITION, STRINGS, dump_json, json_field, parse_json
+from .storage import POSITION, REQUIRED, STRINGS, dump_json, json_field, parse_json
 
 Pos = tuple[int, int]
 
@@ -46,15 +46,13 @@ class Premise:
     start: Pos
     end: Pos
     kind: str
+    key: str = field(init=False, repr=False, compare=False)
+    # Serialization used for embedding and retrieval.
+    text: str = field(init=False, repr=False, compare=False)
 
-    @cached_property
-    def key(self) -> str:
-        return premise_key(self.file_path, self.full_name)
-
-    @cached_property
-    def text(self) -> str:
-        """Serialization used for embedding and retrieval."""
-        return f"{self.full_name} : {self.statement}"
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "key", premise_key(self.file_path, self.full_name))
+        object.__setattr__(self, "text", f"{self.full_name} : {self.statement}")
 
 
 def premise_key(file_path: str, full_name: str) -> str:
@@ -176,10 +174,31 @@ def _require(cond: bool, reason: str) -> None:
         raise CorruptDocument(reason)
 
 
+def _is_position(v: object) -> bool:
+    """What json_field reads as a POSITION."""
+    return type(v) is list and len(v) == 2 and type(v[0]) is int is type(v[1]) and min(v) >= 1
+
+
 def premise_file_from_json(obj: object) -> PremiseFile:
     """One premise file. A bad field raises CorruptDocument, and the caller
     puts where the file came from (a corpus line, a database record) in
-    front of its message."""
+    front of its message. A file that passes one shape check is built
+    directly; one that fails it is read field by field, to name the field."""
+    if (type(obj) is dict and type(path := obj.get("path")) is str and path
+            and type(imports := obj.get("imports")) is list and path not in imports
+            and all(type(i) is str for i in imports)
+            and type(raws := obj.get("premises")) is list):
+        by_name: dict[str, Premise] = {}
+        for raw in raws:
+            if not (type(raw) is dict and type(name := raw.get("full_name")) is str and name
+                    and name not in by_name and type(code := raw.get("code")) is str
+                    and _is_position(start := raw.get("start"))
+                    and _is_position(end := raw.get("end")) and start <= end
+                    and type(kind := raw.get("kind")) is str and kind in PREMISE_KINDS):
+                break
+            by_name[name] = Premise(name, path, code, tuple(start), tuple(end), kind)
+        else:
+            return PremiseFile(path, tuple(imports), tuple(by_name.values()))
     path = json_field(obj, "path", str, "premise file")
     _require(bool(path), "path must be a non-empty string")
     imports = json_field(obj, "imports", STRINGS, "premise file")
@@ -208,7 +227,8 @@ def parse_corpus(text: str) -> Corpus:
     """Parse JSONL corpus text, validate imports, and order topologically."""
     files: list[PremiseFile] = []
     seen_paths: set[str] = set()
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    # not splitlines: dump_json writes U+0085, U+2028 and U+2029 raw in strings
+    for line_no, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:
@@ -329,6 +349,15 @@ def tactic_to_json(t: TracedTactic) -> dict:
 
 
 def tactic_from_json(obj: object) -> TracedTactic:
+    """One traced tactic, checked and built as premise_file_from_json is."""
+    if (type(obj) is dict and type(annotated := obj.get("annotated_tactic")) is list
+            and len(annotated) == 2 and type(text := annotated[0]) is str
+            and type(names := annotated[1]) is list
+            and all(type(name) is str and name in text for name in names)
+            and type(tac := obj.get("tactic")) is str
+            and type(before := obj.get("state_before")) is str
+            and type(after := obj.get("state_after")) is str):
+        return TracedTactic(tac, text, tuple(names), before, after)
     annotated = json_field(obj, "annotated_tactic", list, "traced tactic")
     if (len(annotated) != 2 or type(annotated[0]) is not str or type(annotated[1]) is not list
             or not all(type(name) is str for name in annotated[1])):
@@ -365,6 +394,21 @@ def theorem_to_json(thm: Theorem) -> dict:
 
 
 def theorem_from_json(obj: object) -> Theorem:
+    """One theorem, checked and built as premise_file_from_json is."""
+    if (type(obj) is dict and type(status := obj.get("status", STATUS_PROVEN)) is str
+            and status in THEOREM_STATUSES and type(raws := obj.get("traced_tactics")) is list
+            and not (raws and status == STATUS_SORRY) and _is_position(start := obj.get("start"))
+            and _is_position(end := obj.get("end")) and start <= end
+            and (type(proof := obj.get("proof", REQUIRED)) is list
+                 and all(type(step) is str for step in proof)
+                 or proof is REQUIRED and status != STATUS_SORRY_PROVEN)
+            and type(url := obj.get("url")) is str and type(commit := obj.get("commit")) is str
+            and type(file_path := obj.get("file_path")) is str
+            and type(full_name := obj.get("full_name")) is str
+            and type(statement := obj.get("statement")) is str):
+        return Theorem(url, commit, file_path, full_name, statement, tuple(start), tuple(end),
+                       tuple(map(tactic_from_json, raws)), status,
+                       None if proof is REQUIRED else tuple(proof))
     status = json_field(obj, "status", str, "theorem", STATUS_PROVEN)
     if status not in THEOREM_STATUSES:
         raise CorruptDocument(f"unknown status {status!r}")

@@ -181,7 +181,7 @@ def parse_config(path: str | Path) -> RunConfig:
     base = cfg_path.parent
     raw: dict[str, str] = {}
     first_line: dict[str, int] = {}
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(text.split("\n"), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -7,8 +7,12 @@ from functools import partial
 import numpy as np
 
 from proverloop.corpus import (
+    PREMISE_KINDS,
     PROVED_MARKER,
+    STATUS_PROVEN,
     STATUS_SORRY,
+    STATUS_SORRY_PROVEN,
+    THEOREM_STATUSES,
     DatasetSplit,
     Premise,
     PremiseFile,
@@ -20,7 +24,7 @@ from proverloop.corpus import (
 )
 from proverloop.curriculum import CategoryCounts, categorize_value
 from proverloop.database import DATABASE_FORMAT, DatasetMetadata, GeneratedDataset
-from proverloop.errors import EnvironmentFailure, ProverloopError
+from proverloop.errors import CorruptDocument, EnvironmentFailure, ProverloopError
 from proverloop.fixtures import _premise
 from proverloop.retriever import (
     NEGATIVES_PER_EXAMPLE,
@@ -45,6 +49,7 @@ from proverloop.search import (
     TacticGenerator,
     _Edge,
 )
+from proverloop.storage import POSITION, STRINGS, json_field
 
 URL = "fixture://repos/unit"
 COMMIT = "deadbee"
@@ -152,6 +157,85 @@ def database_to_json(db):
     dump_json of it."""
     return {"format_version": DATABASE_FORMAT,
             "repositories": [record_to_json(rec) for rec in db.repositories]}
+
+
+# -- field-by-field record readers ------------------------------------------------
+# The corpus readers build a record that passes one shape check directly and
+# read only a failing one field by field. These read every record field by
+# field, each through json_field, and are the oracle both paths must match.
+
+def premise_file_by_field(obj):
+    def require(cond, reason):
+        if not cond:
+            raise CorruptDocument(reason)
+
+    path = json_field(obj, "path", str, "premise file")
+    require(bool(path), "path must be a non-empty string")
+    imports = json_field(obj, "imports", STRINGS, "premise file")
+    require(path not in imports, "file imports itself")
+    premises = []
+    seen_names = set()
+    for raw in json_field(obj, "premises", list, "premise file"):
+        name = json_field(raw, "full_name", str, "premise")
+        require(bool(name), "full_name must be a non-empty string")
+        require(name not in seen_names, f"duplicate premise name {name!r}")
+        seen_names.add(name)
+        code = json_field(raw, "code", str, "premise")
+        start = json_field(raw, "start", POSITION, "premise")
+        end = json_field(raw, "end", POSITION, "premise")
+        require(start <= end, "premise start must not follow its end")
+        kind = json_field(raw, "kind", str, "premise")
+        require(kind in PREMISE_KINDS, f"kind must be one of {PREMISE_KINDS}")
+        premises.append(Premise(full_name=name, file_path=path, statement=code,
+                                start=start, end=end, kind=kind))
+    return PremiseFile(path=path, imports=tuple(imports), premises=tuple(premises))
+
+
+def tactic_by_field(obj):
+    annotated = json_field(obj, "annotated_tactic", list, "traced tactic")
+    if (len(annotated) != 2 or type(annotated[0]) is not str or type(annotated[1]) is not list
+            or not all(type(name) is str for name in annotated[1])):
+        raise CorruptDocument("annotated_tactic must be [text, [names...]]")
+    text, names = annotated
+    for name in names:
+        if name not in text:
+            raise CorruptDocument(
+                f"referenced premise {name!r} does not appear in the annotated tactic")
+    return TracedTactic(
+        tactic=json_field(obj, "tactic", str, "traced tactic"),
+        annotated_tactic=text,
+        referenced_premises=tuple(names),
+        state_before=json_field(obj, "state_before", str, "traced tactic"),
+        state_after=json_field(obj, "state_after", str, "traced tactic"),
+    )
+
+
+def theorem_by_field(obj):
+    status = json_field(obj, "status", str, "theorem", STATUS_PROVEN)
+    if status not in THEOREM_STATUSES:
+        raise CorruptDocument(f"unknown status {status!r}")
+    tactics = tuple(tactic_by_field(t) for t in json_field(obj, "traced_tactics", list, "theorem"))
+    if status == STATUS_SORRY and tactics:
+        raise CorruptDocument("an unproven theorem cannot carry traced tactics")
+    start = json_field(obj, "start", POSITION, "theorem")
+    end = json_field(obj, "end", POSITION, "theorem")
+    if start > end:
+        raise CorruptDocument("theorem start must not follow its end")
+    proof = json_field(obj, "proof", STRINGS, "theorem", None)
+    if proof is None and status == STATUS_SORRY_PROVEN:
+        raise CorruptDocument("a proved sorry must carry its proof")
+    return Theorem(
+        url=json_field(obj, "url", str, "theorem"),
+        commit=json_field(obj, "commit", str, "theorem"),
+        file_path=json_field(obj, "file_path", str, "theorem"),
+        full_name=json_field(obj, "full_name", str, "theorem"),
+        statement=json_field(obj, "statement", str, "theorem"),
+        start=start,
+        end=end,
+        traced_tactics=tactics,
+        status=status,
+        proof=tuple(proof) if proof is not None else None,
+    )
 
 
 # -- loss oracles ----------------------------------------------------------------

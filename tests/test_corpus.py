@@ -2,22 +2,47 @@
 
 import json
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import COMMIT, URL, corpus_of, pfile, premise, premise_by_key, tactic, theorem
+from helpers import (
+    COMMIT,
+    URL,
+    corpus_of,
+    pfile,
+    premise,
+    premise_by_key,
+    premise_file_by_field,
+    tactic,
+    tactic_by_field,
+    theorem,
+    theorem_by_field,
+)
+from proverloop import corpus as corpus_module
+from proverloop import database, retriever, search, storage
 from proverloop.corpus import (
+    Premise,
     dump_theorems,
     load_theorems,
     parse_corpus,
+    premise_file_from_json,
+    premise_file_to_json,
+    premise_key,
     random_split,
     serialize_corpus,
     tactic_from_json,
     tactic_to_json,
+    theorem_from_json,
+    theorem_to_json,
     topological_order,
 )
 from proverloop.errors import CorruptDocument
+from proverloop.fixtures import write_bundled
+from proverloop.pipeline import load_repo_fixture
 
 
 def file_line(path, imports=(), names=("x",)):
@@ -100,6 +125,9 @@ class TestParseCorpus:
         assert corpus.paths == ["a.lean"]
 
 
+_ANY_TEXT = st.text(st.characters() | st.sampled_from("\u2028\u2029\x85\r\n"), max_size=8)
+
+
 class TestRoundTrip:
     def test_serialize_then_parse_is_identity(self):
         text = "\n".join([
@@ -114,6 +142,18 @@ class TestRoundTrip:
 
     def test_empty_corpus_serializes_to_empty(self):
         assert serialize_corpus(parse_corpus("")) == ""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(_ANY_TEXT.filter(bool), _ANY_TEXT), min_size=1, max_size=3,
+                    unique_by=lambda entry: entry[0]))
+    @example([("a.x", "P \u2028 Q"), ("a.\u2029", "\x85")])
+    def test_any_premise_name_and_statement_round_trip(self, entries):
+        """dump_json writes U+0085, U+2028 and U+2029 raw inside strings, so a
+        corpus line must end at "\\n" only."""
+        corpus = corpus_of(
+            pfile("lib/a.lean", premises=tuple(premise(n, statement=s) for n, s in entries)),
+            pfile("lib/b.lean", imports=("lib/a.lean",), names=("b.x",)))
+        assert parse_corpus(serialize_corpus(corpus)) == corpus
 
 
 class TestTopologicalOrder:
@@ -257,3 +297,102 @@ class TestIdentitiesAndLookup:
     def test_theorem_metadata_round_trip_keeps_url_and_commit(self):
         thms = load_theorems(dump_theorems([theorem("a.one")]))
         assert thms[0].url == URL and thms[0].commit == COMMIT
+
+
+def _premise_file_doc(**fields):
+    doc = premise_file_to_json(pfile("lib/a.lean", names=("a.x", "a.y")))
+    doc["premises"][1].update(fields)
+    return doc
+
+
+def _theorem_doc(**fields):
+    return {**theorem_to_json(theorem("t", tactics=(tactic("a.x"),))), **fields}
+
+
+POSITION_MUST = "must be a [line, col] pair of ints >= 1, got"
+
+
+class TestOnePassReaders:
+    """Each reader checks a record's shape in one pass and reads a failing
+    record field by field; the message is the field-by-field oracle's."""
+
+    @pytest.mark.parametrize("read, oracle, doc, message", [
+        pytest.param(premise_file_from_json, premise_file_by_field,
+                     _premise_file_doc(start=[True, 1]),
+                     f"premise field 'start' {POSITION_MUST} [True, 1]", id="premise-bool-line"),
+        pytest.param(theorem_from_json, theorem_by_field, _theorem_doc(end=[60, False]),
+                     f"theorem field 'end' {POSITION_MUST} [60, False]", id="theorem-bool-col"),
+        pytest.param(premise_file_from_json, premise_file_by_field, _premise_file_doc(end=[0, 1]),
+                     f"premise field 'end' {POSITION_MUST} [0, 1]", id="premise-zero-line"),
+        pytest.param(theorem_from_json, theorem_by_field, _theorem_doc(start=[50, 0]),
+                     f"theorem field 'start' {POSITION_MUST} [50, 0]", id="theorem-zero-col"),
+        pytest.param(premise_file_from_json, premise_file_by_field,
+                     _premise_file_doc(start=[9, 1]), "premise start must not follow its end",
+                     id="premise-start-after-end"),
+        pytest.param(theorem_from_json, theorem_by_field, _theorem_doc(start=[61, 1]),
+                     "theorem start must not follow its end", id="theorem-start-after-end"),
+        pytest.param(premise_file_from_json, premise_file_by_field,
+                     _premise_file_doc(full_name="a.x"), "duplicate premise name 'a.x'",
+                     id="duplicate-premise-name"),
+        pytest.param(premise_file_from_json, premise_file_by_field,
+                     _premise_file_doc(kind="lemma"),
+                     "kind must be one of ('definition', 'theorem-like')", id="unknown-kind"),
+        pytest.param(theorem_from_json, theorem_by_field, _theorem_doc(status="done"),
+                     "unknown status 'done'", id="unknown-status"),
+        pytest.param(tactic_from_json, tactic_by_field,
+                     {**tactic_to_json(tactic("a.x")),
+                      "annotated_tactic": ["apply <a>a.x</a>", ["a.x", "b.y"]]},
+                     "referenced premise 'b.y' does not appear in the annotated tactic",
+                     id="name-missing-from-annotation"),
+        pytest.param(theorem_from_json, theorem_by_field, _theorem_doc(status="sorry_proven"),
+                     "a proved sorry must carry its proof", id="sorry-proven-without-proof"),
+        pytest.param(theorem_from_json, theorem_by_field,
+                     _theorem_doc(status="sorry_proven", proof=None),
+                     "theorem field 'proof' must be a list of strings, got None",
+                     id="sorry-proven-null-proof"),
+    ])
+    def test_a_bad_record_names_its_first_bad_field(self, read, oracle, doc, message):
+        for reader in (read, oracle):
+            with pytest.raises(CorruptDocument) as raised:
+                reader(doc)
+            assert str(raised.value) == message
+
+
+@pytest.fixture(scope="module")
+def demo_dirs(tmp_path_factory):
+    return write_bundled(tmp_path_factory.mktemp("demo"))
+
+
+class TestPremiseCost:
+    """Guards on the premise path, which every run and command pays per premise."""
+
+    def test_premise_defines_no_cached_property(self):
+        assert not [name for name, value in vars(Premise).items()
+                    if isinstance(value, cached_property)]
+
+    def test_key_and_text_are_set_at_construction_and_by_replace(self, demo_dirs):
+        premises = [p for d in demo_dirs for pf in load_repo_fixture(d)[0].premise_files
+                    for p in pf.premises]
+        assert premises
+        for p in premises:
+            for q in (p, replace(p), replace(p, full_name=p.full_name + "'", file_path="x.lean",
+                                             statement=p.statement + " ∧ True")):
+                assert q.key == premise_key(q.file_path, q.full_name)
+                assert q.text == f"{q.full_name} : {q.statement}"
+
+    def test_ingest_reads_fewer_fields_than_records(self, demo_dirs, monkeypatch):
+        """A valid record is built in one pass, not field by field."""
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return storage.json_field(*args, **kwargs)
+
+        for module in (corpus_module, database, retriever, search):
+            monkeypatch.setattr(module, "json_field", counting)
+        records = 0
+        for d in demo_dirs:
+            record, _ = load_repo_fixture(d)
+            records += (sum(len(pf.premises) for pf in record.premise_files)
+                        + sum(1 + len(t.traced_tactics) for t in record.theorems))
+        assert 0 < len(calls) < records

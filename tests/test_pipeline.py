@@ -102,6 +102,12 @@ class TestParseConfig:
         assert cfg.prove_after is True
         assert cfg.wall_clock is False
 
+    @pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\x85"])
+    def test_a_line_ends_only_at_a_newline(self, tmp_path, sep):
+        """A comment holding a Unicode line separator stays one comment line."""
+        cfg = parse_config(self.write(tmp_path, f"# note{sep}not a setting\nfixtures = a\n"))
+        assert [d.name for d in cfg.fixture_dirs] == ["a"]
+
     def test_out_defaults_next_to_the_config(self, tmp_path):
         cfg = parse_config(self.write(tmp_path, "fixtures = a, b\n"))
         assert cfg.out_dir == (tmp_path / "out").resolve()

@@ -9,11 +9,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import pfile, tactic, theorem
+from helpers import (
+    pfile,
+    premise_file_by_field,
+    tactic,
+    tactic_by_field,
+    theorem,
+    theorem_by_field,
+)
 from proverloop.corpus import (
+    PREMISE_KINDS,
+    THEOREM_STATUSES,
     load_theorems,
     parse_corpus,
+    premise_file_from_json,
     premise_file_to_json,
+    tactic_from_json,
+    tactic_to_json,
     theorem_from_json,
     theorem_to_json,
 )
@@ -226,16 +238,100 @@ def test_one_replaced_field_loads_or_raises_a_package_error(documents, data):
     raises a ProverloopError, never another exception."""
     valid, load, paths = documents[data.draw(st.sampled_from(sorted(documents)))]
     load(valid)
-    changed = copy.deepcopy(valid)
-    target = changed
-    for step in data.draw(st.sampled_from(paths)):
-        target = target[step]
-    field = data.draw(st.sampled_from(sorted(target)))
-    if data.draw(st.booleans()):
-        del target[field]
-    else:
-        target[field] = data.draw(_JSON_VALUES)
     try:
-        load(changed)
+        load(_one_field_replaced(data, valid, paths, _JSON_VALUES))
     except ProverloopError:
         pass
+
+
+_DELETED = object()
+
+
+def _at(doc, path):
+    for step in path:
+        doc = doc[step]
+    return doc
+
+
+def _replaced(valid, path, field, value):
+    """A copy of valid whose object at path has field set to value, or
+    deleted if value is _DELETED."""
+    changed = copy.deepcopy(valid)
+    target = _at(changed, path)
+    if value is _DELETED:
+        del target[field]
+    else:
+        target[field] = value
+    return changed
+
+
+def _one_field_replaced(data, valid, paths, values):
+    """_replaced at a drawn path and field, by a value drawn from values or
+    _DELETED."""
+    path = data.draw(st.sampled_from(paths))
+    field = data.draw(st.sampled_from(sorted(_at(valid, path))))
+    return _replaced(valid, path, field, data.draw(st.just(_DELETED) | values))
+
+
+# Values next to a valid record's, so the one-pass checks meet their edges:
+# a bool, a float or 0 in a position, a start after its end, a taken name or
+# path, every kind and status, and annotations that hold their names or not.
+_NEAR_VALUES = [
+    None, "", "a.x", "a.y", "lib/a.lean", "lib/b.lean", "done", *PREMISE_KINDS,
+    *THEOREM_STATUSES, [1, 1], [0, 1], [1, 0], [99, 1], [True, 1], [1, 1.0], [1], [1, 1, 1],
+    [], ["a.x"], ["a.x", 1], ["lib/a.lean"], ["apply <a>a.x</a>", ["a.x"]], ["rfl", ["a.x"]],
+    ["rfl", []], ["rfl"],
+]
+
+
+@pytest.fixture(scope="module")
+def records(documents):
+    """A valid record of each kind the corpus reads in one pass, its reader,
+    the field-by-field oracle, and the paths of the objects whose fields the
+    tests change: the corpus line (and its premise) and the theorem (and its
+    traced tactic) of the documents above, a premise file with two
+    premises, a proved sorry with its proof, and a lone traced tactic."""
+    two = premise_file_to_json(pfile("lib/a.lean", names=("a.x", "a.y"), imports=("lib/b.lean",)))
+    found = theorem_to_json(theorem("s", tactics=(tactic("a.x"),), status="sorry_proven",
+                                    proof=("apply a.x",)))
+    lines = [(), ("premises", 0), ("premises", -1)]
+    return {
+        "corpus line": (documents["corpus line"][0], premise_file_from_json,
+                        premise_file_by_field, lines),
+        "two premises": (two, premise_file_from_json, premise_file_by_field, lines),
+        "theorem": (documents["theorem"][0], theorem_from_json, theorem_by_field,
+                    [(), ("traced_tactics", 0)]),
+        "proved sorry": (found, theorem_from_json, theorem_by_field, [(), ("traced_tactics", 0)]),
+        "traced tactic": (tactic_to_json(tactic("a.x")), tactic_from_json, tactic_by_field, [()]),
+    }
+
+
+def _outcome(read, doc):
+    try:
+        return read(doc)
+    except CorruptDocument as e:
+        return f"CorruptDocument: {e}"
+
+
+def test_the_one_pass_readers_match_the_field_reads_on_every_near_value(records):
+    """Every field of a corpus line, premise, theorem or traced tactic,
+    deleted or set to each near value in turn: the one-pass reader and the
+    field-by-field oracle return equal records or raise CorruptDocument with
+    the same message."""
+    for valid, read, oracle, paths in records.values():
+        assert read(valid) == oracle(valid)
+        for path in paths:
+            for field in sorted(_at(valid, path)):
+                for value in (_DELETED, *_NEAR_VALUES):
+                    changed = _replaced(valid, path, field, value)
+                    assert _outcome(read, changed) == _outcome(oracle, changed), (path, field)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_the_one_pass_readers_accept_exactly_what_the_field_reads_accept(records, data):
+    """The same with one field replaced by any JSON value, NaN and a lone
+    surrogate included."""
+    valid, read, oracle, paths = records[data.draw(st.sampled_from(sorted(records)))]
+    changed = _one_field_replaced(data, valid, paths, _JSON_VALUES)
+    assert _outcome(read, changed) == _outcome(oracle, changed)
