@@ -25,6 +25,14 @@ from .pipeline import (
 from .storage import dump_json, write_atomic
 
 
+def _out_dir(value: str) -> str:
+    """The type of every --out. An empty one would name the current
+    directory (`--out .` says so explicitly), so it ends parsing."""
+    if not value:
+        raise ProverloopError("--out names no output directory")
+    return value
+
+
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True, help="key = value run config file")
     p.add_argument("--seed", type=int, help="override the config seed")
@@ -35,7 +43,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--window", type=int, help="metric window override")
     p.add_argument("--time-budget-ms", type=float, dest="time_budget_ms",
                    help="per-theorem search budget override")
-    p.add_argument("--out", help="output directory override")
+    p.add_argument("--out", type=_out_dir, help="output directory override")
 
 
 def _load_config(args: argparse.Namespace):
@@ -161,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fixture", help="write the bundled three-repo demo")
-    p.add_argument("--out", required=True, help="directory to create")
+    p.add_argument("--out", type=_out_dir, required=True, help="directory to create")
     p.add_argument("--seed", type=int, default=BUNDLED_SEED)
     p.set_defaults(fn=_cmd_fixture)
 
@@ -191,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--setup", nargs=3, action="append",
                    metavar=("NAME", "MATRIX", "VALIDATION"),
                    help="named setup; repeat to normalize across setups")
-    p.add_argument("--out", help="also write metrics.json here")
+    p.add_argument("--out", type=_out_dir, help="also write metrics.json here")
     p.set_defaults(fn=_cmd_metrics)
 
     p = sub.add_parser("run", help="full pipeline: ingest, curriculum, train, prove")
@@ -202,8 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except ProverloopError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -19,7 +19,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CorruptDocument
-from .storage import POSITION, REQUIRED, STRINGS, dump_json, json_field, parse_json
+from .storage import (POSITION, STRINGS, dump_json, is_position, is_strings, json_field,
+                      parse_json)
 
 Pos = tuple[int, int]
 
@@ -169,58 +170,46 @@ class DatasetSplit:
 
 # -- parsing ----------------------------------------------------------------
 
-def _require(cond: bool, reason: str) -> None:
-    if not cond:
-        raise CorruptDocument(reason)
-
-
-def _is_position(v: object) -> bool:
-    """What json_field reads as a POSITION."""
-    return type(v) is list and len(v) == 2 and type(v[0]) is int is type(v[1]) and min(v) >= 1
-
-
 def premise_file_from_json(obj: object) -> PremiseFile:
-    """One premise file. A bad field raises CorruptDocument, and the caller
-    puts where the file came from (a corpus line, a database record) in
-    front of its message. A file that passes one shape check is built
-    directly; one that fails it is read field by field, to name the field."""
-    if (type(obj) is dict and type(path := obj.get("path")) is str and path
-            and type(imports := obj.get("imports")) is list and path not in imports
-            and all(type(i) is str for i in imports)
-            and type(raws := obj.get("premises")) is list):
-        by_name: dict[str, Premise] = {}
-        for raw in raws:
-            if not (type(raw) is dict and type(name := raw.get("full_name")) is str and name
-                    and name not in by_name and type(code := raw.get("code")) is str
-                    and _is_position(start := raw.get("start"))
-                    and _is_position(end := raw.get("end")) and start <= end
-                    and type(kind := raw.get("kind")) is str and kind in PREMISE_KINDS):
-                break
-            by_name[name] = Premise(name, path, code, tuple(start), tuple(end), kind)
-        else:
-            return PremiseFile(path, tuple(imports), tuple(by_name.values()))
-    path = json_field(obj, "path", str, "premise file")
-    _require(bool(path), "path must be a non-empty string")
-    imports = json_field(obj, "imports", STRINGS, "premise file")
-    _require(path not in imports, "file imports itself")
-    premises: list[Premise] = []
-    seen_names: set[str] = set()
-    for raw in json_field(obj, "premises", list, "premise file"):
-        name = json_field(raw, "full_name", str, "premise")
-        _require(bool(name), "full_name must be a non-empty string")
-        _require(name not in seen_names, f"duplicate premise name {name!r}")
-        seen_names.add(name)
-        code = json_field(raw, "code", str, "premise")
-        start = json_field(raw, "start", POSITION, "premise")
-        end = json_field(raw, "end", POSITION, "premise")
-        _require(start <= end, "premise start must not follow its end")
-        kind = json_field(raw, "kind", str, "premise")
-        _require(kind in PREMISE_KINDS, f"kind must be one of {PREMISE_KINDS}")
-        premises.append(Premise(
-            full_name=name, file_path=path, statement=code,
-            start=start, end=end, kind=kind,
-        ))
-    return PremiseFile(path=path, imports=tuple(imports), premises=tuple(premises))
+    """One premise file, its fields checked in one pass in document order.
+    A bad field raises CorruptDocument, and the caller puts where the file
+    came from (a corpus line, a database record) in front of its message.
+
+    Each field is tested inline with the predicate json_field uses; only a
+    field that fails goes to json_field, which then raises the message
+    naming it. The theorem and tactic readers below work the same way."""
+    if type(obj) is not dict or type(path := obj.get("path")) is not str:
+        json_field(obj, "path", str, "premise file")
+    if not path:
+        raise CorruptDocument("path must be a non-empty string")
+    if not is_strings(imports := obj.get("imports")):
+        json_field(obj, "imports", STRINGS, "premise file")
+    if path in imports:
+        raise CorruptDocument("file imports itself")
+    if type(raws := obj.get("premises")) is not list:
+        json_field(obj, "premises", list, "premise file")
+    by_name: dict[str, Premise] = {}
+    for raw in raws:
+        if type(raw) is not dict or type(name := raw.get("full_name")) is not str:
+            json_field(raw, "full_name", str, "premise")
+        if not name:
+            raise CorruptDocument("full_name must be a non-empty string")
+        if name in by_name:
+            raise CorruptDocument(f"duplicate premise name {name!r}")
+        if type(code := raw.get("code")) is not str:
+            json_field(raw, "code", str, "premise")
+        if not is_position(start := raw.get("start")):
+            json_field(raw, "start", POSITION, "premise")
+        if not is_position(end := raw.get("end")):
+            json_field(raw, "end", POSITION, "premise")
+        if start > end:
+            raise CorruptDocument("premise start must not follow its end")
+        if type(kind := raw.get("kind")) is not str:
+            json_field(raw, "kind", str, "premise")
+        if kind not in PREMISE_KINDS:
+            raise CorruptDocument(f"kind must be one of {PREMISE_KINDS}")
+        by_name[name] = Premise(name, path, code, tuple(start), tuple(end), kind)
+    return PremiseFile(path, tuple(imports), tuple(by_name.values()))
 
 
 def parse_corpus(text: str) -> Corpus:
@@ -233,7 +222,8 @@ def parse_corpus(text: str) -> Corpus:
             continue
         try:
             pf = premise_file_from_json(parse_json(line, "premise file"))
-            _require(pf.path not in seen_paths, f"duplicate file path {pf.path!r}")
+            if pf.path in seen_paths:
+                raise CorruptDocument(f"duplicate file path {pf.path!r}")
         except CorruptDocument as e:
             raise CorruptDocument(f"line {line_no}: {e}") from e
         seen_paths.add(pf.path)
@@ -349,31 +339,23 @@ def tactic_to_json(t: TracedTactic) -> dict:
 
 
 def tactic_from_json(obj: object) -> TracedTactic:
-    """One traced tactic, checked and built as premise_file_from_json is."""
-    if (type(obj) is dict and type(annotated := obj.get("annotated_tactic")) is list
-            and len(annotated) == 2 and type(text := annotated[0]) is str
-            and type(names := annotated[1]) is list
-            and all(type(name) is str and name in text for name in names)
-            and type(tac := obj.get("tactic")) is str
-            and type(before := obj.get("state_before")) is str
-            and type(after := obj.get("state_after")) is str):
-        return TracedTactic(tac, text, tuple(names), before, after)
-    annotated = json_field(obj, "annotated_tactic", list, "traced tactic")
-    if (len(annotated) != 2 or type(annotated[0]) is not str or type(annotated[1]) is not list
-            or not all(type(name) is str for name in annotated[1])):
+    """One traced tactic, checked as premise_file_from_json is."""
+    if type(obj) is not dict or type(annotated := obj.get("annotated_tactic")) is not list:
+        json_field(obj, "annotated_tactic", list, "traced tactic")
+    if not (len(annotated) == 2 and type(text := annotated[0]) is str
+            and is_strings(names := annotated[1])):
         raise CorruptDocument("annotated_tactic must be [text, [names...]]")
-    text, names = annotated
     for name in names:
         if name not in text:
             raise CorruptDocument(
                 f"referenced premise {name!r} does not appear in the annotated tactic")
-    return TracedTactic(
-        tactic=json_field(obj, "tactic", str, "traced tactic"),
-        annotated_tactic=text,
-        referenced_premises=tuple(names),
-        state_before=json_field(obj, "state_before", str, "traced tactic"),
-        state_after=json_field(obj, "state_after", str, "traced tactic"),
-    )
+    if type(tac := obj.get("tactic")) is not str:
+        json_field(obj, "tactic", str, "traced tactic")
+    if type(before := obj.get("state_before")) is not str:
+        json_field(obj, "state_before", str, "traced tactic")
+    if type(after := obj.get("state_after")) is not str:
+        json_field(obj, "state_after", str, "traced tactic")
+    return TracedTactic(tac, text, tuple(names), before, after)
 
 
 def theorem_to_json(thm: Theorem) -> dict:
@@ -394,47 +376,38 @@ def theorem_to_json(thm: Theorem) -> dict:
 
 
 def theorem_from_json(obj: object) -> Theorem:
-    """One theorem, checked and built as premise_file_from_json is."""
-    if (type(obj) is dict and type(status := obj.get("status", STATUS_PROVEN)) is str
-            and status in THEOREM_STATUSES and type(raws := obj.get("traced_tactics")) is list
-            and not (raws and status == STATUS_SORRY) and _is_position(start := obj.get("start"))
-            and _is_position(end := obj.get("end")) and start <= end
-            and (type(proof := obj.get("proof", REQUIRED)) is list
-                 and all(type(step) is str for step in proof)
-                 or proof is REQUIRED and status != STATUS_SORRY_PROVEN)
-            and type(url := obj.get("url")) is str and type(commit := obj.get("commit")) is str
-            and type(file_path := obj.get("file_path")) is str
-            and type(full_name := obj.get("full_name")) is str
-            and type(statement := obj.get("statement")) is str):
-        return Theorem(url, commit, file_path, full_name, statement, tuple(start), tuple(end),
-                       tuple(map(tactic_from_json, raws)), status,
-                       None if proof is REQUIRED else tuple(proof))
-    status = json_field(obj, "status", str, "theorem", STATUS_PROVEN)
+    """One theorem, checked as premise_file_from_json is."""
+    if type(obj) is not dict or type(status := obj.get("status", STATUS_PROVEN)) is not str:
+        json_field(obj, "status", str, "theorem")
     if status not in THEOREM_STATUSES:
         raise CorruptDocument(f"unknown status {status!r}")
-    tactics = tuple(tactic_from_json(t) for t in
-                    json_field(obj, "traced_tactics", list, "theorem"))
+    if type(raws := obj.get("traced_tactics")) is not list:
+        json_field(obj, "traced_tactics", list, "theorem")
+    tactics = tuple(map(tactic_from_json, raws))
     if status == STATUS_SORRY and tactics:
         raise CorruptDocument("an unproven theorem cannot carry traced tactics")
-    start = json_field(obj, "start", POSITION, "theorem")
-    end = json_field(obj, "end", POSITION, "theorem")
+    if not is_position(start := obj.get("start")):
+        json_field(obj, "start", POSITION, "theorem")
+    if not is_position(end := obj.get("end")):
+        json_field(obj, "end", POSITION, "theorem")
     if start > end:
         raise CorruptDocument("theorem start must not follow its end")
-    proof = json_field(obj, "proof", STRINGS, "theorem", None)
+    if not is_strings(proof := obj.get("proof")) and "proof" in obj:
+        json_field(obj, "proof", STRINGS, "theorem")
     if proof is None and status == STATUS_SORRY_PROVEN:
         raise CorruptDocument("a proved sorry must carry its proof")
-    return Theorem(
-        url=json_field(obj, "url", str, "theorem"),
-        commit=json_field(obj, "commit", str, "theorem"),
-        file_path=json_field(obj, "file_path", str, "theorem"),
-        full_name=json_field(obj, "full_name", str, "theorem"),
-        statement=json_field(obj, "statement", str, "theorem"),
-        start=start,
-        end=end,
-        traced_tactics=tactics,
-        status=status,
-        proof=tuple(proof) if proof is not None else None,
-    )
+    if type(url := obj.get("url")) is not str:
+        json_field(obj, "url", str, "theorem")
+    if type(commit := obj.get("commit")) is not str:
+        json_field(obj, "commit", str, "theorem")
+    if type(file_path := obj.get("file_path")) is not str:
+        json_field(obj, "file_path", str, "theorem")
+    if type(full_name := obj.get("full_name")) is not str:
+        json_field(obj, "full_name", str, "theorem")
+    if type(statement := obj.get("statement")) is not str:
+        json_field(obj, "statement", str, "theorem")
+    return Theorem(url, commit, file_path, full_name, statement, tuple(start), tuple(end),
+                   tactics, status, None if proof is None else tuple(proof))
 
 
 def dump_theorems(theorems: list[Theorem]) -> str:

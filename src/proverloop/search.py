@@ -273,9 +273,11 @@ def best_first_search(
 ) -> SearchResult:
     """Expand highest cumulative log-probability first; prune repeat states.
 
-    A revisited state survives only with a better score. Environment crashes
-    count as failures and the edge is skipped. The generator pulls a state's
-    premises from retrieval_fn on demand, at most once per expansion.
+    A revisited state survives only with a better score, and a score that
+    is not finite raises a ProverloopError naming the theorem. Environment
+    crashes count as failures and the edge is skipped. The generator pulls
+    a state's premises from retrieval_fn on demand, at most once per
+    expansion.
     """
     import heapq
 
@@ -317,6 +319,10 @@ def best_first_search(
             if target is None:
                 continue
             new_score = score + log_prob
+            if not math.isfinite(new_score):
+                raise ProverloopError(
+                    f"search on {theorem.key_str!r}: cumulative log-probability "
+                    f"{score} + {log_prob} is not finite")
             key = None if target == GOAL else target
             if key in best_score and best_score[key] >= new_score:
                 continue

@@ -123,6 +123,17 @@ _KIND_NAMES = {str: "a string", int: "an int", float: "a finite number", bool: "
 _FLOAT_MAX = sys.float_info.max
 
 
+def is_strings(value: object) -> bool:
+    """Whether value is a STRINGS field."""
+    return type(value) is list and all(type(v) is str for v in value)
+
+
+def is_position(value: object) -> bool:
+    """Whether value is a POSITION field."""
+    return (type(value) is list and len(value) == 2
+            and type(value[0]) is int is type(value[1]) and value[0] >= 1 <= value[1])
+
+
 def json_field(doc: object, key: str, kind: object, what: str,
                default: object = REQUIRED) -> Any:
     """doc[key] if it has its one kind, else CorruptDocument naming what and key.
@@ -130,7 +141,9 @@ def json_field(doc: object, key: str, kind: object, what: str,
     Nothing is coerced: a bool is never an int or a float, a float field is
     finite (a JSON int there reads as a float), and null is only a value of
     FLOAT_OR_NULL. A missing key reads as default, so a field without one
-    is required. A POSITION reads as a tuple.
+    is required. A POSITION reads as a tuple. A reader that tests a field
+    itself uses the same check (is_strings, is_position, a type test) and
+    calls json_field only when it fails, for the message.
     """
     if type(doc) is not dict:
         raise CorruptDocument(f"{what} must be an object, got {doc!r:.60}")
@@ -148,11 +161,10 @@ def json_field(doc: object, key: str, kind: object, what: str,
     elif kind is FLOAT_OR_NULL:
         return None
     elif kind is STRINGS:
-        if t is list and all(type(v) is str for v in value):
+        if is_strings(value):
             return value
     elif kind is POSITION:
-        if (t is list and len(value) == 2 and type(value[0]) is int is type(value[1])
-                and value[0] >= 1 and value[1] >= 1):
+        if is_position(value):
             return (value[0], value[1])
     raise CorruptDocument(
         f"{what} field {key!r} must be {_KIND_NAMES.get(kind, kind)}, got {value!r:.60}")

@@ -160,9 +160,9 @@ def database_to_json(db):
 
 
 # -- field-by-field record readers ------------------------------------------------
-# The corpus readers build a record that passes one shape check directly and
-# read only a failing one field by field. These read every record field by
-# field, each through json_field, and are the oracle both paths must match.
+# The corpus readers test each field inline and call json_field only for one
+# that fails. These read every field through json_field, and are the oracle
+# the readers must match, in the records they build and the field they name.
 
 def premise_file_by_field(obj):
     def require(cond, reason):

@@ -93,6 +93,26 @@ class TestRunAndMetrics:
         assert "proved" in stdout and "composite" not in stdout
         assert "composite" not in json.loads((out / "metrics.json").read_text(encoding="utf-8"))
 
+    def test_a_proof_score_that_overflows_exits_two(self, demo, tmp_path, capsys):
+        """Two finite log-probabilities of -1e308 on one proof sum to -inf,
+        which no JSON report can hold: the search names the theorem and the
+        command exits 2 instead of failing in the report writer."""
+        root = tmp_path / "demo"
+        shutil.copytree(demo, root)
+        path = root / "repo_algebra" / "environment.json"
+        table = json.loads(path.read_text(encoding="utf-8"))
+        for e in table["edges"]:
+            if (e["from"], e["tactic"]) in {("a_goal0", "unfold step"), ("a_goal1", "finish")}:
+                e["log_prob"] = -1e308
+        path.write_text(json.dumps(table), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["run", *cfg_args(root, out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: stage 'prove:algebra-warmup': search on "
+            "'alg/basic.lean::alg.open_task': cumulative log-probability "
+            "-1e+308 + -1e+308 is not finite\n")
+        assert not (out / "proofs.json").exists()
+
     def test_metrics_on_a_single_setup(self, tmp_path, capsys):
         rows = [[80.0], [70.0, 90.0], [60.0, 85.0, 95.0]]
         (tmp_path / "m.csv").write_text(matrix_to_csv(rows), encoding="utf-8")
@@ -366,7 +386,7 @@ class TestOverridesAndFailures:
             "error: config key 'fixtures' names no fixture directory\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["ingest", "run"])
+    @pytest.mark.parametrize("command", ["ingest", "curriculum", "train", "prove", "run"])
     def test_an_empty_out_exits_two_before_writing(self, demo, tmp_path, capsys, command):
         """An empty out would resolve to the config's own directory; `out = .`
         says so explicitly. No --out is given, so the config's out is read."""
@@ -381,6 +401,20 @@ class TestOverridesAndFailures:
         assert capsys.readouterr().err == \
             "error: config key 'out' names no output directory\n"
         assert sorted(p.name for p in root.iterdir()) == before
+
+    @pytest.mark.parametrize("command", ["fixture", "ingest", "curriculum", "train", "prove",
+                                         "metrics", "run"])
+    def test_an_empty_out_flag_exits_two_before_writing(self, demo, tmp_path, monkeypatch,
+                                                        capsys, command):
+        """`--out ''` would name the current directory; `--out .` says so
+        explicitly."""
+        args = {"fixture": [],
+                "metrics": ["--matrix", "m.csv", "--validation", "v.csv"]}.get(
+            command, ["--config", str(demo / "run.cfg")])
+        monkeypatch.chdir(tmp_path)
+        assert main([command, *args, "--out", ""]) == 2
+        assert capsys.readouterr().err == "error: --out names no output directory\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["run", "train"])
     def test_a_run_of_one_repository_exits_two_before_writing(self, demo, tmp_path, capsys,

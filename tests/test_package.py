@@ -1,6 +1,7 @@
 """The package surface: importing it loads nothing, `src/` keeps no
 module-level name, method or property that nothing on the run path uses,
-and it raises only the error types of `errors.py`."""
+each from_json reader builds each record in one place, and it raises only
+the error types of `errors.py`."""
 
 import argparse
 import ast
@@ -242,6 +243,24 @@ def test_every_error_subclass_is_caught_by_a_caller():
     named |= {sub.id for sub in ast.walk(gate) if isinstance(sub, ast.Name)}
     kinds = {"ProverloopError", "CorruptDocument", "IoFailure"}
     assert sorted(ERROR_CLASSES - kinds - named) == []
+
+
+def test_each_reader_builds_each_record_in_one_place():
+    """A from_json reader checks its document in one pass and calls each
+    record constructor (a class of src/ that is no error, or cls) once: a
+    second call is a second reading path that must agree with the first."""
+    records = {node.name for tree in PACKAGE_TREES.values() for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)} - ERROR_CLASSES | {"cls"}
+    repeated = []
+    for module, tree in PACKAGE_TREES.items():
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef) and fn.name.endswith("from_json"):
+                calls = Counter(node.func.id for node in ast.walk(fn)
+                                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                                and node.func.id in records)
+                repeated.extend(f"{module}:{fn.name} calls {name} {n} times"
+                                for name, n in sorted(calls.items()) if n > 1)
+    assert repeated == []
 
 
 def test_arrays_are_never_read_or_written_through_numpy_files_or_pickle():

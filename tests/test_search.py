@@ -1,5 +1,7 @@
 """Dependency closure, premise filtering, and best-first proof search."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -412,6 +414,16 @@ class TestBestFirstSearch:
                            match=r"^generator proposed log-probability 0\.25 > 0$"):
             best_first_search(TableEnvironment(fx), Overconfident(), THM,
                               clock=TickClock())
+
+    def test_a_score_that_overflows_is_an_error_naming_the_theorem(self):
+        """Each log-probability is finite, but their sum is not: no proof
+        can carry a total of -inf into a JSON report."""
+        fx = fixture_of({KEY: "s0"}, edge("s0", "a", -1e308, "s1"),
+                        edge("s1", "b", -1e308, GOAL))
+        with pytest.raises(ProverloopError, match=re.escape(
+                f"search on {KEY!r}: cumulative log-probability -1e+308 + -1e+308 "
+                "is not finite")):
+            search_on(fx)
 
     def test_retrieval_gates_what_search_can_use(self):
         fx = fixture_of(

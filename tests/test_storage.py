@@ -1,8 +1,10 @@
 """Atomic artifact writes, guarded reads and the field reader behind every loader."""
 
 import copy
+import itertools
 import json
 import os
+import random
 
 import numpy as np
 import pytest
@@ -325,6 +327,24 @@ def test_the_one_pass_readers_match_the_field_reads_on_every_near_value(records)
                 for value in (_DELETED, *_NEAR_VALUES):
                     changed = _replaced(valid, path, field, value)
                     assert _outcome(read, changed) == _outcome(oracle, changed), (path, field)
+
+
+def test_the_one_pass_readers_name_the_bad_field_the_field_reads_name(records):
+    """Two fields of a record changed at once, each deleted or set to a
+    near value: where both are bad, the reader checks them in the oracle's
+    order and names the same one. A fixed sample of 64 value pairs per
+    pair of fields (both in the premise file, its premises, the theorem,
+    the proved sorry or a traced tactic), deepest change applied first."""
+    rng = random.Random(0)
+    values = [_DELETED, *_NEAR_VALUES]
+    for valid, read, oracle, paths in records.values():
+        slots = {(id(_at(valid, path)), field): (path, field)
+                 for path in paths for field in sorted(_at(valid, path))}
+        for first, second in itertools.combinations(slots.values(), 2):
+            deep, shallow = sorted((first, second), key=lambda slot: -len(slot[0]))
+            for v1, v2 in rng.sample(list(itertools.product(values, repeat=2)), 64):
+                changed = _replaced(_replaced(valid, *deep, v1), *shallow, v2)
+                assert _outcome(read, changed) == _outcome(oracle, changed), (deep, shallow)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
