@@ -56,9 +56,9 @@ from .retriever import (
     Checkpoint,
     EmbeddingIndex,
     EmbeddingModel,
+    EvalSet,
     RetrievalTask,
     TrainConfig,
-    extract_eval_pairs,
     mine_training_examples,
     precompute_embeddings,
     recall_at_k,
@@ -344,13 +344,17 @@ def _build_task(
     name: str, dataset: GeneratedDataset, seed: int
 ) -> RetrievalTask:
     corpus = dataset.corpus
-    return RetrievalTask(
+    task = RetrievalTask(
         name=name,
         corpus=corpus,
         train_examples=mine_training_examples(dataset.split.train, corpus, seed=seed),
-        val_pairs=extract_eval_pairs(dataset.split.val, corpus),
-        test_pairs=extract_eval_pairs(dataset.split.test, corpus),
+        val_pairs=EvalSet.of_split(dataset.split.val, corpus),
+        test_pairs=EvalSet.of_split(dataset.split.test, corpus),
     )
+    # rejected here, before the task trains and writes its checkpoint
+    if not task.test_pairs:
+        raise CorruptDocument(f"task {name!r} has no test pairs")
+    return task
 
 
 def ingest_fixtures(config: RunConfig) -> tuple[DynamicDatabase, dict[str, TableFixture]]:
@@ -468,7 +472,7 @@ def run_pipeline(config: RunConfig, *, prove: bool = True) -> RunReport:
     thresholds, ordered = build_curriculum(db)
 
     attempts: list[ProofAttempt] = []
-    tasks: list[RetrievalTask] = []
+    columns: list[tuple[Corpus, EvalSet]] = []  # each task's corpus and test set
     matrix_rows: list[list[float]] = []
     validation: list[float] = []
     checkpoint = Checkpoint(model=EmbeddingModel.random_init(
@@ -488,7 +492,7 @@ def run_pipeline(config: RunConfig, *, prove: bool = True) -> RunReport:
             )
             write_dataset(dataset, out / "datasets" / f"task_{k:02d}")
             task = _build_task(record.name, dataset, seed=config.seed + 100 + k)
-            tasks.append(task)
+            columns.append((task.corpus, task.test_pairs))
 
         with _stage(f"train:{record.name}"):
             train_config = TrainConfig(
@@ -507,11 +511,9 @@ def run_pipeline(config: RunConfig, *, prove: bool = True) -> RunReport:
             assert checkpoint.best_val_r10 is not None
             validation.append(100.0 * checkpoint.best_val_r10)
             row = []
-            for earlier in tasks:
-                index = precompute_embeddings(checkpoint.model, earlier.corpus)
-                row.append(100.0 * recall_at_k(
-                    checkpoint.model, index, earlier.test_pairs, k=10, gt_rows=earlier.test_rows
-                ))
+            for corpus, test_pairs in columns:
+                index = precompute_embeddings(checkpoint.model, corpus)
+                row.append(100.0 * recall_at_k(checkpoint.model, index, test_pairs, k=10))
             matrix_rows.append(row)
 
         if prove:

@@ -19,7 +19,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -194,7 +194,7 @@ class EmbeddingModel:
     def embed(self, text: str) -> np.ndarray:
         return self.embed_many([text])[0]
 
-    def embed_many(self, texts: list[str]) -> np.ndarray:
+    def embed_many(self, texts: Sequence[str]) -> np.ndarray:
         """Unit-norm embeddings, one row per text.
 
         Each text is embedded once per model; the texts this model has not
@@ -394,6 +394,18 @@ def compute_fisher(
 
 # -- example mining ------------------------------------------------------------
 
+def cited_premises(
+    theorems: list[Theorem], corpus: Corpus
+) -> Iterator[tuple[str, list[Premise]]]:
+    """Each traced tactic's state and the premises it cites that resolve in
+    the corpus, in citation order: the walk that both training examples
+    and evaluation sets are made from."""
+    for thm in theorems:
+        for tac in thm.traced_tactics:
+            yield tac.state_before, [p for name in tac.referenced_premises
+                                     if (p := corpus.premise_by_name(name)) is not None]
+
+
 def mine_training_examples(
     theorems: list[Theorem],
     corpus: Corpus,
@@ -420,31 +432,24 @@ def mine_training_examples(
         same.append(i)
     rng = np.random.default_rng(seed)
     examples: list[TrainingExample] = []
-    for thm in theorems:
-        for tac in thm.traced_tactics:
-            for name in tac.referenced_premises:
-                pos = corpus.premise_by_name(name)
-                if pos is None:
-                    continue
-                pos_i = index_of[pos.key]
-                same = file_rows[pos.file_path]
-                chosen: list[int] = []
-                if len(same) > 1:
-                    j = int(rng.integers(len(same) - 1))
-                    chosen.append(same[j + (j >= slot[pos_i])])
-                taken = sorted([pos_i, *chosen])
-                need = NEGATIVES_PER_EXAMPLE - len(chosen)
-                if len(pool) - len(taken) < need:
-                    continue
-                for i in rng.choice(len(pool) - len(taken), size=need, replace=False).tolist():
-                    for row in taken:
-                        i += i >= row
-                    chosen.append(i)
-                examples.append(TrainingExample(
-                    state=tac.state_before,
-                    positive=pos,
-                    negatives=tuple(pool[i] for i in chosen),
-                ))
+    for state, premises in cited_premises(theorems, corpus):
+        for pos in premises:
+            pos_i = index_of[pos.key]
+            same = file_rows[pos.file_path]
+            chosen: list[int] = []
+            if len(same) > 1:
+                j = int(rng.integers(len(same) - 1))
+                chosen.append(same[j + (j >= slot[pos_i])])
+            taken = sorted([pos_i, *chosen])
+            need = NEGATIVES_PER_EXAMPLE - len(chosen)
+            if len(pool) - len(taken) < need:
+                continue
+            for i in rng.choice(len(pool) - len(taken), size=need, replace=False).tolist():
+                for row in taken:
+                    i += i >= row
+                chosen.append(i)
+            examples.append(TrainingExample(
+                state=state, positive=pos, negatives=tuple(pool[i] for i in chosen)))
     return examples
 
 
@@ -499,24 +504,6 @@ def precompute_embeddings(model: EmbeddingModel, corpus: Corpus) -> EmbeddingInd
 
 # -- evaluation -------------------------------------------------------------------
 
-EvalPair = tuple[str, frozenset[str]]
-
-
-def extract_eval_pairs(theorems: list[Theorem], corpus: Corpus) -> list[EvalPair]:
-    """(state, ground-truth premise keys) for every annotated tactic."""
-    pairs: list[EvalPair] = []
-    for thm in theorems:
-        for tac in thm.traced_tactics:
-            keys = frozenset(
-                p.key
-                for name in tac.referenced_premises
-                if (p := corpus.premise_by_name(name)) is not None
-            )
-            if keys:
-                pairs.append((tac.state_before, keys))
-    return pairs
-
-
 def rank_by_similarity(sims: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
     """The first k positions of sims by descending similarity, ties by
     ascending row: np.lexsort((rows, -sims))[:k], sorting only what is kept.
@@ -557,74 +544,86 @@ def _top_k_mask(sims: np.ndarray, k: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class GroundTruthRows:
-    """The ground truth of an eval set as rows of keys, an index's key order.
+class EvalSet:
+    """The queries of one split, their ground truth resolved to rows of
+    keys, an index's key order.
 
     query and row hold one (query, row) pair per ground-truth key that keys
-    holds, in query order. size is each query's number of ground-truth
-    keys, counting those that keys lacks.
+    holds, in query order and by ascending row within a query. size is each
+    query's number of ground-truth keys, counting those that keys lacks.
     """
 
     keys: tuple[str, ...]
+    states: tuple[str, ...]
     query: np.ndarray
     row: np.ndarray
     size: np.ndarray
 
+    def __len__(self) -> int:
+        return len(self.states)
 
-def ground_truth_rows(eval_pairs: list[EvalPair], keys: tuple[str, ...]) -> GroundTruthRows:
-    """Resolve the pairs' ground-truth keys to rows of keys, which must be
-    in ascending order as an index's are, by bisection."""
-    query: list[int] = []
-    row: list[int] = []
-    for q, (_, gt) in enumerate(eval_pairs):
-        for key in gt:
-            i = bisect_left(keys, key)
-            if i < len(keys) and keys[i] == key:
-                query.append(q)
-                row.append(i)
-    # int32, not intp: a task keeps its rows for the whole run
-    return GroundTruthRows(keys=keys, query=np.array(query, dtype=np.int32),
-                           row=np.array(row, dtype=np.int32),
-                           size=np.array([len(gt) for _, gt in eval_pairs], dtype=np.int32))
+    @classmethod
+    def resolve(cls, pairs: Iterable[tuple[str, Iterable[str]]],
+                keys: tuple[str, ...]) -> EvalSet:
+        """The (state, ground-truth keys) pairs, the keys resolved by
+        bisection of keys, which must be ascending as an index's are."""
+        states: list[str] = []
+        query: list[int] = []
+        row: list[int] = []
+        size: list[int] = []
+        for state, gt in pairs:
+            gt = set(gt)
+            if not gt:
+                raise ProverloopError(f"empty ground truth for state {state!r}")
+            rows = sorted(i for key in gt
+                          if (i := bisect_left(keys, key)) < len(keys) and keys[i] == key)
+            query += [len(states)] * len(rows)
+            row += rows
+            size.append(len(gt))
+            states.append(state)
+        # int32, not intp: a run keeps every task's test set
+        return cls(keys, tuple(states),
+                   *(np.array(a, dtype=np.int32) for a in (query, row, size)))
+
+    @classmethod
+    def of_split(cls, theorems: list[Theorem], corpus: Corpus) -> EvalSet:
+        """One query per traced tactic that cites a premise of the corpus:
+        its state, with the cited premises as ground truth."""
+        return cls.resolve(((state, [p.key for p in premises])
+                            for state, premises in cited_premises(theorems, corpus) if premises),
+                           corpus.keys)
 
 
 def recall_at_k(
     model: EmbeddingModel,
     index: EmbeddingIndex,
-    eval_pairs: list[EvalPair],
+    eval_pairs: EvalSet,
     k: int = 10,
-    gt_rows: GroundTruthRows | None = None,
 ) -> float:
     """Mean fraction of ground-truth premises found in the top k.
 
-    Similarity ties break by ascending premise key. Queries are scored
-    RECALL_BLOCK at a time, one product each, so the similarities held at
-    once stay small. gt_rows is ground_truth_rows(eval_pairs, index.keys),
-    resolved here when not given. A block's hits are its _top_k_mask at
-    the queries' ground-truth rows, counted with one bincount, and the
-    fractions are added in query order.
+    Similarity ties break by ascending premise key. eval_pairs must be
+    resolved against the index's keys. Queries are scored RECALL_BLOCK at a
+    time, one product each, so the similarities held at once stay small. A
+    block's hits are its _top_k_mask at the queries' ground-truth rows,
+    counted with one bincount, and the fractions are added in query order.
     """
     if k < 1:
         raise ProverloopError("k must be positive")
     index.check_model(model)
     if not eval_pairs:
         raise ProverloopError("no evaluation pairs")
-    for state, gt in eval_pairs:
-        if not gt:
-            raise ProverloopError(f"empty ground truth for state {state!r}")
-    if gt_rows is None:
-        gt_rows = ground_truth_rows(eval_pairs, index.keys)
-    elif gt_rows.keys != index.keys or len(gt_rows.size) != len(eval_pairs):
-        raise ProverloopError("ground-truth rows resolved for other pairs or another index")
-    queries = model.embed_many([state for state, _ in eval_pairs])
+    if eval_pairs.keys is not index.keys and eval_pairs.keys != index.keys:
+        raise ProverloopError("evaluation set resolved against another index's keys")
+    queries = model.embed_many(eval_pairs.states)
     total = 0.0
     for lo in range(0, len(eval_pairs), RECALL_BLOCK):
         sims = queries[lo:lo + RECALL_BLOCK] @ index.matrix.T
         kept = _top_k_mask(sims, k)
-        a, b = np.searchsorted(gt_rows.query, (lo, lo + len(sims)))
-        query = gt_rows.query[a:b] - lo
-        hits = np.bincount(query[kept[query, gt_rows.row[a:b]]], minlength=len(sims))
-        for fraction in (hits / gt_rows.size[lo:lo + len(sims)]).tolist():
+        a, b = np.searchsorted(eval_pairs.query, (lo, lo + len(sims)))
+        query = eval_pairs.query[a:b] - lo
+        hits = np.bincount(query[kept[query, eval_pairs.row[a:b]]], minlength=len(sims))
+        for fraction in (hits / eval_pairs.size[lo:lo + len(sims)]).tolist():
             total += fraction
     return total / len(eval_pairs)
 
@@ -633,23 +632,14 @@ def recall_at_k(
 
 @dataclass
 class RetrievalTask:
-    """Everything one training round needs from a generated dataset.
-
-    val_rows and test_rows are the pairs' ground_truth_rows in the corpus's
-    key order, resolved once here for every recall_at_k of the task.
-    """
+    """Everything one training round needs from a generated dataset; its
+    validation and test sets are resolved against the corpus's keys."""
 
     name: str
     corpus: Corpus
     train_examples: list[TrainingExample]
-    val_pairs: list[EvalPair]
-    test_pairs: list[EvalPair]
-    val_rows: GroundTruthRows = field(init=False)
-    test_rows: GroundTruthRows = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.val_rows = ground_truth_rows(self.val_pairs, self.corpus.keys)
-        self.test_rows = ground_truth_rows(self.test_pairs, self.corpus.keys)
+    val_pairs: EvalSet
+    test_pairs: EvalSet
 
 
 @dataclass(frozen=True)
@@ -846,7 +836,7 @@ def _best_of_epoch(
             candidate = EmbeddingModel(weight=weight)
             # the index dies with the recall: it holds the candidate's weights
             recall = recall_at_k(candidate, precompute_embeddings(candidate, task.corpus),
-                                 task.val_pairs, k=10, gt_rows=task.val_rows)
+                                 task.val_pairs, k=10)
             if recall > best_recall:
                 best_recall = recall
                 best_model = candidate

@@ -32,6 +32,7 @@ from proverloop.retriever import (
     Checkpoint,
     EmbeddingIndex,
     EmbeddingModel,
+    EvalSet,
     RetrievalTask,
     TrainConfig,
     TrainingExample,
@@ -476,10 +477,11 @@ def toy_retrieval_task(
                 positive=pos,
                 negatives=tuple(premises[int(j)] for j in negs),
             ))
-    pairs = [(states[i], frozenset({p.key})) for i, p in enumerate(premises)]
+    evals = EvalSet.resolve([(states[i], [p.key]) for i, p in enumerate(premises)],
+                            corpus.keys)
     return RetrievalTask(
         name="toy-separable", corpus=corpus,
-        train_examples=examples, val_pairs=pairs, test_pairs=pairs,
+        train_examples=examples, val_pairs=evals, test_pairs=evals,
     )
 
 

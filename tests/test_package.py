@@ -1,7 +1,7 @@
 """The package surface: importing it loads nothing, `src/` keeps no
 module-level name, method or property that nothing on the run path uses,
-each from_json reader builds each record in one place, and it raises only
-the error types of `errors.py`."""
+each from_json reader builds each record in one place, it raises only
+the error types of `errors.py`, and README names what it holds."""
 
 import argparse
 import ast
@@ -76,6 +76,31 @@ def test_the_readme_cli_section_names_every_flag_and_strategy():
     assert sorted(f for f in flags if not re.search(rf"(?<![\w-]){f}(?![\w-])", text)) == []
     [written] = re.findall(r"--strategy\s+\{([^}]*)\}", text)
     assert tuple(written.split(",")) == STRATEGIES
+
+
+# Backticked words of README's "Library layout" that name no definition:
+# a constant, numpy names and a strategy value.
+NOT_DEFINED_IN_SRC = {"None", "bincount", "numpy.ma", "single", "uint8"}
+
+
+def test_the_readme_library_layout_names_only_what_src_defines():
+    """Each backticked identifier of README's "Library layout" section, each
+    part of a dotted one, is a module of the package or a name that src/
+    binds: a function, class, parameter, variable or attribute."""
+    defined = {"proverloop"}
+    for module, tree in PACKAGE_TREES.items():
+        defined.add(module.removesuffix(".py"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.arg):
+                defined.add(node.arg)
+            elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Store):
+                defined.add(node.id if isinstance(node, ast.Name) else node.attr)
+    named = set(re.findall(r"`([A-Za-z_][\w.]*)`", readme_section("Library layout")))
+    assert len(named) > 40
+    assert sorted(name for name in named - NOT_DEFINED_IN_SRC
+                  if not set(name.split(".")) <= defined) == []
 
 
 def readme_section(title):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from helpers import EagerGenerator, dataset_from_metadata, pfile, theorem
 from proverloop import pipeline, retriever
+from proverloop.cli import main
 from proverloop.corpus import STATUS_SORRY, STATUS_SORRY_PROVEN, serialize_corpus
 from proverloop.database import MERGE_ALL, SINGLE_REPO, DynamicDatabase, RepositoryRecord
 from proverloop.errors import CorruptDocument, IoFailure, PipelineError, ProverloopError
@@ -482,6 +483,28 @@ class TestRunPipeline:
         with pytest.raises(PipelineError) as err:
             run_pipeline(config)
         assert "ingest" in str(err.value)
+
+    def test_a_task_without_test_pairs_fails_before_it_trains(self, tmp_path, capsys):
+        """topo.mid is topology-tail's only test theorem at the demo seed.
+        With its citations renamed to premises no corpus holds, that task
+        has no test pairs: the run stops in the task's dataset stage,
+        before training writes its checkpoint."""
+        assert main(["fixture", "--out", str(tmp_path / "demo")]) == 0
+        path = tmp_path / "demo" / "repo_topology" / "theorems.json"
+        theorems = json.loads(path.read_text(encoding="utf-8"))
+        [mid] = [t for t in theorems if t["full_name"] == "topo.mid"]
+        for tac in mid["traced_tactics"]:
+            text, [name] = tac["annotated_tactic"]
+            tac["annotated_tactic"] = [text.replace(name, f"ghost_{name}"), [f"ghost_{name}"]]
+        path.write_text(json.dumps(theorems), encoding="utf-8")
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(tmp_path / "demo" / "run.cfg"),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("error: stage 'dataset:topology-tail': "
+                                           "task 'topology-tail' has no test pairs\n")
+        assert task_checkpoint(out, 2).is_file()
+        assert not task_checkpoint(out, 3).exists()
 
     def test_emit_reports_failure_is_an_io_error(self, finished_run, tmp_path):
         _, report = finished_run

@@ -1,11 +1,16 @@
 """Embeddings, contrastive training, parameter anchoring, and recall."""
 
+import dataclasses
 import functools
 import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,13 +35,14 @@ from helpers import (
     train_one_epoch_oracle,
 )
 from proverloop import retriever
-from proverloop.corpus import parse_corpus, serialize_corpus
+from proverloop.corpus import TracedTactic, parse_corpus, serialize_corpus
 from proverloop.errors import CorruptDocument, IoFailure, ProverloopError
 from proverloop.fixtures import write_bundled
-from proverloop.pipeline import ingest_fixtures, parse_config
+from proverloop.pipeline import _build_task, ingest_fixtures, parse_config
 from proverloop.retriever import (
     Checkpoint,
     EmbeddingModel,
+    EvalSet,
     EwcTerm,
     RetrievalTask,
     TrainConfig,
@@ -46,8 +52,6 @@ from proverloop.retriever import (
     example_features,
     ewc_penalty,
     ewc_penalty_grad,
-    extract_eval_pairs,
-    ground_truth_rows,
     hash_ngrams,
     lr_at,
     mine_training_examples,
@@ -594,7 +598,7 @@ class TestIndexAndRecall:
         index = precompute_embeddings(old, corpus)
         pairs = [("s", frozenset({"lib/pool.lean::pool.p0"}))]
         with pytest.raises(ProverloopError, match="^index built at .*, model is "):
-            recall_at_k(new, index, pairs, k=10)
+            recall_at_k(new, index, EvalSet.resolve(pairs, index.keys), k=10)
 
     def test_an_index_checks_its_own_model_without_hashing(self, monkeypatch):
         corpus = tiny_corpus(n=4)
@@ -603,7 +607,7 @@ class TestIndexAndRecall:
         index = precompute_embeddings(m, corpus)
         index.check_model(m)
         pairs = [("s", frozenset({"lib/pool.lean::pool.p0"}))]
-        assert recall_at_k(m, index, pairs, k=10) == 1.0
+        assert recall_at_k(m, index, EvalSet.resolve(pairs, index.keys), k=10) == 1.0
 
     def test_an_index_accepts_other_weights_of_its_version_through_the_hash(self):
         corpus = tiny_corpus(n=4)
@@ -638,32 +642,36 @@ class TestIndexAndRecall:
         w[1, 0] = 1.0
         return EmbeddingModel(weight=w)
 
+    def recall_of(self, m, index, gt):
+        """recall@10 of one query whose ground truth is gt."""
+        return recall_at_k(m, index, EvalSet.resolve([("⊢ q", gt)], index.keys), k=10)
+
     def test_half_of_ground_truth_found(self):
         m = self.bias_only_model()
         index = precompute_embeddings(m, self.ranked_corpus())
         gt = frozenset({"lib/deck.lean::deck.t00", "lib/deck.lean::deck.zz"})
-        assert recall_at_k(m, index, [("⊢ q", gt)], k=10) == 0.5
+        assert self.recall_of(m, index, gt) == 0.5
 
     def test_top_ranked_single_truth(self):
         m = self.bias_only_model()
         index = precompute_embeddings(m, self.ranked_corpus())
         gt = frozenset({"lib/deck.lean::deck.t00"})
-        assert recall_at_k(m, index, [("⊢ q", gt)], k=10) == 1.0
+        assert self.recall_of(m, index, gt) == 1.0
 
     def test_truth_outside_top_k(self):
         m = self.bias_only_model()
         index = precompute_embeddings(m, self.ranked_corpus())
         gt = frozenset({"lib/deck.lean::deck.zz"})
-        assert recall_at_k(m, index, [("⊢ q", gt)], k=10) == 0.0
+        assert self.recall_of(m, index, gt) == 0.0
 
     def test_similarity_ties_break_by_ascending_key(self):
         m = self.bias_only_model()
         index = precompute_embeddings(m, self.ranked_corpus())
         # twelve exact ties; t10 and zz must lose the last top-10 slots
         gt_last = frozenset({"lib/deck.lean::deck.t10"})
-        assert recall_at_k(m, index, [("⊢ q", gt_last)], k=10) == 0.0
+        assert self.recall_of(m, index, gt_last) == 0.0
         gt_first = frozenset({"lib/deck.lean::deck.t09"})
-        assert recall_at_k(m, index, [("⊢ q", gt_first)], k=10) == 1.0
+        assert self.recall_of(m, index, gt_first) == 1.0
 
     def test_recall_matches_independent_ranking(self):
         corpus = corpus_of(pfile(
@@ -683,7 +691,7 @@ class TestIndexAndRecall:
             sims = {key: float(index.matrix[index.keys.index(key)] @ q) for key in pool}
             top3 = sorted(pool, key=lambda key: (-sims[key], key))[:3]
             expected.append(len(gt.intersection(top3)) / 3.0)
-        got = recall_at_k(m, index, pairs, k=3)
+        got = recall_at_k(m, index, EvalSet.resolve(pairs, index.keys), k=3)
         assert got == pytest.approx(sum(expected) / 5.0, abs=1e-12)
 
     def test_empty_pairs_rejected(self):
@@ -691,9 +699,9 @@ class TestIndexAndRecall:
         m = EmbeddingModel.random_init(dim=4, n_features=64, seed=0)
         index = precompute_embeddings(m, corpus)
         with pytest.raises(ProverloopError, match="^no evaluation pairs$"):
-            recall_at_k(m, index, [], k=10)
+            recall_at_k(m, index, EvalSet.resolve([], index.keys), k=10)
         with pytest.raises(ProverloopError, match="^empty ground truth for state 's'$"):
-            recall_at_k(m, index, [("s", frozenset())], k=10)
+            EvalSet.resolve([("s", frozenset())], index.keys)
 
 
 # few distinct values, so most rankings have ties, some of them at the cut
@@ -798,16 +806,13 @@ def recall_cases(draw):
 @given(recall_cases())
 def test_blocked_recall_equals_the_per_query_oracle(case):
     """Tied texts, keys missing from the index, NaN similarities, k >= the
-    index size and one to three blocks, with the ground-truth rows resolved
-    by recall_at_k and resolved beforehand."""
+    index size and one to three blocks."""
     corpus, pairs, k, seed, nan_rows = case
     m = EmbeddingModel.random_init(dim=8, n_features=64, seed=seed)
     index = precompute_embeddings(m, corpus)
     index.matrix[nan_rows] = np.nan
     want = recall_at_k_oracle(m, index, pairs, k)
-    assert recall_at_k(m, index, pairs, k=k) == want
-    rows = ground_truth_rows(pairs, corpus.keys)
-    assert recall_at_k(m, index, pairs, k=k, gt_rows=rows) == want
+    assert recall_at_k(m, index, EvalSet.resolve(pairs, corpus.keys), k=k) == want
 
 
 def test_ground_truth_rows_are_index_rows():
@@ -815,43 +820,49 @@ def test_ground_truth_rows_are_index_rows():
                        pfile("lib/b.lean", names=("b0",)))
     keys = corpus.keys
     pairs = [("s0", frozenset({keys[2], GHOST_KEY})), ("s1", frozenset({GHOST_KEY})),
-             ("s2", frozenset({keys[0], keys[3]}))]
-    rows = ground_truth_rows(pairs, keys)
-    assert rows.keys is keys
-    assert sorted(zip(rows.query.tolist(), rows.row.tolist())) == [(0, 2), (2, 0), (2, 3)]
-    assert rows.size.tolist() == [2, 1, 2]
+             ("s2", [keys[3], keys[0], keys[3]])]
+    evals = EvalSet.resolve(pairs, keys)
+    assert evals.keys is keys
+    assert evals.states == ("s0", "s1", "s2") and len(evals) == 3
+    assert list(zip(evals.query.tolist(), evals.row.tolist())) == [(0, 2), (2, 0), (2, 3)]
+    assert evals.size.tolist() == [2, 1, 2]
 
 
-def test_recall_rejects_rows_of_other_pairs_or_another_index():
+def test_recall_rejects_a_set_resolved_against_another_index():
     corpus = tiny_corpus(n=4)
     m = EmbeddingModel.random_init(dim=4, n_features=64, seed=0)
     index = precompute_embeddings(m, corpus)
     pairs = [("s", frozenset({"lib/pool.lean::pool.p0"}))]
-    message = "^ground-truth rows resolved for other pairs or another index$"
-    with pytest.raises(ProverloopError, match=message):
-        recall_at_k(m, index, pairs, gt_rows=ground_truth_rows(pairs * 2, corpus.keys))
-    with pytest.raises(ProverloopError, match=message):
-        recall_at_k(m, index, pairs, gt_rows=ground_truth_rows(pairs, corpus.keys[1:]))
+    with pytest.raises(ProverloopError,
+                       match="^evaluation set resolved against another index's keys$"):
+        recall_at_k(m, index, EvalSet.resolve(pairs, corpus.keys[1:]))
+    # equal keys held in another tuple are the same index order
+    assert recall_at_k(m, index, EvalSet.resolve(pairs, tuple(list(corpus.keys)))) == 1.0
 
 
-def test_a_task_resolves_its_own_ground_truth_rows():
-    corpus = corpus_of(pfile("lib/a.lean", names=("a0", "a1", "a2")),
-                       pfile("lib/b.lean", names=("b0",)))
-    keys = corpus.keys
-    val = [("s0", frozenset({keys[2], GHOST_KEY})), ("s1", frozenset({keys[1]}))]
-    test = [("s2", frozenset({keys[0], keys[3]}))]
-    task = RetrievalTask(name="unit", corpus=corpus, train_examples=[],
-                         val_pairs=val, test_pairs=test)
-    for rows, pairs in ((task.val_rows, val), (task.test_rows, test)):
-        want = ground_truth_rows(pairs, keys)
-        assert rows.keys == want.keys
+def test_a_task_resolves_its_own_ground_truth_rows(tmp_path):
+    """A run's task resolves each split against its own corpus's keys, so
+    every recall_at_k of the task finds the index's keys by identity."""
+    write_bundled(tmp_path)
+    db, _ = ingest_fixtures(parse_config(tmp_path / "run.cfg"))
+    dataset = db.generate_dataset([db.repositories[0].repo_id], strategy="single", seed=3,
+                                  val_frac=0.2, test_frac=0.2)
+    task = _build_task("unit", dataset, seed=0)
+    for evals, theorems in ((task.val_pairs, dataset.split.val),
+                            (task.test_pairs, dataset.split.test)):
+        assert evals.keys is task.corpus.keys
+        want = EvalSet.of_split(theorems, task.corpus)
+        assert evals.states == want.states
         for name in ("query", "row", "size"):
-            assert np.array_equal(getattr(rows, name), getattr(want, name))
+            assert np.array_equal(getattr(evals, name), getattr(want, name))
 
 
 def make_task(corpus, examples, pairs, name="unit"):
+    """A task whose validation and test sets are the pairs, resolved
+    against the corpus's keys."""
+    evals = EvalSet.resolve(pairs, corpus.keys)
     return RetrievalTask(name=name, corpus=corpus, train_examples=examples,
-                         val_pairs=pairs, test_pairs=pairs)
+                         val_pairs=evals, test_pairs=evals)
 
 
 class TestTraining:
@@ -929,7 +940,7 @@ class TestTraining:
     def test_empty_examples_or_pairs_rejected(self):
         task = self.training_task()
         start = Checkpoint(model=EmbeddingModel.random_init(dim=6, n_features=64, seed=0))
-        empty_examples = make_task(task.corpus, [], task.val_pairs)
+        empty_examples = dataclasses.replace(task, train_examples=[])
         with pytest.raises(CorruptDocument, match="^task '.*' has no training examples$"):
             train_one_epoch(start, empty_examples, TrainConfig())
         empty_pairs = make_task(task.corpus, task.train_examples, [])
@@ -1136,9 +1147,9 @@ class TestExampleFeatures:
         evaluated = []
         recall = retriever.recall_at_k
 
-        def recording(model, index, pairs, k, gt_rows=None):
+        def recording(model, index, pairs, k):
             evaluated.append((model, model.weight.copy()))
-            return recall(model, index, pairs, k, gt_rows)
+            return recall(model, index, pairs, k)
 
         monkeypatch.setattr(retriever, "recall_at_k", recording)
         config = TrainConfig(lr=0.2, warmup_steps=1, batch_size=2, eval_every=1, seed=6,
@@ -1335,8 +1346,8 @@ class TestCheckpoint:
         assert np.array_equal(term.anchor, m.flat())
 
 
-class TestEvalPairExtraction:
-    def test_pairs_follow_annotations(self):
+class TestEvalSetOfSplit:
+    def test_queries_follow_citations(self):
         corpus = corpus_of(pfile("lib/one.lean", names=("one.a", "one.b")))
         thms = [
             theorem("t1", path="lib/one.lean",
@@ -1345,5 +1356,35 @@ class TestEvalPairExtraction:
             theorem("t2", path="lib/one.lean",
                     tactics=(tactic("ghost.q", state_before="s3"),)),  # unresolvable
         ]
-        pairs = extract_eval_pairs(thms, corpus)
-        assert pairs == [("s1", frozenset({"lib/one.lean::one.a"}))]
+        evals = EvalSet.of_split(thms, corpus)
+        assert evals.keys is corpus.keys
+        assert evals.states == ("s1",)
+        assert (evals.query.tolist(), evals.row.tolist(), evals.size.tolist()) == ([0], [0], [1])
+
+    def test_a_premise_cited_twice_is_one_key_and_unresolved_names_are_not_counted(self):
+        corpus = corpus_of(pfile("lib/one.lean", names=("one.a", "one.b")))
+        cites = TracedTactic(tactic="t", annotated_tactic="t", state_before="s",
+                             state_after="done",
+                             referenced_premises=("one.b", "ghost.q", "one.a", "one.b"))
+        evals = EvalSet.of_split([theorem("t1", path="lib/one.lean", tactics=(cites,))], corpus)
+        assert (evals.query.tolist(), evals.row.tolist(), evals.size.tolist()) == \
+            ([0, 0], [0, 1], [2])
+
+    def test_rows_do_not_depend_on_the_hash_seed(self, tmp_path):
+        """Each query's rows ascend, whatever order the set of its keys
+        iterates in under PYTHONHASHSEED."""
+        code = (
+            "import sys, json; sys.path.insert(0, sys.argv[1]); "
+            "from proverloop.retriever import EvalSet; "
+            "keys = tuple(f'lib/k.lean::k{i:02d}' for i in range(24)); "
+            "pairs = [(f's{q}', [keys[i] for i in range(q % 4, 24, 4)]) for q in range(8)]; "
+            "e = EvalSet.resolve(pairs, keys); "
+            "print(json.dumps([e.query.tolist(), e.row.tolist(), e.size.tolist()]))"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        outs = [json.loads(subprocess.run(
+            [sys.executable, "-c", code, src], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONHASHSEED": seed}).stdout) for seed in ("1", "2", "3")]
+        assert outs[0] == outs[1] == outs[2]
+        query, row, _ = outs[0]
+        assert all(a < b for a, b, qa, qb in zip(row, row[1:], query, query[1:]) if qa == qb)

@@ -19,6 +19,7 @@ from helpers import RecordingGenerator, dataset_from_metadata
 from proverloop import pipeline, retriever
 from proverloop.fixtures import write_bundled
 from proverloop.pipeline import ingest_fixtures, override_config, parse_config
+from proverloop.retriever import EvalSet
 from proverloop.search import TableGenerator
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -137,6 +138,22 @@ def test_wrapped_layers_were_called(traced_demo):
     for name in ("retriever.examples", "retriever.train_steps", "retriever.index_builds",
                  "retriever.recall_queries", "search.retrieval_calls"):
         assert metrics[name] > 0, name
+
+
+def test_the_traced_query_count_is_every_scored_query(traced_demo, demo_config):
+    """The demo evaluates once per epoch (eval_every = 999), on the task's
+    validation set, then scores every task so far on its test set: the
+    queries the tracer counts through len() of each recall_at_k's set."""
+    _, _, metrics, _, _ = traced_demo
+    db, _ = ingest_fixtures(demo_config)
+    out = Path(demo_config.out_dir)
+    datasets = [dataset_from_metadata(db, json.loads(meta.read_text("utf-8")))
+                for meta in sorted(out.glob("datasets/*/metadata.json"))]
+    val = [len(EvalSet.of_split(d.split.val, d.corpus)) for d in datasets]
+    test = [len(EvalSet.of_split(d.split.test, d.corpus)) for d in datasets]
+    assert len(datasets) == 3 and min(val + test) > 0
+    assert metrics["retriever.recall_queries"] == sum(val) + sum(
+        sum(test[:k]) for k in range(1, len(test) + 1))
 
 
 def test_each_expansion_at_a_gated_state_retrieves_through_the_wrapped_name(
