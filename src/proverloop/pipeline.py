@@ -504,7 +504,10 @@ def run_pipeline(config: RunConfig, *, prove: bool = True) -> RunReport:
                 seed=config.seed + 10_000 + k,
                 ewc_lambda=config.ewc_lambda,
             )
-            checkpoint = train_one_epoch(checkpoint, task, train_config)
+            # importance only where a later task of this run anchors to it
+            checkpoint = train_one_epoch(
+                checkpoint, task, train_config,
+                with_fisher=config.ewc_lambda > 0 and k < len(ordered_ids))
             checkpoint.save(task_checkpoint(out, k))
 
         with _stage(f"evaluate:{record.name}"):

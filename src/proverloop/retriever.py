@@ -644,6 +644,10 @@ class RetrievalTask:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """One task's training settings. A run keeps importance only in a
+    checkpoint that a later task anchors to; has_fisher is false on the
+    last task's checkpoint and on every checkpoint at ewc_lambda = 0."""
+
     lr: float = 1e-3
     warmup_steps: int = 1000
     batch_size: int = 16
@@ -658,8 +662,9 @@ CHECKPOINT_FORMAT = 3
 
 @dataclass
 class Checkpoint:
-    """Retriever state after a task, with the parameter importance that
-    anchors the next one.
+    """Retriever state after a task, with its parameter importance only
+    when a later task of the run anchors to it: has_fisher is false on the
+    last task's checkpoint and on every checkpoint at ewc_lambda = 0.
 
     On disk a checkpoint is a single file: the header line, dump_json of
     ``format_version``, ``dim``, ``n_features``, ``history``,
@@ -765,15 +770,20 @@ def train_one_epoch(
     checkpoint: Checkpoint,
     task: RetrievalTask,
     config: TrainConfig = TrainConfig(),
+    *,
+    with_fisher: bool = True,
 ) -> Checkpoint:
     """One seeded pass over the task's examples, anchored to the
     checkpoint by checkpoint.ewc_term(config.ewc_lambda).
 
     Returns the evaluated model with the highest validation recall@10, with
-    the embeddings its evaluation made and its parameter importance on the
-    task's examples; evaluations happen every eval_every steps and at epoch
-    end. The examples are featurized once (example_features), for every
-    step and the importance.
+    the embeddings its evaluation made and, when with_fisher is set, its
+    parameter importance on the task's examples; evaluations happen every
+    eval_every steps and at epoch end. A run sets with_fisher only when a
+    later task anchors to the checkpoint, so has_fisher is false on the
+    last task's checkpoint and on every checkpoint at ewc_lambda = 0. The
+    examples are featurized once (example_features), for every step and
+    the importance.
     """
     if not task.train_examples:
         raise CorruptDocument(f"task {task.name!r} has no training examples")
@@ -792,7 +802,8 @@ def train_one_epoch(
         model=best_model,
         history=checkpoint.history + (task.name,),
         best_val_r10=best_recall,
-        fisher=compute_fisher(best_model, task.train_examples, config.batch_size, features),
+        fisher=compute_fisher(best_model, task.train_examples, config.batch_size, features)
+        if with_fisher else None,
     )
 
 

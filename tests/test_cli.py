@@ -198,6 +198,27 @@ class TestTrainProveSplit:
         assert doc["attempts"]
         assert any(a["status"] == "proved" for a in doc["attempts"])
 
+    def test_prove_after_a_run_reads_the_final_checkpoint_without_importance(
+            self, demo, tmp_path):
+        """No task follows the last, so its checkpoint holds weights only.
+        Proving with it by default repeats each attempt of the run's after
+        phase, and proves every goal the run proved."""
+        out = tmp_path / "run_then_prove"
+        assert main(["run", *cfg_args(demo, out)]) == 0
+        assert Checkpoint.load(out / "checkpoints" / "task_03.ckpt").fisher is None
+
+        def attempts():
+            doc = json.loads((out / "proofs.json").read_text(encoding="utf-8"))
+            return doc["attempts"]
+
+        run = attempts()
+        assert main(["prove", *cfg_args(demo, out)]) == 0
+        standalone = {a["theorem"]: a for a in attempts()}
+        after = [a for a in run if a["phase"] == "after"]
+        assert after and [standalone[a["theorem"]] for a in after] == after
+        assert {a["theorem"] for a in run if a["status"] == "proved"} == \
+            {name for name, a in standalone.items() if a["status"] == "proved"} != set()
+
     def test_prove_with_an_explicit_checkpoint(self, demo, tmp_path):
         out = tmp_path / "explicit"
         assert main(["train", *cfg_args(demo, out)]) == 0

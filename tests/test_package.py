@@ -209,15 +209,20 @@ def test_every_parameter_is_read_by_its_function():
     assert unread == []
 
 
+def owners(tree):
+    """The name of the innermost function around each node, by node id."""
+    # ast.walk visits outer functions first, so a nested one overwrites
+    return {id(node): fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn)}
+
+
 def json_calls(name):
     """'module:function' of each json.<name> call in src/, and of each
     `from json import`, which would hide such a call."""
     callers = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = parse(path)
-        # ast.walk visits outer functions first, so a nested one overwrites
-        owner = {id(node): fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
-                 for node in ast.walk(fn)}
+        owner = owners(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module == "json":
                 callers.append(f"{path.name}: from json import")
@@ -226,6 +231,19 @@ def json_calls(name):
                   and node.func.value.id == "json"):
                 callers.append(f"{path.name}:{owner.get(id(node), '<module>')}")
     return sorted(callers)
+
+
+def test_the_importance_pass_has_one_call_site():
+    """train_one_epoch runs compute_fisher only when its caller asks, so
+    the rule of which task computes importance has one owner."""
+    sites = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = parse(path)
+        owner = owners(tree)
+        sites += [f"{path.name}:{owner.get(id(node), '<module>')}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1]
+                  == "compute_fisher"]
+    assert sites == ["retriever.py:train_one_epoch"]
 
 
 def test_json_is_encoded_only_by_dump_json():

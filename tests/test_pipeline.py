@@ -13,7 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import EagerGenerator, dataset_from_metadata, pfile, theorem
+from helpers import (
+    EagerGenerator,
+    dataset_from_metadata,
+    pfile,
+    theorem,
+    train_one_epoch_oracle,
+)
 from proverloop import pipeline, retriever
 from proverloop.cli import main
 from proverloop.corpus import STATUS_SORRY, STATUS_SORRY_PROVEN, serialize_corpus
@@ -297,6 +303,11 @@ class TestLoadRepoFixture:
             load_repo_fixture(broken)
 
 
+def out_files(out):
+    """The bytes of every file under out, by relative path."""
+    return {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+
 def demo_run_in_a_child(cwd, **env):
     """The files, by relative path, of a demo run in a fresh interpreter
     started in cwd with env added to its environment."""
@@ -309,8 +320,7 @@ def demo_run_in_a_child(cwd, **env):
     cwd.mkdir()
     subprocess.run([sys.executable, "-c", code, str(src)], cwd=cwd, check=True,
                    env={**os.environ, **env})
-    out = cwd / "out"
-    return {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    return out_files(cwd / "out")
 
 
 def haswell_kernel_selectable():
@@ -433,14 +443,9 @@ class TestRunPipeline:
         eager = override_config(config, out_dir=tmp_path / "eager")
         report = run_pipeline(eager)
         assert len(retrieved) == sum(a.result.expansions for a in report.attempts) > 0
-
-        def files(root):
-            return {p.relative_to(root).as_posix(): p.read_bytes()
-                    for p in root.rglob("*") if p.is_file()}
-
-        want = files(config.out_dir)
+        want = out_files(config.out_dir)
         assert any(name.startswith("checkpoints/") for name in want)
-        assert files(eager.out_dir) == want
+        assert out_files(eager.out_dir) == want
 
     def test_out_dir_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
         """The demo run, in fresh interpreters at one and at two OpenBLAS
@@ -456,7 +461,8 @@ class TestRunPipeline:
     def test_only_checkpoints_depend_on_the_blas_kernel(self, tmp_path):
         """The demo run under the CPU's own OpenBLAS kernel and under the
         Haswell one: every file outside checkpoints/ has the same bytes, and
-        each checkpoint's weights and importance agree to 1e-12."""
+        each checkpoint's weights agree to 1e-12, as does its importance
+        where both carry one: on every task but the last."""
         own = demo_run_in_a_child(tmp_path / "own")
         haswell = demo_run_in_a_child(tmp_path / "haswell", OPENBLAS_CORETYPE="Haswell")
         assert sorted(own) == sorted(haswell)
@@ -464,11 +470,54 @@ class TestRunPipeline:
         assert len(checkpoints) == 3
         assert [name for name in sorted(own)
                 if own[name] != haswell[name] and name not in checkpoints] == []
+        has_fisher = []
         for name in checkpoints:
             a, b = (Checkpoint.load(tmp_path / run / "out" / name) for run in ("own", "haswell"))
             assert (a.history, a.best_val_r10) == (b.history, b.best_val_r10)
             assert np.max(np.abs(a.model.weight - b.model.weight)) <= 1e-12
-            assert np.max(np.abs(a.fisher - b.fisher)) <= 1e-12
+            assert (a.fisher is None) == (b.fisher is None)
+            if a.fisher is not None:
+                assert np.max(np.abs(a.fisher - b.fisher)) <= 1e-12
+            has_fisher.append(a.fisher is not None)
+        assert has_fisher == [True, True, False]
+
+    @pytest.mark.parametrize("ewc_lambda, passes, has_fisher", [
+        (0.1, 2, [True, True, False]),
+        (0.0, 0, [False, False, False]),
+    ])
+    def test_importance_is_computed_only_for_a_task_a_later_task_anchors_to(
+            self, bundle, tmp_path, monkeypatch, ewc_lambda, passes, has_fisher):
+        """The importance pass runs after every task but the last, and only
+        with the anchor armed; every other file has the bytes of a run whose
+        epochs always compute it, and each checkpoint without importance
+        holds that run's weights, history and best validation recall."""
+        config = override_config(parse_config(bundle / "run.cfg"), ewc_lambda=ewc_lambda)
+        with monkeypatch.context() as mp:
+            mp.setattr(pipeline, "train_one_epoch", lambda checkpoint, task, train_config,
+                       with_fisher: train_one_epoch_oracle(checkpoint, task, train_config))
+            oracle = override_config(config, out_dir=tmp_path / "oracle")
+            run_pipeline(oracle)
+        calls = []
+        compute_fisher = retriever.compute_fisher
+        monkeypatch.setattr(retriever, "compute_fisher", lambda *a, **k: (
+            calls.append(1) or compute_fisher(*a, **k)))
+        got = override_config(config, out_dir=tmp_path / "got")
+        run_pipeline(got)
+        assert len(calls) == passes
+
+        want_files, got_files = out_files(oracle.out_dir), out_files(got.out_dir)
+        assert sorted(got_files) == sorted(want_files)
+        header = [json.loads(got_files[f"checkpoints/task_{k:02d}.ckpt"].split(b"\n", 1)[0])
+                  for k in (1, 2, 3)]
+        assert [h["has_fisher"] for h in header] == has_fisher
+        assert [name for name in sorted(got_files) if got_files[name] != want_files[name]] == [
+            f"checkpoints/task_{k:02d}.ckpt" for k, kept in zip((1, 2, 3), has_fisher)
+            if not kept]
+        for k in (1, 2, 3):
+            a, b = (Checkpoint.load(task_checkpoint(run.out_dir, k)) for run in (got, oracle))
+            assert b.fisher is not None
+            assert np.array_equal(a.model.weight, b.model.weight)
+            assert (a.history, a.best_val_r10) == (b.history, b.best_val_r10)
 
     def test_stage_failures_carry_the_stage_name(self, bundle, tmp_path):
         import shutil

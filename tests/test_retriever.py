@@ -1119,6 +1119,18 @@ class TestExampleFeatures:
         assert got.history == want.history == ("earlier", "unit")
         assert np.array_equal(got.fisher, want.fisher)
 
+    def test_an_epoch_without_importance_skips_the_pass(self, monkeypatch):
+        task = self.task()
+        start = Checkpoint(model=EmbeddingModel.random_init(dim=6, n_features=64, seed=4),
+                           fisher=np.linspace(0.0, 2.0, 6 * 64))
+        config = TrainConfig(lr=0.2, warmup_steps=1, batch_size=3, seed=6, ewc_lambda=0.5)
+        want = train_one_epoch(start, task, config)
+        monkeypatch.setattr(retriever, "compute_fisher", None)
+        got = train_one_epoch(start, task, config, with_fisher=False)
+        assert got.fisher is None and want.fisher is not None
+        assert np.array_equal(got.model.weight, want.model.weight)
+        assert (got.history, got.best_val_r10) == (want.history, want.best_val_r10)
+
     def test_an_epoch_never_takes_the_penalty_value(self, monkeypatch):
         # the steps read only the gradient; a small clip norm clips every step
         task = self.task()

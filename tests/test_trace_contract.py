@@ -228,3 +228,21 @@ def test_every_training_batch_is_one_step_and_fisher_is_timed(traced_demo, tmp_p
     assert batches > 0
     assert metrics["retriever.train_steps"] == batches
     assert metrics["retriever.fisher_s"] > 0
+
+
+def test_the_importance_pass_runs_inside_the_train_stage_of_every_task_but_the_last(
+        traced_demo, demo_config):
+    # no task follows the last, so it computes no importance; the passes
+    # that run stay inside a train: stage, where pipeline.fisher_s splits
+    # them out
+    _, _, _, tracer, _ = traced_demo
+    spans = tracer.spans
+
+    def stage_of(i):
+        while i >= 0 and not spans[i][0].startswith("stage."):
+            i = spans[i][3]
+        return spans[i][0] if i >= 0 else None
+
+    passes = [i for i, span in enumerate(spans) if span[0] == "retriever.fisher"]
+    assert len(passes) == len(demo_config.fixture_dirs) - 1
+    assert [stage_of(i) for i in passes] == ["stage.train"] * len(passes)
