@@ -115,18 +115,14 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     setups = list(args.setup or [])
     if args.matrix or args.validation:
         if not (args.matrix and args.validation):
-            print("error: --matrix and --validation go together", file=sys.stderr)
-            return 2
+            raise ProverloopError("--matrix and --validation go together")
         setups.append(["run", args.matrix, args.validation])
     if not setups:
-        print("error: give --matrix/--validation or at least one --setup",
-              file=sys.stderr)
-        return 2
+        raise ProverloopError("give --matrix/--validation or at least one --setup")
     names = [name for name, _, _ in setups]
     repeated = next((name for i, name in enumerate(names) if name in names[:i]), None)
     if repeated is not None:
-        print(f"error: setup name {repeated!r} given twice", file=sys.stderr)
-        return 2
+        raise ProverloopError(f"setup name {repeated!r} given twice")
     raw = {
         name: compute_report(read_matrix(matrix, validation), window=args.window).to_json()
         for name, matrix, validation in setups

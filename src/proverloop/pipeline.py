@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from functools import cache, partial
 from pathlib import Path
@@ -59,6 +59,7 @@ from .retriever import (
     EvalSet,
     RetrievalTask,
     TrainConfig,
+    compute_fisher,
     mine_training_examples,
     precompute_embeddings,
     recall_at_k,
@@ -483,53 +484,62 @@ def run_pipeline(config: RunConfig, *, prove: bool = True) -> RunReport:
     ))
 
     ordered_ids = [rid for rid, _ in ordered]
-    for k, repo_id in enumerate(ordered_ids, start=1):
-        record = db.get_repository(repo_id)
-        with _stage(f"dataset:{record.name}"):
-            dataset = db.generate_dataset(
-                ordered_ids[:k], strategy=config.strategy, seed=config.seed,
-                val_frac=config.val_frac, test_frac=config.test_frac,
-            )
-            write_dataset(dataset, out / "datasets" / f"task_{k:02d}")
-            task = _build_task(record.name, dataset, seed=config.seed + 100 + k)
-            columns.append((task.corpus, task.test_pairs))
+    try:
+        for k, repo_id in enumerate(ordered_ids, start=1):
+            record = db.get_repository(repo_id)
+            with _stage(f"dataset:{record.name}"):
+                dataset = db.generate_dataset(
+                    ordered_ids[:k], strategy=config.strategy, seed=config.seed,
+                    val_frac=config.val_frac, test_frac=config.test_frac,
+                )
+                write_dataset(dataset, out / "datasets" / f"task_{k:02d}")
+                task = _build_task(record.name, dataset, seed=config.seed + 100 + k)
+                columns.append((task.corpus, task.test_pairs))
 
-        with _stage(f"train:{record.name}"):
-            train_config = TrainConfig(
-                lr=config.lr,
-                warmup_steps=config.warmup_steps,
-                batch_size=config.batch_size,
-                clip_norm=config.clip_norm,
-                eval_every=config.eval_every,
-                seed=config.seed + 10_000 + k,
-                ewc_lambda=config.ewc_lambda,
-            )
-            # importance only where a later task of this run anchors to it
-            checkpoint = train_one_epoch(
-                checkpoint, task, train_config,
-                with_fisher=config.ewc_lambda > 0 and k < len(ordered_ids))
-            checkpoint.save(task_checkpoint(out, k))
+            with _stage(f"train:{record.name}"):
+                train_config = TrainConfig(
+                    lr=config.lr,
+                    warmup_steps=config.warmup_steps,
+                    batch_size=config.batch_size,
+                    clip_norm=config.clip_norm,
+                    eval_every=config.eval_every,
+                    seed=config.seed + 10_000 + k,
+                    ewc_lambda=config.ewc_lambda,
+                )
+                checkpoint = train_one_epoch(checkpoint, task, train_config)
+                # importance only where a later task of this run anchors to it:
+                # has_fisher is false on the last task's checkpoint and on every
+                # checkpoint at ewc_lambda = 0
+                if config.ewc_lambda > 0 and k < len(ordered_ids):
+                    checkpoint.fisher = compute_fisher(checkpoint.model, task, config.batch_size)
+                checkpoint.save(task_checkpoint(out, k))
 
-        with _stage(f"evaluate:{record.name}"):
-            assert checkpoint.best_val_r10 is not None
-            validation.append(100.0 * checkpoint.best_val_r10)
-            row = []
-            for corpus, test_pairs in columns:
-                index = precompute_embeddings(checkpoint.model, corpus)
-                row.append(100.0 * recall_at_k(checkpoint.model, index, test_pairs, k=10))
-            matrix_rows.append(row)
+            with _stage(f"evaluate:{record.name}"):
+                assert checkpoint.best_val_r10 is not None
+                validation.append(100.0 * checkpoint.best_val_r10)
+                row = []
+                for corpus, test_pairs in columns:
+                    index = precompute_embeddings(checkpoint.model, corpus)
+                    row.append(100.0 * recall_at_k(checkpoint.model, index, test_pairs, k=10))
+                matrix_rows.append(row)
 
-        if prove:
+            if prove:
+                attempts += prove_goals(db, environments, checkpoint.model, config,
+                                        [repo_id], "during")
+
+        if prove and config.prove_after:
             attempts += prove_goals(db, environments, checkpoint.model, config,
-                                    [repo_id], "during")
+                                    ordered_ids, "after")
 
-    if prove and config.prove_after:
-        attempts += prove_goals(db, environments, checkpoint.model, config,
-                                ordered_ids, "after")
-
-    with _stage("metrics"):
-        matrix = PerformanceMatrix(rows=matrix_rows, validation=validation)
-        metric_report = compute_report(matrix, window=config.window)
+        with _stage("metrics"):
+            matrix = PerformanceMatrix(rows=matrix_rows, validation=validation)
+            metric_report = compute_report(matrix, window=config.window)
+    except ProverloopError:
+        # the metadata.json of every dataset written so far names theorems by
+        # key into database.json; a failure to write it must not mask the first
+        with suppress(ProverloopError):
+            db.persist(out / "database.json")
+        raise
 
     with _stage("report"):
         report = RunReport(

@@ -115,7 +115,8 @@ def ngram_features(texts: tuple[str, ...], n_features: int) -> np.ndarray:
 
     Only whole premise files are cached, one key per file, so a corpus that
     re-adds a file finds its features here. States are hashed on the fly, a
-    task's training states once per epoch (example_features).
+    task's training states once per epoch and once per importance pass
+    (example_features).
     """
     phi = hash_ngrams(texts, n_features)
     phi.flags.writeable = False
@@ -370,28 +371,6 @@ def batch_loss_and_grad(
     return total, grad
 
 
-def compute_fisher(
-    model: EmbeddingModel,
-    examples: list[TrainingExample],
-    batch_size: int = 16,
-    features: dict[str, np.ndarray] | None = None,
-) -> np.ndarray:
-    """Parameter importance: mean over batches of the squared batch gradient.
-
-    features is batch_loss_and_grad's."""
-    if not examples:
-        raise ProverloopError("no examples to estimate parameter importance from")
-    if batch_size < 1:
-        raise ProverloopError(f"batch_size must be positive, got {batch_size}")
-    fisher = np.zeros(model.weight.size)
-    n_batches = 0
-    for lo in range(0, len(examples), batch_size):
-        _, grad = batch_loss_and_grad(model, examples[lo:lo + batch_size], features=features)
-        fisher += grad.reshape(-1) ** 2
-        n_batches += 1
-    return fisher / n_batches
-
-
 # -- example mining ------------------------------------------------------------
 
 def cited_premises(
@@ -644,9 +623,7 @@ class RetrievalTask:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """One task's training settings. A run keeps importance only in a
-    checkpoint that a later task anchors to; has_fisher is false on the
-    last task's checkpoint and on every checkpoint at ewc_lambda = 0."""
+    """One task's training settings."""
 
     lr: float = 1e-3
     warmup_steps: int = 1000
@@ -662,9 +639,8 @@ CHECKPOINT_FORMAT = 3
 
 @dataclass
 class Checkpoint:
-    """Retriever state after a task, with its parameter importance only
-    when a later task of the run anchors to it: has_fisher is false on the
-    last task's checkpoint and on every checkpoint at ewc_lambda = 0.
+    """Retriever state after a task, with its parameter importance
+    (compute_fisher) when it has one.
 
     On disk a checkpoint is a single file: the header line, dump_json of
     ``format_version``, ``dim``, ``n_features``, ``history``,
@@ -770,20 +746,17 @@ def train_one_epoch(
     checkpoint: Checkpoint,
     task: RetrievalTask,
     config: TrainConfig = TrainConfig(),
-    *,
-    with_fisher: bool = True,
 ) -> Checkpoint:
-    """One seeded pass over the task's examples, anchored to the
-    checkpoint by checkpoint.ewc_term(config.ewc_lambda).
+    """One seeded pass over the task's examples from the checkpoint's
+    weights, anchored to them by checkpoint.ewc_term(config.ewc_lambda).
 
     Returns the evaluated model with the highest validation recall@10, with
-    the embeddings its evaluation made and, when with_fisher is set, its
-    parameter importance on the task's examples; evaluations happen every
-    eval_every steps and at epoch end. A run sets with_fisher only when a
-    later task anchors to the checkpoint, so has_fisher is false on the
-    last task's checkpoint and on every checkpoint at ewc_lambda = 0. The
-    examples are featurized once (example_features), for every step and
-    the importance.
+    the embeddings its evaluation made and without parameter importance;
+    evaluations happen every eval_every steps and at epoch end. The
+    examples are featurized once (example_features). The steps update one
+    copy of the weights in place, the same operations in the same order as
+    weight = weight - lr * grad; each evaluated model copies it, so no
+    model shares it.
     """
     if not task.train_examples:
         raise CorruptDocument(f"task {task.name!r} has no training examples")
@@ -794,31 +767,8 @@ def train_one_epoch(
 
     features = example_features(task.corpus, task.train_examples,
                                 checkpoint.model.n_features)
-    # the steps run in their own frame, so their models and index are freed
-    # before the Fisher pass, which would otherwise raise the stage's peak heap
-    best_model, best_recall = _best_of_epoch(
-        checkpoint.model.weight, task, config, features, checkpoint.ewc_term(config.ewc_lambda))
-    return Checkpoint(
-        model=best_model,
-        history=checkpoint.history + (task.name,),
-        best_val_r10=best_recall,
-        fisher=compute_fisher(best_model, task.train_examples, config.batch_size, features)
-        if with_fisher else None,
-    )
-
-
-def _best_of_epoch(
-    weight: np.ndarray, task: RetrievalTask, config: TrainConfig,
-    features: dict[str, np.ndarray], ewc: EwcTerm | None,
-) -> tuple[EmbeddingModel, float]:
-    """The steps and evaluations of train_one_epoch from weight: the
-    evaluated model with the highest validation recall@10, and that recall.
-
-    The steps update one copy of weight in place, the same operations in
-    the same order as weight = weight - lr * grad; each evaluated model
-    copies it, so no model shares it.
-    """
-    weight = np.array(weight)
+    ewc = checkpoint.ewc_term(config.ewc_lambda)
+    weight = np.array(checkpoint.model.weight)
     rng = np.random.default_rng(config.seed)
     order = rng.permutation(len(task.train_examples))
     examples = [task.train_examples[i] for i in order]
@@ -852,4 +802,27 @@ def _best_of_epoch(
                 best_recall = recall
                 best_model = candidate
     assert best_model is not None
-    return best_model, best_recall
+    return Checkpoint(
+        model=best_model,
+        history=checkpoint.history + (task.name,),
+        best_val_r10=best_recall,
+    )
+
+
+def compute_fisher(model: EmbeddingModel, task: RetrievalTask, batch_size: int) -> np.ndarray:
+    """Parameter importance on the task's examples: the mean over batches,
+    in the examples' order, of the squared batch gradient. The examples are
+    featurized once (example_features)."""
+    examples = task.train_examples
+    if not examples:
+        raise ProverloopError("no examples to estimate parameter importance from")
+    if batch_size < 1:
+        raise ProverloopError(f"batch_size must be positive, got {batch_size}")
+    features = example_features(task.corpus, examples, model.n_features)
+    fisher = np.zeros(model.weight.size)
+    n_batches = 0
+    for lo in range(0, len(examples), batch_size):
+        _, grad = batch_loss_and_grad(model, examples[lo:lo + batch_size], features=features)
+        fisher += grad.reshape(-1) ** 2
+        n_batches += 1
+    return fisher / n_batches

@@ -37,7 +37,6 @@ from proverloop.retriever import (
     TrainConfig,
     TrainingExample,
     batch_loss_and_grad,
-    compute_fisher,
     lr_at,
     precompute_embeddings,
     recall_at_k,
@@ -357,8 +356,8 @@ def precompute_embeddings_oracle(model, corpus):
 
 
 def train_one_epoch_oracle(checkpoint, task, config=TrainConfig()):
-    """train_one_epoch hashing every loss batch, then compute_fisher on the
-    returned model, hashing every batch again."""
+    """train_one_epoch hashing every loss batch and taking the penalty's
+    value and gradient from batch_loss_and_grad."""
     rng = np.random.default_rng(config.seed)
     examples = [task.train_examples[i] for i in rng.permutation(len(task.train_examples))]
     batches = [examples[lo:lo + config.batch_size]
@@ -380,9 +379,18 @@ def train_one_epoch_oracle(checkpoint, task, config=TrainConfig()):
             if recall > best_recall:
                 best_model, best_recall = candidate, recall
     return Checkpoint(
-        model=best_model, history=checkpoint.history + (task.name,), best_val_r10=best_recall,
-        fisher=compute_fisher(best_model, task.train_examples, batch_size=config.batch_size),
-    )
+        model=best_model, history=checkpoint.history + (task.name,), best_val_r10=best_recall)
+
+
+def fisher_oracle(model, task, batch_size):
+    """compute_fisher hashing every batch: the mean over the task's batches,
+    in example order, of batch_loss_and_grad's squared gradient."""
+    examples = task.train_examples
+    starts = range(0, len(examples), batch_size)
+    fisher = np.zeros(model.weight.size)
+    for lo in starts:
+        fisher += batch_loss_and_grad(model, examples[lo:lo + batch_size])[1].reshape(-1) ** 2
+    return fisher / len(starts)
 
 
 # -- separable toy retrieval task ------------------------------------------------

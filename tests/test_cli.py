@@ -180,6 +180,18 @@ class TestRunAndMetrics:
         assert capsys.readouterr().err == f"error: setup name {name!r} given twice\n"
         assert not (tmp_path / "scored").exists()
 
+    @pytest.mark.parametrize("args, message", [
+        (["--matrix", "m.csv"], "--matrix and --validation go together"),
+        ([], "give --matrix/--validation or at least one --setup"),
+        (["--setup", "a", "m.csv", "v.csv", "--setup", "a", "m.csv", "v.csv"],
+         "setup name 'a' given twice"),
+    ], ids=["half-a-pair", "no-input", "setup-twice"])
+    def test_metrics_argument_errors_are_one_error_line(self, tmp_path, capsys, args, message):
+        # each is rejected before any matrix is read, so the files need not exist
+        assert main(["metrics", *args, "--out", str(tmp_path / "scored")]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not (tmp_path / "scored").exists()
+
     def test_metrics_rejects_half_a_pair(self, tmp_path, capsys):
         (tmp_path / "m.csv").write_text(matrix_to_csv([[80.0]]), encoding="utf-8")
         assert main(["metrics", "--matrix", str(tmp_path / "m.csv")]) == 2

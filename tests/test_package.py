@@ -234,8 +234,8 @@ def json_calls(name):
 
 
 def test_the_importance_pass_has_one_call_site():
-    """train_one_epoch runs compute_fisher only when its caller asks, so
-    the rule of which task computes importance has one owner."""
+    """Only the run calls compute_fisher, so the rule of which task
+    computes importance has one owner, and training never takes it."""
     sites = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = parse(path)
@@ -243,7 +243,7 @@ def test_the_importance_pass_has_one_call_site():
         sites += [f"{path.name}:{owner.get(id(node), '<module>')}" for node in ast.walk(tree)
                   if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1]
                   == "compute_fisher"]
-    assert sites == ["retriever.py:train_one_epoch"]
+    assert sites == ["pipeline.py:run_pipeline"]
 
 
 def test_json_is_encoded_only_by_dump_json():

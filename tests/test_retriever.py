@@ -22,6 +22,7 @@ from helpers import (
     corpus_of,
     example_loss_and_grad,
     example_loss_and_grad_oracle,
+    fisher_oracle,
     mine_training_examples_oracle,
     ngram_oracle,
     pfile,
@@ -374,7 +375,7 @@ class TestFisher:
             for i in range(4)
         ]
         m = EmbeddingModel.random_init(dim=6, n_features=64, seed=3)
-        fisher = compute_fisher(m, examples, batch_size=2)
+        fisher = compute_fisher(m, make_task(corpus, examples, []), batch_size=2)
         _, g1 = batch_loss_and_grad(m, examples[:2])
         _, g2 = batch_loss_and_grad(m, examples[2:])
         oracle = (g1.reshape(-1) ** 2 + g2.reshape(-1) ** 2) / 2.0
@@ -384,7 +385,7 @@ class TestFisher:
         corpus = tiny_corpus()
         examples = [example_from(corpus, "pool.p0", ["pool.p1", "pool.p2", "pool.p3"])]
         m = EmbeddingModel.random_init(dim=4, n_features=32, seed=5)
-        fisher = compute_fisher(m, examples, batch_size=16)
+        fisher = compute_fisher(m, make_task(corpus, examples, []), batch_size=16)
         _, g = batch_loss_and_grad(m, examples)
         assert np.allclose(fisher, g.reshape(-1) ** 2, atol=1e-15)
 
@@ -393,14 +394,14 @@ class TestFisher:
         # identical positive and negatives: softmax is flat and gradients cancel
         m = EmbeddingModel(weight=np.zeros((4, 32)))
         examples = [example_from(corpus, "pool.p0", ["pool.p0", "pool.p0", "pool.p0"])]
-        fisher = compute_fisher(m, examples, batch_size=1)
+        fisher = compute_fisher(m, make_task(corpus, examples, []), batch_size=1)
         assert np.allclose(fisher, 0.0, atol=1e-15)
 
     def test_no_examples_rejected(self):
         m = EmbeddingModel.random_init(dim=4, n_features=32, seed=0)
         with pytest.raises(ProverloopError,
                            match="^no examples to estimate parameter importance from$"):
-            compute_fisher(m, [], batch_size=4)
+            compute_fisher(m, make_task(tiny_corpus(), [], []), batch_size=4)
 
 
 def ragged_batch(rng, corpus, size):
@@ -995,7 +996,7 @@ class TestTraining:
         with pytest.raises(ProverloopError, match=message):
             train_one_epoch(start, task, TrainConfig(batch_size=batch_size))
         with pytest.raises(ProverloopError, match=message):
-            compute_fisher(start.model, task.train_examples, batch_size=batch_size)
+            compute_fisher(start.model, task, batch_size=batch_size)
 
 
 class TestExampleFeatures:
@@ -1047,8 +1048,9 @@ class TestExampleFeatures:
     def test_rows_of_mixed_widths_equal_the_float64_path(self, monkeypatch):
         """One premise file and one state count a bucket past 255, so their
         rows are uint16 beside uint8 ones; the loss batches, the Fisher pass,
-        the index build and the state embeddings equal those made from the
-        same counts as float64 rows, bit for bit."""
+        which featurizes the examples itself, the index build and the state
+        embeddings equal those made from the same counts as float64 rows,
+        bit for bit."""
         long_premise = premise("w.b0", path="lib/b.lean", statement=" " * 300)
         corpus = corpus_of(
             pfile("lib/a.lean", names=("w.a0", "w.a1", "w.a2")),
@@ -1066,7 +1068,7 @@ class TestExampleFeatures:
             fresh = EmbeddingModel(weight=model.weight)
             return ([batch_loss_and_grad(fresh, examples[lo:lo + 4], ewc, features=features)
                      for lo in range(0, len(examples), 4)],
-                    compute_fisher(fresh, examples, 4, features),
+                    compute_fisher(fresh, make_task(corpus, examples, []), 4),
                     precompute_embeddings(fresh, corpus).matrix,
                     fresh.embed_many(states))
 
@@ -1102,8 +1104,7 @@ class TestExampleFeatures:
             loss, grad = batch_loss_and_grad(model, batch, ewc, features=features)
             want_loss, want_grad = batch_loss_and_grad(model, batch, ewc)
             assert loss == want_loss and np.array_equal(grad, want_grad)
-        assert np.array_equal(compute_fisher(model, task.train_examples, 4, features),
-                              compute_fisher(model, task.train_examples, 4))
+        assert np.array_equal(compute_fisher(model, task, 4), fisher_oracle(model, task, 4))
 
     @pytest.mark.parametrize("with_ewc", [False, True])
     def test_epoch_equals_the_hashing_loop_and_fisher(self, with_ewc):
@@ -1117,17 +1118,23 @@ class TestExampleFeatures:
         assert np.array_equal(got.model.weight, want.model.weight)
         assert got.best_val_r10 == want.best_val_r10
         assert got.history == want.history == ("earlier", "unit")
-        assert np.array_equal(got.fisher, want.fisher)
+        assert got.fisher is None
+        assert np.array_equal(compute_fisher(got.model, task, config.batch_size),
+                              fisher_oracle(want.model, task, config.batch_size))
 
-    def test_an_epoch_without_importance_skips_the_pass(self, monkeypatch):
+    def test_an_epoch_never_runs_the_importance_pass(self, monkeypatch):
         task = self.task()
         start = Checkpoint(model=EmbeddingModel.random_init(dim=6, n_features=64, seed=4),
                            fisher=np.linspace(0.0, 2.0, 6 * 64))
         config = TrainConfig(lr=0.2, warmup_steps=1, batch_size=3, seed=6, ewc_lambda=0.5)
-        want = train_one_epoch(start, task, config)
-        monkeypatch.setattr(retriever, "compute_fisher", None)
-        got = train_one_epoch(start, task, config, with_fisher=False)
-        assert got.fisher is None and want.fisher is not None
+        want = train_one_epoch_oracle(start, task, config)
+
+        def refuse(model, task, batch_size):
+            raise AssertionError("compute_fisher called")
+
+        monkeypatch.setattr(retriever, "compute_fisher", refuse)
+        got = train_one_epoch(start, task, config)
+        assert got.fisher is None
         assert np.array_equal(got.model.weight, want.model.weight)
         assert (got.history, got.best_val_r10) == (want.history, want.best_val_r10)
 
@@ -1146,7 +1153,7 @@ class TestExampleFeatures:
         monkeypatch.setattr(retriever, "ewc_penalty", refuse)
         got = train_one_epoch(start, task, config)
         assert np.array_equal(got.model.weight, want.model.weight)
-        assert np.array_equal(got.fisher, want.fisher)
+        assert got.best_val_r10 == want.best_val_r10
 
     def test_in_place_steps_change_no_model_and_no_anchor(self, monkeypatch):
         """The steps update their own buffer in place: the caller's weights,

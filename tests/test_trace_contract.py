@@ -219,7 +219,7 @@ def test_every_featurize_cache_key_is_one_embedded_premise_file(tmp_path):
 
 
 def test_every_training_batch_is_one_step_and_fisher_is_timed(traced_demo, tmp_path):
-    # the Fisher pass runs inside the epoch; its batches must not read as steps
+    # the Fisher pass's batches must not read as steps
     _, _, metrics, tracer, _ = traced_demo
     write_bundled(tmp_path)
     batch_size = parse_config(tmp_path / "run.cfg").batch_size
@@ -246,3 +246,21 @@ def test_the_importance_pass_runs_inside_the_train_stage_of_every_task_but_the_l
     passes = [i for i, span in enumerate(spans) if span[0] == "retriever.fisher"]
     assert len(passes) == len(demo_config.fixture_dirs) - 1
     assert [stage_of(i) for i in passes] == ["stage.train"] * len(passes)
+
+
+def test_no_importance_pass_runs_inside_an_epoch(traced_demo):
+    # the run takes importance after the epoch returns, in the same train:
+    # stage, so the epoch's span holds training alone
+    _, _, _, tracer, _ = traced_demo
+    spans = tracer.spans
+
+    def ancestors(i):
+        while (i := spans[i][3]) >= 0:
+            yield spans[i][0]
+
+    passes = [i for i, span in enumerate(spans) if span[0] == "retriever.fisher"]
+    assert passes
+    for i in passes:
+        names = list(ancestors(i))
+        assert "retriever.train_epoch" not in names
+        assert "stage.train" in names
