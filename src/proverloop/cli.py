@@ -8,12 +8,10 @@ from pathlib import Path
 
 from .database import STRATEGIES
 from .errors import ProverloopError
-from .fixtures import BUNDLED_SEED, write_bundled
+from .fixtures import write_bundled
 from .metrics import composite_score, compute_report, normalize_metrics, read_matrix
 from .pipeline import (
-    RANGES,
     build_curriculum,
-    check_within,
     curriculum_json,
     ingest_fixtures,
     override_config,
@@ -40,7 +38,6 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
                    help="dataset strategy override")
     p.add_argument("--ewc-lambda", type=float, dest="ewc_lambda",
                    help="quadratic anchor strength override")
-    p.add_argument("--window", type=int, help="metric window override")
     p.add_argument("--time-budget-ms", type=float, dest="time_budget_ms",
                    help="per-theorem search budget override")
     p.add_argument("--out", type=_out_dir, help="output directory override")
@@ -53,15 +50,13 @@ def _load_config(args: argparse.Namespace):
         seed=args.seed,
         strategy=args.strategy,
         ewc_lambda=args.ewc_lambda,
-        window=args.window,
         time_budget_ms=args.time_budget_ms,
         out_dir=args.out,
     )
 
 
 def _cmd_fixture(args: argparse.Namespace) -> int:
-    check_within("seed", args.seed, RANGES["seed"])
-    dirs = write_bundled(args.out, seed=args.seed)
+    dirs = write_bundled(args.out)
     for d in dirs:
         print(f"wrote {d}")
     print(f"wrote {Path(args.out) / 'run.cfg'}")
@@ -111,21 +106,15 @@ def _cmd_prove(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    check_within("window", args.window, RANGES["window"])
-    setups = list(args.setup or [])
-    if args.matrix or args.validation:
-        if not (args.matrix and args.validation):
-            raise ProverloopError("--matrix and --validation go together")
-        setups.append(["run", args.matrix, args.validation])
-    if not setups:
-        raise ProverloopError("give --matrix/--validation or at least one --setup")
-    names = [name for name, _, _ in setups]
+    if not args.setup:
+        raise ProverloopError("give at least one --setup")
+    names = [name for name, _, _ in args.setup]
     repeated = next((name for i, name in enumerate(names) if name in names[:i]), None)
     if repeated is not None:
         raise ProverloopError(f"setup name {repeated!r} given twice")
     raw = {
-        name: compute_report(read_matrix(matrix, validation), window=args.window).to_json()
-        for name, matrix, validation in setups
+        name: compute_report(read_matrix(matrix, validation)).to_json()
+        for name, matrix, validation in args.setup
     }
     normalized = normalize_metrics(raw)
     composites = composite_score(raw)
@@ -166,7 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fixture", help="write the bundled three-repo demo")
     p.add_argument("--out", type=_out_dir, required=True, help="directory to create")
-    p.add_argument("--seed", type=int, default=BUNDLED_SEED)
     p.set_defaults(fn=_cmd_fixture)
 
     p = sub.add_parser("ingest", help="load fixtures and persist the database")
@@ -189,9 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_prove)
 
     p = sub.add_parser("metrics", help="score performance matrices")
-    p.add_argument("--window", type=int, default=5)
-    p.add_argument("--matrix", help="matrix CSV for a single setup")
-    p.add_argument("--validation", help="validation CSV for a single setup")
     p.add_argument("--setup", nargs=3, action="append",
                    metavar=("NAME", "MATRIX", "VALIDATION"),
                    help="named setup; repeat to normalize across setups")

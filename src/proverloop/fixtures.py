@@ -24,10 +24,11 @@ from .corpus import (
     STATUS_SORRY,
     Theorem,
     TracedTactic,
+    premise_key,
 )
 from .database import RepositoryRecord
 from .pipeline import write_fixture_dir
-from .search import GOAL, TableFixture, _Edge
+from .search import GOAL, Edge, TableFixture
 from .storage import write_atomic
 
 GATE_PREMISE = "core.chain_lift"
@@ -167,11 +168,11 @@ def repo_algebra() -> tuple[RepositoryRecord, TableFixture]:
         mk("alg.open_task", "an easy open goal", 51, [], status=STATUS_SORRY),
     ]
     env = TableFixture(
-        initial={f"{path}::alg.open_task": "a_goal0"},
+        initial={premise_key(path, "alg.open_task"): "a_goal0"},
         edges=[
-            _Edge("a_goal0", "unfold step", -0.3, "a_goal1"),
-            _Edge("a_goal0", "detour", -1.5, "a_dead"),
-            _Edge("a_goal1", "finish", -0.2, GOAL),
+            Edge("a_goal0", "unfold step", -0.3, "a_goal1"),
+            Edge("a_goal0", "detour", -1.5, "a_dead"),
+            Edge("a_goal1", "finish", -0.2, GOAL),
         ],
     )
     files = [_core_file(), _alg_file()]
@@ -244,15 +245,15 @@ def repo_number() -> tuple[RepositoryRecord, TableFixture]:
     ]
     env = TableFixture(
         initial={
-            f"{path}::{GATED_THEOREM}": GATE_STATE,
-            f"{path}::num.never_goal": "b_dead0",
+            premise_key(path, GATED_THEOREM): GATE_STATE,
+            premise_key(path, "num.never_goal"): "b_dead0",
         },
         edges=[
-            _Edge(GATE_STATE, f"exact {GATE_PREMISE} h", -0.4, "b_mid",
-                  requires_premise=GATE_PREMISE),
-            _Edge("b_mid", "qed", -0.1, GOAL),
-            _Edge("b_dead0", "spin", -0.5, "b_dead1"),
-            _Edge("b_dead1", "spin again", -0.5, "b_dead0"),
+            Edge(GATE_STATE, f"exact {GATE_PREMISE} h", -0.4, "b_mid",
+                 requires_premise=GATE_PREMISE),
+            Edge("b_mid", "qed", -0.1, GOAL),
+            Edge("b_dead0", "spin", -0.5, "b_dead1"),
+            Edge("b_dead1", "spin again", -0.5, "b_dead0"),
         ],
     )
     files = [_core_file(), _num_file()]
@@ -291,12 +292,12 @@ def repo_topology() -> tuple[RepositoryRecord, TableFixture]:
         mk("topo.open_task2", "a reachable open goal", 37, [], status=STATUS_SORRY),
     ]
     env = TableFixture(
-        initial={f"{path}::topo.open_task2": "c_goal0"},
+        initial={premise_key(path, "topo.open_task2"): "c_goal0"},
         edges=[
-            _Edge("c_goal0", "open the union", -0.6, "c_goal1"),
-            _Edge("c_goal1", "shrink the cover", -0.3, "c_goal2"),
-            _Edge("c_goal2", "close", -0.2, GOAL),
-            _Edge("c_goal1", "stall", -2.0, "c_goal1b"),
+            Edge("c_goal0", "open the union", -0.6, "c_goal1"),
+            Edge("c_goal1", "shrink the cover", -0.3, "c_goal2"),
+            Edge("c_goal2", "close", -0.2, GOAL),
+            Edge("c_goal1", "stall", -2.0, "c_goal1b"),
         ],
     )
     files = [_core_file(), _topo_file()]
@@ -311,10 +312,9 @@ BUNDLED_CONFIG = """\
 # proverloop demo run
 fixtures = repo_algebra, repo_number, repo_topology
 out = out
-seed = {seed}
+seed = 16
 strategy = single
 ewc_lambda = 0.1
-window = 5
 
 embedding_dim = 48
 feature_buckets = 2048
@@ -337,14 +337,12 @@ prove_after = true
 wall_clock = false
 """
 
-BUNDLED_SEED = 16
 
-
-def write_bundled(out_dir: str | Path, seed: int = BUNDLED_SEED) -> list[Path]:
+def write_bundled(out_dir: str | Path) -> list[Path]:
     """Materialize the three-repo curriculum plus a ready run config."""
     out = Path(out_dir)
     dirs = [out / sub for sub in ("repo_algebra", "repo_number", "repo_topology")]
     for (record, environment), sub in zip((repo_algebra(), repo_number(), repo_topology()), dirs):
         write_fixture_dir(record, environment, sub)
-    write_atomic(out / "run.cfg", BUNDLED_CONFIG.format(seed=seed))
+    write_atomic(out / "run.cfg", BUNDLED_CONFIG)
     return dirs

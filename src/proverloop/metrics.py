@@ -11,6 +11,9 @@ reached while training task k. Six summary numbers fall out:
     ebwt  mean backward transfer accumulated after each task (higher)
     ip    mean per-task slope of the validation series (higher)
 
+The window of wf5 and wp5 spans 5 tasks, task k and the four before it,
+as the paper's WF5 and WP5.
+
 Setups are compared by min-max normalizing each number across setups and
 taking a fixed-weight blend; a metric constant across setups contributes its
 neutral midpoint.
@@ -28,6 +31,9 @@ from .errors import CorruptDocument, ProverloopError
 from .storage import read_text
 
 METRIC_NAMES = ("wf5", "fm", "cfr", "ebwt", "wp5", "ip")
+
+# Tasks in the window of wf5 and wp5, task k included.
+WINDOW = 5
 
 # weight, and whether bigger raw values are better
 _COMPOSITE_TERMS = {
@@ -71,24 +77,20 @@ def average_test_curve(rows: list[list[float]]) -> list[float]:
     return [sum(row) / len(row) for row in rows]
 
 
-def windowed_forgetting(curve: list[float], window: int = 5) -> float:
-    """Average drop of a_k below its recent peak (window includes k)."""
-    if window < 2:
-        raise ProverloopError("window must span at least two tasks")
+def windowed_forgetting(curve: list[float]) -> float:
+    """Average drop of a_k below its peak over the last WINDOW tasks."""
     drops = []
     for k, a_k in enumerate(curve):
-        lo = max(0, k - window + 1)
+        lo = max(0, k - WINDOW + 1)
         drops.append(max(0.0, max(curve[lo:k + 1]) - a_k))
     return sum(drops) / len(drops)
 
 
-def windowed_plasticity(curve: list[float], window: int = 5) -> float:
-    """Largest rise of a_k above its recent minimum (window includes k)."""
-    if window < 2:
-        raise ProverloopError("window must span at least two tasks")
+def windowed_plasticity(curve: list[float]) -> float:
+    """Largest rise of a_k above its minimum over the last WINDOW tasks."""
     rises = []
     for k, a_k in enumerate(curve):
-        lo = max(0, k - window + 1)
+        lo = max(0, k - WINDOW + 1)
         rises.append(max(0.0, a_k - min(curve[lo:k + 1])))
     return max(rises)
 
@@ -147,14 +149,14 @@ class MetricReport:
         return {name: getattr(self, name) for name in METRIC_NAMES}
 
 
-def compute_report(matrix: PerformanceMatrix, window: int = 5) -> MetricReport:
+def compute_report(matrix: PerformanceMatrix) -> MetricReport:
     curve = average_test_curve(matrix.rows)
     return MetricReport(
-        wf5=windowed_forgetting(curve, window),
+        wf5=windowed_forgetting(curve),
         fm=forgetting_measure(matrix.rows),
         cfr=cfr(curve),
         ebwt=expanded_bwt(matrix.rows),
-        wp5=windowed_plasticity(curve, window),
+        wp5=windowed_plasticity(curve),
         ip=incremental_plasticity(matrix.validation),
     )
 

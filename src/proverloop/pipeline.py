@@ -86,7 +86,6 @@ class RunConfig:
     seed: int = 0
     strategy: str = SINGLE_REPO
     ewc_lambda: float = 0.0
-    window: int = 5
     embedding_dim: int = 48
     feature_buckets: int = 2048
     init_scale: float = 0.1
@@ -125,7 +124,6 @@ RANGES = {
     "feature_buckets": "[2, inf)",
     "embedding_dim": "[1, inf)",
     "batch_size": "[1, inf)",
-    "window": "[2, inf)",
     "candidates": "[1, inf)",
     "retrieval_max": "[1, inf)",
     "warmup_steps": "[0, inf)",
@@ -306,7 +304,6 @@ class RunReport:
 
     def metrics_json(self) -> dict:
         return {
-            "window": self.config.window,
             "strategy": self.config.strategy,
             "seed": self.config.seed,
             "raw": self.metric_report.to_json(),
@@ -533,7 +530,7 @@ def run_pipeline(config: RunConfig, *, prove: bool = True) -> RunReport:
 
         with _stage("metrics"):
             matrix = PerformanceMatrix(rows=matrix_rows, validation=validation)
-            metric_report = compute_report(matrix, window=config.window)
+            metric_report = compute_report(matrix)
     except ProverloopError:
         # the metadata.json of every dataset written so far names theorems by
         # key into database.json; a failure to write it must not mask the first

@@ -115,7 +115,9 @@ def retrieve_premises(
 # -- table-backed fixtures -----------------------------------------------------
 
 @dataclass(frozen=True)
-class _Edge:
+class Edge:
+    """One transition of a TableFixture: tactic takes source to target."""
+
     source: str
     tactic: str
     log_prob: float
@@ -129,9 +131,9 @@ class TableFixture:
     """Transition table shared by the fixture environment and generator."""
 
     initial: dict[str, str]  # theorem key_str -> initial state
-    edges: list[_Edge]
-    by_source: dict[str, list[_Edge]] = field(init=False, repr=False)
-    lookup: dict[tuple[str, str], _Edge] = field(init=False, repr=False)
+    edges: list[Edge]
+    by_source: dict[str, list[Edge]] = field(init=False, repr=False)
+    lookup: dict[tuple[str, str], Edge] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.by_source = {}
@@ -167,7 +169,7 @@ class TableFixture:
         for key in initial:
             json_field(initial, key, str, "search table initial")
         edges = [
-            _Edge(
+            Edge(
                 source=json_field(e, "from", str, "search table edge"),
                 tactic=json_field(e, "tactic", str, "search table edge"),
                 log_prob=json_field(e, "log_prob", float, "search table edge"),

@@ -43,11 +43,11 @@ from proverloop.retriever import (
 )
 from proverloop.search import (
     GOAL,
+    Edge,
     ProofEnvironment,
     RetrievalFn,
     TableFixture,
     TacticGenerator,
-    _Edge,
 )
 from proverloop.storage import POSITION, STRINGS, json_field
 
@@ -514,7 +514,7 @@ def random_search_fixture(seed: int) -> tuple[TableFixture, Theorem]:
     layers: list[list[str]] = [["s0_0"]]
     for level in range(1, 4):
         layers.append([f"s{level}_{j}" for j in range(int(rng.integers(1, 4)))])
-    edges: list[_Edge] = []
+    edges: list[Edge] = []
     for level in range(4):
         for state in layers[level]:
             deeper = [s for other in layers[level + 1:] for s in other]
@@ -525,13 +525,13 @@ def random_search_fixture(seed: int) -> tuple[TableFixture, Theorem]:
                     target = GOAL
                 else:
                     target = deeper[int(rng.integers(len(deeper)))]
-                edges.append(_Edge(
+                edges.append(Edge(
                     state, f"t{t}", round(-float(rng.uniform(0.05, 3.0)), 4), target,
                 ))
     if rng.random() < 0.3:
         # make it unprovable: goal transitions dead-end instead
         edges = [
-            _Edge(e.source, e.tactic, e.log_prob, "s_sink") if e.target == GOAL else e
+            Edge(e.source, e.tactic, e.log_prob, "s_sink") if e.target == GOAL else e
             for e in edges
         ]
     theorem = fixture_theorem(str(seed))

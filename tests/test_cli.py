@@ -42,11 +42,6 @@ class TestFixtureCommand:
             assert files == ["corpus.jsonl", "environment.json",
                              "repo.json", "theorems.json"]
 
-    def test_a_negative_seed_exits_two_before_writing(self, tmp_path, capsys):
-        assert main(["fixture", "--out", str(tmp_path / "demo"), "--seed", "-1"]) == 2
-        assert capsys.readouterr().err == "error: seed must be in [0, inf), got -1\n"
-        assert not (tmp_path / "demo").exists()
-
 
 class TestIngestCommand:
     def test_persists_the_database(self, demo, tmp_path, capsys):
@@ -118,9 +113,8 @@ class TestRunAndMetrics:
         (tmp_path / "m.csv").write_text(matrix_to_csv(rows), encoding="utf-8")
         (tmp_path / "v.csv").write_text(validation_to_csv([60.0, 70.0, 65.0]),
                                         encoding="utf-8")
-        assert main(["metrics", "--matrix", str(tmp_path / "m.csv"),
-                     "--validation", str(tmp_path / "v.csv"),
-                     "--out", str(tmp_path / "scored")]) == 0
+        assert main(["metrics", "--setup", "run", str(tmp_path / "m.csv"),
+                     str(tmp_path / "v.csv"), "--out", str(tmp_path / "scored")]) == 0
         doc = json.loads((tmp_path / "scored" / "metrics.json").read_text(encoding="utf-8"))
         assert doc["run"]["composite"] == pytest.approx(0.5)
         assert doc["run"]["raw"]["fm"] == pytest.approx(12.5)
@@ -159,16 +153,15 @@ class TestRunAndMetrics:
                                                     validation, reason):
         (tmp_path / "m.csv").write_text(matrix, encoding="utf-8")
         (tmp_path / "v.csv").write_text(validation_to_csv(validation), encoding="utf-8")
-        assert main(["metrics", "--matrix", str(tmp_path / "m.csv"),
-                     "--validation", str(tmp_path / "v.csv")]) == 2
+        assert main(["metrics", "--setup", "run", str(tmp_path / "m.csv"),
+                     str(tmp_path / "v.csv")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and reason in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("spelling", [
         ["--setup", "a", "{m}", "{v}", "--setup", "a", "{m}", "{v}"],
-        ["--setup", "run", "{m}", "{v}", "--matrix", "{m}", "--validation", "{v}"],
-    ], ids=["setup-twice", "setup-named-run"])
+    ], ids=["setup-twice"])
     def test_metrics_with_a_setup_name_given_twice_exits_two(self, tmp_path, capsys,
                                                              spelling):
         (tmp_path / "m.csv").write_text(matrix_to_csv([[80.0], [70.0, 90.0]]),
@@ -181,21 +174,15 @@ class TestRunAndMetrics:
         assert not (tmp_path / "scored").exists()
 
     @pytest.mark.parametrize("args, message", [
-        (["--matrix", "m.csv"], "--matrix and --validation go together"),
-        ([], "give --matrix/--validation or at least one --setup"),
+        ([], "give at least one --setup"),
         (["--setup", "a", "m.csv", "v.csv", "--setup", "a", "m.csv", "v.csv"],
          "setup name 'a' given twice"),
-    ], ids=["half-a-pair", "no-input", "setup-twice"])
+    ], ids=["no-input", "setup-twice"])
     def test_metrics_argument_errors_are_one_error_line(self, tmp_path, capsys, args, message):
         # each is rejected before any matrix is read, so the files need not exist
         assert main(["metrics", *args, "--out", str(tmp_path / "scored")]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not (tmp_path / "scored").exists()
-
-    def test_metrics_rejects_half_a_pair(self, tmp_path, capsys):
-        (tmp_path / "m.csv").write_text(matrix_to_csv([[80.0]]), encoding="utf-8")
-        assert main(["metrics", "--matrix", str(tmp_path / "m.csv")]) == 2
-        assert "--validation" in capsys.readouterr().err
 
 
 class TestTrainProveSplit:
@@ -266,12 +253,22 @@ class TestOverridesAndFailures:
     def test_flag_overrides_reach_the_run(self, demo, tmp_path):
         out = tmp_path / "merged"
         assert main(["train", *cfg_args(demo, out),
-                     "--strategy", "merge-all", "--seed", "24", "--window", "3",
+                     "--strategy", "merge-all", "--seed", "24",
                      "--ewc-lambda", "0.0", "--time-budget-ms", "1000"]) == 0
         doc = json.loads((out / "metrics.json").read_text(encoding="utf-8"))
         assert doc["strategy"] == "merge-all"
         assert doc["seed"] == 24
-        assert doc["window"] == 3
+
+    def test_a_config_that_sets_the_metric_window_exits_two(self, demo, tmp_path, capsys):
+        """wf5 and wp5 span 5 tasks; a run.cfg of an older demo, which set
+        `window = 5`, names a key that no longer exists."""
+        root = tmp_path / "demo"
+        shutil.copytree(demo, root)
+        with (root / "run.cfg").open("a", encoding="utf-8") as cfg:
+            cfg.write("window = 5\n")
+        assert main(["run", *cfg_args(root, tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: unknown config key 'window'\n"
+        assert not (tmp_path / "out").exists()
 
     def test_bad_config_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -279,40 +276,36 @@ class TestOverridesAndFailures:
         assert main(["run", "--config", str(cfg)]) == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command, key, line, flags", [
-        ("run", "feature_buckets", "feature_buckets = 1", []),
-        ("run", "embedding_dim", "embedding_dim = 0", []),
+    @pytest.mark.parametrize("key, line, flags", [
+        ("feature_buckets", "feature_buckets = 1", []),
+        ("embedding_dim", "embedding_dim = 0", []),
         # a weight matrix of more bytes than an array can address
-        ("run", "embedding_dim", f"embedding_dim = {10**20}", []),
-        ("run", "feature_buckets", f"feature_buckets = {10**20}", []),
-        ("run", "batch_size", "batch_size = 0", []),
-        ("run", "batch_size", "batch_size = -3", []),
-        ("run", "window", "window = 0", []),
-        ("run", "window", "", ["--window", "1"]),
-        ("metrics", "window", None, ["--window", "1"]),
-        ("run", "init_scale", "init_scale = -1", []),
-        ("run", "retrieval_max", "retrieval_max = -1", []),
-        ("run", "candidates", "candidates = -3", []),
-        ("run", "candidates", "candidates = 0", []),
-        ("run", "val_frac", "val_frac = -1", []),
-        ("run", "val_frac", "val_frac = 1", []),
-        ("run", "test_frac", "test_frac = -1", []),
-        ("run", "lr", "lr = -1", []),
-        ("run", "lr", "lr = nan", []),
-        ("run", "retrieval_fraction", "retrieval_fraction = -1", []),
-        ("run", "retrieval_fraction", "retrieval_fraction = 1.5", []),
-        ("run", "warmup_steps", "warmup_steps = -5", []),
-        ("run", "time_budget_ms", "time_budget_ms = -1", []),
-        ("run", "time_budget_ms", "", ["--time-budget-ms", "inf"]),
-        ("run", "clip_norm", "clip_norm = -1", []),
-        ("run", "ewc_lambda", "", ["--ewc-lambda", "nan"]),
-        ("run", "seed", "", ["--seed", "-1"]),
-        ("run", "strategy", "strategy = single_repo", []),
-        ("run", "strategy", "strategy = Single", []),
-        ("run", "prove_after", "prove_after = yes", []),
+        ("embedding_dim", f"embedding_dim = {10**20}", []),
+        ("feature_buckets", f"feature_buckets = {10**20}", []),
+        ("batch_size", "batch_size = 0", []),
+        ("batch_size", "batch_size = -3", []),
+        ("init_scale", "init_scale = -1", []),
+        ("retrieval_max", "retrieval_max = -1", []),
+        ("candidates", "candidates = -3", []),
+        ("candidates", "candidates = 0", []),
+        ("val_frac", "val_frac = -1", []),
+        ("val_frac", "val_frac = 1", []),
+        ("test_frac", "test_frac = -1", []),
+        ("lr", "lr = -1", []),
+        ("lr", "lr = nan", []),
+        ("retrieval_fraction", "retrieval_fraction = -1", []),
+        ("retrieval_fraction", "retrieval_fraction = 1.5", []),
+        ("warmup_steps", "warmup_steps = -5", []),
+        ("time_budget_ms", "time_budget_ms = -1", []),
+        ("time_budget_ms", "", ["--time-budget-ms", "inf"]),
+        ("clip_norm", "clip_norm = -1", []),
+        ("ewc_lambda", "", ["--ewc-lambda", "nan"]),
+        ("seed", "", ["--seed", "-1"]),
+        ("strategy", "strategy = single_repo", []),
+        ("strategy", "strategy = Single", []),
+        ("prove_after", "prove_after = yes", []),
     ], ids=["buckets-1", "dim-0", "dim-unaddressable", "buckets-unaddressable",
-            "batch-0", "batch-negative", "window-0", "run-window-flag",
-            "metrics-window-flag", "init-scale-negative", "retrieval-max-negative",
+            "batch-0", "batch-negative", "init-scale-negative", "retrieval-max-negative",
             "candidates-negative", "candidates-0", "val-frac-negative", "val-frac-1",
             "test-frac-negative", "lr-negative", "lr-nan", "retrieval-fraction-negative",
             "retrieval-fraction-above-1", "warmup-negative", "time-budget-negative",
@@ -320,25 +313,16 @@ class TestOverridesAndFailures:
             "seed-flag-negative", "strategy-underscore", "strategy-capitalized",
             "prove-after-yes"])
     def test_bad_run_settings_exit_two_before_any_work(self, demo, tmp_path, capsys,
-                                                       command, key, line, flags):
+                                                       key, line, flags):
         out = tmp_path / "out"
-        if command == "metrics":
-            (tmp_path / "m.csv").write_text(matrix_to_csv([[80.0], [70.0, 90.0]]),
-                                            encoding="utf-8")
-            (tmp_path / "v.csv").write_text(validation_to_csv([60.0, 70.0]),
-                                            encoding="utf-8")
-            args = ["--matrix", str(tmp_path / "m.csv"),
-                    "--validation", str(tmp_path / "v.csv"), "--out", str(out)]
-        else:
-            root = tmp_path / "demo"
-            shutil.copytree(demo, root)
-            cfg = root / "run.cfg"
-            # the demo sets most keys already; a second line would fail as a duplicate
-            lines = [ln for ln in cfg.read_text(encoding="utf-8").splitlines()
-                     if ln.partition("=")[0].strip() != key]
-            cfg.write_text("\n".join([*lines, line]) + "\n", encoding="utf-8")
-            args = cfg_args(root, out)
-        assert main([command, *args, *flags]) == 2
+        root = tmp_path / "demo"
+        shutil.copytree(demo, root)
+        cfg = root / "run.cfg"
+        # the demo sets most keys already; a second line would fail as a duplicate
+        lines = [ln for ln in cfg.read_text(encoding="utf-8").splitlines()
+                 if ln.partition("=")[0].strip() != key]
+        cfg.write_text("\n".join([*lines, line]) + "\n", encoding="utf-8")
+        assert main(["run", *cfg_args(root, out), *flags]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err
         assert "Traceback" not in err
@@ -442,7 +426,7 @@ class TestOverridesAndFailures:
         """`--out ''` would name the current directory; `--out .` says so
         explicitly."""
         args = {"fixture": [],
-                "metrics": ["--matrix", "m.csv", "--validation", "v.csv"]}.get(
+                "metrics": ["--setup", "run", "m.csv", "v.csv"]}.get(
             command, ["--config", str(demo / "run.cfg")])
         monkeypatch.chdir(tmp_path)
         assert main([command, *args, "--out", ""]) == 2
@@ -577,9 +561,8 @@ class TestErrorContract:
                                                                      validation, reason):
         (tmp_path / "m.csv").write_text(matrix_to_csv([[80.0], [70.0, 90.0]]), encoding="utf-8")
         (tmp_path / "v.csv").write_text("task,val_r10\n" + validation, encoding="utf-8")
-        assert main(["metrics", "--matrix", str(tmp_path / "m.csv"),
-                     "--validation", str(tmp_path / "v.csv"),
-                     "--out", str(tmp_path / "scored")]) == 2
+        assert main(["metrics", "--setup", "run", str(tmp_path / "m.csv"),
+                     str(tmp_path / "v.csv"), "--out", str(tmp_path / "scored")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and reason in err and "Traceback" not in err
         assert not (tmp_path / "scored").exists()
@@ -587,8 +570,8 @@ class TestErrorContract:
     def test_metrics_with_a_huge_validation_task_number_exits_two(self, tmp_path, capsys):
         (tmp_path / "m.csv").write_text(matrix_to_csv([[80.0]]), encoding="utf-8")
         (tmp_path / "v.csv").write_text(f"task,val_r10\n{10**18},50\n", encoding="utf-8")
-        assert main(["metrics", "--matrix", str(tmp_path / "m.csv"),
-                     "--validation", str(tmp_path / "v.csv")]) == 2
+        assert main(["metrics", "--setup", "run", str(tmp_path / "m.csv"),
+                     str(tmp_path / "v.csv")]) == 2
         err = capsys.readouterr().err
         assert err == "error: validation tasks must be 1..T without gaps\n"
 

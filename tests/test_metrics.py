@@ -58,39 +58,43 @@ class TestAverageCurve:
 
 
 class TestWindowedForgetting:
-    def test_short_window_hand_check(self):
-        # drops: 0, 70-60, nothing (65 is the window peak once 70 leaves)
-        assert windowed_forgetting([70.0, 60.0, 65.0], window=2) == \
-            pytest.approx(10.0 / 3.0, abs=1e-12)
+    def test_a_peak_five_tasks_back_has_left_the_window(self):
+        # drops: 0, then 50 below the first task's 100 for tasks 2-5, then
+        # nothing: from task 6 on the window is tasks 2-6, all at 50
+        assert windowed_forgetting([100.0] + [50.0] * 6) == \
+            pytest.approx(200.0 / 7.0, abs=1e-12)
+
+    def test_a_falling_ramp_forgets_at_most_four_steps(self):
+        # a drop of 10 per task: the window holds task k and the four
+        # before it, so drops are 0, 10, 20, 30, 40, 40, 40
+        assert windowed_forgetting([60.0, 50.0, 40.0, 30.0, 20.0, 10.0, 0.0]) == \
+            pytest.approx(180.0 / 7.0, abs=1e-12)
 
     def test_cliff_inside_the_window(self):
-        assert windowed_forgetting([100.0, 0.0], window=5) == 50.0
+        assert windowed_forgetting([100.0, 0.0]) == 50.0
 
     def test_rise_never_counts(self):
-        assert windowed_forgetting([0.0, 100.0], window=5) == 0.0
+        assert windowed_forgetting([0.0, 100.0]) == 0.0
 
     def test_non_decreasing_curve_never_forgets(self):
-        assert windowed_forgetting([10.0, 10.0, 40.0, 80.0, 80.0], window=5) == 0.0
-
-    def test_window_must_cover_two_tasks(self):
-        with pytest.raises(ProverloopError, match="^window must span at least two tasks$"):
-            windowed_forgetting([50.0, 60.0], window=1)
+        assert windowed_forgetting([10.0, 10.0, 40.0, 80.0, 80.0]) == 0.0
 
 
 class TestWindowedPlasticity:
-    def test_short_window_hand_check(self):
-        # rises: 0, 0, 65 over the windowed minimum 60
-        assert windowed_plasticity([70.0, 60.0, 65.0], window=2) == 5.0
+    def test_a_trough_five_tasks_back_has_left_the_window(self):
+        # task 6 rises 100 above task 1, but task 1 has left its window
+        # (tasks 2-6), so its rise is 50, as are those of tasks 2-5
+        assert windowed_plasticity([0.0, 50.0, 50.0, 50.0, 50.0, 100.0, 50.0]) == 50.0
+
+    def test_a_rising_ramp_gains_at_most_four_steps(self):
+        # a rise of 10 per task: the window holds task k and the four before it
+        assert windowed_plasticity([0.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0]) == 40.0
 
     def test_takes_the_largest_rise(self):
-        assert windowed_plasticity([0.0, 100.0, 90.0], window=5) == 100.0
+        assert windowed_plasticity([0.0, 100.0, 90.0]) == 100.0
 
     def test_non_increasing_curve_has_none(self):
-        assert windowed_plasticity([90.0, 80.0, 70.0], window=5) == 0.0
-
-    def test_window_must_cover_two_tasks(self):
-        with pytest.raises(ProverloopError, match="^window must span at least two tasks$"):
-            windowed_plasticity([50.0, 60.0], window=1)
+        assert windowed_plasticity([90.0, 80.0, 70.0]) == 0.0
 
 
 class TestForgettingMeasure:
@@ -181,10 +185,10 @@ class TestScaleBehavior:
         scaled_rows = [[x * c for x in row] for row in rows]
         scaled_val = [x * c for x in val]
         curve, scaled_curve = average_test_curve(rows), average_test_curve(scaled_rows)
-        assert windowed_forgetting(scaled_curve, 2) == \
-            pytest.approx(c * windowed_forgetting(curve, 2), abs=1e-12)
-        assert windowed_plasticity(scaled_curve, 2) == \
-            pytest.approx(c * windowed_plasticity(curve, 2), abs=1e-12)
+        assert windowed_forgetting(scaled_curve) == \
+            pytest.approx(c * windowed_forgetting(curve), abs=1e-12)
+        assert windowed_plasticity(scaled_curve) == \
+            pytest.approx(c * windowed_plasticity(curve), abs=1e-12)
         assert forgetting_measure(scaled_rows) == \
             pytest.approx(c * forgetting_measure(rows), abs=1e-12)
         assert expanded_bwt(scaled_rows) == \

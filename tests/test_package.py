@@ -63,7 +63,9 @@ def test_the_readme_config_table_holds_every_setting_with_its_default():
 
 
 def test_the_readme_cli_section_names_every_flag_and_strategy():
-    """README's "CLI" section names each flag of each subcommand, and the
+    """README's "CLI" section names each flag of each subcommand; each
+    `proverloop <command>` line of its usage block, with the lines that
+    continue it, names only flags of that command; and the
     `--strategy {...}` set it writes is the STRATEGIES tuple."""
     from proverloop.cli import build_parser
     from proverloop.database import STRATEGIES
@@ -71,9 +73,20 @@ def test_the_readme_cli_section_names_every_flag_and_strategy():
     text = readme_section("CLI")
     [subcommands] = [a for a in build_parser()._actions
                      if isinstance(a, argparse._SubParsersAction)]
-    flags = {flag for sub in subcommands.choices.values() for action in sub._actions
-             if not isinstance(action, argparse._HelpAction) for flag in action.option_strings}
+    flags_of = {name: {flag for action in sub._actions
+                       if not isinstance(action, argparse._HelpAction)
+                       for flag in action.option_strings}
+                for name, sub in subcommands.choices.items()}
+    flags = set().union(*flags_of.values())
     assert sorted(f for f in flags if not re.search(rf"(?<![\w-]){f}(?![\w-])", text)) == []
+    usage = text.split("```\n", 2)[1]
+    stray, command = [], None
+    for line in usage.splitlines():
+        if line.startswith("proverloop "):
+            command = line.split()[1]
+        stray.extend(f"{command} {flag}" for flag in re.findall(r"(?<![\w-])--[\w-]+", line)
+                     if flag not in flags_of[command])
+    assert sorted(stray) == []
     [written] = re.findall(r"--strategy\s+\{([^}]*)\}", text)
     assert tuple(written.split(",")) == STRATEGIES
 
@@ -184,6 +197,17 @@ def test_every_imported_name_is_read_by_its_module():
                               for alias in node.names
                               if (name := alias.asname or alias.name.split(".")[0]) not in reads)
     assert unread == []
+
+
+def test_no_module_imports_a_private_name_of_another():
+    """A name starting with _ belongs to its module; one that another
+    module needs is public and named so."""
+    private = [f"{module}: {alias.name}"
+               for module, tree in PACKAGE_TREES.items() for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.level > 0 or (node.module or "").startswith("proverloop"))
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
 
 
 def test_every_parameter_is_read_by_its_function():

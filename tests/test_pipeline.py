@@ -28,7 +28,6 @@ from proverloop.database import MERGE_ALL, SINGLE_REPO, DynamicDatabase, Reposit
 from proverloop.errors import CorruptDocument, IoFailure, PipelineError, ProverloopError
 from proverloop.fixtures import (
     BUNDLED_CONFIG,
-    BUNDLED_SEED,
     repo_algebra,
     repo_number,
     repo_topology,
@@ -92,7 +91,6 @@ class TestParseConfig:
             "seed = 9",
             "strategy = merge-all",
             "ewc_lambda = 0.25",
-            "window = 3",
             "lr = 0.5",
             "eval_every = 0",
             "max_expansions = 200",
@@ -103,7 +101,6 @@ class TestParseConfig:
         assert cfg.seed == 9
         assert cfg.strategy == MERGE_ALL
         assert cfg.ewc_lambda == 0.25
-        assert cfg.window == 3
         assert cfg.lr == 0.5
         assert cfg.eval_every is None  # 0 means unset
         assert cfg.max_expansions == 200
@@ -152,7 +149,7 @@ class TestParseConfig:
 
     def test_every_setting_parses_by_its_annotation(self, tmp_path):
         values = {
-            "seed": 3, "strategy": MERGE_ALL, "ewc_lambda": 0.5, "window": 4,
+            "seed": 3, "strategy": MERGE_ALL, "ewc_lambda": 0.5,
             "embedding_dim": 8, "feature_buckets": 64, "init_scale": 0.25, "lr": 0.5,
             "warmup_steps": 7, "batch_size": 2, "clip_norm": 2.5, "eval_every": 9,
             "val_frac": 0.125, "test_frac": 0.375, "retrieval_fraction": 0.75,
@@ -181,7 +178,7 @@ class TestParseConfig:
         """Any text (NUL and lone surrogates included) in place of one value
         of the demo run.cfg, or that line deleted, either parses or raises
         a ProverloopError, never another exception."""
-        lines = BUNDLED_CONFIG.format(seed=BUNDLED_SEED).splitlines()
+        lines = BUNDLED_CONFIG.splitlines()
         settings_lines = [i for i, line in enumerate(lines) if "=" in line and line[0] != "#"]
         i = data.draw(st.sampled_from(settings_lines))
         if data.draw(st.booleans()):
@@ -372,14 +369,12 @@ class TestRunPipeline:
     def test_metrics_json_contents(self, finished_run):
         config, report = finished_run
         doc = json.loads((config.out_dir / "metrics.json").read_text(encoding="utf-8"))
-        assert doc["window"] == 5
         assert doc["strategy"] == SINGLE_REPO
         assert doc["seed"] == config.seed
         assert len(doc["average_test_curve"]) == 3
         assert doc["validation"] == report.validation
         assert set(doc["raw"]) == {"wf5", "fm", "cfr", "ebwt", "wp5", "ip"}
-        assert set(doc) == {"window", "strategy", "seed", "raw", "average_test_curve",
-                            "validation"}
+        assert set(doc) == {"strategy", "seed", "raw", "average_test_curve", "validation"}
 
     def test_proofs_json_attempts_are_the_search_result_and_three_labels(self, finished_run):
         config, report = finished_run
@@ -450,10 +445,11 @@ class TestRunPipeline:
 
     def test_out_dir_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
         """The demo run, in fresh interpreters at one and at two OpenBLAS
-        threads, writes the same files with the same bytes."""
+        threads and at string hash seeds 0 and 1, writes the same files with
+        the same bytes."""
         outs = [demo_run_in_a_child(tmp_path / f"threads_{threads}",
-                                    OPENBLAS_NUM_THREADS=threads)
-                for threads in ("1", "2")]
+                                    OPENBLAS_NUM_THREADS=threads, PYTHONHASHSEED=hash_seed)
+                for threads, hash_seed in (("1", "0"), ("2", "1"))]
         assert sorted(outs[0]) == sorted(outs[1])
         assert [name for name in sorted(outs[0]) if outs[0][name] != outs[1][name]] == []
 
