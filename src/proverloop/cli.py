@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
 
 from .database import STRATEGIES
@@ -23,12 +24,15 @@ from .pipeline import (
 from .storage import dump_json, write_atomic
 
 
-def _out_dir(value: str) -> str:
-    """The type of every --out. An empty one would name the current
-    directory (`--out .` says so explicitly), so it ends parsing."""
+def _path_flag(flag: str, what: str, value: str) -> str:
+    """The type of --out and --checkpoint, flag and what bound. An empty path
+    names the current directory (`--out .` says so explicitly), so it ends parsing."""
     if not value:
-        raise ProverloopError("--out names no output directory")
+        raise ProverloopError(f"{flag} names no {what}")
     return value
+
+
+_out_dir = partial(_path_flag, "--out", "output directory")
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -171,9 +175,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prove", help="attempt open goals with a saved checkpoint")
     _add_config_flags(p)
-    p.add_argument("--checkpoint", help="binary .ckpt checkpoint file; default is the "
-                                        "last task's checkpoints/task_XX.ckpt under "
-                                        "the output dir")
+    p.add_argument("--checkpoint", type=partial(_path_flag, "--checkpoint", "checkpoint file"),
+                   help="binary .ckpt checkpoint file; default is the last task's "
+                        "checkpoints/task_XX.ckpt under the output dir")
     p.set_defaults(fn=_cmd_prove)
 
     p = sub.add_parser("metrics", help="score performance matrices")

@@ -293,14 +293,19 @@ class ProofAttempt:
 
 
 @dataclass
-class RunReport:
+class RunState:
+    """A run between tasks: start_run sets it up, run_task extends it, finish_run ends it."""
     config: RunConfig
+    db: DynamicDatabase
+    environments: dict[str, TableFixture]
     thresholds: Thresholds
     curriculum: list[tuple[str, CategoryCounts]]
-    matrix_rows: list[list[float]]
-    validation: list[float]
-    metric_report: MetricReport
+    checkpoint: Checkpoint
+    columns: list[tuple[Corpus, EvalSet]] = field(default_factory=list)  # task corpus and test set
+    matrix_rows: list[list[float]] = field(default_factory=list)
+    validation: list[float] = field(default_factory=list)
     attempts: list[ProofAttempt] = field(default_factory=list)
+    metric_report: MetricReport | None = None  # set by finish_run
 
     def metrics_json(self) -> dict:
         return {
@@ -323,7 +328,7 @@ def proofs_json(attempts: list[ProofAttempt]) -> dict:
     return {"attempts": [a.to_json() for a in attempts]}
 
 
-def emit_reports(report: RunReport, out_dir: str | Path) -> None:
+def emit_reports(report: RunState, out_dir: str | Path) -> None:
     """Write the matrix CSV, metrics JSON, proofs JSON, and curriculum JSON
     (plus the validation series CSV the metrics subcommand consumes)."""
     for name, text in (
@@ -454,9 +459,8 @@ def _retrieve(
                              fraction=config.retrieval_fraction, max_n=config.retrieval_max)
 
 
-def run_pipeline(config: RunConfig, *, prove: bool = True) -> RunReport:
-    """Train through the curriculum, proving after each task when prove is
-    set, and write every report.
+def start_run(config: RunConfig) -> RunState:
+    """Ingest, order the curriculum and draw the random-init checkpoint.
 
     The forgetting metrics compare tasks, so a run needs at least two
     fixture directories; fewer are rejected before anything is written.
@@ -465,92 +469,91 @@ def run_pipeline(config: RunConfig, *, prove: bool = True) -> RunReport:
         raise CorruptDocument(
             f"config key 'fixtures' names {len(config.fixture_dirs)} fixture directory; "
             "a run needs at least two, since its metrics compare tasks")
-    out = Path(config.out_dir)
     db, environments = ingest_fixtures(config)
     thresholds, ordered = build_curriculum(db)
-
-    attempts: list[ProofAttempt] = []
-    columns: list[tuple[Corpus, EvalSet]] = []  # each task's corpus and test set
-    matrix_rows: list[list[float]] = []
-    validation: list[float] = []
     checkpoint = Checkpoint(model=EmbeddingModel.random_init(
         dim=config.embedding_dim,
         n_features=config.feature_buckets,
         seed=config.seed,
         scale=config.init_scale,
     ))
+    return RunState(config, db, environments, thresholds, ordered, checkpoint)
 
-    ordered_ids = [rid for rid, _ in ordered]
+
+def run_task(state: RunState, k: int, prove: bool) -> None:
+    """Task k, counted from 1: its dataset, training, matrix row and, if prove, open goals."""
+    config, out = state.config, Path(state.config.out_dir)
+    repo_id = state.curriculum[k - 1][0]
+    record = state.db.get_repository(repo_id)
+    with _stage(f"dataset:{record.name}"):
+        dataset = state.db.generate_dataset(
+            [rid for rid, _ in state.curriculum[:k]], strategy=config.strategy,
+            seed=config.seed, val_frac=config.val_frac, test_frac=config.test_frac,
+        )
+        write_dataset(dataset, out / "datasets" / f"task_{k:02d}")
+        task = _build_task(record.name, dataset, seed=config.seed + 100 + k)
+        state.columns.append((task.corpus, task.test_pairs))
+
+    with _stage(f"train:{record.name}"):
+        train_config = TrainConfig(
+            lr=config.lr,
+            warmup_steps=config.warmup_steps,
+            batch_size=config.batch_size,
+            clip_norm=config.clip_norm,
+            eval_every=config.eval_every,
+            seed=config.seed + 10_000 + k,
+            ewc_lambda=config.ewc_lambda,
+        )
+        checkpoint = state.checkpoint = train_one_epoch(state.checkpoint, task, train_config)
+        # importance only where a later task of this run anchors to it:
+        # has_fisher is false on the last task's checkpoint and on every
+        # checkpoint at ewc_lambda = 0
+        if config.ewc_lambda > 0 and k < len(state.curriculum):
+            checkpoint.fisher = compute_fisher(checkpoint.model, task, config.batch_size)
+        checkpoint.save(task_checkpoint(out, k))
+
+    with _stage(f"evaluate:{record.name}"):
+        assert checkpoint.best_val_r10 is not None
+        state.validation.append(100.0 * checkpoint.best_val_r10)
+        row = []
+        for corpus, test_pairs in state.columns:
+            index = precompute_embeddings(checkpoint.model, corpus)
+            row.append(100.0 * recall_at_k(checkpoint.model, index, test_pairs, k=10))
+        state.matrix_rows.append(row)
+
+    if prove:
+        state.attempts += prove_goals(state.db, state.environments, checkpoint.model, config,
+                                      [repo_id], "during")
+
+
+def finish_run(state: RunState, prove: bool) -> None:
+    """Search every open goal again under prove_after, score the run and write its reports."""
+    config, out = state.config, Path(state.config.out_dir)
+    if prove and config.prove_after:
+        state.attempts += prove_goals(state.db, state.environments, state.checkpoint.model,
+                                      config, [rid for rid, _ in state.curriculum], "after")
+    with _stage("metrics"):
+        matrix = PerformanceMatrix(rows=state.matrix_rows, validation=state.validation)
+        state.metric_report = compute_report(matrix)
+    with _stage("report"):
+        state.db.persist(out / "database.json")
+        emit_reports(state, out)
+
+
+def run_pipeline(config: RunConfig, *, prove: bool = True) -> RunState:
+    """Train through the curriculum, proving each task when prove is set; write every report."""
+    state = start_run(config)
     try:
-        for k, repo_id in enumerate(ordered_ids, start=1):
-            record = db.get_repository(repo_id)
-            with _stage(f"dataset:{record.name}"):
-                dataset = db.generate_dataset(
-                    ordered_ids[:k], strategy=config.strategy, seed=config.seed,
-                    val_frac=config.val_frac, test_frac=config.test_frac,
-                )
-                write_dataset(dataset, out / "datasets" / f"task_{k:02d}")
-                task = _build_task(record.name, dataset, seed=config.seed + 100 + k)
-                columns.append((task.corpus, task.test_pairs))
-
-            with _stage(f"train:{record.name}"):
-                train_config = TrainConfig(
-                    lr=config.lr,
-                    warmup_steps=config.warmup_steps,
-                    batch_size=config.batch_size,
-                    clip_norm=config.clip_norm,
-                    eval_every=config.eval_every,
-                    seed=config.seed + 10_000 + k,
-                    ewc_lambda=config.ewc_lambda,
-                )
-                checkpoint = train_one_epoch(checkpoint, task, train_config)
-                # importance only where a later task of this run anchors to it:
-                # has_fisher is false on the last task's checkpoint and on every
-                # checkpoint at ewc_lambda = 0
-                if config.ewc_lambda > 0 and k < len(ordered_ids):
-                    checkpoint.fisher = compute_fisher(checkpoint.model, task, config.batch_size)
-                checkpoint.save(task_checkpoint(out, k))
-
-            with _stage(f"evaluate:{record.name}"):
-                assert checkpoint.best_val_r10 is not None
-                validation.append(100.0 * checkpoint.best_val_r10)
-                row = []
-                for corpus, test_pairs in columns:
-                    index = precompute_embeddings(checkpoint.model, corpus)
-                    row.append(100.0 * recall_at_k(checkpoint.model, index, test_pairs, k=10))
-                matrix_rows.append(row)
-
-            if prove:
-                attempts += prove_goals(db, environments, checkpoint.model, config,
-                                        [repo_id], "during")
-
-        if prove and config.prove_after:
-            attempts += prove_goals(db, environments, checkpoint.model, config,
-                                    ordered_ids, "after")
-
-        with _stage("metrics"):
-            matrix = PerformanceMatrix(rows=matrix_rows, validation=validation)
-            metric_report = compute_report(matrix)
+        for k in range(1, len(state.curriculum) + 1):
+            run_task(state, k, prove)
+        finish_run(state, prove)
     except ProverloopError:
         # the metadata.json of every dataset written so far names theorems by
         # key into database.json; a failure to write it must not mask the first
         with suppress(ProverloopError):
-            db.persist(out / "database.json")
+            state.db.persist(Path(config.out_dir) / "database.json")
         raise
-
-    with _stage("report"):
-        report = RunReport(
-            config=config,
-            thresholds=thresholds,
-            curriculum=ordered,
-            matrix_rows=matrix_rows,
-            validation=validation,
-            metric_report=metric_report,
-            attempts=attempts,
-        )
-        db.persist(out / "database.json")
-        emit_reports(report, out)
-    return report
+    return state
 
 
 def prove_standalone(
@@ -564,7 +567,7 @@ def prove_standalone(
     db, environments = ingest_fixtures(config)
     _, ordered = build_curriculum(db)
     with _stage("checkpoint"):
-        checkpoint = Checkpoint.load(
-            checkpoint_path or task_checkpoint(config.out_dir, len(ordered)))
+        checkpoint = Checkpoint.load(task_checkpoint(config.out_dir, len(ordered))
+                                     if checkpoint_path is None else checkpoint_path)
     return db, prove_goals(db, environments, checkpoint.model, config,
                            [rid for rid, _ in ordered], "after")

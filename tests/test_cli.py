@@ -433,6 +433,17 @@ class TestOverridesAndFailures:
         assert capsys.readouterr().err == "error: --out names no output directory\n"
         assert list(tmp_path.iterdir()) == []
 
+    def test_an_empty_checkpoint_flag_exits_two_before_ingest(self, demo, tmp_path, capsys):
+        """`--checkpoint ''` names no file; it does not fall back to the
+        default checkpoint a previous run left in the output directory."""
+        out = tmp_path / "out"
+        assert main(["train", *cfg_args(demo, out)]) == 0
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        assert main(["prove", *cfg_args(demo, out), "--checkpoint", ""]) == 2
+        assert capsys.readouterr() == ("", "error: --checkpoint names no checkpoint file\n")
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
     @pytest.mark.parametrize("command", ["run", "train"])
     def test_a_run_of_one_repository_exits_two_before_writing(self, demo, tmp_path, capsys,
                                                              command):

@@ -12,6 +12,8 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "proverloop"
 
@@ -257,17 +259,19 @@ def json_calls(name):
     return sorted(callers)
 
 
-def test_the_importance_pass_has_one_call_site():
-    """Only the run calls compute_fisher, so the rule of which task
-    computes importance has one owner, and training never takes it."""
+@pytest.mark.parametrize("name", ["compute_fisher", "train_one_epoch", "generate_dataset"])
+def test_each_task_stage_has_one_call_site_in_the_task_step(name):
+    """Only the run's task step writes a dataset, trains and takes
+    importance, so no other function walks the tasks, the rule of which
+    task computes importance has one owner, and training never takes it."""
     sites = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = parse(path)
         owner = owners(tree)
         sites += [f"{path.name}:{owner.get(id(node), '<module>')}" for node in ast.walk(tree)
                   if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1]
-                  == "compute_fisher"]
-    assert sites == ["pipeline.py:run_pipeline"]
+                  == name]
+    assert sites == ["pipeline.py:run_task"]
 
 
 def test_json_is_encoded_only_by_dump_json():

@@ -36,7 +36,6 @@ from proverloop.fixtures import (
 from proverloop.metrics import composite_score
 from proverloop.pipeline import (
     RunConfig,
-    RunReport,
     build_curriculum,
     emit_reports,
     ingest_fixtures,
@@ -46,6 +45,8 @@ from proverloop.pipeline import (
     prove_goals,
     prove_standalone,
     run_pipeline,
+    run_task,
+    start_run,
     task_checkpoint,
     write_fixture_dir,
 )
@@ -554,6 +555,26 @@ class TestRunPipeline:
         run_pipeline(config, prove=False)
         assert calls == [config.out_dir / "database.json"]
 
+    def test_a_run_is_its_start_then_one_step_per_task(self, finished_run, tmp_path):
+        """start_run and run_task for the first two tasks give run_pipeline's
+        first two matrix rows, validation values and during attempts, and
+        write the same bytes to each task's metadata.json and checkpoint."""
+        config, report = finished_run
+        state = start_run(override_config(config, out_dir=tmp_path / "steps"))
+        for k in (1, 2):
+            run_task(state, k, prove=True)
+        assert state.matrix_rows == report.matrix_rows[:2]
+        assert state.validation == report.validation[:2]
+        first_two = {rid for rid, _ in report.curriculum[:2]}
+        assert [a.to_json() for a in state.attempts] == [
+            a.to_json() for a in report.attempts
+            if a.phase == "during" and a.repo_id in first_two]
+        for k in (1, 2):
+            for name in (f"datasets/task_{k:02d}/metadata.json", f"checkpoints/task_{k:02d}.ckpt"):
+                assert (state.config.out_dir / name).read_bytes() == \
+                    (config.out_dir / name).read_bytes(), name
+        assert not (state.config.out_dir / "datasets" / "task_03").exists()
+
     def test_emit_reports_failure_is_an_io_error(self, finished_run, tmp_path):
         _, report = finished_run
         blocker = tmp_path / "occupied"
@@ -563,12 +584,7 @@ class TestRunPipeline:
 
     def test_empty_attempts_serialize_as_an_empty_list(self, finished_run, tmp_path):
         _, report = finished_run
-        bare = RunReport(
-            config=report.config, thresholds=report.thresholds,
-            curriculum=report.curriculum, matrix_rows=report.matrix_rows,
-            validation=report.validation, metric_report=report.metric_report,
-        )
-        emit_reports(bare, tmp_path / "bare")
+        emit_reports(dataclasses.replace(report, attempts=[]), tmp_path / "bare")
         doc = json.loads((tmp_path / "bare" / "proofs.json").read_text(encoding="utf-8"))
         assert doc == {"attempts": []}
 
@@ -773,3 +789,41 @@ class TestDatasetMetadata:
             for meta in metadata:
                 # a key that the database lacks raises KeyError here
                 dataset_from_metadata(db, json.loads(meta.read_text(encoding="utf-8")))
+
+    @pytest.mark.parametrize("name, call, stage, tasks", [
+        ("_build_task", 2, "dataset:number-midway", 2),
+        ("train_one_epoch", 2, "train:number-midway", 2),
+        ("recall_at_k", 2, "evaluate:number-midway", 2),
+        ("best_first_search", 1, "prove:algebra-warmup", 1),
+        # the four during searches come first, number-midway's during task 2
+        ("best_first_search", 5, "prove:number-midway", 3),
+        ("compute_report", 1, "metrics", 3),
+        ("emit_reports", 1, "report", 3),
+    ])
+    def test_a_failed_stage_exits_two_and_leaves_the_database_its_datasets_name(
+            self, bundle, tmp_path, capsys, monkeypatch, name, call, stage, tasks):
+        """A package error raised by the given call in task 2's dataset,
+        train or evaluate stage, in the first prove stage during or after
+        the tasks, or in the metrics or report stage: the run exits 2 naming
+        the stage, after writing the datasets of the given number of tasks,
+        and database.json resolves each of their metadata.json files."""
+        calls = []
+        real = getattr(pipeline, name)
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == call:
+                raise ProverloopError("injected")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, name, failing)
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(bundle / "run.cfg"), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: stage {stage!r}: injected\n"
+        metadata = sorted(out.glob("datasets/*/metadata.json"))
+        assert len(metadata) == tasks
+        db = DynamicDatabase.load(out / "database.json")
+        for meta in metadata:
+            # a key that the database lacks raises KeyError here
+            dataset_from_metadata(db, json.loads(meta.read_text(encoding="utf-8")))
